@@ -1,22 +1,32 @@
 """Exact hitting-time analysis of finite increasing set-valued Markov chains.
 
 States are integer bitmasks partially ordered by inclusion; every
-transition strictly enlarges the state, so the reachable graph is a DAG
-and all quantities follow from finite backward/forward recursions:
+transition strictly enlarges the state, so the popcount rises along every
+transition and the reachable graph is a DAG layered by popcount.  The
+solver keeps the reachable states in an int64 array grouped by layer and
+the transitions in flat ``(src, dst, rate)`` arrays, and evaluates every
+quantity with whole-layer array sweeps:
 
-* ``h(S)``        mean remaining hitting time (backward induction)
-* ``visit_prob``  probability the chain ever visits S (forward push)
+* ``h(S)``        mean remaining hitting time (backward layer sweep)
+* ``visit_prob``  probability the chain ever visits S (forward scatter-add)
 * ``E T``         sum of expected occupation times
 * ``var T``       occupation-measure sum of per-state quadratic variation
 
-The variance identity and the per-state unit-drift identity double as
-free exactness tests of the solver and are exposed on the solution.
+A spec either lists transitions one state at a time (``transitions``,
+walked breadth-first with full validation) or expands a whole layer at
+once (``expand``, used by the FPP chain); the complete graph K20 (2^19
+states) solves in about a second.  The variance identity and the
+per-state unit-drift identity double as free exactness tests of the
+solver and are exposed on the solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
+
+import numpy as np
 
 from .graphs import CapacityError
 
@@ -35,12 +45,19 @@ class ChainValidationError(ValueError):
 @dataclass(frozen=True)
 class ChainSpec:
     """An increasing chain: initial bitmask state, transition enumerator
-    (strictly increasing, positive rates), and a target predicate."""
+    (strictly increasing, positive rates), and a target predicate.
+
+    ``expand`` optionally enumerates a whole layer at once: given an int64
+    array of states of one popcount it returns ``(is_target, src, dst,
+    rate)``, the target flag per state and every transition out of the
+    non-target states, each adding exactly one element (``src`` indexes
+    the input array, ``dst`` holds successor bitmasks)."""
 
     initial: int
     transitions: Callable[[int], list[tuple[int, float]]]
     is_target: Callable[[int], bool]
     state_cap: int = STATE_CAP
+    expand: Callable[[np.ndarray], tuple] | None = None
 
 
 @dataclass(frozen=True)
@@ -55,66 +72,133 @@ class DiscreteChainSpec:
     state_cap: int = STATE_CAP
 
 
+@dataclass(frozen=True)
+class _Chain:
+    """Reachable states in popcount layers, each layer sorted by bitmask
+    (``states[0]`` is the initial state), and the transitions sorted by
+    source index."""
+
+    states: np.ndarray     # int64 bitmasks
+    is_target: np.ndarray  # bool per state
+    layers: np.ndarray     # state offsets of the layers, len(layers) = #layers + 1
+    src: np.ndarray        # state index, nondecreasing
+    dst: np.ndarray        # state index, always in a later layer
+    rate: np.ndarray
+
+    @cached_property
+    def out_rate(self) -> np.ndarray:
+        return np.bincount(self.src, self.rate, minlength=len(self.states))
+
+    @cached_property
+    def layer_slices(self) -> list[tuple[int, int, int, int]]:
+        """(first state, end state, first edge, end edge) per layer."""
+        edges = np.searchsorted(self.src, self.layers)
+        return list(zip(self.layers[:-1].tolist(), self.layers[1:].tolist(),
+                        edges[:-1].tolist(), edges[1:].tolist()))
+
+
 @dataclass
 class ExactSolution:
-    h: dict[int, float]
-    visit_prob: dict[int, float]
-    expected_time_in: dict[int, float]
+    """Per-state arrays are aligned with ``states``; ``states[0]`` is the
+    initial state.  Target states have zero ``h``, time, ``a`` and ``b``."""
+
+    states: np.ndarray
+    is_target: np.ndarray
+    h: np.ndarray
+    visit_prob: np.ndarray
+    expected_time_in: np.ndarray
     E_T: float
     var_T: float
     kappa: float
-    a: dict[int, float]
-    b: dict[int, float]
-    transitions: dict[int, list[tuple[int, float]]] = field(repr=False)
-    initial: int = 0
-    targets: frozenset[int] = frozenset()
+    a: np.ndarray
+    b: np.ndarray
+    src: np.ndarray = field(repr=False)
+    dst: np.ndarray = field(repr=False)
+    rate: np.ndarray = field(repr=False)
+    decrement: np.ndarray = field(repr=False)  # h[src] - h[dst] per transition
+
+    @property
+    def initial(self) -> int:
+        return int(self.states[0])
 
     def monotone_h(self, tol: float = 1e-12) -> bool:
         """h never increases along any enumerated transition."""
-        for s, outs in self.transitions.items():
-            hs = self.h[s]
-            for s2, _ in outs:
-                if self.h[s2] > hs + tol:
-                    return False
-        return True
+        return bool(np.all(self.h[self.dst] <= self.h[self.src] + tol))
 
     def max_identity_error(self) -> float:
         """Worst deviation of the unit-drift identity b(S) = 1 over
         reachable non-target states."""
-        worst = 0.0
-        for s in self.transitions:
-            worst = max(worst, abs(self.b[s] - 1.0))
-        return worst
+        live = ~self.is_target
+        return float(np.abs(self.b[live] - 1.0).max()) if live.any() else 0.0
 
     def to_json_dict(self) -> dict:
-        states = sorted(self.h)
+        order = np.argsort(self.states)
+        rows = zip(self.states[order].tolist(), self.h[order].tolist(),
+                   self.visit_prob[order].tolist(), self.expected_time_in[order].tolist())
         return {
             "initial": self.initial,
             "E_T": self.E_T,
             "var_T": self.var_T,
             "kappa": self.kappa,
-            "states": {
-                str(s): {
-                    "h": self.h[s],
-                    "visit_prob": self.visit_prob.get(s, 0.0),
-                    "time_in": self.expected_time_in.get(s, 0.0),
-                }
-                for s in states
-            },
+            "states": {str(s): {"h": h, "visit_prob": p, "time_in": t}
+                       for s, h, p, t in rows},
         }
 
 
-def _enumerate_reachable(spec, kind: str):
-    """BFS the reachable states; returns (ordered states, transitions map,
-    target set).  Target states are not expanded."""
+def _enumerate(spec, kind: str) -> _Chain:
+    if getattr(spec, "expand", None) is not None:
+        return _enumerate_layers(spec)
+    return _enumerate_callable(spec, kind)
+
+
+def _enumerate_layers(spec: ChainSpec) -> _Chain:
+    """Expand one popcount layer at a time; the cap is checked before a
+    layer beyond it is expanded."""
+    layer = np.array([spec.initial], dtype=np.int64)
+    masks, targets, srcs, dsts, rates = [], [], [], [], []
+    bounds = [0]
+    total = 1
+    while layer.size:
+        is_target, src, dst, rate = spec.expand(layer)
+        lo = bounds[-1]
+        hi = lo + layer.size
+        stuck = (np.bincount(src, minlength=layer.size) == 0) & ~is_target
+        if stuck.any():
+            raise UnreachableTargetError(
+                f"state {int(layer[stuck][0]):#x} has no outgoing transitions and is not a target"
+            )
+        successors, inverse = np.unique(dst, return_inverse=True)
+        total += successors.size
+        if total > spec.state_cap:
+            raise CapacityError(f"reachable state count exceeds cap {spec.state_cap}")
+        masks.append(layer)
+        targets.append(is_target)
+        srcs.append(src + lo)
+        dsts.append(inverse + hi)
+        rates.append(rate)
+        bounds.append(hi)
+        layer = successors
+    is_target = np.concatenate(targets)
+    if not is_target.any():
+        raise UnreachableTargetError("no target state reachable from the initial state")
+    return _Chain(np.concatenate(masks), is_target, np.array(bounds),
+                  np.concatenate(srcs), np.concatenate(dsts), np.concatenate(rates))
+
+
+def _enumerate_callable(spec, kind: str) -> _Chain:
+    """BFS the reachable states through ``spec.transitions`` (target states
+    are not expanded), validating every transition, then lay the result
+    out in popcount layers."""
     seen = {spec.initial}
     stack = [spec.initial]
-    transitions: dict[int, list[tuple[int, float]]] = {}
-    targets: set[int] = set()
+    src_masks: list[int] = []
+    dst_masks: list[int] = []
+    rates: list[float] = []
+    targets: list[int] = []
     while stack:
         s = stack.pop()
         if spec.is_target(s):
-            targets.add(s)
+            targets.append(s)
             continue
         outs = spec.transitions(s)
         if not outs:
@@ -130,6 +214,9 @@ def _enumerate_reachable(spec, kind: str):
                     f"transition {s:#x} -> {s2:#x} does not strictly increase the state"
                 )
             total += q
+            src_masks.append(s)
+            dst_masks.append(s2)
+            rates.append(q)
             if s2 not in seen:
                 seen.add(s2)
                 stack.append(s2)
@@ -137,107 +224,116 @@ def _enumerate_reachable(spec, kind: str):
                     raise CapacityError(f"reachable state count exceeds cap {spec.state_cap}")
         if kind == "probability" and total > 1.0 + 1e-12:
             raise ChainValidationError(f"probabilities out of {s:#x} sum to {total} > 1")
-        transitions[s] = outs
     if not targets:
         raise UnreachableTargetError("no target state reachable from the initial state")
-    return seen, transitions, targets
+    if max(seen).bit_length() > 63:
+        raise CapacityError("state bitmasks wider than 63 bits")
+
+    states = np.fromiter(seen, dtype=np.int64, count=len(seen))
+    popcount = np.bitwise_count(states)
+    order = np.lexsort((states, popcount))
+    states, popcount = states[order], popcount[order]
+    layers = np.concatenate(([0], np.flatnonzero(np.diff(popcount)) + 1, [states.size]))
+    by_mask = np.argsort(states)
+    sorted_masks = states[by_mask]
+
+    def index(masks):
+        return by_mask[np.searchsorted(sorted_masks, np.array(masks, dtype=np.int64))]
+
+    src = index(src_masks)
+    keep = np.argsort(src, kind="stable")
+    is_target = np.zeros(states.size, dtype=bool)
+    is_target[index(targets)] = True
+    return _Chain(states, is_target, layers, src[keep], index(dst_masks)[keep],
+                  np.array(rates, dtype=float)[keep])
 
 
-def _topo_order(states):
-    # decreasing popcount, ties by bitmask value: successors come first
-    return sorted(states, key=lambda s: (-s.bit_count(), s))
+def _backward(chain: _Chain, step, count: int) -> np.ndarray:
+    """Fill ``count`` per-state value arrays from the top layer down.
+    ``step(q, *sums)`` receives the out-rate of a layer's non-target states
+    and, per array, their rate-weighted sums of successor values, and
+    returns the new values; target states keep 0."""
+    values = np.zeros((count, len(chain.states)))
+    q_all = chain.out_rate
+    for lo, hi, e0, e1 in reversed(chain.layer_slices):
+        if e0 == e1:
+            continue
+        local = chain.src[e0:e1] - lo
+        rate = chain.rate[e0:e1]
+        dst = chain.dst[e0:e1]
+        live = np.flatnonzero(q_all[lo:hi] > 0)
+        sums = [np.bincount(local, rate * v[dst], minlength=hi - lo)[live] for v in values]
+        for v, new in zip(values, step(q_all[lo:hi][live], *sums)):
+            v[lo + live] = new
+    return values
+
+
+def _solve(chain: _Chain) -> ExactSolution:
+    n = len(chain.states)
+    src, dst, rate = chain.src, chain.dst, chain.rate
+    q = chain.out_rate
+    (h,) = _backward(chain, lambda q_tot, s: ((1.0 + s) / q_tot,), 1)
+
+    visit_prob = np.zeros(n)
+    visit_prob[0] = 1.0
+    for _lo, hi, e0, e1 in chain.layer_slices:  # predecessors first
+        if e0 == e1:
+            continue
+        s, d = src[e0:e1], dst[e0:e1]
+        flow = visit_prob[s] * rate[e0:e1] / q[s]
+        top = int(d.max()) + 1
+        visit_prob[hi:top] += np.bincount(d - hi, flow, minlength=top - hi)
+
+    live = q > 0
+    expected_time_in = np.zeros(n)
+    expected_time_in[live] = visit_prob[live] / q[live]
+    decrement = h[src] - h[dst]
+    a = np.bincount(src, rate * decrement**2, minlength=n)
+    b = np.bincount(src, rate * decrement, minlength=n)
+    return ExactSolution(
+        states=chain.states, is_target=chain.is_target, h=h, visit_prob=visit_prob,
+        expected_time_in=expected_time_in, E_T=float(expected_time_in.sum()),
+        var_T=float(np.dot(expected_time_in, a)),
+        kappa=float(decrement.max()) if decrement.size else 0.0, a=a, b=b,
+        src=src, dst=dst, rate=rate, decrement=decrement,
+    )
 
 
 def solve_hitting(spec: ChainSpec) -> ExactSolution:
     """Exactly solve mean, variance, visit probabilities and occupation
     times of the hitting time of the target collection."""
-    states, transitions, targets = _enumerate_reachable(spec, "rate")
-    order = _topo_order(states)
+    return _solve(_enumerate(spec, "rate"))
 
-    h = {s: 0.0 for s in targets}
-    for s in order:
-        if s in targets:
-            continue
-        outs = transitions[s]
-        q_tot = sum(q for _, q in outs)
-        h[s] = (1.0 + sum(q * h[s2] for s2, q in outs)) / q_tot
 
-    visit_prob = {s: 0.0 for s in states}
-    visit_prob[spec.initial] = 1.0
-    for s in reversed(order):  # increasing popcount: predecessors first
-        if s in targets or visit_prob[s] == 0.0:
-            continue
-        outs = transitions[s]
-        q_tot = sum(q for _, q in outs)
-        for s2, q in outs:
-            visit_prob[s2] += visit_prob[s] * q / q_tot
-
-    expected_time_in = {}
-    a = {}
-    b = {}
-    E_T = 0.0
-    var_T = 0.0
-    kappa = 0.0
-    for s, outs in transitions.items():
-        q_tot = sum(q for _, q in outs)
-        expected_time_in[s] = visit_prob[s] / q_tot
-        a[s] = sum(q * (h[s] - h[s2]) ** 2 for s2, q in outs)
-        b[s] = sum(q * (h[s] - h[s2]) for s2, q in outs)
-        kappa = max(kappa, max(h[s] - h[s2] for s2, _ in outs))
-        E_T += expected_time_in[s]
-        var_T += expected_time_in[s] * a[s]
-
-    return ExactSolution(
-        h=h, visit_prob=visit_prob, expected_time_in=expected_time_in,
-        E_T=E_T, var_T=var_T, kappa=kappa, a=a, b=b,
-        transitions=transitions, initial=spec.initial, targets=frozenset(targets),
-    )
+def _first_step(q, sum_h, sum_m2):
+    # T = W + T' with W ~ Exp(q) independent of the jump target
+    eh = sum_h / q
+    return 1.0 / q + eh, 2.0 / q**2 + 2.0 * eh / q + sum_m2 / q
 
 
 def variance_by_first_step(spec: ChainSpec) -> tuple[float, float]:
     """Independent route to (E T, var T): first-step recursions for the
     first and second moment of T.  Used to cross-check the occupation-
     measure variance."""
-    states, transitions, targets = _enumerate_reachable(spec, "rate")
-    order = _topo_order(states)
-    h = {s: 0.0 for s in targets}
-    m2 = {s: 0.0 for s in targets}
-    for s in order:
-        if s in targets:
-            continue
-        outs = transitions[s]
-        q_tot = sum(q for _, q in outs)
-        eh = sum(q * h[s2] for s2, q in outs) / q_tot
-        em2 = sum(q * m2[s2] for s2, q in outs) / q_tot
-        h[s] = 1.0 / q_tot + eh
-        # T = W + T' with W ~ Exp(q_tot) independent of the jump target
-        m2[s] = 2.0 / q_tot**2 + 2.0 * eh / q_tot + em2
-    mean = h[spec.initial]
-    return mean, m2[spec.initial] - mean**2
+    h, m2 = _backward(_enumerate(spec, "rate"), _first_step, 2)
+    return float(h[0]), float(m2[0] - h[0] ** 2)
+
+
+def _discrete_step(move, sum_n, sum_m2):
+    n = (1.0 + sum_n) / move
+    # N = 1 + N' where N' restarts at the state with prob 1 - move
+    return n, (1.0 + 2.0 * ((1.0 - move) * n + sum_n) + sum_m2) / move
+
+
+def _discrete_moments(chain: _Chain) -> tuple[float, float]:
+    n, m2 = _backward(chain, _discrete_step, 2)
+    return float(n[0]), float(m2[0] - n[0] ** 2)
 
 
 def solve_discrete(spec: DiscreteChainSpec) -> tuple[float, float]:
     """(mean, variance) of the step count until the target, allowing a
     self-loop probability at each state."""
-    states, transitions, targets = _enumerate_reachable(spec, "probability")
-    order = _topo_order(states)
-    n = {s: 0.0 for s in targets}
-    m2 = {s: 0.0 for s in targets}
-    for s in order:
-        if s in targets:
-            continue
-        outs = transitions[s]
-        move = sum(p for _, p in outs)
-        stay = 1.0 - move
-        if move <= 0:
-            raise ChainValidationError(f"state {s:#x} cannot leave itself")
-        en = sum(p * n[s2] for s2, p in outs)
-        em2 = sum(p * m2[s2] for s2, p in outs)
-        n[s] = (1.0 + en) / move
-        # N = 1 + N' where N' restarts at s with prob `stay`
-        m2[s] = (1.0 + 2.0 * (stay * n[s] + en) + em2) / move
-    mean = n[spec.initial]
-    return mean, m2[spec.initial] - mean**2
+    return _discrete_moments(_enumerate(spec, "probability"))
 
 
 def continuize(spec: DiscreteChainSpec) -> ChainSpec:
@@ -266,7 +362,7 @@ def lemma1_bound(sol: ExactSolution, tol: float = ABS_TOL) -> Lemma1Report:
 class Lemma2Report:
     delta: float
     epsilon: float
-    q_delta: dict[int, float]
+    q_delta: np.ndarray  # per state of the solution
     occupation_bad: float
     lhs: float
     rhs: float
@@ -278,18 +374,19 @@ def lemma2_bound(sol: ExactSolution, delta: float, epsilon: float,
     """var T/(E T)^2 <= 2*delta + epsilon + (bad occupation time)/(E T),
     where a state is bad when its large-decrement outflow q_delta(S)
     (decrements above 2*delta*E T) is at least epsilon.  Everything on the
-    right is evaluated exactly from the occupation measure."""
+    right is evaluated exactly from the occupation measure.
+
+    The threshold takes E T as h(initial), the same float the decrements
+    are formed from, so a jump from the initial state straight into the
+    target is never above the threshold at delta = 0.5, as in exact
+    arithmetic."""
     if not (delta > 0 and epsilon > 0):
         raise ValueError("delta and epsilon must be positive")
-    threshold = 2.0 * delta * sol.E_T
-    q_delta = {}
-    occupation_bad = 0.0
-    for s, outs in sol.transitions.items():
-        qd = sum(q * (sol.h[s] - sol.h[s2]) for s2, q in outs
-                 if sol.h[s] - sol.h[s2] > threshold)
-        q_delta[s] = qd
-        if qd >= epsilon:
-            occupation_bad += sol.expected_time_in[s]
+    threshold = 2.0 * delta * sol.h[0]
+    large = sol.decrement > threshold
+    q_delta = np.bincount(sol.src[large], sol.rate[large] * sol.decrement[large],
+                          minlength=len(sol.states))
+    occupation_bad = float(sol.expected_time_in[q_delta >= epsilon].sum())
     lhs = sol.var_T / sol.E_T**2
     rhs = 2.0 * delta + epsilon + occupation_bad / sol.E_T
     return Lemma2Report(delta=delta, epsilon=epsilon, q_delta=q_delta,
@@ -312,15 +409,16 @@ def continuization_check(spec: DiscreteChainSpec, tol: float = 1e-10) -> Continu
     """Check E T_cont = E T_disc and var T_cont = var T_disc + E T_disc by
     solving both chains exactly.  Requires the probabilities out of every
     non-target state to sum to 1 (no self-loops)."""
-    states, transitions, _targets = _enumerate_reachable(spec, "probability")
-    for s, outs in transitions.items():
-        total = sum(p for _, p in outs)
-        if abs(total - 1.0) > 1e-12:
-            raise ChainValidationError(
-                f"probabilities out of state {s:#x} sum to {total}, expected 1"
-            )
-    mean_disc, var_disc = solve_discrete(spec)
-    cont = solve_hitting(continuize(spec))
+    chain = _enumerate(spec, "probability")
+    total = chain.out_rate
+    off = np.flatnonzero(~chain.is_target & (np.abs(total - 1.0) > 1e-12))
+    if off.size:
+        s = int(chain.states[off[0]])
+        raise ChainValidationError(
+            f"probabilities out of state {s:#x} sum to {total[off[0]]}, expected 1"
+        )
+    mean_disc, var_disc = _discrete_moments(chain)
+    cont = _solve(chain)  # the continuized chain has the same transitions
     mean_err = abs(cont.E_T - mean_disc)
     var_err = abs(cont.var_T - (var_disc + mean_disc))
     return ContinuizationReport(

@@ -288,12 +288,13 @@ def _check_prop2(ctx, params):
     samples = sample_stopping_times(g, ks, ctx.runs, ctx.check_seed("prop2"),
                                     kinds=kinds, threads=ctx.threads)
     if ctx.out_dir is not None:
+        def cell(kind, k, i):  # empty for a kind that was not run
+            return repr(float(samples[kind][k][i])) if kind in kinds else ""
+
         lines = ["run_index,k,T_span,T_tria"]
         for k in ks:
             for i in range(ctx.runs):
-                tspan = samples["span"][k][i] if "span" in kinds else ""
-                ttria = samples["tria"][k][i] if "tria" in kinds else ""
-                lines.append(f"{i},{k},{tspan!r},{ttria!r}")
+                lines.append(f"{i},{k},{cell('span', k, i)},{cell('tria', k, i)}")
         (ctx.out_dir / "prop2_runs.csv").write_text("\n".join(lines) + "\n")
     reports = []
     ok = True

@@ -180,10 +180,30 @@ def fpp_chain_spec(g: WeightedGraph, source: int, target: int) -> ChainSpec:
                     rates[y] = rates.get(y, 0.0) + g.weights[e]
         return [(mask | (1 << y), w) for y, w in sorted(rates.items())]
 
+    weight = np.zeros((g.n, g.n))
+    for (u, v), w in zip(g.edges, g.weights):
+        weight[u, v] = weight[v, u] = w
+    bit = np.int64(1) << np.arange(g.n, dtype=np.int64)
+
+    def expand(masks: np.ndarray):
+        member = (masks[:, None] & bit) != 0
+        is_target = member[:, target]
+        live = np.flatnonzero(~is_target)
+        inside = member[live]
+        # w(S, y) summed over the members s of S in increasing order, the
+        # same floating-point sums as ``transitions``
+        rates = np.zeros(inside.shape)
+        for s in range(g.n):
+            np.add(rates, weight[s], out=rates, where=inside[:, s, None])
+        rates[inside] = 0.0
+        row, y = np.nonzero(rates)
+        return is_target, live[row], masks[live[row]] | bit[y], rates[row, y]
+
     return ChainSpec(
         initial=1 << source,
         transitions=transitions,
         is_target=lambda mask: bool(mask & target_bit),
+        expand=expand,
     )
 
 

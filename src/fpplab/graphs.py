@@ -145,6 +145,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
     """
     vertex_ids: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     weights: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -168,8 +169,9 @@ def parse_edge_list(text: str) -> WeightedGraph:
             if name not in vertex_ids:
                 vertex_ids[name] = len(vertex_ids)
         u, v = sorted((vertex_ids[a], vertex_ids[b]))
-        if (u, v) in set(edges):
+        if (u, v) in seen:
             raise GraphParseError(f"line {lineno}: duplicate edge {a!r}-{b!r}")
+        seen.add((u, v))
         edges.append((u, v))
         weights.append(w)
     if not vertex_ids:

@@ -1,3 +1,12 @@
+import time
+
+import numpy as np
+import pytest
+
+from fpplab.chain import solve_hitting
+from fpplab.fpp import fpp_chain_spec
+from fpplab.graphs import random_gnp_graph
+
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -13,3 +22,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="module")
+def sweep200():
+    """200 random FPP chains on graphs with n <= 10, solved exactly."""
+    rng = np.random.default_rng(20260825)
+    out = []
+    t0 = time.time()
+    for _ in range(200):
+        n = int(rng.integers(2, 11))
+        g = random_gnp_graph(n, 0.5, (0.2, 3.0), rng)
+        sol = solve_hitting(fpp_chain_spec(g, 0, n - 1))
+        out.append((g, sol))
+    return out, time.time() - t0

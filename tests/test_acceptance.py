@@ -27,7 +27,6 @@ from fpplab.graphs import (
     grid_graph,
     min_cut_weight,
     path_graph,
-    random_gnp_graph,
 )
 from fpplab.growth import CoverageConfig, coverage_chain_spec, coverage_simulate
 from fpplab.multigraph import a_k_eval, prop2_check, sample_stopping_times
@@ -48,20 +47,6 @@ EXACT_GRAPHS = {
     "K4": (complete_graph(4), 0, 3),
     "bridge": (bridge_graph(3, 3, 0.1), 0, 5),
 }
-
-
-@pytest.fixture(scope="module")
-def sweep200():
-    """200 random FPP chains on graphs with n <= 10, solved exactly."""
-    rng = np.random.default_rng(20260825)
-    out = []
-    t0 = time.time()
-    for _ in range(200):
-        n = int(rng.integers(2, 11))
-        g = random_gnp_graph(n, 0.5, (0.2, 3.0), rng)
-        sol = solve_hitting(fpp_chain_spec(g, 0, n - 1))
-        out.append((g, sol))
-    return out, time.time() - t0
 
 
 def test_criterion_1_exactness(sweep200):

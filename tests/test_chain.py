@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -68,7 +69,7 @@ def test_identity_and_monotonicity():
     assert sol.max_identity_error() < 1e-12
     assert sol.monotone_h()
     # visit probabilities of target states account for all the mass
-    assert abs(sum(sol.visit_prob[t] for t in sol.targets) - 1.0) < 1e-12
+    assert abs(sol.visit_prob[sol.is_target].sum() - 1.0) < 1e-12
 
 
 def test_lemma1_and_lemma2_on_triangle():
@@ -80,6 +81,17 @@ def test_lemma1_and_lemma2_on_triangle():
     assert rep2.holds
     assert abs(rep2.lhs - 7.0 / 9.0) < 1e-12
     assert abs(rep2.rhs - 1.3) < 1e-12  # 0.2 + 0.1 + (3/4)/(3/4)
+
+
+def test_lemma2_threshold_tie_at_half():
+    # K7, source adjacent to the target: the direct jump's decrement equals
+    # the delta = 0.5 threshold 2*0.5*E T exactly, so it is not "large", no
+    # state is bad and rhs = 2*0.5 + 0.1
+    sol = solve_hitting(fpp_chain_spec(complete_graph(7), 0, 6))
+    rep = lemma2_bound(sol, 0.5, 0.1)
+    assert rep.occupation_bad == 0.0
+    assert abs(rep.rhs - 1.1) < 1e-12
+    assert not rep.q_delta.any()
 
 
 def test_lemma2_rejects_nonpositive_grid():
@@ -147,6 +159,18 @@ def test_state_capacity():
         is_target=lambda m: m == (1 << 25) - 1,
         state_cap=1000,
     )
+    with pytest.raises(CapacityError):
+        solve_hitting(spec)
+
+
+def test_wide_bitmasks_are_a_capacity_error():
+    wide = 1 << 70
+    with pytest.raises(CapacityError):
+        solve_hitting(ChainSpec(0, lambda m: [(wide, 1.0)], lambda m: m == wide))
+
+
+def test_layered_state_capacity():
+    spec = dataclasses.replace(fpp_chain_spec(complete_graph(12), 0, 11), state_cap=100)
     with pytest.raises(CapacityError):
         solve_hitting(spec)
 

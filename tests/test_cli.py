@@ -135,6 +135,12 @@ def test_multigraph_scenario_writes_csv(tmp_path):
     lines = (out / "prop2_runs.csv").read_text().splitlines()
     assert lines[0] == "run_index,k,T_span,T_tria"
     assert len(lines) == 1201
+    # every data cell is an int, a float or empty (tria was not run)
+    for line in lines[1:]:
+        run_index, k, tspan, ttria = line.split(",")
+        int(run_index), int(k)
+        assert float(tspan) > 0
+        assert ttria == ""
 
 
 def test_shipped_scenarios_are_valid_json():
