@@ -3,7 +3,8 @@
 Scenarios are JSON configs naming a process, a graph source, and a list of
 checks; the runner executes every check, writes ``report.json`` plus
 per-run CSVs, and prints a summary table.  Everything downstream of
-(config, seed) is deterministic, independent of the thread count.
+(config, seed) is deterministic: Monte Carlo run i of a check draws from
+the i-th child of that check's seed.
 
 Exit codes: 0 all hard assertions pass, 1 assertion failure,
 2 usage/config error, 3 capacity error.
@@ -15,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -50,7 +52,13 @@ from .graphs import (
 )
 from .growth import CoverageConfig, GrowthConfig, prop1_check, prop3_check
 from .multigraph import a_k_eval, prop2_check, sample_stopping_times
-from .stats import SampleStats, psi_minus_eval, theorem1_lower_check, theorem1_trend_experiment
+from .stats import (
+    SampleStats,
+    psi_minus_eval,
+    spawn_seeds,
+    theorem1_lower_check,
+    theorem1_trend_experiment,
+)
 
 SCHEMA_VERSION = 1
 
@@ -70,26 +78,25 @@ class ConfigError(ValueError):
 CHECKS: dict[str, dict] = {}
 
 
-def _register(name, processes, anchor, statement):
+def _register(name, processes, anchor, statement, min_runs=3):
     def wrap(fn):
         CHECKS[name] = {"fn": fn, "processes": processes, "anchor": anchor,
-                        "statement": statement}
+                        "statement": statement, "min_runs": min_runs}
         return fn
     return wrap
 
 
 class _Context:
-    def __init__(self, cfg, seed, out_dir, threads):
+    def __init__(self, cfg, seed, out_dir):
         self.cfg = cfg
         self.seed = seed
         self.out_dir = out_dir
-        self.threads = threads
         self._graph = None
         self._solution = None
 
     @property
     def runs(self):
-        return int(self.cfg.get("runs", 10_000))
+        return self.cfg.get("runs", 10_000)
 
     def graph(self) -> WeightedGraph:
         if self._graph is None:
@@ -179,7 +186,7 @@ def _check_continuization(ctx, params):
 def _check_dual_agreement(ctx, params):
     s, t = ctx.endpoints()
     batch = sample_fpp_batch(ctx.graph(), s, t, ctx.runs,
-                             ctx.check_seed("dual_agreement"), threads=ctx.threads)
+                             ctx.check_seed("dual_agreement"))
     _write_fpp_csv(ctx, "dual_agreement_runs.csv", batch)
     stats = SampleStats.from_samples(batch.X)
     sol = ctx.solution()
@@ -202,11 +209,10 @@ def _check_coupling_lower(ctx, params):
     if not 0 < a < b:
         raise ConfigError("coupling interval needs 0 < a < b")
     runs = ctx.runs
-    children = ctx.check_seed("coupling_lower").spawn(runs)
     sq = np.empty(runs)
     bound_ok = True
-    for i in range(runs):
-        rng = np.random.default_rng(children[i])
+    for i, child in enumerate(spawn_seeds(ctx.check_seed("coupling_lower"), runs)):
+        rng = np.random.default_rng(child)
         xi = sample_traversal(g, rng)
         cs = coupled_resample(g, xi, a, b, rng, source=s, target=t)
         sq[i] = (cs.X_prime - cs.X) ** 2
@@ -223,7 +229,7 @@ def _check_coupling_lower(ctx, params):
 def _check_submult(ctx, params):
     s, t = ctx.endpoints()
     batch = sample_fpp_batch(ctx.graph(), s, t, ctx.runs,
-                             ctx.check_seed("submultiplicativity"), threads=ctx.threads)
+                             ctx.check_seed("submultiplicativity"))
     sol = ctx.solution()
     y1 = float(params.get("y1", sol.E_T))
     y2 = float(params.get("y2", sol.E_T))
@@ -237,7 +243,7 @@ def _check_theorem1_lower(ctx, params):
     deltas = params.get("deltas", [0.25, 0.5, 1.0])
     s, t = ctx.endpoints()
     batch = sample_fpp_batch(ctx.graph(), s, t, ctx.runs,
-                             ctx.check_seed("theorem1_lower"), threads=ctx.threads)
+                             ctx.check_seed("theorem1_lower"))
     sol = ctx.solution()
     points = theorem1_lower_check(batch.Xi, sol.E_T, sol.var_T, deltas)
     ok = all(p.holds for p in points)
@@ -261,9 +267,8 @@ def default_trend_family():
            "sd(X)/E X and the L0-size of Xi/E X move together across a family")
 def _check_theorem1_trend(ctx, params):
     members = default_trend_family()
-    runs = int(params.get("runs", ctx.runs))
-    rep = theorem1_trend_experiment(
-        members, runs, ctx.check_seed("theorem1_trend"), threads=ctx.threads)
+    runs = params.get("runs", ctx.runs)
+    rep = theorem1_trend_experiment(members, runs, ctx.check_seed("theorem1_trend"))
     min_rho = float(params.get("min_spearman", 0.9))
     ok = rep.spearman > min_rho
     if ctx.out_dir is not None:
@@ -276,7 +281,8 @@ def _check_theorem1_trend(ctx, params):
 
 
 @_register("prop2", ("multigraph",), "Proposition 2",
-           "sd/mean of the k-tree / k-triangle arrival times obeys graph-free bounds")
+           "sd/mean of the k-tree / k-triangle arrival times obeys graph-free bounds",
+           min_runs=1000)
 def _check_prop2(ctx, params):
     g = ctx.graph()
     ks = [int(k) for k in params.get("ks", [1])]
@@ -285,8 +291,7 @@ def _check_prop2(ctx, params):
         if kind not in ("span", "tria"):
             raise ConfigError(f"unknown stopping-time kind {kind!r}")
     gamma, _ = min_cut_weight(g)
-    samples = sample_stopping_times(g, ks, ctx.runs, ctx.check_seed("prop2"),
-                                    kinds=kinds, threads=ctx.threads)
+    samples = sample_stopping_times(g, ks, ctx.runs, ctx.check_seed("prop2"), kinds=kinds)
     if ctx.out_dir is not None:
         def cell(kind, k, i):  # empty for a kind that was not run
             return repr(float(samples[kind][k][i])) if kind in kinds else ""
@@ -304,22 +309,23 @@ def _check_prop2(ctx, params):
                               samples=samples[kind][k])
             ok = ok and rep.holds and (rep.mean_bound_holds in (None, True))
             reports.append(_clean(rep))
-    return {"gamma": gamma, "reports": reports}, ok
+    return {"gamma": gamma, "reports": reports,
+            "inconclusive": any(r["inconclusive"] for r in reports)}, ok
 
 
 @_register("prop1", ("growth",), "Proposition 1",
-           "lattice growth hitting time: var T <= E T / c_lo")
+           "lattice growth hitting time: var T <= E T / c_lo", min_runs=1000)
 def _check_prop1(ctx, params):
     cfg = _growth_config(ctx.cfg)
-    rep = prop1_check(cfg, ctx.runs, ctx.check_seed("prop1"), threads=ctx.threads)
+    rep = prop1_check(cfg, ctx.runs, ctx.check_seed("prop1"))
     return _clean(rep), rep.holds
 
 
 @_register("prop3", ("coverage",), "Proposition 3",
-           "coverage draw count: var T <= n E T")
+           "coverage draw count: var T <= n E T", min_runs=1000)
 def _check_prop3(ctx, params):
     cov = CoverageConfig.from_graph(ctx.graph())
-    rep = prop3_check(cov, ctx.runs, ctx.check_seed("prop3"), threads=ctx.threads)
+    rep = prop3_check(cov, ctx.runs, ctx.check_seed("prop3"))
     return _clean(rep), rep.holds
 
 
@@ -371,16 +377,14 @@ def _load_graph(cfg, seed) -> WeightedGraph:
         name = spec["family"]
         if name not in FAMILIES:
             raise ConfigError(f"unknown family {name!r}; have {sorted(FAMILIES)}")
-        args = dict(spec.get("args", {}))
-        if name == "random_gnp":
-            args.setdefault("weight_range", (0.5, 2.0))
-            args["weight_range"] = tuple(args["weight_range"])
-            args["rng"] = np.random.default_rng(np.random.SeedSequence([seed, 0xF00D]))
-        if name == "bridge":
-            args = {"c1": args["c1"], "c2": args["c2"], "bridge_rate": args["bridge_rate"]}
         try:
+            args = dict(spec.get("args", {}))
+            if name == "random_gnp":
+                args.setdefault("weight_range", (0.5, 2.0))
+                args["weight_range"] = tuple(args["weight_range"])
+                args["rng"] = np.random.default_rng(np.random.SeedSequence([seed, 0xF00D]))
             return FAMILIES[name](**args)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad arguments for family {name!r}: {exc}") from None
     raise ConfigError("graph entry needs one of: edge_list, path, family")
 
@@ -492,10 +496,23 @@ def _validate_config(cfg):
                 f"(valid: {CHECKS[name]['processes']})"
             )
         norm.append((name, params))
+    runs = _integer(cfg.get("runs", 10_000), "runs", 3)
+    for name, params in norm:
+        # theorem1_trend alone reads a per-check run count
+        n = params.get("runs", runs) if name == "theorem1_trend" else runs
+        _integer(n, f"{name} runs", CHECKS[name]["min_runs"])
     return norm
 
 
+def _integer(value, what, minimum):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def run_scenario(config_path, seed=None, out_dir=None, threads=1) -> int:
+    """Run one scenario config and return its exit code.  ``threads`` is
+    accepted and ignored: every sampler runs serially."""
     try:
         cfg = json.loads(Path(config_path).read_text())
     except FileNotFoundError:
@@ -506,14 +523,14 @@ def run_scenario(config_path, seed=None, out_dir=None, threads=1) -> int:
         return EXIT_USAGE
     try:
         checks = _validate_config(cfg)
+        seed = _integer(cfg.get("seed", 0) if seed is None else seed, "seed", 0)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
     out = Path(out_dir) if out_dir else (Path(cfg["out"]) if "out" in cfg else None)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    ctx = _Context(cfg, seed, out, threads)
+    ctx = _Context(cfg, seed, out)
 
     report = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
               "process": cfg["process"], "seed": seed, "checks": {}}
@@ -584,13 +601,12 @@ def main(argv=None) -> int:
     runp.add_argument("config")
     runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--out", default=None)
-    runp.add_argument("--threads", type=int, default=1)
+    runp.add_argument("--threads", type=int, default=1, help="accepted, ignored")
     sub.add_parser("list-checks", help="print the check catalog")
     sub.add_parser("families", help="print the built-in graph families")
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run_scenario(args.config, seed=args.seed, out_dir=args.out,
-                            threads=args.threads)
+        return run_scenario(args.config, seed=args.seed, out_dir=args.out)
     if args.command == "list-checks":
         list_checks()
         return EXIT_PASS

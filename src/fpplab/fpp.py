@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .chain import ABS_TOL, ChainSpec, ExactSolution
 from .graphs import EXACT_CAP, CapacityError, WeightedGraph
+from .stats import spawn_seeds
 
 
 def traversal_from_uniform(u, w):
@@ -83,78 +84,42 @@ class FppBatch:
             yield i, float(self.X[i]), float(self.Xi[i]), int(self.path_len[i])
 
 
-class _BatchSampler:
-    """Reusable per-graph machinery for fast repeated FPP realizations."""
-
-    def __init__(self, g: WeightedGraph):
-        self.g = g
-        rows = np.fromiter((u for u, _ in g.edges), dtype=np.int32, count=g.m)
-        cols = np.fromiter((v for _, v in g.edges), dtype=np.int32, count=g.m)
-        coo_rows = np.concatenate([rows, cols])
-        coo_cols = np.concatenate([cols, rows])
-        tagged = csr_matrix(
-            (np.arange(2 * g.m, dtype=np.float64) + 1.0, (coo_rows, coo_cols)),
-            shape=(g.n, g.n),
-        )
-        self._perm = (tagged.data - 1.0).astype(np.intp)
-        self._csr = tagged
-        self._edge_of_pair = {}
-        for i, (u, v) in enumerate(g.edges):
-            self._edge_of_pair[(u, v)] = i
-            self._edge_of_pair[(v, u)] = i
-
-    def run(self, xi: np.ndarray, source: int, target: int):
-        doubled = np.concatenate([xi, xi])
-        self._csr.data = doubled[self._perm]
-        dist, pred = _csgraph_dijkstra(
-            self._csr, directed=True, indices=source, return_predecessors=True
-        )
-        x = float(dist[target])
+def sample_fpp_batch(g: WeightedGraph, source: int, target: int, runs: int,
+                     seed) -> FppBatch:
+    """``runs`` independent FPP realizations, run i on the i-th substream of
+    ``seed`` (:func:`fpplab.stats.spawn_seeds`).  Each run refills one CSR
+    matrix with its traversal times, runs scipy's Dijkstra from ``source``
+    and walks the predecessors back from ``target`` for Xi and the path
+    length."""
+    rows = np.fromiter((u for u, _ in g.edges), dtype=np.int32, count=g.m)
+    cols = np.fromiter((v for _, v in g.edges), dtype=np.int32, count=g.m)
+    # tag each stored entry with its position in [xi, xi] so refills are a gather
+    csr = csr_matrix(
+        (np.arange(2 * g.m, dtype=np.float64) + 1.0,
+         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(g.n, g.n),
+    )
+    perm = (csr.data - 1.0).astype(np.intp)
+    edge_of_pair = {}
+    for e, (u, v) in enumerate(g.edges):
+        edge_of_pair[(u, v)] = edge_of_pair[(v, u)] = e
+    X = np.empty(runs)
+    Xi = np.empty(runs)
+    path_len = np.empty(runs, dtype=np.int64)
+    for i, child in enumerate(spawn_seeds(seed, runs)):
+        xi = sample_traversal(g, np.random.default_rng(child))
+        csr.data = np.concatenate([xi, xi])[perm]
+        dist, pred = _csgraph_dijkstra(csr, directed=True, indices=source,
+                                       return_predecessors=True)
         best = 0.0
         n_edges = 0
         v = target
         while v != source:
             p = int(pred[v])
-            e = self._edge_of_pair[(p, v)]
-            best = max(best, float(xi[e]))
+            best = max(best, float(xi[edge_of_pair[(p, v)]]))
             n_edges += 1
             v = p
-        return x, best, n_edges
-
-
-def sample_fpp_batch(g: WeightedGraph, source: int, target: int, runs: int,
-                     seed, threads: int = 1) -> FppBatch:
-    """``runs`` independent FPP realizations with per-run substreams
-    spawned from ``seed``; output order is fixed by run index, so results
-    do not depend on the thread count."""
-    sampler = _BatchSampler(g)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(runs)
-    X = np.empty(runs)
-    Xi = np.empty(runs)
-    path_len = np.empty(runs, dtype=np.int64)
-
-    def do_run(i):
-        rng = np.random.default_rng(children[i])
-        xi = sample_traversal(g, rng)
-        X[i], Xi[i], path_len[i] = sampler.run(xi, source, target)
-
-    if threads <= 1:
-        for i in range(runs):
-            do_run(i)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            local = [_BatchSampler(g) for _ in range(threads)]
-
-            def do_chunk(t):
-                for i in range(t, runs, threads):
-                    rng = np.random.default_rng(children[i])
-                    xi = sample_traversal(g, rng)
-                    X[i], Xi[i], path_len[i] = local[t].run(xi, source, target)
-
-            list(pool.map(do_chunk, range(threads)))
+        X[i], Xi[i], path_len[i] = float(dist[target]), best, n_edges
     return FppBatch(X=X, Xi=Xi, path_len=path_len)
 
 

@@ -1,8 +1,7 @@
 """Weighted graphs, multigraphs, and exact brute-force cut computations.
 
 Every process in this package runs on a finite connected graph with
-positive edge rates.  Graphs are immutable after construction and safe to
-share across worker threads.
+positive edge rates.  Graphs are immutable after construction.
 """
 
 from __future__ import annotations

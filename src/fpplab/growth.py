@@ -21,7 +21,7 @@ import numpy as np
 
 from .chain import DiscreteChainSpec
 from .graphs import WeightedGraph
-from .stats import SampleStats
+from .stats import SampleStats, spawn_seeds
 
 Site = tuple[int, int]
 
@@ -206,19 +206,13 @@ def _variance_inequality_report(samples: np.ndarray, bound_fn, valid_runs=None) 
     )
 
 
-def prop1_check(cfg: GrowthConfig, runs: int, seed, threads: int = 1) -> InequalityReport:
+def prop1_check(cfg: GrowthConfig, runs: int, seed) -> InequalityReport:
     """Monte Carlo check of var T <= E T / c_lo for the growth process."""
     if runs < 1000:
         raise ValueError("prop1_check needs at least 1e3 runs")
     samples = np.empty(runs)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(runs)
-
-    def do_run(i):
-        rng = np.random.default_rng(children[i])
-        samples[i] = growth_sample(cfg, rng).T
-
-    _run_indexed(do_run, runs, threads)
+    for i, child in enumerate(spawn_seeds(seed, runs)):
+        samples[i] = growth_sample(cfg, np.random.default_rng(child)).T
     return _variance_inequality_report(samples, lambda m: m / cfg.c_lo)
 
 
@@ -291,31 +285,12 @@ def coverage_chain_spec(cfg: CoverageConfig) -> DiscreteChainSpec:
     )
 
 
-def prop3_check(cfg: CoverageConfig, runs: int, seed, threads: int = 1) -> InequalityReport:
+def prop3_check(cfg: CoverageConfig, runs: int, seed) -> InequalityReport:
     """Monte Carlo check of var T <= n * E T for the coverage process."""
     if runs < 1000:
         raise ValueError("prop3_check needs at least 1e3 runs")
     samples = np.empty(runs)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(runs)
-
-    def do_run(i):
-        rng = np.random.default_rng(children[i])
-        samples[i] = coverage_simulate(cfg, rng)
-
-    _run_indexed(do_run, runs, threads)
+    for i, child in enumerate(spawn_seeds(seed, runs)):
+        samples[i] = coverage_simulate(cfg, np.random.default_rng(child))
     return _variance_inequality_report(samples, lambda m: cfg.n * m)
 
-
-def _run_indexed(do_run, runs: int, threads: int) -> None:
-    if threads <= 1:
-        for i in range(runs):
-            do_run(i)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        def do_chunk(t):
-            for i in range(t, runs, threads):
-                do_run(i)
-        list(pool.map(do_chunk, range(threads)))

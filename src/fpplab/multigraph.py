@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .graphs import Multigraph, WeightedGraph
-from .stats import SampleStats
+from .stats import SampleStats, spawn_seeds
 
 
 # ---------------------------------------------------------------------------
@@ -440,35 +440,19 @@ class Prop2Report:
 
 
 def sample_stopping_times(g: WeightedGraph, ks: list[int], runs: int, seed,
-                          kinds: tuple[str, ...] = ("span", "tria"),
-                          threads: int = 1) -> dict[str, dict[int, np.ndarray]]:
-    """Monte Carlo stopping times; per-run streams spawned from the seed so
-    the output is independent of scheduling."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(runs)
+                          kinds: tuple[str, ...] = ("span", "tria")
+                          ) -> dict[str, dict[int, np.ndarray]]:
+    """Monte Carlo stopping times, run i on the i-th substream of ``seed``
+    (:func:`fpplab.stats.spawn_seeds`)."""
     w_total = sum(g.weights)
     horizon0 = max(4.0 * max(ks) / w_total, 1.0 / w_total)
     out = {kind: {k: np.empty(runs) for k in ks} for kind in kinds}
-
-    def do_run(i):
-        rng = np.random.default_rng(children[i])
-        traj = simulate_arrivals(g, horizon0, rng)
+    for i, child in enumerate(spawn_seeds(seed, runs)):
+        traj = simulate_arrivals(g, horizon0, np.random.default_rng(child))
         st = stopping_times(traj, ks, kinds=kinds)
         for kind in kinds:
             for k in ks:
                 out[kind][k][i] = st[kind][k]
-
-    if threads <= 1:
-        for i in range(runs):
-            do_run(i)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            def do_chunk(t):
-                for i in range(t, runs, threads):
-                    do_run(i)
-            list(pool.map(do_chunk, range(threads)))
     return out
 
 

@@ -17,6 +17,15 @@ import numpy as np
 LOG_NEG_INF = float("-inf")
 
 
+def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
+    """The n independent child seeds of ``seed`` (an int, an entropy list or
+    a SeedSequence): Monte Carlo run i draws from
+    ``default_rng(SeedSequence(seed).spawn(runs)[i])``, so every result is
+    fixed by (seed, run index)."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return ss.spawn(n)
+
+
 @dataclass
 class SampleStats:
     n: int
@@ -236,7 +245,7 @@ def _spearman(a, b) -> float:
     return float(rho)
 
 
-def theorem1_trend_experiment(members, runs: int, seed, threads: int = 1) -> TrendReport:
+def theorem1_trend_experiment(members, runs: int, seed) -> TrendReport:
     """Per family member, estimate sd(X)/E X and the smallness measure of
     Xi/E X, then report both sequences and their Spearman rank
     correlation.  ``members`` holds (name, param, graph, source, target)."""
@@ -244,12 +253,10 @@ def theorem1_trend_experiment(members, runs: int, seed, threads: int = 1) -> Tre
 
     if len(members) < 5:
         raise ValueError("trend experiment needs at least 5 family members")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    member_seeds = ss.spawn(len(members))
     rows = []
-    for idx, (name, param, g, source, target) in enumerate(members):
-        batch = sample_fpp_batch(g, source, target, runs,
-                                 member_seeds[idx], threads=threads)
+    for (name, param, g, source, target), member_seed in zip(
+            members, spawn_seeds(seed, len(members))):
+        batch = sample_fpp_batch(g, source, target, runs, member_seed)
         stats = SampleStats.from_samples(batch.X)
         l0 = l0_norm_estimate(batch.Xi / stats.mean)
         rows.append(TrendMember(name=name, param=float(param),

@@ -39,7 +39,6 @@ from fpplab.stats import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-THREADS = 4
 
 EXACT_GRAPHS = {
     "path5": (path_graph(5), 0, 4),
@@ -112,7 +111,7 @@ def test_criterion_4_dual_agreement():
     worst_z = 0.0
     for name, (g, s, t) in EXACT_GRAPHS.items():
         sol = solve_hitting(fpp_chain_spec(g, s, t))
-        batch = sample_fpp_batch(g, s, t, 100_000, seed=101, threads=THREADS)
+        batch = sample_fpp_batch(g, s, t, 100_000, seed=101)
         stats = SampleStats.from_samples(batch.X)
         z_mean = abs(stats.mean - sol.E_T) / stats.mean_se
         z_var = abs(stats.variance - sol.var_T) / (2.0 * stats.sd * stats.sd_se)
@@ -128,15 +127,13 @@ def test_criterion_5_prop2():
     details = []
     g4 = complete_graph(4)
     gamma4, _ = min_cut_weight(g4)
-    samples = sample_stopping_times(g4, [2], 10_000, seed=202, kinds=("span",),
-                                    threads=THREADS)
+    samples = sample_stopping_times(g4, [2], 10_000, seed=202, kinds=("span",))
     rep = prop2_check(g4, 2, 10_000, None, kind="span", gamma=gamma4,
                       samples=samples["span"][2])
     ok &= rep.holds and not rep.inconclusive and rep.mean_bound_holds
     details.append(f"K4 span k=2 ratio {rep.ratio:.3f} <= {rep.bound:.3f}")
     g6 = complete_graph(6)
-    tria = sample_stopping_times(g6, [1, 2, 3], 10_000, seed=203, kinds=("tria",),
-                                 threads=THREADS)
+    tria = sample_stopping_times(g6, [1, 2, 3], 10_000, seed=203, kinds=("tria",))
     for k in (1, 2, 3):
         rep = prop2_check(g6, k, 10_000, None, kind="tria", samples=tria["tria"][k])
         ok &= rep.holds and not rep.inconclusive
@@ -166,8 +163,7 @@ def test_criterion_7_growth_and_coverage(tmp_path):
     details = []
     for name in ("growth_cross", "coverage_path5"):
         out = tmp_path / name
-        code = run_scenario(str(SCENARIOS / f"{name}.json"), out_dir=out,
-                            threads=THREADS)
+        code = run_scenario(str(SCENARIOS / f"{name}.json"), out_dir=out)
         ok &= code == 0
         report = json.loads((out / "report.json").read_text())
         statuses = {c["status"] for c in report["checks"].values()}
@@ -217,7 +213,7 @@ def test_criterion_8_section4_machinery():
     # lower bound on every exact-solvable scenario graph
     for name, (g, s, t) in EXACT_GRAPHS.items():
         sol = solve_hitting(fpp_chain_spec(g, s, t))
-        batch = sample_fpp_batch(g, s, t, 20_000, seed=405, threads=THREADS)
+        batch = sample_fpp_batch(g, s, t, 20_000, seed=405)
         pts = theorem1_lower_check(batch.Xi, sol.E_T, sol.var_T, [0.25, 0.5, 1.0])
         ok &= all(p.holds for p in pts)
     details.append("theorem1_lower holds on 4 graphs, deltas {0.25,0.5,1}")
@@ -232,7 +228,7 @@ def test_criterion_9_trend():
     t0 = time.time()
     members = default_trend_family()
     assert len(members) == 10
-    rep = theorem1_trend_experiment(members, 10_000, seed=909, threads=THREADS)
+    rep = theorem1_trend_experiment(members, 10_000, seed=909)
     elapsed = time.time() - t0
     ok = rep.spearman > 0.9
     worst = next(m for m in rep.members if m.name == "bridge-0.01")

@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from fpplab import cli
 from fpplab.cli import CHECKS, main, run_scenario
+from fpplab.multigraph import Prop2Report
+
+SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -87,12 +92,31 @@ def test_cli_seed_flag_overrides_config(tmp_path):
     lambda c: c.update(source="v0", target="v0"),
     lambda c: c.update(source="nope"),
     lambda c: c.update(checks=[{"name": "lemma2", "deltas": [0.0]}]),
+    lambda c: c.update(graph={"family": "bridge", "args": {"c1": 3, "c2": 3}}),
+    lambda c: c.update(graph={"family": "complete", "args": [3]}),
+    lambda c: c.update(graph={"family": "bridge",
+                              "args": {"c1": -1, "c2": 3, "bridge_rate": 0.1}}),
+    lambda c: c.update(seed=-1, checks=["dual_agreement"]),
+    lambda c: c.update(seed="7"),
+    lambda c: c.update(runs=2.5, checks=["dual_agreement"]),
+    lambda c: c.update(runs="many", checks=["dual_agreement"]),
+    lambda c: c.update(runs=2, checks=["dual_agreement"]),
+    lambda c: c.update(checks=[{"name": "theorem1_trend", "runs": 2}]),
+    lambda c: c.update(process="growth", runs=500, checks=["prop1"]),
+    lambda c: c.update(process="multigraph", runs=500, checks=["prop2"]),
+    lambda c: c.update(process="coverage", runs=500, checks=["prop3"]),
 ])
 def test_usage_errors_exit_two(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(BASE))
     mutate(cfg)
     assert run_scenario(write_cfg(tmp_path, cfg)) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exit_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(BASE, checks=["dual_agreement"]))
+    assert main(["run", cfg, "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_missing_and_malformed_config_exit_two(tmp_path, capsys):
@@ -144,12 +168,41 @@ def test_multigraph_scenario_writes_csv(tmp_path):
 
 
 def test_shipped_scenarios_are_valid_json():
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent / "scenarios"
-    files = sorted(root.glob("*.json"))
-    assert len(files) >= 8
-    for f in files:
+    assert len(SCENARIO_FILES) >= 8
+    for f in SCENARIO_FILES:
         cfg = json.loads(f.read_text())
         assert cfg["schema_version"] == 1
         assert cfg["checks"]
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
+def test_shipped_scenario_passes_config_validation(path):
+    # the checks a run makes before any work: catalog, run counts, seed, graph
+    cfg = json.loads(path.read_text())
+    assert cli._validate_config(cfg)
+    seed = cli._integer(cfg["seed"], "seed", 0)
+    if "graph" in cfg:
+        cli._load_graph(cfg, seed)
+    if cfg["process"] == "growth":
+        cli._growth_config(cfg)
+
+
+def test_prop2_inconclusive_report_shows_in_status(tmp_path, monkeypatch):
+    def straddling(g, k, runs, seed, kind, gamma=None, samples=None):
+        return Prop2Report(kind=kind, k=k, runs=runs, mean=1.0, sd=1.05, ratio=1.05,
+                           ratio_se=0.02, bound=1.0, holds=True, inconclusive=True)
+
+    monkeypatch.setattr(cli, "prop2_check", straddling)
+    cfg = {
+        "schema_version": 1,
+        "process": "multigraph",
+        "graph": {"family": "complete", "args": {"n": 3}},
+        "runs": 1000,
+        "seed": 2,
+        "checks": [{"name": "prop2", "ks": [1], "kinds": ["span"]}],
+    }
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=out) == 0
+    check = json.loads((out / "report.json").read_text())["checks"]["prop2"]
+    assert check["status"] == "inconclusive"
+    assert check["result"]["inconclusive"] is True

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpplab.fpp import (
-    _BatchSampler,
     conditioned_exponential,
     coupled_resample,
     fpp_chain_spec,
@@ -84,25 +83,29 @@ def test_shortest_path_lexicographic_tie_break():
 
 def test_batch_sampler_matches_reference_dijkstra():
     rng = np.random.default_rng(3)
-    for _ in range(30):
+    for trial in range(30):
         n = int(rng.integers(3, 8))
         g = random_gnp_graph(n, 0.6, (0.5, 2.0), rng)
-        sampler = _BatchSampler(g)
-        xi = sample_traversal(g, rng)
-        x, big, plen = sampler.run(xi, 0, n - 1)
-        ref = shortest_path(g, xi, 0, n - 1)
-        assert abs(x - ref.X) < 1e-9
-        # exponential ties have probability zero, so Xi agrees too
-        assert abs(big - ref.Xi) < 1e-9
+        batch = sample_fpp_batch(g, 0, n - 1, 3, seed=trial)
+        for i, child in enumerate(np.random.SeedSequence(trial).spawn(3)):
+            xi = sample_traversal(g, np.random.default_rng(child))
+            ref = shortest_path(g, xi, 0, n - 1)
+            assert abs(batch.X[i] - ref.X) < 1e-9
+            # exponential ties have probability zero, so Xi and the path agree too
+            assert abs(batch.Xi[i] - ref.Xi) < 1e-9
+            assert batch.path_len[i] == len(ref.path_edges)
 
 
 def test_sample_fpp_batch_thread_determinism():
+    # run i depends on (seed, i) alone: repeating a batch, or cutting it
+    # short, changes none of the runs it shares with another batch
     g = complete_graph(5)
-    b1 = sample_fpp_batch(g, 0, 4, 200, seed=9, threads=1)
-    b3 = sample_fpp_batch(g, 0, 4, 200, seed=9, threads=3)
-    assert np.array_equal(b1.X, b3.X)
-    assert np.array_equal(b1.Xi, b3.Xi)
-    assert np.array_equal(b1.path_len, b3.path_len)
+    b200 = sample_fpp_batch(g, 0, 4, 200, seed=9)
+    again = sample_fpp_batch(g, 0, 4, 200, seed=9)
+    b60 = sample_fpp_batch(g, 0, 4, 60, seed=9)
+    for name in ("X", "Xi", "path_len"):
+        assert np.array_equal(getattr(b200, name), getattr(again, name))
+        assert np.array_equal(getattr(b200, name)[:60], getattr(b60, name))
 
 
 def test_fpp_chain_capacity_and_args():

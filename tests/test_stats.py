@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fpplab.fpp import sample_fpp_batch, sample_traversal, shortest_path
+from fpplab.graphs import complete_graph
+from fpplab.multigraph import sample_stopping_times, simulate_arrivals, stopping_times
 from fpplab.stats import (
     F_K_eval,
     SampleStats,
     jackknife_se,
     l0_norm_estimate,
     psi_minus_eval,
+    spawn_seeds,
     theorem1_lower_check,
     theorem1_trend_experiment,
 )
@@ -154,3 +158,27 @@ def test_theorem1_lower_on_single_edge():
 def test_trend_experiment_requires_five_members():
     with pytest.raises(ValueError):
         theorem1_trend_experiment([("a", 1, None, 0, 1)] * 4, 100, seed=0)
+
+
+def test_spawn_seeds_gives_run_i_its_own_stream():
+    seed, runs = 9, 50
+    children = np.random.SeedSequence(seed).spawn(runs)
+    assert [c.spawn_key for c in spawn_seeds(seed, runs)] == [c.spawn_key for c in children]
+    g = complete_graph(5)
+    batch = sample_fpp_batch(g, 0, 4, runs, seed)
+    same = sample_fpp_batch(g, 0, 4, runs, np.random.SeedSequence(seed))
+    for name in ("X", "Xi", "path_len"):
+        assert np.array_equal(getattr(batch, name), getattr(same, name))
+    k4 = complete_graph(4)
+    span = sample_stopping_times(k4, [1], runs, seed, kinds=("span",))["span"][1]
+    same = sample_stopping_times(k4, [1], runs, np.random.SeedSequence(seed),
+                                 kinds=("span",))["span"][1]
+    assert np.array_equal(span, same)
+    horizon0 = 4.0 / sum(k4.weights)  # the sampler's first arrival window at k = 1
+    # run i is a function of default_rng(SeedSequence(seed).spawn(runs)[i]) alone
+    for i, child in enumerate(children):
+        ref = shortest_path(g, sample_traversal(g, np.random.default_rng(child)), 0, 4)
+        assert batch.Xi[i] == ref.Xi and batch.path_len[i] == len(ref.path_edges)
+        assert abs(batch.X[i] - ref.X) < 1e-12
+        traj = simulate_arrivals(k4, horizon0, np.random.default_rng(child))
+        assert span[i] == stopping_times(traj, [1], kinds=("span",))["span"][1]
