@@ -53,7 +53,10 @@ from .graphs import (
 from .growth import CoverageConfig, GrowthConfig, prop1_check, prop3_check
 from .multigraph import a_k_eval, prop2_check, sample_stopping_times
 from .stats import (
+    BAND_SIGMAS,
+    MIN_RUNS,
     SampleStats,
+    band_verdict,
     psi_minus_eval,
     spawn_seeds,
     theorem1_lower_check,
@@ -142,11 +145,9 @@ def _check_lemma1(ctx, params):
 @_register("lemma2", ("fpp",), "Lemma 2",
            "var T/(E T)^2 <= 2d + e + occupation of {q_d >= e}/E T")
 def _check_lemma2(ctx, params):
-    deltas = params.get("deltas", [0.05, 0.1, 0.2, 0.5])
-    epsilons = params.get("epsilons", [0.05, 0.1, 0.2, 0.5])
-    for v in list(deltas) + list(epsilons):
-        if not v > 0:
-            raise ConfigError(f"lemma2 grid values must be positive, got {v}")
+    deltas = _deltas(params, "lemma2", [0.05, 0.1, 0.2, 0.5])
+    epsilons = _list(params.get("epsilons", [0.05, 0.1, 0.2, 0.5]), "lemma2 epsilons",
+                     lambda v: _real(v, "lemma2 epsilon", 0.0))
     sol = ctx.solution()
     grid = []
     ok = True
@@ -168,11 +169,12 @@ def _check_prop4(ctx, params):
 @_register("continuization", ("fpp", "bounds"), "continuization identity",
            "E T_cont = E T_disc and var T_cont = var T_disc + E T_disc")
 def _check_continuization(ctx, params):
-    count = int(params.get("count", 50))
+    count = _integer(params.get("count", 50), "continuization count", 1)
+    bits = _integer(params.get("bits", 8), "continuization bits", 1)
     rng = np.random.default_rng(ctx.check_seed("continuization"))
     worst_mean = worst_var = 0.0
     for _ in range(count):
-        spec = _random_discrete_chain(rng, bits=int(params.get("bits", 8)))
+        spec = _random_discrete_chain(rng, bits=bits)
         rep = continuization_check(spec)
         worst_mean = max(worst_mean, rep.mean_error)
         worst_var = max(worst_var, rep.var_error)
@@ -190,9 +192,8 @@ def _check_dual_agreement(ctx, params):
     _write_fpp_csv(ctx, "dual_agreement_runs.csv", batch)
     stats = SampleStats.from_samples(batch.X)
     sol = ctx.solution()
-    var_se = 2.0 * stats.sd * stats.sd_se
     z_mean = abs(stats.mean - sol.E_T) / stats.mean_se
-    z_var = abs(stats.variance - sol.var_T) / var_se
+    z_var = abs(stats.variance - sol.var_T) / stats.variance_se
     ok = z_mean <= 4.0 and z_var <= 4.0
     return {"mc_mean": stats.mean, "exact_mean": sol.E_T, "z_mean": z_mean,
             "mc_var": stats.variance, "exact_var": sol.var_T, "z_var": z_var}, ok
@@ -204,8 +205,8 @@ def _check_coupling_lower(ctx, params):
     g = ctx.graph()
     s, t = ctx.endpoints()
     sol = ctx.solution()
-    a = float(params.get("a", 0.25 * sol.E_T))
-    b = float(params.get("b", 2.0 * sol.E_T))
+    a = _real(params.get("a", 0.25 * sol.E_T), "coupling_lower a")
+    b = _real(params.get("b", 2.0 * sol.E_T), "coupling_lower b")
     if not 0 < a < b:
         raise ConfigError("coupling interval needs 0 < a < b")
     runs = ctx.runs
@@ -219,9 +220,10 @@ def _check_coupling_lower(ctx, params):
         bound_ok = bound_ok and cs.X_prime - cs.X <= cs.increment_bound() + 1e-9
     stats = SampleStats.from_samples(sq)
     rhs = 0.25 * stats.mean
-    ok = bound_ok and sol.var_T >= rhs - 3.0 * 0.25 * stats.mean_se
+    holds, inconclusive = band_verdict(rhs, sol.var_T, BAND_SIGMAS * 0.25 * stats.mean_se)
     return {"var_X": sol.var_T, "quarter_mean_sq_increment": rhs,
-            "pathwise_increment_bound_held": bound_ok, "runs": runs}, ok
+            "pathwise_increment_bound_held": bound_ok, "runs": runs,
+            "inconclusive": inconclusive}, bound_ok and holds
 
 
 @_register("submultiplicativity", ("fpp",), "submultiplicative tails",
@@ -231,8 +233,8 @@ def _check_submult(ctx, params):
     batch = sample_fpp_batch(ctx.graph(), s, t, ctx.runs,
                              ctx.check_seed("submultiplicativity"))
     sol = ctx.solution()
-    y1 = float(params.get("y1", sol.E_T))
-    y2 = float(params.get("y2", sol.E_T))
+    y1 = _real(params.get("y1", sol.E_T), "submultiplicativity y1")
+    y2 = _real(params.get("y2", sol.E_T), "submultiplicativity y2")
     rep = submultiplicativity_probe(batch.X, y1, y2)
     return rep, None  # advisory: never a hard failure
 
@@ -240,7 +242,7 @@ def _check_submult(ctx, params):
 @_register("theorem1_lower", ("fpp",), "two-sided bound, lower half",
            "var X/(E X)^2 >= explicit shortfall-moment expression on a delta grid")
 def _check_theorem1_lower(ctx, params):
-    deltas = params.get("deltas", [0.25, 0.5, 1.0])
+    deltas = _deltas(params, "theorem1_lower", [0.25, 0.5, 1.0])
     s, t = ctx.endpoints()
     batch = sample_fpp_batch(ctx.graph(), s, t, ctx.runs,
                              ctx.check_seed("theorem1_lower"))
@@ -269,7 +271,7 @@ def _check_theorem1_trend(ctx, params):
     members = default_trend_family()
     runs = params.get("runs", ctx.runs)
     rep = theorem1_trend_experiment(members, runs, ctx.check_seed("theorem1_trend"))
-    min_rho = float(params.get("min_spearman", 0.9))
+    min_rho = _real(params.get("min_spearman", 0.9), "theorem1_trend min_spearman")
     ok = rep.spearman > min_rho
     if ctx.out_dir is not None:
         lines = ["member,param,sd_over_mean,ci,l0_xi,n_runs"]
@@ -282,10 +284,10 @@ def _check_theorem1_trend(ctx, params):
 
 @_register("prop2", ("multigraph",), "Proposition 2",
            "sd/mean of the k-tree / k-triangle arrival times obeys graph-free bounds",
-           min_runs=1000)
+           min_runs=MIN_RUNS)
 def _check_prop2(ctx, params):
     g = ctx.graph()
-    ks = [int(k) for k in params.get("ks", [1])]
+    ks = _list(params.get("ks", [1]), "prop2 ks", lambda k: _integer(k, "prop2 k", 1))
     kinds = tuple(params.get("kinds", ["span", "tria"]))
     for kind in kinds:
         if kind not in ("span", "tria"):
@@ -305,8 +307,7 @@ def _check_prop2(ctx, params):
     ok = True
     for kind in kinds:
         for k in ks:
-            rep = prop2_check(g, k, ctx.runs, None, kind=kind, gamma=gamma,
-                              samples=samples[kind][k])
+            rep = prop2_check(samples[kind][k], k, kind=kind, gamma=gamma)
             ok = ok and rep.holds and (rep.mean_bound_holds in (None, True))
             reports.append(_clean(rep))
     return {"gamma": gamma, "reports": reports,
@@ -314,7 +315,7 @@ def _check_prop2(ctx, params):
 
 
 @_register("prop1", ("growth",), "Proposition 1",
-           "lattice growth hitting time: var T <= E T / c_lo", min_runs=1000)
+           "lattice growth hitting time: var T <= E T / c_lo", min_runs=MIN_RUNS)
 def _check_prop1(ctx, params):
     cfg = _growth_config(ctx.cfg)
     rep = prop1_check(cfg, ctx.runs, ctx.check_seed("prop1"))
@@ -322,7 +323,7 @@ def _check_prop1(ctx, params):
 
 
 @_register("prop3", ("coverage",), "Proposition 3",
-           "coverage draw count: var T <= n E T", min_runs=1000)
+           "coverage draw count: var T <= n E T", min_runs=MIN_RUNS)
 def _check_prop3(ctx, params):
     cov = CoverageConfig.from_graph(ctx.graph())
     rep = prop3_check(cov, ctx.runs, ctx.check_seed("prop3"))
@@ -332,7 +333,7 @@ def _check_prop3(ctx, params):
 @_register("a_k", ("multigraph", "bounds"), "Lemma 5 corollary",
            "a(k) = inf q/(1-(1-q^3)^k) obeys a(1)=1 and a(k) <= (e/(e-1)) k^(-1/3)")
 def _check_a_k(ctx, params):
-    kmax = int(params.get("kmax", 100))
+    kmax = _integer(params.get("kmax", 100), "a_k kmax", 1)
     envelope = math.e / (math.e - 1.0)
     values = []
     ok = abs(a_k_eval(1) - 1.0) <= 1e-6
@@ -346,11 +347,11 @@ def _check_a_k(ctx, params):
 @_register("psi_minus", ("fpp", "bounds"), "explicit lower modulus",
            "psi_-(d) > 0 on (0,1], log-space evaluation")
 def _check_psi_minus(ctx, params):
-    grid = params.get("deltas", [round(0.05 * i, 2) for i in range(1, 21)])
+    grid = _deltas(params, "psi_minus", [round(0.05 * i, 2) for i in range(1, 21)])
     rows = []
     ok = True
     for d in grid:
-        p = psi_minus_eval(float(d))
+        p = psi_minus_eval(d)
         rows.append({"delta": p.delta, "K": p.K, "log_value": p.log_value,
                      "value": p.value})
         ok = ok and math.isfinite(p.log_value)
@@ -508,6 +509,24 @@ def _integer(value, what, minimum):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _real(value, what, low=-math.inf, high=math.inf):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not low < value <= high or abs(value) > sys.float_info.max):
+        raise ConfigError(f"{what} must be a finite number in ({low}, {high}], got {value!r}")
+    return float(value)
+
+
+def _list(value, what, item):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be a non-empty list, got {value!r}")
+    return [item(v) for v in value]
+
+
+def _deltas(params, check, default):
+    return _list(params.get("deltas", default), f"{check} deltas",
+                 lambda d: _real(d, f"{check} delta", 0.0, 1.0))
 
 
 def run_scenario(config_path, seed=None, out_dir=None, threads=1) -> int:

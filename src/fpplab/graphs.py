@@ -287,7 +287,7 @@ def random_gnp_graph(n: int, p: float, weight_range: tuple[float, float],
             return WeightedGraph(names, tuple(edges), tuple(weights))
         except (GraphValidationError, GraphParseError):
             continue
-    raise RuntimeError(f"could not sample a connected G({n},{p}) in 1000 tries")
+    raise ValueError(f"could not sample a connected G({n},{p}) in 1000 tries")
 
 
 FAMILIES = {

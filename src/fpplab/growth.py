@@ -21,7 +21,7 @@ import numpy as np
 
 from .chain import DiscreteChainSpec
 from .graphs import WeightedGraph
-from .stats import SampleStats, spawn_seeds
+from .stats import BAND_SIGMAS, MIN_RUNS, SampleStats, band_verdict, spawn_seeds
 
 Site = tuple[int, int]
 
@@ -191,25 +191,23 @@ class InequalityReport:
     inconclusive: bool
 
 
-def _variance_inequality_report(samples: np.ndarray, bound_fn, valid_runs=None) -> InequalityReport:
+def _variance_inequality_report(samples: np.ndarray, bound_fn) -> InequalityReport:
+    if len(samples) < MIN_RUNS:
+        raise ValueError(f"a variance inequality needs at least {MIN_RUNS} runs")
     stats = SampleStats.from_samples(samples)
     bound = bound_fn(stats.mean)
     # jackknife band on the variance estimate plus the bound's mean-driven wiggle
-    var_se = 2.0 * stats.sd * stats.sd_se
-    band = 3.0 * (var_se + abs(bound_fn(stats.mean + stats.mean_se) - bound))
-    holds = stats.variance <= bound + band
-    inconclusive = (not holds) and (stats.variance - band <= bound)
+    band = BAND_SIGMAS * (stats.variance_se + abs(bound_fn(stats.mean + stats.mean_se) - bound))
+    holds, inconclusive = band_verdict(stats.variance, bound, band)
     return InequalityReport(
-        runs=len(samples), valid_runs=valid_runs if valid_runs is not None else len(samples),
-        mean=stats.mean, variance=stats.variance, bound=bound, band=band,
-        holds=holds or inconclusive, inconclusive=inconclusive,
+        runs=len(samples), valid_runs=len(samples), mean=stats.mean,
+        variance=stats.variance, bound=bound, band=band,
+        holds=holds, inconclusive=inconclusive,
     )
 
 
 def prop1_check(cfg: GrowthConfig, runs: int, seed) -> InequalityReport:
     """Monte Carlo check of var T <= E T / c_lo for the growth process."""
-    if runs < 1000:
-        raise ValueError("prop1_check needs at least 1e3 runs")
     samples = np.empty(runs)
     for i, child in enumerate(spawn_seeds(seed, runs)):
         samples[i] = growth_sample(cfg, np.random.default_rng(child)).T
@@ -287,8 +285,6 @@ def coverage_chain_spec(cfg: CoverageConfig) -> DiscreteChainSpec:
 
 def prop3_check(cfg: CoverageConfig, runs: int, seed) -> InequalityReport:
     """Monte Carlo check of var T <= n * E T for the coverage process."""
-    if runs < 1000:
-        raise ValueError("prop3_check needs at least 1e3 runs")
     samples = np.empty(runs)
     for i, child in enumerate(spawn_seeds(seed, runs)):
         samples[i] = coverage_simulate(cfg, np.random.default_rng(child))

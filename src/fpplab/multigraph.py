@@ -14,10 +14,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .graphs import Multigraph, WeightedGraph
-from .stats import SampleStats, spawn_seeds
+from .stats import BAND_SIGMAS, MIN_RUNS, SampleStats, band_verdict, spawn_seeds
 
 
 # ---------------------------------------------------------------------------
@@ -35,10 +34,6 @@ class MultigraphTrajectory:
     def multigraph_at(self, n_events: int) -> Multigraph:
         mult = np.bincount(self.edge_ids[:n_events], minlength=self.graph.m)
         return Multigraph(self.graph, tuple(int(c) for c in mult))
-
-    def counts_at(self, t: float) -> np.ndarray:
-        j = int(np.searchsorted(self.times, t, side="right"))
-        return np.bincount(self.edge_ids[:j], minlength=self.graph.m)
 
     def extend(self, new_horizon: float) -> None:
         """Continue the same Poisson stream to a later horizon, resuming at
@@ -88,10 +83,6 @@ def simulate_arrivals(g: WeightedGraph, horizon: float,
 class _Forest:
     def __init__(self, n: int):
         self.adj: list[dict[int, int]] = [dict() for _ in range(n)]  # v -> {nbr: element}
-        self.size = 0
-
-    def connected(self, u: int, v: int) -> bool:
-        return self._path(u, v) is not None
 
     def _path(self, u: int, v: int):
         """Element ids on the tree path u..v, or None if disconnected."""
@@ -115,12 +106,10 @@ class _Forest:
     def add(self, u: int, v: int, elem: int):
         self.adj[u][v] = elem
         self.adj[v][u] = elem
-        self.size += 1
 
     def remove(self, u: int, v: int):
         del self.adj[u][v]
         del self.adj[v][u]
-        self.size -= 1
 
 
 def _union_forest_rank(endpoints: list[tuple[int, int]], n: int, k: int,
@@ -130,7 +119,6 @@ def _union_forest_rank(endpoints: list[tuple[int, int]], n: int, k: int,
     exchange graph."""
     forests = [_Forest(n) for _ in range(k)]
     where: dict[int, int] = {}  # element -> forest index
-    free = set(range(len(endpoints)))
 
     def try_augment(e0: int) -> bool:
         came_from: dict[int, tuple[int, int]] = {}
@@ -165,17 +153,14 @@ def _union_forest_rank(endpoints: list[tuple[int, int]], n: int, k: int,
                         queue.append(c)
         return False
 
+    # The packed set only grows, so an element that fails to augment stays
+    # spanned by it: one pass over the elements finds the rank.
     rank = 0
-    progress = True
-    while progress and free:
-        progress = False
-        for e0 in sorted(free):
-            if try_augment(e0):
-                free.discard(e0)
-                rank += 1
-                progress = True
-                if stop_at is not None and rank >= stop_at:
-                    return rank
+    for e0 in range(len(endpoints)):
+        if try_augment(e0):
+            rank += 1
+            if stop_at is not None and rank >= stop_at:
+                return rank
     return rank
 
 
@@ -406,6 +391,8 @@ def a_k_eval(k: int) -> float:
     a(1) = 1 (boundary infimum of q^-2); for large k the minimizer is near
     k^(-1/3).
     """
+    from scipy.optimize import minimize_scalar
+
     if k < 1:
         raise ValueError("k must be >= 1")
 
@@ -456,25 +443,24 @@ def sample_stopping_times(g: WeightedGraph, ks: list[int], runs: int, seed,
     return out
 
 
-def prop2_check(g: WeightedGraph, k: int, runs: int, seed, kind: str = "span",
-                gamma: float | None = None, samples: np.ndarray | None = None) -> Prop2Report:
-    """Check sd(T)/E T against the process-independent bound, with a
-    jackknife band; for spanning trees also check E T >= k/gamma."""
-    if runs < 1000 and samples is None:
-        raise ValueError("prop2_check needs at least 1e3 runs")
-    if samples is None:
-        samples = sample_stopping_times(g, [k], runs, seed, kinds=(kind,))[kind][k]
+def prop2_check(samples, k: int, kind: str = "span",
+                gamma: float | None = None) -> Prop2Report:
+    """Judge sampled stopping times: sd(T)/E T against the
+    process-independent bound and, for spanning trees given the min-cut
+    weight ``gamma``, E T >= k/gamma, each with a jackknife band."""
+    if len(samples) < MIN_RUNS:
+        raise ValueError(f"prop2_check needs at least {MIN_RUNS} runs")
     stats = SampleStats.from_samples(samples)
     bound = SPAN_BOUND(k) if kind == "span" else TRIA_BOUND(k)
-    band = 3.0 * stats.ratio_se
-    holds = stats.ratio <= bound + band
-    inconclusive = (not holds) and (stats.ratio - band <= bound)
+    holds, inconclusive = band_verdict(stats.ratio, bound, BAND_SIGMAS * stats.ratio_se)
     rep = Prop2Report(kind=kind, k=k, runs=len(samples), mean=stats.mean,
                       sd=stats.sd, ratio=stats.ratio, ratio_se=stats.ratio_se,
-                      bound=bound, holds=holds or inconclusive,
-                      inconclusive=inconclusive)
+                      bound=bound, holds=holds, inconclusive=inconclusive)
     if kind == "span" and gamma is not None:
+        mean_holds, mean_inconclusive = band_verdict(
+            k / gamma, stats.mean, BAND_SIGMAS * stats.mean_se)
         rep.mean_lower_bound = k / gamma
         rep.mean_se = stats.mean_se
-        rep.mean_bound_holds = stats.mean >= k / gamma - 3.0 * stats.mean_se
+        rep.mean_bound_holds = mean_holds
+        rep.inconclusive = inconclusive or mean_inconclusive
     return rep

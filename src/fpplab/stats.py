@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 LOG_NEG_INF = float("-inf")
+MIN_RUNS = 1000    # fewest Monte Carlo runs behind a sampled verdict
+BAND_SIGMAS = 3.0  # verdict band half-width, in jackknife standard errors
 
 
 def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
@@ -60,6 +62,18 @@ class SampleStats:
             sd_se=_jack_se(loo_sd),
             ratio_se=_jack_se(loo_ratio),
         )
+
+    @property
+    def variance_se(self) -> float:  # delta method: d(sd^2) = 2 sd d(sd)
+        return 2.0 * self.sd * self.sd_se
+
+
+def band_verdict(stat: float, bound: float, band: float) -> tuple[bool, bool]:
+    """(holds, inconclusive) for the sampled claim ``stat <= bound``: it FAILs
+    only when the whole band ``stat +- band`` lies above the bound, and is
+    inconclusive when that band straddles the bound."""
+    holds = bool(stat <= bound + band)
+    return holds, holds and bool(stat + band > bound)
 
 
 def _jack_se(loo_values: np.ndarray) -> float:

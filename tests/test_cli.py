@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,6 +108,20 @@ def test_cli_seed_flag_overrides_config(tmp_path):
     lambda c: c.update(process="growth", runs=500, checks=["prop1"]),
     lambda c: c.update(process="multigraph", runs=500, checks=["prop2"]),
     lambda c: c.update(process="coverage", runs=500, checks=["prop3"]),
+    lambda c: c.update(graph={"family": "random_gnp", "args": {"n": 5, "p": 0.0}}),
+    lambda c: c.update(process="bounds", checks=[{"name": "a_k", "kmax": "x"}]),
+    lambda c: c.update(process="bounds", checks=[{"name": "a_k", "kmax": 0}]),
+    lambda c: c.update(process="bounds", checks=[{"name": "continuization", "bits": "x"}]),
+    lambda c: c.update(process="bounds", checks=[{"name": "continuization", "count": 0}]),
+    lambda c: c.update(checks=[{"name": "theorem1_lower", "deltas": [0]}]),
+    lambda c: c.update(checks=[{"name": "theorem1_lower", "deltas": "x"}]),
+    lambda c: c.update(checks=[{"name": "psi_minus", "deltas": [0]}]),
+    lambda c: c.update(checks=[{"name": "psi_minus", "deltas": [2.0]}]),
+    lambda c: c.update(checks=[{"name": "lemma2", "deltas": "x"}]),
+    lambda c: c.update(checks=[{"name": "coupling_lower", "a": "x"}]),
+    lambda c: c.update(checks=[{"name": "submultiplicativity", "y1": "x"}]),
+    lambda c: c.update(process="multigraph", checks=[{"name": "prop2", "ks": [0]}]),
+    lambda c: c.update(process="multigraph", checks=[{"name": "prop2", "ks": ["a"]}]),
 ])
 def test_usage_errors_exit_two(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(BASE))
@@ -188,8 +205,8 @@ def test_shipped_scenario_passes_config_validation(path):
 
 
 def test_prop2_inconclusive_report_shows_in_status(tmp_path, monkeypatch):
-    def straddling(g, k, runs, seed, kind, gamma=None, samples=None):
-        return Prop2Report(kind=kind, k=k, runs=runs, mean=1.0, sd=1.05, ratio=1.05,
+    def straddling(samples, k, kind="span", gamma=None):
+        return Prop2Report(kind=kind, k=k, runs=len(samples), mean=1.0, sd=1.05, ratio=1.05,
                            ratio_se=0.02, bound=1.0, holds=True, inconclusive=True)
 
     monkeypatch.setattr(cli, "prop2_check", straddling)
@@ -206,3 +223,12 @@ def test_prop2_inconclusive_report_shows_in_status(tmp_path, monkeypatch):
     check = json.loads((out / "report.json").read_text())["checks"]["prop2"]
     assert check["status"] == "inconclusive"
     assert check["result"]["inconclusive"] is True
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only a_k needs the optimizer; every CLI start would pay its import
+    code = "import sys, fpplab.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -18,6 +18,7 @@ from fpplab.growth import (
     prop3_check,
     site_weighted_rate,
     validate_rate_monotone,
+    _variance_inequality_report,
 )
 
 
@@ -80,6 +81,21 @@ def test_prop1_check_passes():
     assert rep.holds
     with pytest.raises(ValueError):
         prop1_check(cfg, 10, seed=0)
+
+
+def test_variance_inequality_report_verdicts():
+    samples = np.random.default_rng(4).exponential(1.0, 2000)
+    var = float(np.var(samples, ddof=1))
+    # a bound equal to the sample variance sits inside the band
+    rep = _variance_inequality_report(samples, lambda m: var)
+    assert rep.holds and rep.inconclusive
+    # a bound far below the whole band fails outright
+    rep = _variance_inequality_report(samples, lambda m: var / 10.0)
+    assert not rep.holds and not rep.inconclusive
+    # a bound far above the whole band passes outright
+    rep = _variance_inequality_report(samples, lambda m: 10.0 * var)
+    assert rep.holds and not rep.inconclusive
+    assert rep.valid_runs == rep.runs == 2000
 
 
 def test_coverage_config_allows_disconnected():

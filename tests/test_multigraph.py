@@ -170,9 +170,19 @@ def test_sample_stopping_times_thread_determinism():
 
 def test_prop2_check_smoke():
     g = complete_graph(4)
-    rep = prop2_check(g, 1, 1500, seed=8, kind="span", gamma=3.0)
+    samples = sample_stopping_times(g, [1], 1500, seed=8, kinds=("span",))["span"][1]
+    rep = prop2_check(samples, 1, kind="span", gamma=3.0)
     assert rep.holds
     assert rep.mean_bound_holds
     assert rep.bound == 1.0
+    assert rep.runs == 1500
     with pytest.raises(ValueError):
-        prop2_check(g, 1, 10, seed=0)
+        prop2_check(samples[:999], 1)
+
+
+def test_prop2_check_straddling_band_is_inconclusive():
+    # sd/mean of Exp(1) is 1, the k=1 spanning-tree bound: the band straddles it
+    rng = np.random.default_rng(2024)
+    rep = prop2_check(rng.exponential(1.0, 2000), 1, kind="span")
+    assert abs(rep.ratio - 1.0) < 3.0 * rep.ratio_se
+    assert rep.holds and rep.inconclusive

@@ -10,6 +10,7 @@ from fpplab.multigraph import sample_stopping_times, simulate_arrivals, stopping
 from fpplab.stats import (
     F_K_eval,
     SampleStats,
+    band_verdict,
     jackknife_se,
     l0_norm_estimate,
     psi_minus_eval,
@@ -38,6 +39,25 @@ def test_sample_stats_matches_generic_jackknife():
     assert s.sd_se == pytest.approx(jackknife_se(x, lambda v: v.std(ddof=1)), rel=1e-9)
     assert s.ratio_se == pytest.approx(
         jackknife_se(x, lambda v: v.std(ddof=1) / v.mean()), rel=1e-9)
+
+
+@pytest.mark.parametrize("stat, bound, band, verdict", [
+    (1.0, 2.0, 0.5, (True, False)),   # band wholly below the bound
+    (1.0, 1.5, 0.5, (True, False)),   # band touches the bound from below
+    (1.0, 1.2, 0.5, (True, True)),    # straddles, estimate below the bound
+    (1.3, 1.0, 0.5, (True, True)),    # straddles, estimate above the bound
+    (1.5, 1.0, 0.5, (True, True)),    # band touches the bound from above
+    (2.0, 1.0, 0.5, (False, False)),  # band wholly above the bound: FAIL
+])
+def test_band_verdict(stat, bound, band, verdict):
+    assert band_verdict(stat, bound, band) == verdict
+
+
+def test_variance_se_is_the_delta_method():
+    x = np.random.default_rng(3).exponential(2.0, 500)
+    s = SampleStats.from_samples(x)
+    assert s.variance_se == 2.0 * s.sd * s.sd_se
+    assert s.variance_se == pytest.approx(jackknife_se(x, lambda v: v.var(ddof=1)), rel=0.05)
 
 
 def test_sample_stats_needs_three():
