@@ -350,11 +350,11 @@ class Lemma1Report:
     holds: bool
 
 
-def lemma1_bound(sol: ExactSolution, tol: float = ABS_TOL) -> Lemma1Report:
+def lemma1_bound(sol: ExactSolution) -> Lemma1Report:
     """var T / E T <= kappa, valid whenever h is monotone along transitions."""
     mono = sol.monotone_h()
     ratio = sol.var_T / sol.E_T
-    holds = mono and ratio <= sol.kappa + tol
+    holds = mono and ratio <= sol.kappa + ABS_TOL
     return Lemma1Report(kappa=sol.kappa, var_over_mean=ratio, monotone=mono, holds=holds)
 
 
@@ -369,8 +369,7 @@ class Lemma2Report:
     holds: bool
 
 
-def lemma2_bound(sol: ExactSolution, delta: float, epsilon: float,
-                 tol: float = ABS_TOL) -> Lemma2Report:
+def lemma2_bound(sol: ExactSolution, delta: float, epsilon: float) -> Lemma2Report:
     """var T/(E T)^2 <= 2*delta + epsilon + (bad occupation time)/(E T),
     where a state is bad when its large-decrement outflow q_delta(S)
     (decrements above 2*delta*E T) is at least epsilon.  Everything on the
@@ -391,7 +390,7 @@ def lemma2_bound(sol: ExactSolution, delta: float, epsilon: float,
     rhs = 2.0 * delta + epsilon + occupation_bad / sol.E_T
     return Lemma2Report(delta=delta, epsilon=epsilon, q_delta=q_delta,
                         occupation_bad=occupation_bad, lhs=lhs, rhs=rhs,
-                        holds=lhs <= rhs + tol)
+                        holds=lhs <= rhs + ABS_TOL)
 
 
 @dataclass
@@ -405,10 +404,10 @@ class ContinuizationReport:
     holds: bool
 
 
-def continuization_check(spec: DiscreteChainSpec, tol: float = 1e-10) -> ContinuizationReport:
-    """Check E T_cont = E T_disc and var T_cont = var T_disc + E T_disc by
-    solving both chains exactly.  Requires the probabilities out of every
-    non-target state to sum to 1 (no self-loops)."""
+def continuization_check(spec: DiscreteChainSpec) -> ContinuizationReport:
+    """Check E T_cont = E T_disc and var T_cont = var T_disc + E T_disc to
+    1e-10 by solving both chains exactly.  Requires the probabilities out
+    of every non-target state to sum to 1 (no self-loops)."""
     chain = _enumerate(spec, "probability")
     total = chain.out_rate
     off = np.flatnonzero(~chain.is_target & (np.abs(total - 1.0) > 1e-12))
@@ -425,5 +424,5 @@ def continuization_check(spec: DiscreteChainSpec, tol: float = 1e-10) -> Continu
         mean_disc=mean_disc, var_disc=var_disc,
         mean_cont=cont.E_T, var_cont=cont.var_T,
         mean_error=mean_err, var_error=var_err,
-        holds=mean_err <= tol and var_err <= tol,
+        holds=mean_err <= 1e-10 and var_err <= 1e-10,
     )

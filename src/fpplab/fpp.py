@@ -100,9 +100,6 @@ def sample_fpp_batch(g: WeightedGraph, source: int, target: int, runs: int,
         shape=(g.n, g.n),
     )
     perm = (csr.data - 1.0).astype(np.intp)
-    edge_of_pair = {}
-    for e, (u, v) in enumerate(g.edges):
-        edge_of_pair[(u, v)] = edge_of_pair[(v, u)] = e
     X = np.empty(runs)
     Xi = np.empty(runs)
     path_len = np.empty(runs, dtype=np.int64)
@@ -116,7 +113,7 @@ def sample_fpp_batch(g: WeightedGraph, source: int, target: int, runs: int,
         v = target
         while v != source:
             p = int(pred[v])
-            best = max(best, float(xi[edge_of_pair[(p, v)]]))
+            best = max(best, float(xi[g.edge_index(p, v)]))
             n_edges += 1
             v = p
         X[i], Xi[i], path_len[i] = float(dist[target]), best, n_edges
@@ -181,12 +178,12 @@ class Prop4Report:
     holds: bool
 
 
-def prop4_check(sol: ExactSolution, g: WeightedGraph, tol: float = ABS_TOL) -> Prop4Report:
+def prop4_check(sol: ExactSolution, g: WeightedGraph) -> Prop4Report:
     """var X <= E X / w_min, with w_min the smallest edge rate."""
     w_min = g.min_weight()
     bound = sol.E_T / w_min
     return Prop4Report(var_T=sol.var_T, E_T=sol.E_T, w_min=w_min, bound=bound,
-                       holds=sol.var_T <= bound + tol)
+                       holds=sol.var_T <= bound + ABS_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -38,25 +38,30 @@ class WeightedGraph:
     edges: tuple[tuple[int, int], ...]
     weights: tuple[float, ...]
     _adj: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False, default=())
+    _edge_of: dict[tuple[int, int], int] = field(repr=False, compare=False, default=None)
+    _weights: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = len(self.vertices)
-        seen = set()
-        for (u, v), w in zip(self.edges, self.weights):
+        edge_of = {}
+        adj = [[] for _ in range(n)]
+        for i, ((u, v), w) in enumerate(zip(self.edges, self.weights)):
             if u == v:
                 raise GraphValidationError(f"self-loop at vertex {self.vertices[u]!r}")
             if not (0 <= u < v < n):
                 raise GraphValidationError(f"edge index pair out of range: {(u, v)}")
-            if (u, v) in seen:
+            if (u, v) in edge_of:
                 raise GraphParseError(f"duplicate edge {self.vertices[u]!r}-{self.vertices[v]!r}")
             if not (w > 0):
                 raise GraphValidationError(f"nonpositive weight {w} on edge {(u, v)}")
-            seen.add((u, v))
-        adj = [[] for _ in range(n)]
-        for i, (u, v) in enumerate(self.edges):
+            edge_of[(u, v)] = edge_of[(v, u)] = i
             adj[u].append((v, i))
             adj[v].append((u, i))
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
+        object.__setattr__(self, "_edge_of", edge_of)
+        weights = np.asarray(self.weights, dtype=float)
+        weights.flags.writeable = False
+        object.__setattr__(self, "_weights", weights)
         if n > 0 and not self._is_connected():
             raise GraphValidationError("graph is not connected")
 
@@ -85,16 +90,14 @@ class WeightedGraph:
         return self._adj[u]
 
     def edge_index(self, u: int, v: int) -> int | None:
-        for x, i in self._adj[u]:
-            if x == v:
-                return i
-        return None
+        return self._edge_of.get((u, v))
 
     def min_weight(self) -> float:
         return min(self.weights)
 
     def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+        """The edge rates as one read-only float array, built once."""
+        return self._weights
 
     def to_edge_list(self) -> str:
         lines = []

@@ -164,12 +164,11 @@ def growth_simulate(cfg: GrowthConfig, rng: np.random.Generator) -> GrowthRun:
             return GrowthRun(T=t, valid=False, cluster_size=len(cluster), radius=cfg.radius)
 
 
-def growth_sample(cfg: GrowthConfig, rng: np.random.Generator,
-                  max_retries: int = 8) -> GrowthRun:
+def growth_sample(cfg: GrowthConfig, rng: np.random.Generator) -> GrowthRun:
     """One valid hitting time; boundary-invalid runs are resampled with a
-    doubled box radius."""
+    doubled box radius, up to eight attempts."""
     radius = cfg.radius
-    for _ in range(max_retries):
+    for _ in range(8):
         attempt = GrowthConfig(radius=radius, target=cfg.target, rate_fn=cfg.rate_fn,
                                c_lo=cfg.c_lo, c_hi=cfg.c_hi)
         run = growth_simulate(attempt, rng)

@@ -2,9 +2,9 @@
 how long until the multigraph packs k edge-disjoint spanning trees or
 triangles.
 
-Packing numbers are recomputed from scratch at arrival instants (they can
-change nowhere else); stopping times are located by binary search over the
-event index, exploiting monotonicity of the packing number in time.
+Packing numbers change only at arrival instants, and by at most one per
+arrival, so each stopping time is read off one forward pass over the
+arrivals.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ class MultigraphTrajectory:
     horizon: float
     _next_time: float = field(repr=False, default=math.inf)  # first arrival past horizon
     _rng: np.random.Generator = field(repr=False, default=None)
-
-    def multigraph_at(self, n_events: int) -> Multigraph:
-        mult = np.bincount(self.edge_ids[:n_events], minlength=self.graph.m)
-        return Multigraph(self.graph, tuple(int(c) for c in mult))
 
     def extend(self, new_horizon: float) -> None:
         """Continue the same Poisson stream to a later horizon, resuming at
@@ -330,9 +326,8 @@ def _greedy_triangles(triples, mult) -> int:
     return count
 
 
-def has_triangle_packing(m: Multigraph, k: int, budget: int = BNB_BUDGET) -> bool:
-    pc = max_triangle_packing(m, budget=budget, stop_at=k)
-    return pc.lower >= k
+def has_triangle_packing(m: Multigraph, k: int) -> bool:
+    return max_triangle_packing(m, stop_at=k).lower >= k
 
 
 # ---------------------------------------------------------------------------
@@ -348,37 +343,37 @@ def stopping_times(traj: MultigraphTrajectory, ks: list[int],
                    kinds: tuple[str, ...] = ("span", "tria"),
                    max_extensions: int = 60) -> dict[str, dict[int, float]]:
     """First times the multigraph packs k edge-disjoint spanning trees /
-    triangles, by binary search over the arrival index (packing numbers
-    change only at arrivals).  The trajectory is extended (doubling the
-    horizon) until the largest k is found; a graph that can never satisfy
-    a kind (e.g. triangles on a triangle-free base) raises after
+    triangles, by one forward pass over the arrivals per kind: an arrival
+    raises the packing number by at most one, so after each the predicate
+    is asked for one more.  The trajectory is extended (doubling the
+    horizon) while it packs fewer than k; a graph that can never satisfy a
+    kind (e.g. triangles on a triangle-free base) raises after
     ``max_extensions`` doublings."""
-    ks = sorted(ks)
+    if any(k < 1 for k in ks):
+        raise ValueError("every k must be >= 1")
+    g = traj.graph
     results: dict[str, dict[int, float]] = {}
     for kind in kinds:
         pred = KIND_PREDICATES[kind]
         results[kind] = {}
-        lo = 0  # packing at lo events is known to be < current k
-        for k in ks:
+        mult = [0] * g.m
+        count = i = 0  # the first i arrivals pack exactly count
+        for k in sorted(ks):
             extensions = 0
-            while not pred(traj.multigraph_at(len(traj.times)), k):
-                if extensions >= max_extensions:
-                    raise RuntimeError(
-                        f"{kind} packing never reached k={k}; is the target attainable?"
-                    )
-                traj.extend(traj.horizon * 2.0)
-                extensions += 1
-            hi = len(traj.times)
-            # invariant: pred holds at hi events, fails at lo events
-            low = lo
-            while low + 1 < hi:
-                mid = (low + hi) // 2
-                if pred(traj.multigraph_at(mid), k):
-                    hi = mid
-                else:
-                    low = mid
-            results[kind][k] = float(traj.times[hi - 1])
-            lo = hi - 1  # the stopping time is nondecreasing in k
+            while count < k:
+                if i == len(traj.times):
+                    if extensions >= max_extensions:
+                        raise RuntimeError(
+                            f"{kind} packing never reached k={k}; is the target attainable?"
+                        )
+                    traj.extend(traj.horizon * 2.0)
+                    extensions += 1
+                    continue
+                mult[traj.edge_ids[i]] += 1
+                i += 1
+                if pred(Multigraph(g, tuple(mult)), count + 1):
+                    count += 1
+            results[kind][k] = float(traj.times[i - 1])
     return results
 
 

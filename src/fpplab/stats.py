@@ -252,11 +252,16 @@ class TrendReport:
     spearman: float
 
 
-def _spearman(a, b) -> float:
-    from scipy.stats import spearmanr
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of the ranks they span."""
+    _, inv, cnt = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(cnt) - (cnt - 1) / 2.0)[inv]
 
-    rho = spearmanr(a, b).statistic
-    return float(rho)
+
+def _spearman(a, b) -> float:
+    """Spearman's rho: the Pearson correlation of the average ranks."""
+    ranks = np.column_stack([_average_ranks(a), _average_ranks(b)])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def theorem1_trend_experiment(members, runs: int, seed) -> TrendReport:

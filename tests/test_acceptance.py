@@ -81,11 +81,11 @@ def test_criterion_2_inequality_sweep(sweep200):
     t0 = time.time()
     ok = True
     for g, sol in chains:
-        ok &= lemma1_bound(sol, tol=1e-9).holds
-        ok &= prop4_check(sol, g, tol=1e-9).holds
+        ok &= lemma1_bound(sol).holds
+        ok &= prop4_check(sol, g).holds
         for d in grid:
             for e in grid:
-                ok &= lemma2_bound(sol, d, e, tol=1e-9).holds
+                ok &= lemma2_bound(sol, d, e).holds
     elapsed = time.time() - t0
     ok &= elapsed < 60.0
     record_acceptance(
@@ -97,7 +97,7 @@ def test_criterion_3_continuization():
     rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(50):
-        rep = continuization_check(_random_discrete_chain(rng, bits=8), tol=1e-10)
+        rep = continuization_check(_random_discrete_chain(rng, bits=8))
         worst = max(worst, rep.mean_error, rep.var_error)
         if not rep.holds:
             break

@@ -32,10 +32,10 @@ def _assert_agrees(spec):
     assert _close(sol.var_T, ref.var_T)
     assert _close(sol.kappa, ref.kappa)
     assert sol.monotone_h() == ref.monotone_h()
-    assert lemma1_bound(sol, tol=1e-9).holds == reference_chain.lemma1_holds(ref, 1e-9)
+    assert lemma1_bound(sol).holds == reference_chain.lemma1_holds(ref, 1e-9)
     for d in GRID:
         for e in GRID:
-            rep = lemma2_bound(sol, d, e, tol=1e-9)
+            rep = lemma2_bound(sol, d, e)
             bad = reference_chain.lemma2_bad_states(ref, d, e)
             assert {states[i] for i in (rep.q_delta >= e).nonzero()[0]} == bad
             occupation_bad = sum(ref.expected_time_in[s] for s in bad)

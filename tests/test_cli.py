@@ -122,6 +122,16 @@ def test_cli_seed_flag_overrides_config(tmp_path):
     lambda c: c.update(checks=[{"name": "submultiplicativity", "y1": "x"}]),
     lambda c: c.update(process="multigraph", checks=[{"name": "prop2", "ks": [0]}]),
     lambda c: c.update(process="multigraph", checks=[{"name": "prop2", "ks": ["a"]}]),
+    lambda c: c.update(graph=5),
+    lambda c: c.update(graph={"edge_list": 5}),
+    lambda c: c.update(graph={"path": 5}),
+    lambda c: c.update(process="growth", checks=["prop1"], growth=5),
+    lambda c: c.update(process="growth", checks=["prop1"], growth={"rate": 5}),
+    lambda c: c.update(process="growth", checks=["prop1"],
+                       growth={"rate": {"kind": "constant", "params": 5}}),
+    lambda c: c.update(process="growth", checks=["prop1"], growth={"radius": 3.5}),
+    lambda c: c.update(process="multigraph", checks=[{"name": "prop2", "kinds": 5}]),
+    lambda c: c.update(process="multigraph", checks=[{"name": "prop2", "kinds": []}]),
 ])
 def test_usage_errors_exit_two(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(BASE))

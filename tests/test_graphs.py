@@ -75,6 +75,15 @@ def test_edge_index_and_neighbors():
     assert [v for v, _ in g.neighbors(1)] == [0, 2]
 
 
+def test_weight_array_is_built_once_and_read_only():
+    g = bridge_graph(3, 3, 0.1)
+    w = g.weight_array()
+    assert w is g.weight_array()
+    assert np.array_equal(w, g.weights)
+    with pytest.raises(ValueError):
+        w[0] = 5.0
+
+
 @st.composite
 def connected_graphs(draw):
     n = draw(st.integers(min_value=2, max_value=8))

@@ -132,11 +132,33 @@ def test_stopping_times_monotone_in_k_and_kind():
     assert st_["span"][1] >= traj.times[2] - 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(["span", "tria"]))
+def test_scan_stops_at_the_first_prefix_that_packs_k(seed, kind):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    g = random_gnp_graph(n, 0.7, (0.5, 2.0), rng) if kind == "span" else complete_graph(n)
+    traj = simulate_arrivals(g, 1.0, rng)
+    ks = [1, 2, 3]
+    got = stopping_times(traj, ks, kinds=(kind,))[kind]
+
+    def packs(j):  # packing number of the first j + 1 arrivals, from scratch
+        mult = np.bincount(traj.edge_ids[:j + 1], minlength=g.m)
+        m = Multigraph(g, tuple(int(c) for c in mult))
+        return max_spanning_tree_packing(m) if kind == "span" else max_triangle_packing(m).lower
+
+    counts = [packs(j) for j in range(len(traj.times))]
+    for k in ks:
+        assert got[k] == traj.times[next(j for j, c in enumerate(counts) if c >= k)]
+
+
 def test_stopping_times_unattainable_raises():
     g = parse_edge_list("a b 1")  # no triangle can ever appear
     traj = simulate_arrivals(g, 1.0, np.random.default_rng(0))
     with pytest.raises(RuntimeError):
         stopping_times(traj, [1], kinds=("tria",), max_extensions=5)
+    with pytest.raises(ValueError):
+        stopping_times(traj, [0, 1], kinds=("span",))
 
 
 def test_a_k_values():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from fpplab.fpp import sample_fpp_batch, sample_traversal, shortest_path
 from fpplab.graphs import complete_graph
 from fpplab.multigraph import sample_stopping_times, simulate_arrivals, stopping_times
+from fpplab import stats
 from fpplab.stats import (
     F_K_eval,
     SampleStats,
+    _spearman,
     band_verdict,
     jackknife_se,
     l0_norm_estimate,
@@ -202,3 +208,31 @@ def test_spawn_seeds_gives_run_i_its_own_stream():
         assert abs(batch.X[i] - ref.X) < 1e-12
         traj = simulate_arrivals(k4, horizon0, np.random.default_rng(child))
         assert span[i] == stopping_times(traj, [1], kinds=("span",))["span"][1]
+
+
+def test_spearman_matches_scipy_bitwise():
+    from scipy.stats import spearmanr  # the oracle, in the test only
+
+    rng = np.random.default_rng(31)
+    compared = 0
+    for trial in range(600):
+        n = int(rng.integers(3, 15))
+        if trial % 2:  # few distinct values: ties on both sides
+            a, b = rng.integers(0, 4, size=(2, n)).astype(float)
+        else:
+            a, b = rng.normal(size=(2, n))
+        if np.ptp(a) == 0 or np.ptp(b) == 0:
+            continue  # a constant input has no rank correlation
+        assert _spearman(a, b) == spearmanr(a, b).statistic
+        compared += 1
+    assert compared > 500
+
+
+def test_spearman_leaves_scipy_stats_unloaded():
+    code = ("import sys; from fpplab.stats import _spearman; "
+            "_spearman([3.0, 1.0, 2.0, 2.0, 5.0], [0.1, 0.4, 0.2, 0.3, 0.3]); "
+            "print('scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(stats.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
