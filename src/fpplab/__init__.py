@@ -42,7 +42,7 @@ from .growth import (
     GrowthConfig,
     coverage_chain_spec,
     coverage_simulate,
-    growth_simulate,
+    growth_hitting_time,
     prop1_check,
     prop3_check,
 )

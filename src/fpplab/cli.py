@@ -397,16 +397,20 @@ def _load_graph(cfg, seed) -> WeightedGraph:
 
 def _growth_config(cfg) -> GrowthConfig:
     params = _typed(cfg.get("growth", {}), dict, "growth")
-    radius = _integer(params.get("radius", 6), "growth radius", 1)
+    if "radius" in params:  # accepted and ignored: growth runs on the whole lattice
+        _integer(params["radius"], "growth radius", 1)
+
+    def site(v):
+        if not isinstance(v, list) or len(v) != 2:
+            raise ConfigError(f"growth target site must be an [x, y] pair, got {v!r}")
+        return tuple(_integer(c, "growth target coordinate", -math.inf) for c in v)
+
+    target = _list(params.get("target", [[3, 0], [-3, 0], [0, 3], [0, -3]]),
+                   "growth target", site)
     rate = _typed(params.get("rate", {}), dict, "growth rate")
     rate_params = _typed(rate.get("params", {"c": 1.0}), dict, "growth rate params")
     try:
-        return GrowthConfig.builtin(
-            radius=radius,
-            target=params.get("target", [[3, 0], [-3, 0], [0, 3], [0, -3]]),
-            kind=rate.get("kind", "constant"),
-            **rate_params,
-        )
+        return GrowthConfig.builtin(target, kind=rate.get("kind", "constant"), **rate_params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad growth config: {exc}") from None
 

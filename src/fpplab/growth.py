@@ -1,11 +1,10 @@
 """Lattice growth and coverage processes.
 
-The growth process lives on the square lattice: a connected cluster grows
-from the origin, frontier sites fire at state-dependent rates bounded
-between c_lo and c_hi and nondecreasing in the cluster.  The infinite
-lattice is truncated to a finite box; a run that touches the boundary
-before reaching the target set is invalid and gets resampled in a larger
-box, which preserves the law of the hitting time.
+The growth process is Richardson's lattice growth on Z^2: a connected
+cluster grows from the origin, frontier sites fire at state-dependent rates
+bounded between c_lo and c_hi and nondecreasing in the cluster.  The
+frontier of a finite cluster is finite, so a run follows the process on the
+whole lattice until the cluster meets the target set.
 
 The coverage process draws IID uniform vertices of a graph until every
 vertex is in the closed neighborhood of the drawn set.
@@ -38,7 +37,15 @@ def _site_hash_unit(v: Site) -> float:
     return h / 2**32
 
 
+def _positive(*values) -> None:
+    for v in values:
+        if not 0 < v < math.inf:
+            raise ValueError(f"rates must be positive and finite, got {v!r}")
+
+
 def constant_rate(c: float):
+    _positive(c)
+
     def rate(S, v):
         return c
     return rate, c, c
@@ -46,6 +53,10 @@ def constant_rate(c: float):
 
 def site_weighted_rate(c_lo: float, c_hi: float):
     """Per-site rate fixed by the coordinates; trivially nondecreasing in S."""
+    _positive(c_lo, c_hi)
+    if c_lo > c_hi:
+        raise ValueError(f"site_weighted needs c_lo <= c_hi, got {c_lo!r} > {c_hi!r}")
+
     def rate(S, v):
         return c_lo + (c_hi - c_lo) * _site_hash_unit(v)
     return rate, c_lo, c_hi
@@ -53,6 +64,8 @@ def site_weighted_rate(c_lo: float, c_hi: float):
 
 def neighbor_count_rate(base: float):
     """base times the number of cluster neighbors; increasing in S."""
+    _positive(base)
+
     def rate(S, v):
         return base * sum((v[0] + dx, v[1] + dy) in S for dx, dy in _NBRS)
     return rate, base, 4.0 * base
@@ -71,40 +84,31 @@ class RateMonotonicityError(ValueError):
 
 @dataclass
 class GrowthConfig:
-    radius: int
     target: frozenset[Site]
     rate_fn: Callable[[set, Site], float] = field(repr=False)
     c_lo: float = 1.0
     c_hi: float = 1.0
 
     @classmethod
-    def builtin(cls, radius: int, target, kind: str, **params) -> "GrowthConfig":
+    def builtin(cls, target, kind: str, **params) -> "GrowthConfig":
         if kind not in RATE_BUILTINS:
             raise ValueError(f"unknown rate builtin {kind!r}; have {sorted(RATE_BUILTINS)}")
         fn, c_lo, c_hi = RATE_BUILTINS[kind](**params)
         target = frozenset(tuple(v) for v in target)
-        if (0, 0) in target:
-            raise ValueError("target must not contain the origin")
-        for v in target:
-            if max(abs(v[0]), abs(v[1])) > radius:
-                raise ValueError(f"target site {v} outside box radius {radius}")
-        return cls(radius=radius, target=target, rate_fn=fn, c_lo=c_lo, c_hi=c_hi)
+        if not target or (0, 0) in target:
+            raise ValueError("target must be non-empty and must not contain the origin")
+        return cls(target=target, rate_fn=fn, c_lo=c_lo, c_hi=c_hi)
 
 
-def validate_rate_monotone(rate_fn, rng: np.random.Generator, trials: int = 200,
-                           radius: int = 4) -> None:
+def validate_rate_monotone(rate_fn, rng: np.random.Generator, trials: int = 200) -> None:
     """Sampled check of the growth condition: adding a site to the cluster
     never lowers any frontier rate.  Raises on a violation."""
     for _ in range(trials):
         cluster = {(0, 0)}
         for _ in range(int(rng.integers(0, 8))):
-            frontier = _frontier(cluster, radius)
-            if not frontier:
-                break
+            frontier = _frontier(cluster)
             cluster.add(frontier[int(rng.integers(len(frontier)))])
-        frontier = _frontier(cluster, radius)
-        if len(frontier) < 2:
-            continue
+        frontier = _frontier(cluster)
         i, j = rng.choice(len(frontier), size=2, replace=False)
         v, v2 = frontier[int(i)], frontier[int(j)]
         before = rate_fn(cluster, v)
@@ -115,34 +119,23 @@ def validate_rate_monotone(rate_fn, rng: np.random.Generator, trials: int = 200,
             )
 
 
-def _frontier(cluster: set, radius: int) -> list:
+def _frontier(cluster: set) -> list:
     out = set()
     for (x, y) in cluster:
         for dx, dy in _NBRS:
             v = (x + dx, y + dy)
-            if v not in cluster and max(abs(v[0]), abs(v[1])) <= radius:
+            if v not in cluster:
                 out.add(v)
     return sorted(out)
 
 
-@dataclass
-class GrowthRun:
-    T: float
-    valid: bool
-    cluster_size: int
-    radius: int
-
-
-def growth_simulate(cfg: GrowthConfig, rng: np.random.Generator) -> GrowthRun:
-    """Event-driven simulation until the cluster meets the target set.
-
-    Invalid (boundary touched first) runs are flagged; use
-    :func:`growth_sample` for automatic resampling in a larger box.
-    """
+def growth_hitting_time(cfg: GrowthConfig, rng: np.random.Generator) -> float:
+    """Event-driven simulation on Z^2; returns the time at which the
+    cluster first meets the target set."""
     cluster = {(0, 0)}
     t = 0.0
     while True:
-        frontier = _frontier(cluster, cfg.radius)
+        frontier = _frontier(cluster)
         rates = [cfg.rate_fn(cluster, v) for v in frontier]
         for r in rates:
             if not (cfg.c_lo - 1e-12 <= r <= cfg.c_hi + 1e-12):
@@ -159,29 +152,12 @@ def growth_simulate(cfg: GrowthConfig, rng: np.random.Generator) -> GrowthRun:
                 break
         cluster.add(chosen)
         if chosen in cfg.target:
-            return GrowthRun(T=t, valid=True, cluster_size=len(cluster), radius=cfg.radius)
-        if max(abs(chosen[0]), abs(chosen[1])) >= cfg.radius:
-            return GrowthRun(T=t, valid=False, cluster_size=len(cluster), radius=cfg.radius)
-
-
-def growth_sample(cfg: GrowthConfig, rng: np.random.Generator) -> GrowthRun:
-    """One valid hitting time; boundary-invalid runs are resampled with a
-    doubled box radius, up to eight attempts."""
-    radius = cfg.radius
-    for _ in range(8):
-        attempt = GrowthConfig(radius=radius, target=cfg.target, rate_fn=cfg.rate_fn,
-                               c_lo=cfg.c_lo, c_hi=cfg.c_hi)
-        run = growth_simulate(attempt, rng)
-        if run.valid:
-            return run
-        radius *= 2
-    raise RuntimeError("growth run kept touching the boundary; target too far out?")
+            return t
 
 
 @dataclass
 class InequalityReport:
     runs: int
-    valid_runs: int
     mean: float
     variance: float
     bound: float
@@ -199,7 +175,7 @@ def _variance_inequality_report(samples: np.ndarray, bound_fn) -> InequalityRepo
     band = BAND_SIGMAS * (stats.variance_se + abs(bound_fn(stats.mean + stats.mean_se) - bound))
     holds, inconclusive = band_verdict(stats.variance, bound, band)
     return InequalityReport(
-        runs=len(samples), valid_runs=len(samples), mean=stats.mean,
+        runs=len(samples), mean=stats.mean,
         variance=stats.variance, bound=bound, band=band,
         holds=holds, inconclusive=inconclusive,
     )
@@ -209,7 +185,7 @@ def prop1_check(cfg: GrowthConfig, runs: int, seed) -> InequalityReport:
     """Monte Carlo check of var T <= E T / c_lo for the growth process."""
     samples = np.empty(runs)
     for i, child in enumerate(spawn_seeds(seed, runs)):
-        samples[i] = growth_sample(cfg, np.random.default_rng(child)).T
+        samples[i] = growth_hitting_time(cfg, np.random.default_rng(child))
     return _variance_inequality_report(samples, lambda m: m / cfg.c_lo)
 
 

@@ -5,12 +5,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fpplab import cli
 from fpplab.cli import CHECKS, main, run_scenario
+from fpplab.growth import GrowthConfig
 from fpplab.multigraph import Prop2Report
 
-SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.json"))
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -132,6 +135,14 @@ def test_cli_seed_flag_overrides_config(tmp_path):
     lambda c: c.update(process="growth", checks=["prop1"], growth={"radius": 3.5}),
     lambda c: c.update(process="multigraph", checks=[{"name": "prop2", "kinds": 5}]),
     lambda c: c.update(process="multigraph", checks=[{"name": "prop2", "kinds": []}]),
+    *[lambda c, t=t: c.update(process="growth", checks=["prop1"], growth={"target": t})
+      for t in ([[3]], [], [[1.5, 0]], [[1, 2, 3]], [[True, 0]])],
+    *[lambda c, r=r: c.update(process="growth", checks=["prop1"], growth={"rate": r})
+      for r in ({"kind": "constant", "params": {"c": 0}},
+                {"kind": "constant", "params": {"c": -1}},
+                {"kind": "site_weighted", "params": {"c_lo": 0, "c_hi": 2.0}},
+                {"kind": "site_weighted", "params": {"c_lo": 2, "c_hi": 1}},
+                {"kind": "neighbor_count", "params": {"base": 0}})],
 ])
 def test_usage_errors_exit_two(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(BASE))
@@ -212,6 +223,46 @@ def test_shipped_scenario_passes_config_validation(path):
         cli._load_graph(cfg, seed)
     if cfg["process"] == "growth":
         cli._growth_config(cfg)
+
+
+def test_growth_report_does_not_depend_on_radius(tmp_path):
+    # growth runs on the whole lattice: the accepted, ignored radius cannot
+    # swap a run for a restart in a bigger box
+    cfg = json.loads((SCENARIO_DIR / "growth_cross.json").read_text())
+    reports = []
+    for radius in (3, 12):
+        cfg["growth"]["radius"] = radius
+        out = tmp_path / f"r{radius}"
+        assert run_scenario(write_cfg(tmp_path, cfg, f"r{radius}.json"), out_dir=out) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(growth=st.fixed_dictionaries({}, optional={
+    "target": _JSON | st.lists(st.lists(st.integers(-4, 4) | _JSON, max_size=3), max_size=3),
+    "radius": _JSON,
+    "rate": st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from(["constant", "site_weighted", "neighbor_count"]) | _JSON,
+        "params": st.dictionaries(st.sampled_from(["c", "c_lo", "c_hi", "base", "x"]),
+                                  _JSON, max_size=3) | _JSON,
+    }) | _JSON,
+}))
+def test_growth_config_returns_config_or_config_error(growth):
+    try:
+        cfg = cli._growth_config({"growth": growth})
+    except cli.ConfigError:
+        return
+    assert isinstance(cfg, GrowthConfig)
+    assert cfg.target and (0, 0) not in cfg.target
+    assert 0 < cfg.c_lo <= cfg.c_hi
 
 
 def test_prop2_inconclusive_report_shows_in_status(tmp_path, monkeypatch):

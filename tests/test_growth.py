@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fpplab.chain import continuize, solve_discrete, solve_hitting
+from fpplab import cli
+from fpplab.chain import ChainSpec, continuize, solve_discrete, solve_hitting
 from fpplab.graphs import path_graph
 from fpplab.growth import (
     CoverageConfig,
@@ -11,8 +12,8 @@ from fpplab.growth import (
     RateMonotonicityError,
     coverage_chain_spec,
     coverage_simulate,
-    growth_sample,
-    growth_simulate,
+    constant_rate,
+    growth_hitting_time,
     neighbor_count_rate,
     prop1_check,
     prop3_check,
@@ -20,6 +21,7 @@ from fpplab.growth import (
     validate_rate_monotone,
     _variance_inequality_report,
 )
+from fpplab.stats import SampleStats
 
 
 def test_rate_builtins_respect_bounds():
@@ -45,37 +47,69 @@ def test_validate_rate_monotone_catches_decreasing():
 
 def test_growth_config_validation():
     with pytest.raises(ValueError):
-        GrowthConfig.builtin(3, [[0, 0]], "constant", c=1.0)  # origin in target
+        GrowthConfig.builtin([[0, 0]], "constant", c=1.0)  # origin in target
     with pytest.raises(ValueError):
-        GrowthConfig.builtin(2, [[5, 0]], "constant", c=1.0)  # outside the box
+        GrowthConfig.builtin([], "constant", c=1.0)  # a run could never end
     with pytest.raises(ValueError):
-        GrowthConfig.builtin(3, [[1, 0]], "no-such-rate")
+        GrowthConfig.builtin([[1, 0]], "no-such-rate")
+    with pytest.raises(ValueError):
+        GrowthConfig.builtin([[1, 0]], "constant", c=float("nan"))
+    # malformed target sites never reach the simulator
+    for target in ([[3]], [], [[1.5, 0]], [[1, 2, 3]], [[True, 0]], [5], "x"):
+        with pytest.raises(cli.ConfigError):
+            cli._growth_config({"growth": {"target": target}})
 
 
 def test_growth_first_jump_law():
     # target adjacent to the origin, constant rate c: the frontier has 4
     # sites, so the chance the first jump hits the target is 1/4 and the
     # jump time is Exp(4c)
-    cfg = GrowthConfig.builtin(4, [[1, 0], [-1, 0], [0, 1], [0, -1]], "constant", c=2.0)
+    cfg = GrowthConfig.builtin([[1, 0], [-1, 0], [0, 1], [0, -1]], "constant", c=2.0)
     rng = np.random.default_rng(3)
-    ts = np.array([growth_sample(cfg, rng).T for _ in range(4000)])
+    ts = np.array([growth_hitting_time(cfg, rng) for _ in range(4000)])
     assert abs(ts.mean() - 1.0 / 8.0) < 4.0 * ts.std(ddof=1) / math.sqrt(len(ts))
 
 
-def test_growth_boundary_invalidates_and_resample_recovers():
-    cfg = GrowthConfig.builtin(1, [[0, 1]], "constant", c=1.0)
-    rng = np.random.default_rng(4)
-    saw_invalid = False
-    for _ in range(200):
-        run = growth_simulate(cfg, rng)
-        saw_invalid = saw_invalid or not run.valid
-    assert saw_invalid  # radius-1 box is touched all the time
-    run = growth_sample(cfg, np.random.default_rng(5))
-    assert run.valid
+_AXES = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def ring_chain_spec(rate_fn) -> ChainSpec:
+    """Growth with the ring |x| + |y| = 2 as target: until the hit, the
+    cluster is the origin plus a subset of its four neighbours (bits 0-3);
+    bit 4 marks the hit."""
+    def transitions(mask):
+        cluster = {(0, 0)} | {a for i, a in enumerate(_AXES) if mask >> i & 1}
+        frontier = {(x + dx, y + dy) for x, y in cluster for dx, dy in _AXES} - cluster
+        out, hit = [], 0.0
+        for v in frontier:
+            if v in _AXES:
+                out.append((mask | 1 << _AXES.index(v), rate_fn(cluster, v)))
+            else:
+                hit += rate_fn(cluster, v)
+        return out + ([(mask | 1 << 4, hit)] if hit else [])
+
+    return ChainSpec(initial=0, transitions=transitions, is_target=lambda m: m >> 4 & 1)
+
+
+@pytest.mark.parametrize("rate, exact_mean", [
+    (site_weighted_rate(0.5, 2.0), 0.44594),
+    (neighbor_count_rate(0.7), 0.70387),
+    (constant_rate(1.0), 0.50437),
+])
+def test_growth_hitting_time_matches_exact_ring_chain(rate, exact_mean):
+    fn, c_lo, c_hi = rate
+    sol = solve_hitting(ring_chain_spec(fn))
+    assert sol.E_T == pytest.approx(exact_mean, abs=1e-5)
+    ring = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if abs(x) + abs(y) == 2]
+    cfg = GrowthConfig(target=frozenset(ring), rate_fn=fn, c_lo=c_lo, c_hi=c_hi)
+    rng = np.random.default_rng(11)
+    stats = SampleStats.from_samples([growth_hitting_time(cfg, rng) for _ in range(20_000)])
+    assert abs(stats.mean - sol.E_T) <= 4.0 * stats.mean_se
+    assert abs(stats.variance - sol.var_T) <= 4.0 * stats.variance_se
 
 
 def test_prop1_check_passes():
-    cfg = GrowthConfig.builtin(5, [[2, 0], [-2, 0], [0, 2], [0, -2]],
+    cfg = GrowthConfig.builtin([[2, 0], [-2, 0], [0, 2], [0, -2]],
                                "site_weighted", c_lo=0.5, c_hi=2.0)
     rep = prop1_check(cfg, 2000, seed=6)
     assert rep.holds
@@ -95,7 +129,6 @@ def test_variance_inequality_report_verdicts():
     # a bound far above the whole band passes outright
     rep = _variance_inequality_report(samples, lambda m: 10.0 * var)
     assert rep.holds and not rep.inconclusive
-    assert rep.valid_runs == rep.runs == 2000
 
 
 def test_coverage_config_allows_disconnected():
