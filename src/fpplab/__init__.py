@@ -24,6 +24,7 @@ from .fpp import (
     coupled_resample,
     fpp_chain_spec,
     prop4_check,
+    sample_coupling_batch,
     sample_fpp_batch,
     sample_traversal,
     shortest_path,

@@ -4,7 +4,8 @@ Scenarios are JSON configs naming a process, a graph source, and a list of
 checks; the runner executes every check, writes ``report.json`` plus
 per-run CSVs, and prints a summary table.  Everything downstream of
 (config, seed) is deterministic: Monte Carlo run i of a check draws from
-the i-th child of that check's seed.
+the i-th child of that check's seed, or, for the FPP samplers, from row
+i % B of the block whose seed is child i // B (see :mod:`fpplab.fpp`).
 
 Exit codes: 0 all hard assertions pass, 1 assertion failure,
 2 usage/config error, 3 capacity error.
@@ -31,11 +32,10 @@ from .chain import (
     solve_hitting,
 )
 from .fpp import (
-    coupled_resample,
     fpp_chain_spec,
     prop4_check,
+    sample_coupling_batch,
     sample_fpp_batch,
-    sample_traversal,
     submultiplicativity_probe,
 )
 from .graphs import (
@@ -58,7 +58,6 @@ from .stats import (
     SampleStats,
     band_verdict,
     psi_minus_eval,
-    spawn_seeds,
     theorem1_lower_check,
     theorem1_trend_experiment,
 )
@@ -203,27 +202,21 @@ def _check_dual_agreement(ctx, params):
 @_register("coupling_lower", ("fpp",), "resampling coupling",
            "var X >= (1/4) E (X' - X)^2 for the conditioned-interval coupling")
 def _check_coupling_lower(ctx, params):
-    g = ctx.graph()
     s, t = ctx.endpoints()
     sol = ctx.solution()
     a = _real(params.get("a", 0.25 * sol.E_T), "coupling_lower a")
     b = _real(params.get("b", 2.0 * sol.E_T), "coupling_lower b")
     if not 0 < a < b:
         raise ConfigError("coupling interval needs 0 < a < b")
-    runs = ctx.runs
-    sq = np.empty(runs)
-    bound_ok = True
-    for i, child in enumerate(spawn_seeds(ctx.check_seed("coupling_lower"), runs)):
-        rng = np.random.default_rng(child)
-        xi = sample_traversal(g, rng)
-        cs = coupled_resample(g, xi, a, b, rng, source=s, target=t)
-        sq[i] = (cs.X_prime - cs.X) ** 2
-        bound_ok = bound_ok and cs.X_prime - cs.X <= cs.increment_bound() + 1e-9
-    stats = SampleStats.from_samples(sq)
+    batch = sample_coupling_batch(ctx.graph(), s, t, ctx.runs,
+                                  ctx.check_seed("coupling_lower"), a, b)
+    increment = batch.X_prime - batch.X
+    bound_ok = bool(np.all(increment <= batch.increment_bound + 1e-9))
+    stats = SampleStats.from_samples(increment ** 2)
     rhs = 0.25 * stats.mean
     holds, inconclusive = band_verdict(rhs, sol.var_T, BAND_SIGMAS * 0.25 * stats.mean_se)
     return {"var_X": sol.var_T, "quarter_mean_sq_increment": rhs,
-            "pathwise_increment_bound_held": bound_ok, "runs": runs,
+            "pathwise_increment_bound_held": bound_ok, "runs": ctx.runs,
             "inconclusive": inconclusive}, bound_ok and holds
 
 

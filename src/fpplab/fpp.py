@@ -5,6 +5,14 @@ time X(v', v'') is the shortest-path length under those times, Xi is the
 largest single-edge time on the minimizing path, and the whole model can
 be recast as an increasing subset-valued chain solved exactly by
 :mod:`fpplab.chain`.
+
+Monte Carlo runs come in blocks: block j of a batch draws its uniforms from
+``default_rng(spawn_seeds(seed, n_blocks)[j])``, one row per run, and run i
+is row ``i % B`` of block ``i // B``.  ``B`` is the largest power of two up
+to 1024 with ``B * m <= 2**20``, so a block never holds more than 2**20
+traversal times.  ``Generator.random`` fills row-major, so a block of k
+rows is the first k rows of a full one: a shorter batch is a prefix of a
+longer one.
 """
 
 from __future__ import annotations
@@ -14,27 +22,37 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .chain import ABS_TOL, ChainSpec, ExactSolution
 from .graphs import EXACT_CAP, CapacityError, WeightedGraph
 from .stats import spawn_seeds
 
+_BLOCK_CELLS = 1 << 20   # traversal times per block, at most
+_BLOCK_RUNS = 1024       # runs per block, at most
+_TINY = np.nextafter(0.0, 1.0)  # the smallest positive double
+
 
 def traversal_from_uniform(u, w):
-    """Inverse-transform map: xi = -ln(u)/w turns Uniform(0,1) draws into
-    Exponential(rate w) traversal times."""
-    return -np.log(u) / w
+    """Inverse-transform map: xi = -ln(u)/w turns Uniform[0,1) draws into
+    Exponential(rate w) traversal times.  A draw u == 0 (probability 2**-53)
+    reads as the smallest positive double, so xi stays finite and strictly
+    positive without consuming another draw."""
+    return _traversal_in_place(np.array(u, dtype=float), w)
 
 
-def sample_traversal(g: WeightedGraph, rng: np.random.Generator) -> np.ndarray:
-    """One traversal-time vector, independent Exp(w_e) per edge."""
-    u = rng.random(g.m)
-    while np.any(u == 0.0):  # measure-zero guard: keep xi strictly positive
-        zeros = u == 0.0
-        u[zeros] = rng.random(int(zeros.sum()))
-    return traversal_from_uniform(u, g.weight_array())
+def _traversal_in_place(u: np.ndarray, w) -> np.ndarray:
+    """:func:`traversal_from_uniform`, overwriting ``u``: a block of 2**20
+    times costs 8 MB, so the draw makes no temporary copies."""
+    np.maximum(u, _TINY, out=u)
+    np.log(u, out=u)
+    u /= -w
+    return u
+
+
+def sample_traversal(g: WeightedGraph, rng: np.random.Generator, runs: int) -> np.ndarray:
+    """A ``(runs, m)`` block of traversal times, independent Exp(w_e) per
+    edge, one row per run."""
+    return _traversal_in_place(rng.random((runs, g.m)), g.weight_array())
 
 
 @dataclass(frozen=True)
@@ -48,7 +66,8 @@ class FppResult:
 def shortest_path(g: WeightedGraph, xi: np.ndarray, source: int, target: int) -> FppResult:
     """Dijkstra under edge lengths ``xi`` with a deterministic tie-break:
     among minimal-length paths, the lexicographically smallest vertex
-    sequence wins, so the minimizing path (hence Xi) is a function of xi."""
+    sequence wins, so the minimizing path (hence Xi) is a function of xi.
+    One run at a time, in pure Python: the oracle for the block kernel."""
     if source == target:
         raise ValueError("source and target must differ")
     settled = set()
@@ -70,8 +89,98 @@ def shortest_path(g: WeightedGraph, xi: np.ndarray, source: int, target: int) ->
 
 
 # ---------------------------------------------------------------------------
-# Vectorized Monte Carlo batches (scipy Dijkstra; cross-checked in tests
-# against shortest_path above)
+# Lock-step Dijkstra over a block of runs (cross-checked in tests against
+# shortest_path above)
+
+def _block_runs(m: int) -> int:
+    """B: the largest power of two up to 1024 with B * m <= 2**20."""
+    b = _BLOCK_RUNS
+    while b > 1 and b * m > _BLOCK_CELLS:
+        b //= 2
+    return b
+
+
+def _blocks(seed, runs: int, m: int):
+    """(generator, run slice) for each block of a ``runs``-run batch."""
+    b = _block_runs(m)
+    for j, child in enumerate(spawn_seeds(seed, -(-runs // b))):
+        yield np.random.default_rng(child), slice(j * b, min(runs, (j + 1) * b))
+
+
+def _edge_table(g: WeightedGraph) -> np.ndarray:
+    """The ``(n, n)`` edge ids; pairs with no edge between them (the
+    diagonal too) hold the pad id m."""
+    table = np.full((g.n, g.n), g.m, dtype=np.intp)
+    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    table[u, v] = table[v, u] = np.arange(g.m)
+    return table
+
+
+def _along_path(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``times`` (k, m) read along each run's path edges, the pad id as 0."""
+    pad = edges == times.shape[1]
+    return np.where(pad, 0.0, np.take_along_axis(times, np.where(pad, 0, edges), axis=1))
+
+
+def _lockstep_dijkstra(table: np.ndarray, xi: np.ndarray, source: int,
+                       target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dijkstra from ``source`` on every row of the ``(k, m)`` block ``xi``
+    at once.
+
+    Each step settles, in every live run, the unsettled vertex of least key
+    and relaxes its neighbours, read off its row of ``table``; a run leaves
+    the working arrays once ``target`` settles.  The predecessors are then
+    walked back with every run in step.  Returns X (k,) and the path edges
+    (k, L), target first, each row padded by the pad id once its run
+    reaches ``source``.  Exact ties (probability zero under continuous
+    times) go to the lowest vertex index, not to :func:`shortest_path`'s
+    lexicographic rule.
+    """
+    if source == target:
+        raise ValueError("source and target must differ")
+    k, n = len(xi), len(table)
+    X = np.empty(k)
+    pred_out = np.empty((k, n), dtype=np.intp)
+    live = np.arange(k)
+    key = np.full((k, n), np.inf)
+    key[:, source] = 0.0
+    unsettled = np.ones((k, n), dtype=bool)
+    pred = np.full((k, n), source, dtype=np.intp)  # source is its own predecessor
+    m = xi.shape[1]
+    adjacent = table != m
+    column = np.where(adjacent, table, 0)  # any valid column where no edge is
+    flat = xi.ravel()
+    while len(live):
+        v = key.argmin(axis=1)
+        rows = np.arange(len(live))
+        d = key[rows, v]
+        done = v == target
+        if done.any():
+            X[live[done]] = d[done]
+            pred_out[live[done]] = pred[done]
+            keep = ~done
+            live, v, d = live[keep], v[keep], d[keep]
+            key, unsettled, pred = key[keep], unsettled[keep], pred[keep]
+            rows = rows[:len(live)]
+        key[rows, v] = np.inf
+        unsettled[rows, v] = False
+        cand = flat[live[:, None] * m + column[v]]
+        cand += d[:, None]
+        better = cand < key
+        better &= unsettled
+        better &= adjacent[v]
+        np.copyto(key, cand, where=better)
+        np.copyto(pred, v[:, None], where=better)
+    # at source a run steps to itself, and the diagonal of table is the pad id
+    rows = np.arange(k)
+    cur = np.full(k, target, dtype=np.intp)
+    edges = []
+    while np.any(cur != source):
+        p = pred_out[rows, cur]
+        edges.append(table[p, cur])
+        cur = p
+    return X, np.column_stack(edges)
+
 
 @dataclass
 class FppBatch:
@@ -86,38 +195,18 @@ class FppBatch:
 
 def sample_fpp_batch(g: WeightedGraph, source: int, target: int, runs: int,
                      seed) -> FppBatch:
-    """``runs`` independent FPP realizations, run i on the i-th substream of
-    ``seed`` (:func:`fpplab.stats.spawn_seeds`).  Each run refills one CSR
-    matrix with its traversal times, runs scipy's Dijkstra from ``source``
-    and walks the predecessors back from ``target`` for Xi and the path
-    length."""
-    rows = np.fromiter((u for u, _ in g.edges), dtype=np.int32, count=g.m)
-    cols = np.fromiter((v for _, v in g.edges), dtype=np.int32, count=g.m)
-    # tag each stored entry with its position in [xi, xi] so refills are a gather
-    csr = csr_matrix(
-        (np.arange(2 * g.m, dtype=np.float64) + 1.0,
-         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(g.n, g.n),
-    )
-    perm = (csr.data - 1.0).astype(np.intp)
-    X = np.empty(runs)
-    Xi = np.empty(runs)
-    path_len = np.empty(runs, dtype=np.int64)
-    for i, child in enumerate(spawn_seeds(seed, runs)):
-        xi = sample_traversal(g, np.random.default_rng(child))
-        csr.data = np.concatenate([xi, xi])[perm]
-        dist, pred = _csgraph_dijkstra(csr, directed=True, indices=source,
-                                       return_predecessors=True)
-        best = 0.0
-        n_edges = 0
-        v = target
-        while v != source:
-            p = int(pred[v])
-            best = max(best, float(xi[g.edge_index(p, v)]))
-            n_edges += 1
-            v = p
-        X[i], Xi[i], path_len[i] = float(dist[target]), best, n_edges
-    return FppBatch(X=X, Xi=Xi, path_len=path_len)
+    """``runs`` independent FPP realizations on the block streams of
+    ``seed`` (see the module docstring), one lock-step Dijkstra per block."""
+    table = _edge_table(g)
+    batch = FppBatch(X=np.empty(runs), Xi=np.empty(runs),
+                     path_len=np.empty(runs, dtype=np.int64))
+    for rng, part in _blocks(seed, runs, g.m):
+        xi = sample_traversal(g, rng, part.stop - part.start)
+        batch.X[part], edges = _lockstep_dijkstra(table, xi, source, target)
+        batch.Xi[part] = _along_path(xi, edges).max(axis=1)
+        batch.path_len[part] = (edges != g.m).sum(axis=1)
+        del xi  # let the next block reuse this one's memory
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -190,47 +279,53 @@ def prop4_check(sol: ExactSolution, g: WeightedGraph) -> Prop4Report:
 # Resampling coupling: redraw the traversal times falling in [a, b]
 
 @dataclass
-class CouplingSample:
-    a: float
-    b: float
-    xi: np.ndarray
-    xi_prime: np.ndarray
-    D_ab: tuple[int, ...]  # edges of the minimizing path with xi in [a, b]
-    X: float
-    X_prime: float
-
-    def increment_bound(self) -> float:
-        """Right side of the pathwise bound X' - X <= sum over D_ab of
-        (xi' - xi)."""
-        return float(sum(self.xi_prime[e] - self.xi[e] for e in self.D_ab))
+class CouplingBatch:
+    X: np.ndarray
+    X_prime: np.ndarray
+    # per run, the right side of the pathwise bound X' - X <= sum over D_ab
+    # of (xi' - xi), D_ab the base path's edges with xi in [a, b]
+    increment_bound: np.ndarray
 
 
-def conditioned_exponential(w: float, a: float, b: float, u: float) -> float:
+def conditioned_exponential(w, a: float, b: float, u):
     """Inverse-CDF draw of Exponential(w) conditioned to [a, b]; exact, no
-    rejection loop."""
-    sa = math.exp(-w * a)
-    sb = math.exp(-w * b)
-    return -math.log(sa - u * (sa - sb)) / w
+    rejection loop.  Elementwise over arrays ``w`` and ``u``."""
+    sa = np.exp(-w * a)
+    sb = np.exp(-w * b)
+    return -np.log(sa - u * (sa - sb)) / w
 
 
-def coupled_resample(g: WeightedGraph, xi: np.ndarray, a: float, b: float,
-                     rng: np.random.Generator, source: int = 0,
-                     target: int | None = None) -> CouplingSample:
-    """Couple xi with a copy xi' that agrees off [a, b] and redraws the
-    times in [a, b] from the conditioned exponential law."""
+def coupled_resample(g: WeightedGraph, u: np.ndarray, a: float, b: float,
+                     source: int, target: int):
+    """Couple a block of traversal times xi with copies xi' that agree off
+    [a, b] and redraw the times in [a, b] from the conditioned exponential
+    law.  ``u`` is a ``(k, 2, m)`` block of uniforms: ``u[:, 0]`` gives xi,
+    ``u[:, 1]`` the redraws.  Returns xi, xi' and the runs' CouplingBatch."""
     if not (0 < a < b):
         raise ValueError("need 0 < a < b")
-    if target is None:
-        target = g.n - 1
-    xi_prime = np.array(xi, dtype=float)
-    for e in range(g.m):
-        if a <= xi[e] <= b:
-            xi_prime[e] = conditioned_exponential(g.weights[e], a, b, rng.random())
-    base = shortest_path(g, xi, source, target)
-    re = shortest_path(g, xi_prime, source, target)
-    d_ab = tuple(e for e in base.path_edges if a <= xi[e] <= b)
-    return CouplingSample(a=a, b=b, xi=np.asarray(xi, dtype=float), xi_prime=xi_prime,
-                          D_ab=d_ab, X=base.X, X_prime=re.X)
+    w = g.weight_array()
+    xi = traversal_from_uniform(u[:, 0], w)
+    inside = (a <= xi) & (xi <= b)
+    xi_prime = np.where(inside, conditioned_exponential(w, a, b, u[:, 1]), xi)
+    table = _edge_table(g)
+    X, edges = _lockstep_dijkstra(table, xi, source, target)
+    X_prime, _ = _lockstep_dijkstra(table, xi_prime, source, target)
+    increment = _along_path(np.where(inside, xi_prime - xi, 0.0), edges).sum(axis=1)
+    return xi, xi_prime, CouplingBatch(X=X, X_prime=X_prime, increment_bound=increment)
+
+
+def sample_coupling_batch(g: WeightedGraph, source: int, target: int, runs: int,
+                          seed, a: float, b: float) -> CouplingBatch:
+    """``runs`` coupled pairs on the block streams of ``seed``: block j draws
+    ``random((k, 2, m))`` for :func:`coupled_resample`."""
+    batch = CouplingBatch(X=np.empty(runs), X_prime=np.empty(runs),
+                          increment_bound=np.empty(runs))
+    for rng, part in _blocks(seed, runs, g.m):
+        u = rng.random((part.stop - part.start, 2, g.m))
+        _, _, block = coupled_resample(g, u, a, b, source, target)
+        batch.X[part], batch.X_prime[part] = block.X, block.X_prime
+        batch.increment_bound[part] = block.increment_bound
+    return batch
 
 
 def submultiplicativity_probe(samples: np.ndarray, y1: float, y2: float) -> dict:

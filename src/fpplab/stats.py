@@ -22,8 +22,9 @@ BAND_SIGMAS = 3.0  # verdict band half-width, in jackknife standard errors
 def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
     """The n independent child seeds of ``seed`` (an int, an entropy list or
     a SeedSequence): Monte Carlo run i draws from
-    ``default_rng(SeedSequence(seed).spawn(runs)[i])``, so every result is
-    fixed by (seed, run index)."""
+    ``default_rng(SeedSequence(seed).spawn(runs)[i])``, and block j of the
+    FPP samplers from ``spawn(n_blocks)[j]``, so every result is fixed by
+    (seed, run index)."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return ss.spawn(n)
 

@@ -286,10 +286,15 @@ def test_prop2_inconclusive_report_shows_in_status(tmp_path, monkeypatch):
     assert check["result"]["inconclusive"] is True
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only a_k needs the optimizer; every CLI start would pay its import
-    code = "import sys, fpplab.cli; print('scipy.optimize' in sys.modules)"
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # only a_k needs scipy (its optimizer); importing the CLI and running
+    # FPP scenarios, Monte Carlo checks included, loads no scipy module
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    paths = [str(scenarios / name) for name in ("fpp_bridge.json", "fpp_grid.json")]
+    code = ("import sys\nfrom fpplab.cli import run_scenario\n"
+            f"codes = [run_scenario(p, out_dir=f'{tmp_path}/{{i}}') for i, p in enumerate({paths!r})]\n"
+            "print(codes, [m for m in sys.modules if m.startswith('scipy')])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"

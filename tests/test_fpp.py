@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpplab.fpp import (
+    _block_runs,
     conditioned_exponential,
     coupled_resample,
     fpp_chain_spec,
     prop4_check,
+    sample_coupling_batch,
     sample_fpp_batch,
     sample_traversal,
     shortest_path,
@@ -49,11 +51,35 @@ def test_traversal_from_uniform():
 
 def test_sample_traversal_positive_and_right_law():
     g = complete_graph(4)
-    rng = np.random.default_rng(0)
-    xs = np.array([sample_traversal(g, rng) for _ in range(4000)])
+    xs = sample_traversal(g, np.random.default_rng(0), 4000)
+    assert xs.shape == (4000, g.m)
     assert np.all(xs > 0)
     # unit-rate edges: mean 1 within MC noise
     assert abs(xs.mean() - 1.0) < 0.05
+
+
+def test_block_draws_are_prefix_stable_and_positive():
+    # a block of k rows is the first k rows of a longer block from the same
+    # generator, so drawing only the rows a batch needs changes no run
+    g = complete_graph(5)
+    short = sample_traversal(g, np.random.default_rng(4), 3)
+    full = sample_traversal(g, np.random.default_rng(4), 10)
+    assert np.array_equal(short, full[:3])
+    # u == 0 reads as the smallest positive double: finite, positive, no redraw
+    xi = traversal_from_uniform(np.array([0.0, 0.5]), 2.0)
+    assert np.all(np.isfinite(xi)) and np.all(xi > 0)
+    assert xi[0] == -math.log(5e-324) / 2.0
+
+
+def test_block_size_rule():
+    # B is the largest power of two up to 1024 with B * m <= 2**20
+    assert _block_runs(complete_graph(256).m) == 32
+    assert _block_runs(complete_graph(64).m) == 512
+    assert _block_runs(7) == 1024
+    for m in (1, 7, 1024, 1025, 2016, 32640, 2**19, 2**20):
+        b = _block_runs(m)
+        assert b & (b - 1) == 0 and b <= 1024
+        assert b * m <= 2**20 and (b == 1024 or 2 * b * m > 2**20)
 
 
 @settings(max_examples=40, deadline=None)
@@ -62,7 +88,7 @@ def test_shortest_path_is_optimal(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 7))
     g = random_gnp_graph(n, 0.6, (0.5, 2.0), rng)
-    xi = sample_traversal(g, rng)
+    xi = sample_traversal(g, rng, 1)[0]
     res = shortest_path(g, xi, 0, n - 1)
     paths = all_simple_paths(g, 0, n - 1)
     best = min(path_cost(g, xi, p) for p in paths)
@@ -87,8 +113,10 @@ def test_batch_sampler_matches_reference_dijkstra():
         n = int(rng.integers(3, 8))
         g = random_gnp_graph(n, 0.6, (0.5, 2.0), rng)
         batch = sample_fpp_batch(g, 0, n - 1, 3, seed=trial)
-        for i, child in enumerate(np.random.SeedSequence(trial).spawn(3)):
-            xi = sample_traversal(g, np.random.default_rng(child))
+        # three runs fit one block: rows 0..2 of the block drawn from child 0
+        block = np.random.SeedSequence(trial).spawn(1)[0]
+        xis = sample_traversal(g, np.random.default_rng(block), 3)
+        for i, xi in enumerate(xis):
             ref = shortest_path(g, xi, 0, n - 1)
             assert abs(batch.X[i] - ref.X) < 1e-9
             # exponential ties have probability zero, so Xi and the path agree too
@@ -98,14 +126,38 @@ def test_batch_sampler_matches_reference_dijkstra():
 
 def test_sample_fpp_batch_thread_determinism():
     # run i depends on (seed, i) alone: repeating a batch, or cutting it
-    # short, changes none of the runs it shares with another batch
+    # short, changes none of the runs it shares with another batch, also
+    # when the shorter batch ends a few runs into its second block
     g = complete_graph(5)
+    B = _block_runs(g.m)
     b200 = sample_fpp_batch(g, 0, 4, 200, seed=9)
     again = sample_fpp_batch(g, 0, 4, 200, seed=9)
     b60 = sample_fpp_batch(g, 0, 4, 60, seed=9)
+    cross = sample_fpp_batch(g, 0, 4, B + 3, seed=9)
+    longer = sample_fpp_batch(g, 0, 4, 2 * B + 5, seed=9)
     for name in ("X", "Xi", "path_len"):
         assert np.array_equal(getattr(b200, name), getattr(again, name))
         assert np.array_equal(getattr(b200, name)[:60], getattr(b60, name))
+        assert np.array_equal(getattr(cross, name)[:200], getattr(b200, name))
+        assert np.array_equal(getattr(longer, name)[:B + 3], getattr(cross, name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.sampled_from([0.3, 0.6, 1.0]),
+       st.integers(0, 10**6), st.integers(1, 40), st.data())
+def test_lockstep_kernel_matches_shortest_path(n, p, seed, runs, data):
+    # one block of rows against the pure-Python oracle on the same rows;
+    # exponential ties have probability zero, so the paths agree exactly
+    g = random_gnp_graph(n, p, (0.5, 2.0), np.random.default_rng(seed))
+    s = data.draw(st.integers(0, n - 1))
+    t = data.draw(st.integers(0, n - 1).filter(lambda v: v != s))
+    batch = sample_fpp_batch(g, s, t, runs, seed)
+    block = np.random.SeedSequence(seed).spawn(1)[0]
+    for i, xi in enumerate(sample_traversal(g, np.random.default_rng(block), runs)):
+        ref = shortest_path(g, xi, s, t)
+        assert abs(batch.X[i] - ref.X) <= 1e-12 * ref.X
+        assert batch.Xi[i] == ref.Xi
+        assert batch.path_len[i] == len(ref.path_edges)
 
 
 def test_fpp_chain_capacity_and_args():
@@ -150,24 +202,45 @@ def test_conditioned_exponential_ks():
 
 def test_coupled_resample_pathwise_bound():
     g = complete_graph(4)
-    rng = np.random.default_rng(2)
-    for _ in range(300):
-        xi = sample_traversal(g, rng)
-        cs = coupled_resample(g, xi, 0.2, 1.5, rng)
-        # agreement off the window, support inside it
-        for e in range(g.m):
-            if 0.2 <= xi[e] <= 1.5:
-                assert 0.2 - 1e-12 <= cs.xi_prime[e] <= 1.5 + 1e-12
-            else:
-                assert cs.xi_prime[e] == xi[e]
-        assert cs.X_prime - cs.X <= cs.increment_bound() + 1e-9
+    a, b = 0.2, 1.5
+    u = np.random.default_rng(2).random((300, 2, g.m))
+    xi, xi_prime, cs = coupled_resample(g, u, a, b, 0, g.n - 1)
+    assert np.array_equal(xi, traversal_from_uniform(u[:, 0], g.weight_array()))
+    # agreement off the window, support inside it
+    inside = (a <= xi) & (xi <= b)
+    assert np.all((a - 1e-12 <= xi_prime[inside]) & (xi_prime[inside] <= b + 1e-12))
+    assert np.array_equal(xi_prime[~inside], xi[~inside])
+    assert np.all(cs.X_prime - cs.X <= cs.increment_bound + 1e-9)
+    # X, X' and the increment over D_ab agree with the oracle, run by run
+    for i in range(len(u)):
+        base = shortest_path(g, xi[i], 0, g.n - 1)
+        assert cs.X[i] == base.X
+        assert cs.X_prime[i] == shortest_path(g, xi_prime[i], 0, g.n - 1).X
+        d_ab = [e for e in base.path_edges if inside[i, e]]
+        assert cs.increment_bound[i] == pytest.approx(
+            sum(xi_prime[i, e] - xi[i, e] for e in d_ab), abs=1e-12)
 
 
 def test_coupled_resample_validates_interval():
     g = complete_graph(3)
-    xi = np.ones(g.m)
-    with pytest.raises(ValueError):
-        coupled_resample(g, xi, 1.0, 0.5, np.random.default_rng(0))
+    u = np.full((1, 2, g.m), 0.5)
+    for a, b in ((1.0, 0.5), (0.0, 1.0), (-1.0, 1.0), (0.5, 0.5)):
+        with pytest.raises(ValueError):
+            coupled_resample(g, u, a, b, 0, 1)
+
+
+def test_sample_coupling_batch_block_streams():
+    # block j draws random((k, 2, m)) from child j; run i is row i % B of it
+    g = complete_graph(4)
+    B = _block_runs(g.m)
+    batch = sample_coupling_batch(g, 0, 3, B + 3, 5, 0.2, 1.5)
+    for j, child in enumerate(np.random.SeedSequence(5).spawn(2)):
+        u = np.random.default_rng(child).random((B, 2, g.m))
+        _, _, cs = coupled_resample(g, u, 0.2, 1.5, 0, 3)
+        rows = slice(j * B, min(B + 3, (j + 1) * B))
+        k = rows.stop - rows.start
+        for name in ("X", "X_prime", "increment_bound"):
+            assert np.array_equal(getattr(batch, name)[rows], getattr(cs, name)[:k])
 
 
 def test_submultiplicativity_probe_reporting():

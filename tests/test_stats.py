@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpplab.fpp import sample_fpp_batch, sample_traversal, shortest_path
+from fpplab.fpp import _block_runs, sample_fpp_batch, sample_traversal, shortest_path
 from fpplab.graphs import complete_graph
 from fpplab.multigraph import sample_stopping_times, simulate_arrivals, stopping_times
 from fpplab import stats
@@ -191,8 +191,10 @@ def test_spawn_seeds_gives_run_i_its_own_stream():
     children = np.random.SeedSequence(seed).spawn(runs)
     assert [c.spawn_key for c in spawn_seeds(seed, runs)] == [c.spawn_key for c in children]
     g = complete_graph(5)
-    batch = sample_fpp_batch(g, 0, 4, runs, seed)
-    same = sample_fpp_batch(g, 0, 4, runs, np.random.SeedSequence(seed))
+    B = _block_runs(g.m)
+    fpp_runs = B + 3  # the FPP samplers draw in blocks of B runs; cross one boundary
+    batch = sample_fpp_batch(g, 0, 4, fpp_runs, seed)
+    same = sample_fpp_batch(g, 0, 4, fpp_runs, np.random.SeedSequence(seed))
     for name in ("X", "Xi", "path_len"):
         assert np.array_equal(getattr(batch, name), getattr(same, name))
     k4 = complete_graph(4)
@@ -201,11 +203,17 @@ def test_spawn_seeds_gives_run_i_its_own_stream():
                                  kinds=("span",))["span"][1]
     assert np.array_equal(span, same)
     horizon0 = 4.0 / sum(k4.weights)  # the sampler's first arrival window at k = 1
-    # run i is a function of default_rng(SeedSequence(seed).spawn(runs)[i]) alone
-    for i, child in enumerate(children):
-        ref = shortest_path(g, sample_traversal(g, np.random.default_rng(child)), 0, 4)
+    # FPP run i is row i % B of block i // B, the block drawn from
+    # default_rng(SeedSequence(seed).spawn(n_blocks)[i // B])
+    blocks = [sample_traversal(g, np.random.default_rng(c), B)
+              for c in np.random.SeedSequence(seed).spawn(2)]
+    for i in range(fpp_runs):
+        ref = shortest_path(g, blocks[i // B][i % B], 0, 4)
         assert batch.Xi[i] == ref.Xi and batch.path_len[i] == len(ref.path_edges)
         assert abs(batch.X[i] - ref.X) < 1e-12
+    # every other sampler: run i is a function of
+    # default_rng(SeedSequence(seed).spawn(runs)[i]) alone
+    for i, child in enumerate(children):
         traj = simulate_arrivals(k4, horizon0, np.random.default_rng(child))
         assert span[i] == stopping_times(traj, [1], kinds=("span",))["span"][1]
 
