@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +100,24 @@ class WeightedGraph:
         """The edge rates as one read-only float array, built once."""
         return self._weights
 
+    @cached_property
+    def triangles(self) -> tuple[tuple[int, int, int], ...]:
+        """Edge-id triples ``(uv, vw, uw)`` of the triangles u < v < w, in
+        lexicographic order; built on first use, then kept."""
+        edge_of = self._edge_of
+        out = []
+        for u in range(self.n):
+            for v in range(u + 1, self.n):
+                euv = edge_of.get((u, v))
+                if euv is None:
+                    continue
+                for w in range(v + 1, self.n):
+                    evw = edge_of.get((v, w))
+                    euw = edge_of.get((u, w))
+                    if evw is not None and euw is not None:
+                        out.append((euv, evw, euw))
+        return tuple(out)
+
     def to_edge_list(self) -> str:
         lines = []
         for (u, v), w in zip(self.edges, self.weights):
@@ -116,7 +135,7 @@ class Multigraph:
     def __post_init__(self):
         if len(self.multiplicity) != self.base.m:
             raise ValueError("multiplicity length must match base edge count")
-        if any(c < 0 for c in self.multiplicity):
+        if self.multiplicity and min(self.multiplicity) < 0:
             raise ValueError("multiplicities must be nonnegative")
 
     @property

@@ -4,7 +4,9 @@ The growth process is Richardson's lattice growth on Z^2: a connected
 cluster grows from the origin, frontier sites fire at state-dependent rates
 bounded between c_lo and c_hi and nondecreasing in the cluster.  The
 frontier of a finite cluster is finite, so a run follows the process on the
-whole lattice until the cluster meets the target set.
+whole lattice until the cluster meets the target set.  A rate is local: it
+depends on the cluster only through the site's four lattice neighbours, so
+after each arrival only the new site's neighbours are re-rated.
 
 The coverage process draws IID uniform vertices of a graph until every
 vertex is in the closed neighborhood of the drawn set.
@@ -13,7 +15,9 @@ vertex is in the closed neighborhood of the drawn set.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -84,6 +88,10 @@ class RateMonotonicityError(ValueError):
 
 @dataclass
 class GrowthConfig:
+    """Growth towards ``target`` with frontier rates ``rate_fn(S, v)`` in
+    [c_lo, c_hi], nondecreasing in the cluster S and local: ``rate_fn(S, v)``
+    depends on S only through the four lattice neighbours of v."""
+
     target: frozenset[Site]
     rate_fn: Callable[[set, Site], float] = field(repr=False)
     c_lo: float = 1.0
@@ -101,8 +109,10 @@ class GrowthConfig:
 
 
 def validate_rate_monotone(rate_fn, rng: np.random.Generator, trials: int = 200) -> None:
-    """Sampled check of the growth condition: adding a site to the cluster
-    never lowers any frontier rate.  Raises on a violation."""
+    """Sampled check of the growth condition and the locality contract:
+    adding a site to the cluster never lowers any frontier rate, and adding
+    a site that is not a lattice neighbour of v leaves the rate at v
+    unchanged.  Raises on a violation."""
     for _ in range(trials):
         cluster = {(0, 0)}
         for _ in range(int(rng.integers(0, 8))):
@@ -117,6 +127,12 @@ def validate_rate_monotone(rate_fn, rng: np.random.Generator, trials: int = 200)
             raise RateMonotonicityError(
                 f"rate at {v} dropped from {before} to {after} when adding {v2}"
             )
+        far = [w for w in frontier if abs(w[0] - v[0]) + abs(w[1] - v[1]) > 1]
+        if far:
+            w = far[int(rng.integers(len(far)))]
+            if rate_fn(cluster | {w}, v) != before:
+                raise ValueError(f"rate at {v} changed when adding {w}, "
+                                 f"which is not one of its lattice neighbours")
 
 
 def _frontier(cluster: set) -> list:
@@ -129,30 +145,45 @@ def _frontier(cluster: set) -> list:
     return sorted(out)
 
 
+def _checked_rate(cfg: GrowthConfig, cluster: set, v: Site) -> float:
+    r = cfg.rate_fn(cluster, v)
+    if not (cfg.c_lo - 1e-12 <= r <= cfg.c_hi + 1e-12):
+        raise ValueError(f"rate {r} escapes the stated bounds [{cfg.c_lo}, {cfg.c_hi}]")
+    return r
+
+
 def growth_hitting_time(cfg: GrowthConfig, rng: np.random.Generator) -> float:
     """Event-driven simulation on Z^2; returns the time at which the
-    cluster first meets the target set."""
+    cluster first meets the target set.
+
+    The frontier is kept sorted with its rates alongside; by locality an
+    arrival changes only the rates of the new site's lattice neighbours."""
     cluster = {(0, 0)}
+    frontier = _frontier(cluster)
+    rates = [_checked_rate(cfg, cluster, v) for v in frontier]
     t = 0.0
     while True:
-        frontier = _frontier(cluster)
-        rates = [cfg.rate_fn(cluster, v) for v in frontier]
-        for r in rates:
-            if not (cfg.c_lo - 1e-12 <= r <= cfg.c_hi + 1e-12):
-                raise ValueError(f"rate {r} escapes the stated bounds [{cfg.c_lo}, {cfg.c_hi}]")
         total = sum(rates)
         t += rng.exponential(1.0 / total)
         pick = rng.random() * total
-        acc = 0.0
-        chosen = frontier[-1]
-        for v, r in zip(frontier, rates):
-            acc += r
-            if pick < acc:
-                chosen = v
-                break
+        i = min(bisect_right(list(accumulate(rates)), pick), len(frontier) - 1)
+        chosen = frontier.pop(i)
+        del rates[i]
         cluster.add(chosen)
         if chosen in cfg.target:
             return t
+        x, y = chosen
+        for dx, dy in _NBRS:
+            v = (x + dx, y + dy)
+            if v in cluster:
+                continue
+            r = _checked_rate(cfg, cluster, v)
+            j = bisect_left(frontier, v)
+            if j < len(frontier) and frontier[j] == v:
+                rates[j] = r
+            else:
+                frontier.insert(j, v)
+                rates.insert(j, r)
 
 
 @dataclass

@@ -52,14 +52,17 @@ def _arrival_block(g: WeightedGraph, t_end: float, rng: np.random.Generator,
     Returns (times <= t_end, edges, first arrival beyond t_end)."""
     w = g.weight_array()
     total = float(w.sum())
-    probs = w / total
     times = []
     t = pending
     while t <= t_end:
         times.append(t)
         t += rng.exponential(1.0 / total)
     k = len(times)
-    edges = rng.choice(g.m, size=k, p=probs) if k else np.empty(0, dtype=np.int64)
+    # numpy's own Generator.choice(m, size=k, p=w/total) path, minus its
+    # per-call validation of p: the same indices and the same stream after
+    cdf = (w / total).cumsum()
+    cdf /= cdf[-1]
+    edges = cdf.searchsorted(rng.random(k), side="right")
     return np.asarray(times), np.asarray(edges, dtype=np.int64), t
 
 
@@ -244,26 +247,14 @@ def max_triangle_packing(m: Multigraph, budget: int = BNB_BUDGET,
     """Maximum number of edge-disjoint triangles; the N_e copies of each
     edge count as disjoint edges.
 
-    Branch and bound over the candidate vertex triples with a greedy lower
+    Branch and bound over the base graph's triangles whose three edges all
+    have copies (:attr:`WeightedGraph.triangles`), with a greedy lower
     bound.  If the node budget runs out, returns an uncertified
     (lower, upper) range; with ``stop_at`` the search exits as soon as the
     lower bound reaches the target.
     """
-    g = m.base
     mult = list(m.multiplicity)
-    triples = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            euv = g.edge_index(u, v)
-            if euv is None or mult[euv] == 0:
-                continue
-            for w in range(v + 1, g.n):
-                evw = g.edge_index(v, w)
-                euw = g.edge_index(u, w)
-                if evw is None or euw is None:
-                    continue
-                if mult[evw] and mult[euw]:
-                    triples.append((euv, evw, euw))
+    triples = [t for t in m.base.triangles if mult[t[0]] and mult[t[1]] and mult[t[2]]]
     if not triples:
         return PackingCount(0, 0)
 

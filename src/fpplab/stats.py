@@ -24,9 +24,11 @@ def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
     a SeedSequence): Monte Carlo run i draws from
     ``default_rng(SeedSequence(seed).spawn(runs)[i])``, and block j of the
     FPP samplers from ``spawn(n_blocks)[j]``, so every result is fixed by
-    (seed, run index)."""
+    (seed, run index).  A given SeedSequence is not advanced: the children
+    are spawned from a fresh copy, so passing it twice gives the same runs."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return ss.spawn(n)
+    return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key,
+                                  pool_size=ss.pool_size).spawn(n)
 
 
 @dataclass

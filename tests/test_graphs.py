@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -82,6 +83,18 @@ def test_weight_array_is_built_once_and_read_only():
     assert np.array_equal(w, g.weights)
     with pytest.raises(ValueError):
         w[0] = 5.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_triangles_match_brute_force_and_are_built_once(seed):
+    rng = np.random.default_rng(seed)
+    g = random_gnp_graph(int(rng.integers(3, 10)), 0.6, (0.5, 2.0), rng)
+    assert "triangles" not in vars(g)  # construction does not enumerate them
+    brute = [(g.edge_index(u, v), g.edge_index(v, w), g.edge_index(u, w))
+             for u, v, w in itertools.combinations(range(g.n), 3)
+             if None not in (g.edge_index(u, v), g.edge_index(v, w), g.edge_index(u, w))]
+    assert list(g.triangles) == brute
+    assert g.triangles is g.triangles
 
 
 @st.composite

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_growth
 from fpplab import cli
 from fpplab.chain import ChainSpec, continuize, solve_discrete, solve_hitting
 from fpplab.graphs import path_graph
 from fpplab.growth import (
+    RATE_BUILTINS,
     CoverageConfig,
     GrowthConfig,
     RateMonotonicityError,
@@ -22,6 +25,13 @@ from fpplab.growth import (
     _variance_inequality_report,
 )
 from fpplab.stats import SampleStats
+
+
+_BUILTIN_PARAMS = {
+    "constant": {"c": 1.3},
+    "site_weighted": {"c_lo": 0.5, "c_hi": 2.0},
+    "neighbor_count": {"base": 0.7},
+}
 
 
 def test_rate_builtins_respect_bounds():
@@ -43,6 +53,17 @@ def test_validate_rate_monotone_catches_decreasing():
 
     with pytest.raises(RateMonotonicityError):
         validate_rate_monotone(bad_rate, np.random.default_rng(2))
+
+
+def test_validate_rate_monotone_catches_nonlocal_rate():
+    def crowd_rate(S, v):
+        return min(1.0 + 0.01 * len(S), 2.0)  # monotone, but sees the whole cluster
+
+    with pytest.raises(ValueError, match="not one of its lattice neighbours") as err:
+        validate_rate_monotone(crowd_rate, np.random.default_rng(3))
+    assert not isinstance(err.value, RateMonotonicityError)
+    for kind, params in _BUILTIN_PARAMS.items():
+        validate_rate_monotone(RATE_BUILTINS[kind](**params)[0], np.random.default_rng(4))
 
 
 def test_growth_config_validation():
@@ -106,6 +127,35 @@ def test_growth_hitting_time_matches_exact_ring_chain(rate, exact_mean):
     stats = SampleStats.from_samples([growth_hitting_time(cfg, rng) for _ in range(20_000)])
     assert abs(stats.mean - sol.E_T) <= 4.0 * stats.mean_se
     assert abs(stats.variance - sol.var_T) <= 4.0 * stats.variance_se
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_BUILTIN_PARAMS)),
+       target=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+                       .filter(lambda v: 0 < abs(v[0]) + abs(v[1]) <= 6),
+                       min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_growth_hitting_time_matches_rebuild_every_step_reference(kind, target, seed):
+    cfg = GrowthConfig.builtin(target, kind, **_BUILTIN_PARAMS[kind])
+    fast = growth_hitting_time(cfg, np.random.default_rng(seed))
+    assert fast == reference_growth.growth_hitting_time(cfg, np.random.default_rng(seed))
+
+
+def test_growth_hitting_time_rates_only_the_new_sites_neighbours():
+    fn, c_lo, c_hi = constant_rate(1.0)
+    calls, seen = [0], []
+
+    def counting(S, v):
+        calls[0] += 1
+        seen.append(S)
+        return fn(S, v)
+
+    cfg = GrowthConfig(target=frozenset({(20, 0), (-20, 0), (0, 20), (0, -20)}),
+                       rate_fn=counting, c_lo=c_lo, c_hi=c_hi)
+    growth_hitting_time(cfg, np.random.default_rng(5))
+    cluster = seen[-1]  # the simulator's own cluster, as it stood at the hit
+    assert len(cluster) > 100
+    assert calls[0] <= 4 * len(cluster)
 
 
 def test_prop1_check_passes():

@@ -97,6 +97,39 @@ def test_arrival_stream_counts_and_order():
     assert abs(np.mean(ts) - 5.0) < 4.0 * math.sqrt(5.0 / 2000)
 
 
+def _choice_arrival_block(g, t_end, rng, pending):
+    """The arrival block as first written, with Generator.choice."""
+    w = g.weight_array()
+    total = float(w.sum())
+    times = []
+    t = pending
+    while t <= t_end:
+        times.append(t)
+        t += rng.exponential(1.0 / total)
+    k = len(times)
+    edges = rng.choice(g.m, size=k, p=w / total) if k else np.empty(0, dtype=np.int64)
+    return np.asarray(times), np.asarray(edges, dtype=np.int64), t
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_arrival_stream_matches_generator_choice(seed):
+    rng = np.random.default_rng(seed)
+    g = random_gnp_graph(int(rng.integers(2, 9)), 0.5, (0.1, 5.0), rng)
+    w_total = sum(g.weights)
+    for horizon in (0.01 / w_total, 1.0 / w_total, 20.0 / w_total):
+        ours = np.random.default_rng([seed, 1])
+        traj = simulate_arrivals(g, horizon, ours)
+        traj.extend(3.0 * horizon)
+        ref = np.random.default_rng([seed, 1])
+        first = ref.exponential(1.0 / w_total)
+        t1, e1, nxt = _choice_arrival_block(g, horizon, ref, first)
+        t2, e2, _ = _choice_arrival_block(g, 3.0 * horizon, ref, nxt)
+        assert np.array_equal(traj.times, np.concatenate([t1, t2]))
+        assert np.array_equal(traj.edge_ids, np.concatenate([e1, e2]))
+        assert traj.edge_ids.dtype == np.int64
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
 def test_extend_preserves_prefix_and_law():
     g = parse_edge_list("a b 1")
     counts = []

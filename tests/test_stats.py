@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fpplab.fpp import _block_runs, sample_fpp_batch, sample_traversal, shortest_path
 from fpplab.graphs import complete_graph
+from fpplab.growth import GrowthConfig, prop1_check
 from fpplab.multigraph import sample_stopping_times, simulate_arrivals, stopping_times
 from fpplab import stats
 from fpplab.stats import (
@@ -184,6 +185,20 @@ def test_theorem1_lower_on_single_edge():
 def test_trend_experiment_requires_five_members():
     with pytest.raises(ValueError):
         theorem1_trend_experiment([("a", 1, None, 0, 1)] * 4, 100, seed=0)
+
+
+def test_a_seed_sequence_passed_twice_gives_the_same_runs():
+    ss = np.random.SeedSequence(9)
+    g = complete_graph(5)
+    first, again = (sample_fpp_batch(g, 0, 4, 10, ss) for _ in range(2))
+    assert np.array_equal(first.X, again.X) and np.array_equal(first.Xi, again.Xi)
+    first, again = (sample_stopping_times(complete_graph(4), [1, 2], 6, ss) for _ in range(2))
+    for kind in first:
+        for k in first[kind]:
+            assert np.array_equal(first[kind][k], again[kind][k])
+    cfg = GrowthConfig.builtin([[1, 0], [0, 1]], "constant", c=1.0)
+    assert prop1_check(cfg, stats.MIN_RUNS, ss) == prop1_check(cfg, stats.MIN_RUNS, ss)
+    assert ss.n_children_spawned == 0
 
 
 def test_spawn_seeds_gives_run_i_its_own_stream():
