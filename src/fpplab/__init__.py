@@ -27,7 +27,6 @@ from .fpp import (
     sample_coupling_batch,
     sample_fpp_batch,
     sample_traversal,
-    shortest_path,
     submultiplicativity_probe,
 )
 from .multigraph import (

@@ -332,12 +332,9 @@ def _check_prop3(ctx, params):
 def _check_a_k(ctx, params):
     kmax = _integer(params.get("kmax", 100), "a_k kmax", 1)
     envelope = math.e / (math.e - 1.0)
-    values = []
-    ok = abs(a_k_eval(1) - 1.0) <= 1e-6
-    for k in range(1, kmax + 1):
-        a = a_k_eval(k)
-        values.append(a)
-        ok = ok and a <= envelope * k ** (-1.0 / 3.0) + 1e-12
+    values = [a_k_eval(k) for k in range(1, kmax + 1)]
+    ok = abs(values[0] - 1.0) <= 1e-6 and all(
+        a <= envelope * k ** (-1.0 / 3.0) + 1e-12 for k, a in enumerate(values, 1))
     return {"kmax": kmax, "a_1": values[0], "a_kmax": values[-1], "holds_envelope": ok}, ok
 
 

@@ -17,7 +17,6 @@ longer one.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -55,42 +54,9 @@ def sample_traversal(g: WeightedGraph, rng: np.random.Generator, runs: int) -> n
     return _traversal_in_place(rng.random((runs, g.m)), g.weight_array())
 
 
-@dataclass(frozen=True)
-class FppResult:
-    X: float
-    path: tuple[int, ...]        # vertex sequence v' .. v''
-    path_edges: tuple[int, ...]  # edge indices along the path
-    Xi: float
-
-
-def shortest_path(g: WeightedGraph, xi: np.ndarray, source: int, target: int) -> FppResult:
-    """Dijkstra under edge lengths ``xi`` with a deterministic tie-break:
-    among minimal-length paths, the lexicographically smallest vertex
-    sequence wins, so the minimizing path (hence Xi) is a function of xi.
-    One run at a time, in pure Python: the oracle for the block kernel."""
-    if source == target:
-        raise ValueError("source and target must differ")
-    settled = set()
-    heap = [(0.0, (source,))]
-    while heap:
-        dist, path = heapq.heappop(heap)
-        v = path[-1]
-        if v in settled:
-            continue
-        settled.add(v)
-        if v == target:
-            edges = tuple(g.edge_index(path[i], path[i + 1]) for i in range(len(path) - 1))
-            return FppResult(X=dist, path=path, path_edges=edges,
-                            Xi=max(float(xi[e]) for e in edges))
-        for u, e in g.neighbors(v):
-            if u not in settled:
-                heapq.heappush(heap, (dist + float(xi[e]), path + (u,)))
-    raise RuntimeError("target unreachable; connected graphs cannot get here")
-
-
 # ---------------------------------------------------------------------------
-# Lock-step Dijkstra over a block of runs (cross-checked in tests against
-# shortest_path above)
+# Lock-step Dijkstra over a block of runs (cross-checked in the tests against
+# a one-run-at-a-time pure-Python Dijkstra)
 
 def _block_runs(m: int) -> int:
     """B: the largest power of two up to 1024 with B * m <= 2**20."""
@@ -133,8 +99,7 @@ def _lockstep_dijkstra(table: np.ndarray, xi: np.ndarray, source: int,
     walked back with every run in step.  Returns X (k,) and the path edges
     (k, L), target first, each row padded by the pad id once its run
     reaches ``source``.  Exact ties (probability zero under continuous
-    times) go to the lowest vertex index, not to :func:`shortest_path`'s
-    lexicographic rule.
+    times) go to the lowest vertex index.
     """
     if source == target:
         raise ValueError("source and target must differ")

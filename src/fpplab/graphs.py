@@ -6,6 +6,7 @@ positive edge rates.  Graphs are immutable after construction.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,7 +21,7 @@ class GraphParseError(ValueError):
 
 
 class GraphValidationError(ValueError):
-    """Structurally invalid graph (disconnected, self-loop, nonpositive weight)."""
+    """Structurally invalid graph (disconnected, self-loop, weight not positive and finite)."""
 
 
 class CapacityError(RuntimeError):
@@ -53,8 +54,8 @@ class WeightedGraph:
                 raise GraphValidationError(f"edge index pair out of range: {(u, v)}")
             if (u, v) in edge_of:
                 raise GraphParseError(f"duplicate edge {self.vertices[u]!r}-{self.vertices[v]!r}")
-            if not (w > 0):
-                raise GraphValidationError(f"nonpositive weight {w} on edge {(u, v)}")
+            if not (0 < w < math.inf):
+                raise GraphValidationError(f"weight {w} on edge {(u, v)} is not positive and finite")
             edge_of[(u, v)] = edge_of[(v, u)] = i
             adj[u].append((v, i))
             adj[v].append((u, i))
@@ -294,8 +295,8 @@ def random_gnp_graph(n: int, p: float, weight_range: tuple[float, float],
     """Connected G(n,p) with uniform weights in ``weight_range`` (resamples
     until connected)."""
     lo, hi = weight_range
-    if not (0 < lo <= hi):
-        raise ValueError("weight range must be positive")
+    if not (0 < lo <= hi < math.inf):
+        raise ValueError("weight range must be positive and finite")
     names = tuple(f"v{i}" for i in range(n))
     for _ in range(1000):
         edges = []

@@ -188,44 +188,6 @@ def max_spanning_tree_packing(m: Multigraph) -> int:
     return k
 
 
-def spanning_tree_packing_by_partition(m: Multigraph) -> int:
-    """Independent oracle: the min over vertex partitions P of
-    floor(crossing-edge count / (|P| - 1)), enumerated exhaustively.
-    Exact for any multigraph by the tree-packing theorem; usable for small
-    vertex counts only."""
-    n = m.base.n
-    if n <= 1:
-        return 0
-    best = None
-    for labels in _set_partitions(n):
-        parts = max(labels) + 1
-        if parts < 2:
-            continue
-        crossing = 0
-        for e, count in enumerate(m.multiplicity):
-            u, v = m.base.edges[e]
-            if labels[u] != labels[v]:
-                crossing += count
-        value = crossing // (parts - 1)
-        best = value if best is None else min(best, value)
-    return best
-
-
-def _set_partitions(n: int):
-    """All set partitions of range(n) as restricted-growth label lists."""
-    labels = [0] * n
-
-    def rec(i: int, maxl: int):
-        if i == n:
-            yield list(labels)
-            return
-        for lab in range(maxl + 2):
-            labels[i] = lab
-            yield from rec(i + 1, max(maxl, lab))
-
-    yield from rec(1, 0)
-
-
 # ---------------------------------------------------------------------------
 # Triangle packing (branch and bound)
 
@@ -371,14 +333,16 @@ def stopping_times(traj: MultigraphTrajectory, ks: list[int],
 # ---------------------------------------------------------------------------
 # a(k) and the Proposition 2 bounds
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def a_k_eval(k: int) -> float:
-    """inf over q in (0,1] of q / (1 - (1-q^3)^k), refined to ~1e-10.
+    """inf over q in (0,1] of q / (1 - (1-q^3)^k), by golden-section search
+    on [1e-6, 1] down to a 1e-12 bracket.
 
     a(1) = 1 (boundary infimum of q^-2); for large k the minimizer is near
     k^(-1/3).
     """
-    from scipy.optimize import minimize_scalar
-
     if k < 1:
         raise ValueError("k must be >= 1")
 
@@ -386,9 +350,19 @@ def a_k_eval(k: int) -> float:
         denom = -math.expm1(k * math.log1p(-q**3)) if q < 1.0 else 1.0
         return q / denom
 
-    res = minimize_scalar(f, bounds=(1e-6, 1.0), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(min(res.fun, f(1.0)))
+    lo, hi = 1e-6, 1.0
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > 1e-12:
+        if fc < fd:  # the minimum lies in [lo, d]
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:        # the minimum lies in [c, hi]
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+    return min(fc, fd, f(1.0))
 
 
 SPAN_BOUND = lambda k: k ** -0.5

@@ -85,14 +85,6 @@ def _jack_se(loo_values: np.ndarray) -> float:
     return float(math.sqrt((n - 1) / n * float(((loo_values - center) ** 2).sum())))
 
 
-def jackknife_se(samples, estimator) -> float:
-    """Generic leave-one-out jackknife standard error of ``estimator``."""
-    x = np.asarray(samples, dtype=float)
-    n = len(x)
-    loo = np.array([estimator(np.delete(x, i)) for i in range(n)])
-    return _jack_se(loo)
-
-
 # ---------------------------------------------------------------------------
 # The scale-free smallness measure: inf{d : P(|V| > d) <= d}
 
@@ -133,46 +125,41 @@ def l0_norm_estimate(samples) -> L0Estimate:
 # ---------------------------------------------------------------------------
 # Shortfall moment of a uniform sum (Irwin-Hall second shortfall moment)
 
-MC_DRAWS = 10**6
-_MC_SEED = 0x5EED_F0
-
-
 @dataclass
 class FKValue:
     K: int
     s: float
-    value: float
+    value: float      # 0.0 when below double-precision range
     log_value: float
-    stderr: float  # zero on the exact branches
-    method: str
 
 
 def F_K_eval(K: int, s: float) -> FKValue:
-    """E (max(0, s - sum of K iid Uniform(0,1)))^2.
+    """E (max(0, s - sum of K iid Uniform(0,1)))^2, exact for every s >= 0.
 
-    Exact closed form on the lower piece (s <= 1, evaluated in log space)
-    and the saturated piece (s >= K); Monte Carlo with 10^6 draws in
-    between.  The MC branch is internally seeded so repeated evaluation is
-    deterministic.
+    On s <= 1 (all that psi_- and the Theorem 1 lower bound use) it is the
+    closed form 2 s^(K+2) / (K+2)!, evaluated in log space.  Above 1 it is
+    the Irwin-Hall alternating sum
+    2/(K+2)! * sum_{j <= min(s, K)} (-1)^j C(K, j) (s - j)^(K+2),
+    summed in integers over the exact ratio of s, so the heavy cancellation
+    costs no precision; the log is taken of numerator and denominator
+    apart.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    if not 0.0 <= s < math.inf:
+        raise ValueError("s must be finite and >= 0")
     if s == 0.0:
-        return FKValue(K, s, 0.0, LOG_NEG_INF, 0.0, "exact-zero")
+        return FKValue(K, s, 0.0, LOG_NEG_INF)
     if s <= 1.0:
         log_val = math.log(2.0) + (K + 2) * math.log(s) - math.lgamma(K + 3)
-        return FKValue(K, s, math.exp(log_val), log_val, 0.0, "closed-form")
-    if s >= K:
-        val = (s - K / 2.0) ** 2 + K / 12.0
-        return FKValue(K, s, val, math.log(val), 0.0, "saturated")
-    rng = np.random.default_rng(np.random.SeedSequence([_MC_SEED, K]))
-    sums = rng.random((MC_DRAWS, K)).sum(axis=1)
-    short = np.maximum(s - sums, 0.0) ** 2
-    val = float(short.mean())
-    se = float(short.std(ddof=1) / math.sqrt(MC_DRAWS))
-    return FKValue(K, s, val, math.log(val) if val > 0 else LOG_NEG_INF, se, "mc")
+        return FKValue(K, s, math.exp(log_val), log_val)
+    from fractions import Fraction
+
+    p, q = Fraction(s).as_integer_ratio()
+    total = sum((-1) ** j * math.comb(K, j) * (p - j * q) ** (K + 2)
+                for j in range(min(p // q, K) + 1))
+    num, den = 2 * total, math.factorial(K + 2) * q ** (K + 2)
+    return FKValue(K, s, num / den, math.log(num) - math.log(den))
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -143,6 +144,11 @@ def test_cli_seed_flag_overrides_config(tmp_path):
                 {"kind": "site_weighted", "params": {"c_lo": 0, "c_hi": 2.0}},
                 {"kind": "site_weighted", "params": {"c_lo": 2, "c_hi": 1}},
                 {"kind": "neighbor_count", "params": {"base": 0}})],
+    # an infinite edge rate (JSON 1e999) must not reach the exact solver
+    lambda c: c.update(graph={"family": "bridge",
+                              "args": {"c1": 3, "c2": 3, "bridge_rate": math.inf}}),
+    lambda c: c.update(graph={"family": "random_gnp",
+                              "args": {"n": 5, "p": 0.5, "weight_range": [0.5, math.inf]}}),
 ])
 def test_usage_errors_exit_two(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(BASE))
@@ -286,15 +292,16 @@ def test_prop2_inconclusive_report_shows_in_status(tmp_path, monkeypatch):
     assert check["result"]["inconclusive"] is True
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # only a_k needs scipy (its optimizer); importing the CLI and running
-    # FPP scenarios, Monte Carlo checks included, loads no scipy module
+@pytest.mark.parametrize("scenario", ["bounds", "fpp_bridge", "multigraph_k4",
+                                      "growth_cross", "coverage_path5"])
+def test_scenario_in_fresh_interpreter_loads_no_scipy(tmp_path, scenario):
+    # numpy is the only runtime dependency: a scenario of each process kind,
+    # a_k's optimizer included, runs to exit 0 and never imports scipy
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
-    paths = [str(scenarios / name) for name in ("fpp_bridge.json", "fpp_grid.json")]
+    path = SCENARIO_DIR / f"{scenario}.json"
     code = ("import sys\nfrom fpplab.cli import run_scenario\n"
-            f"codes = [run_scenario(p, out_dir=f'{tmp_path}/{{i}}') for i, p in enumerate({paths!r})]\n"
-            "print(codes, [m for m in sys.modules if m.startswith('scipy')])")
+            f"code = run_scenario({str(path)!r}, out_dir={str(tmp_path)!r})\n"
+            "print(code, [m for m in sys.modules if m.startswith('scipy')])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"
+    assert out.stdout.strip().splitlines()[-1] == "0 []"

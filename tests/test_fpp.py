@@ -13,12 +13,12 @@ from fpplab.fpp import (
     sample_coupling_batch,
     sample_fpp_batch,
     sample_traversal,
-    shortest_path,
     submultiplicativity_probe,
     traversal_from_uniform,
 )
 from fpplab.chain import solve_hitting
 from fpplab.graphs import CapacityError, complete_graph, grid_graph, path_graph, random_gnp_graph
+from reference_fpp import shortest_path
 
 
 def all_simple_paths(g, source, target):

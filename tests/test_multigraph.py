@@ -16,9 +16,9 @@ from fpplab.multigraph import (
     prop2_check,
     sample_stopping_times,
     simulate_arrivals,
-    spanning_tree_packing_by_partition,
     stopping_times,
 )
+from reference_packing import spanning_tree_packing_by_partition
 
 C4 = parse_edge_list("a b 1\nb c 1\nc d 1\na d 1")
 
@@ -205,6 +205,19 @@ def test_a_k_values():
         prev = a
     with pytest.raises(ValueError):
         a_k_eval(0)
+
+
+def test_a_k_matches_scipy_minimize_scalar():
+    from scipy.optimize import minimize_scalar  # the oracle, in the test only
+
+    assert a_k_eval(1) == 1.0
+    for k in range(1, 101):
+        def f(q):
+            return q / (-math.expm1(k * math.log1p(-q**3)) if q < 1.0 else 1.0)
+
+        res = minimize_scalar(f, bounds=(1e-6, 1.0), method="bounded",
+                              options={"xatol": 1e-12})
+        assert a_k_eval(k) == pytest.approx(min(res.fun, f(1.0)), rel=1e-10)
 
 
 def test_bound_constants():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpplab.fpp import _block_runs, sample_fpp_batch, sample_traversal, shortest_path
+from fpplab.fpp import _block_runs, sample_fpp_batch, sample_traversal
 from fpplab.graphs import complete_graph
 from fpplab.growth import GrowthConfig, prop1_check
 from fpplab.multigraph import sample_stopping_times, simulate_arrivals, stopping_times
@@ -18,13 +18,22 @@ from fpplab.stats import (
     SampleStats,
     _spearman,
     band_verdict,
-    jackknife_se,
     l0_norm_estimate,
     psi_minus_eval,
     spawn_seeds,
     theorem1_lower_check,
     theorem1_trend_experiment,
 )
+from reference_fpp import shortest_path
+
+
+def jackknife_se(samples, estimator) -> float:
+    """Generic leave-one-out jackknife standard error of ``estimator``:
+    one call per left-out sample, the oracle for the closed-form
+    leave-one-out moments of ``SampleStats``."""
+    x = np.asarray(samples, dtype=float)
+    loo = np.array([estimator(np.delete(x, i)) for i in range(len(x))])
+    return math.sqrt((len(x) - 1) * loo.var())
 
 
 def exact_F_K(K, s):
@@ -109,30 +118,29 @@ def test_F_K_closed_form_branches():
     assert F_K_eval(1, 1.0).value == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert F_K_eval(3, 0.5).value == pytest.approx(1.0 / 1920.0, rel=1e-12)
     assert F_K_eval(1, 0.0).value == 0.0
-    # saturated branch: s >= K gives (s - K/2)^2 + K/12 exactly
+    # s >= K: the shortfall never clips, so F_K = (s - K/2)^2 + K/12
     assert F_K_eval(2, 3.0).value == pytest.approx((3.0 - 1.0) ** 2 + 2.0 / 12.0)
     with pytest.raises(ValueError):
         F_K_eval(0, 1.0)
-    with pytest.raises(ValueError):
-        F_K_eval(1, -0.1)
+    for s in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            F_K_eval(1, s)
 
 
 def test_F_K_branches_match_alternating_sum():
-    for K, s in [(1, 1.0), (3, 0.5), (2, 3.0), (4, 4.0)]:
-        assert F_K_eval(K, s).value == pytest.approx(exact_F_K(K, s), rel=1e-9)
+    for K, s in [(1, 1.0), (3, 0.5), (2, 3.0), (4, 4.0), (3, 1.5), (5, 2.0), (4, 2.5)]:
+        fk, exact = F_K_eval(K, s), exact_F_K(K, s)
+        assert fk.value == pytest.approx(exact, rel=1e-12)
+        assert fk.log_value == pytest.approx(math.log(exact), rel=1e-12)
 
 
-def test_F_K_mc_branch_against_exact():
-    for K, s in [(3, 1.5), (5, 2.0), (4, 2.5)]:
-        fk = F_K_eval(K, s)
-        assert fk.method == "mc" and fk.stderr > 0
-        assert abs(fk.value - exact_F_K(K, s)) <= 3.0 * fk.stderr
-
-
-def test_F_K_mc_is_deterministic():
-    a = F_K_eval(5, 2.0)
-    b = F_K_eval(5, 2.0)
-    assert a.value == b.value
+def test_F_K_large_K_above_one_is_finite():
+    # 10^6 x K uniform draws would need 8.9 GiB here; the exact sum needs none
+    fk = F_K_eval(1200, 3.5)
+    assert math.isfinite(fk.log_value) and fk.value == 0.0  # below double range
+    # the j = 0 term 2 * 3.5^1202 / 1202! dominates: the j = 1 term is 3e-173 of it
+    lead = math.log(2.0) + 1202 * math.log(3.5) - math.lgamma(1203)
+    assert fk.log_value == pytest.approx(lead, rel=1e-12)
 
 
 def test_psi_minus_reference_value():
