@@ -128,10 +128,23 @@ def test_F_K_closed_form_branches():
 
 
 def test_F_K_branches_match_alternating_sum():
-    for K, s in [(1, 1.0), (3, 0.5), (2, 3.0), (4, 4.0), (3, 1.5), (5, 2.0), (4, 2.5)]:
+    for K, s in [(1, 1.0), (3, 0.5), (2, 3.0), (4, 4.0)]:
         fk, exact = F_K_eval(K, s), exact_F_K(K, s)
         assert fk.value == pytest.approx(exact, rel=1e-12)
         assert fk.log_value == pytest.approx(math.log(exact), rel=1e-12)
+
+
+def test_F_K_mc_branch_against_exact():
+    # 1 < s < K, where F_K once fell back to Monte Carlo: the integer sum
+    # must match the alternating sum and an independent seeded Monte Carlo
+    rng = np.random.default_rng(125)
+    for K, s in [(3, 1.5), (5, 2.0), (4, 2.5)]:
+        fk, exact = F_K_eval(K, s), exact_F_K(K, s)
+        assert fk.value == pytest.approx(exact, rel=1e-12)
+        assert fk.log_value == pytest.approx(math.log(exact), rel=1e-12)
+        draws = np.maximum(s - rng.random((200_000, K)).sum(axis=1), 0.0) ** 2
+        stderr = math.sqrt(draws.var(ddof=1) / len(draws))
+        assert abs(fk.value - draws.mean()) <= 3.0 * stderr
 
 
 def test_F_K_large_K_above_one_is_finite():
