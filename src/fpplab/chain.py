@@ -4,8 +4,9 @@ States are integer bitmasks partially ordered by inclusion; every
 transition strictly enlarges the state, so the popcount rises along every
 transition and the reachable graph is a DAG layered by popcount.  The
 solver keeps the reachable states in an int64 array grouped by layer and
-the transitions in flat ``(src, dst, rate)`` arrays, and evaluates every
-quantity with whole-layer array sweeps:
+the transitions in flat ``(src, dst, rate)`` arrays (int32 state indices),
+and evaluates every quantity with whole-layer array sweeps, so no
+temporary is as large as the whole chain:
 
 * ``h(S)``        mean remaining hitting time (backward layer sweep)
 * ``visit_prob``  probability the chain ever visits S (forward scatter-add)
@@ -81,13 +82,16 @@ class _Chain:
     states: np.ndarray     # int64 bitmasks
     is_target: np.ndarray  # bool per state
     layers: np.ndarray     # state offsets of the layers, len(layers) = #layers + 1
-    src: np.ndarray        # state index, nondecreasing
-    dst: np.ndarray        # state index, always in a later layer
+    src: np.ndarray        # int32 state index, nondecreasing
+    dst: np.ndarray        # int32 state index, always in a later layer
     rate: np.ndarray
 
     @cached_property
     def out_rate(self) -> np.ndarray:
-        return np.bincount(self.src, self.rate, minlength=len(self.states))
+        out = np.zeros(len(self.states))
+        for lo, hi, e0, e1 in self.layer_slices:
+            out[lo:hi] = np.bincount(self.src[e0:e1] - lo, self.rate[e0:e1], minlength=hi - lo)
+        return out
 
     @cached_property
     def layer_slices(self) -> list[tuple[int, int, int, int]]:
@@ -123,7 +127,7 @@ class ExactSolution:
 
     def monotone_h(self, tol: float = 1e-12) -> bool:
         """h never increases along any enumerated transition."""
-        return bool(np.all(self.h[self.dst] <= self.h[self.src] + tol))
+        return bool(np.all(self.decrement >= -tol))
 
     def max_identity_error(self) -> float:
         """Worst deviation of the unit-drift identity b(S) = 1 over
@@ -155,7 +159,7 @@ def _enumerate_layers(spec: ChainSpec) -> _Chain:
     """Expand one popcount layer at a time; the cap is checked before a
     layer beyond it is expanded."""
     layer = np.array([spec.initial], dtype=np.int64)
-    masks, targets, srcs, dsts, rates = [], [], [], [], []
+    parts = {name: [] for name in ("states", "is_target", "src", "dst", "rate")}
     bounds = [0]
     total = 1
     while layer.size:
@@ -171,18 +175,25 @@ def _enumerate_layers(spec: ChainSpec) -> _Chain:
         total += successors.size
         if total > spec.state_cap:
             raise CapacityError(f"reachable state count exceeds cap {spec.state_cap}")
-        masks.append(layer)
-        targets.append(is_target)
-        srcs.append(src + lo)
-        dsts.append(inverse + hi)
-        rates.append(rate)
+        parts["states"].append(layer)
+        parts["is_target"].append(is_target)
+        parts["src"].append((src + lo).astype(np.int32))
+        parts["dst"].append((inverse + hi).astype(np.int32))
+        parts["rate"].append(rate)
         bounds.append(hi)
         layer = successors
-    is_target = np.concatenate(targets)
-    if not is_target.any():
+    # one field at a time, each layer's parts freed before the next join,
+    # so no two whole-chain copies of a field are alive together
+    chain = {name: _join(pieces) for name, pieces in parts.items()}
+    if not chain["is_target"].any():
         raise UnreachableTargetError("no target state reachable from the initial state")
-    return _Chain(np.concatenate(masks), is_target, np.array(bounds),
-                  np.concatenate(srcs), np.concatenate(dsts), np.concatenate(rates))
+    return _Chain(layers=np.array(bounds), **chain)
+
+
+def _join(pieces: list[np.ndarray]) -> np.ndarray:
+    joined = np.concatenate(pieces)
+    pieces.clear()
+    return joined
 
 
 def _enumerate_callable(spec, kind: str) -> _Chain:
@@ -240,11 +251,12 @@ def _enumerate_callable(spec, kind: str) -> _Chain:
     def index(masks):
         return by_mask[np.searchsorted(sorted_masks, np.array(masks, dtype=np.int64))]
 
-    src = index(src_masks)
+    src = index(src_masks).astype(np.int32)
     keep = np.argsort(src, kind="stable")
     is_target = np.zeros(states.size, dtype=bool)
     is_target[index(targets)] = True
-    return _Chain(states, is_target, layers, src[keep], index(dst_masks)[keep],
+    return _Chain(states, is_target, layers, src[keep],
+                  index(dst_masks).astype(np.int32)[keep],
                   np.array(rates, dtype=float)[keep])
 
 
@@ -276,20 +288,24 @@ def _solve(chain: _Chain) -> ExactSolution:
 
     visit_prob = np.zeros(n)
     visit_prob[0] = 1.0
-    for _lo, hi, e0, e1 in chain.layer_slices:  # predecessors first
+    decrement = np.empty(len(src))
+    a, b = np.zeros(n), np.zeros(n)
+    for lo, hi, e0, e1 in chain.layer_slices:  # predecessors first
         if e0 == e1:
             continue
-        s, d = src[e0:e1], dst[e0:e1]
-        flow = visit_prob[s] * rate[e0:e1] / q[s]
+        s, d, r = src[e0:e1], dst[e0:e1], rate[e0:e1]
+        flow = visit_prob[s] * r / q[s]
         top = int(d.max()) + 1
         visit_prob[hi:top] += np.bincount(d - hi, flow, minlength=top - hi)
+        dec = decrement[e0:e1]
+        np.subtract(h[s], h[d], out=dec)
+        local = s - lo
+        a[lo:hi] = np.bincount(local, r * dec**2, minlength=hi - lo)
+        b[lo:hi] = np.bincount(local, r * dec, minlength=hi - lo)
 
     live = q > 0
     expected_time_in = np.zeros(n)
     expected_time_in[live] = visit_prob[live] / q[live]
-    decrement = h[src] - h[dst]
-    a = np.bincount(src, rate * decrement**2, minlength=n)
-    b = np.bincount(src, rate * decrement, minlength=n)
     return ExactSolution(
         states=chain.states, is_target=chain.is_target, h=h, visit_prob=visit_prob,
         expected_time_in=expected_time_in, E_T=float(expected_time_in.sum()),

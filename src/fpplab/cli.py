@@ -19,6 +19,7 @@ import json
 import math
 import numbers
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -192,11 +193,15 @@ def _check_dual_agreement(ctx, params):
     _write_fpp_csv(ctx, "dual_agreement_runs.csv", batch)
     stats = SampleStats.from_samples(batch.X)
     sol = ctx.solution()
+    result = {"mc_mean": stats.mean, "exact_mean": sol.E_T,
+              "mc_var": stats.variance, "exact_var": sol.var_T}
+    if not (stats.mean_se > 0 and stats.variance_se > 0):
+        # a zero standard error (times so small that their squared
+        # deviations underflow) leaves no z score: nothing is judged
+        return {**result, "z_mean": None, "z_var": None, "inconclusive": True}, True
     z_mean = abs(stats.mean - sol.E_T) / stats.mean_se
     z_var = abs(stats.variance - sol.var_T) / stats.variance_se
-    ok = z_mean <= 4.0 and z_var <= 4.0
-    return {"mc_mean": stats.mean, "exact_mean": sol.E_T, "z_mean": z_mean,
-            "mc_var": stats.variance, "exact_var": sol.var_T, "z_var": z_var}, ok
+    return {**result, "z_mean": z_mean, "z_var": z_var}, z_mean <= 4.0 and z_var <= 4.0
 
 
 @_register("coupling_lower", ("fpp",), "resampling coupling",
@@ -290,7 +295,9 @@ def _check_prop2(ctx, params):
 
     kinds = tuple(_list(params.get("kinds", ["span", "tria"]), "prop2 kinds", known_kind))
     gamma, _ = min_cut_weight(g)
-    samples = sample_stopping_times(g, ks, ctx.runs, ctx.check_seed("prop2"), kinds=kinds)
+    uncertified = Counter()
+    samples = sample_stopping_times(g, ks, ctx.runs, ctx.check_seed("prop2"), kinds=kinds,
+                                    uncertified=uncertified)
     if ctx.out_dir is not None:
         def cell(kind, k, i):  # empty for a kind that was not run
             return repr(float(samples[kind][k][i])) if kind in kinds else ""
@@ -304,7 +311,8 @@ def _check_prop2(ctx, params):
     ok = True
     for kind in kinds:
         for k in ks:
-            rep = prop2_check(samples[kind][k], k, kind=kind, gamma=gamma)
+            rep = prop2_check(samples[kind][k], k, kind=kind, gamma=gamma,
+                              uncertified=uncertified[kind, k])
             ok = ok and rep.holds and (rep.mean_bound_holds in (None, True))
             reports.append(_clean(rep))
     return {"gamma": gamma, "reports": reports,

@@ -119,6 +119,16 @@ class WeightedGraph:
                         out.append((euv, evw, euw))
         return tuple(out)
 
+    @cached_property
+    def edge_triangles(self) -> tuple[tuple[int, ...], ...]:
+        """Per edge id, the increasing indices into :attr:`triangles` of
+        the triangles on that edge; built on first use, then kept."""
+        out = [[] for _ in range(self.m)]
+        for j, tri in enumerate(self.triangles):
+            for e in tri:
+                out[e].append(j)
+        return tuple(tuple(js) for js in out)
+
     def to_edge_list(self) -> str:
         lines = []
         for (u, v), w in zip(self.edges, self.weights):

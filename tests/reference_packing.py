@@ -1,11 +1,14 @@
-"""Reference spanning-tree packing number: the partition formula.
+"""Reference spanning-tree packing numbers: the partition formulas.
 
 By the tree-packing theorem (Nash-Williams, Tutte), a multigraph packs
 min over vertex partitions P of floor(crossing-edge count / (|P| - 1))
-edge-disjoint spanning trees.  Enumerating every partition is exponential,
-so this is for small vertex counts only; it shares no code with the
-matroid-union augmentation in ``fpplab.multigraph`` and serves as its
-oracle in ``test_multigraph.py``.
+edge-disjoint spanning trees.  By Nash-Williams' forest theorem, at most
+min over P of (crossing-edge count + k (n - |P|)) of its edge copies fit
+into k edge-disjoint forests, the rank of the k-fold union of the graphic
+matroid.  Enumerating every partition is exponential, so this is for
+small vertex counts only; it shares no code with the matroid-union
+augmentation in ``fpplab.multigraph`` and serves as its oracle in
+``test_multigraph.py``.
 """
 
 from __future__ import annotations
@@ -17,19 +20,20 @@ def spanning_tree_packing_by_partition(m: Multigraph) -> int:
     n = m.base.n
     if n <= 1:
         return 0
-    best = None
-    for labels in _set_partitions(n):
-        parts = max(labels) + 1
-        if parts < 2:
-            continue
-        crossing = 0
-        for e, count in enumerate(m.multiplicity):
-            u, v = m.base.edges[e]
-            if labels[u] != labels[v]:
-                crossing += count
-        value = crossing // (parts - 1)
-        best = value if best is None else min(best, value)
-    return best
+    return min(_crossing(m, labels) // max(labels)
+               for labels in _set_partitions(n) if max(labels) > 0)
+
+
+def forest_union_rank_by_partition(m: Multigraph, k: int) -> int:
+    n = m.base.n
+    return min(_crossing(m, labels) + k * (n - 1 - max(labels))
+               for labels in _set_partitions(n))
+
+
+def _crossing(m: Multigraph, labels: list[int]) -> int:
+    """Edge copies whose ends lie in different parts."""
+    return sum(count for (u, v), count in zip(m.base.edges, m.multiplicity)
+               if labels[u] != labels[v])
 
 
 def _set_partitions(n: int):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,3 +181,21 @@ def test_to_json_dict_round_trips_scalars():
     d = sol.to_json_dict()
     assert d["E_T"] == sol.E_T and d["var_T"] == sol.var_T
     assert str(sol.initial) in d["states"]
+
+
+def test_exact_solver_memory_stays_near_its_output():
+    # K17, 65 536 states: the solve and the Lemma 1 and 2 bounds allocate at
+    # most 1.3x the solution's own arrays, so no temporary spans the chain
+    spec = fpp_chain_spec(complete_graph(17), 0, 16)
+    tracemalloc.start()
+    try:
+        sol = solve_hitting(spec)
+        lemma1_bound(sol)
+        for delta in (0.05, 0.5):
+            lemma2_bound(sol, delta, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = sum(v.nbytes for v in vars(sol).values() if isinstance(v, np.ndarray))
+    assert sol.src.dtype == sol.dst.dtype == np.int32
+    assert peak <= 1.3 * arrays

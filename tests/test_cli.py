@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpplab import cli
+from fpplab import cli, multigraph
 from fpplab.cli import CHECKS, main, run_scenario
 from fpplab.growth import GrowthConfig
 from fpplab.multigraph import Prop2Report
@@ -272,7 +272,7 @@ def test_growth_config_returns_config_or_config_error(growth):
 
 
 def test_prop2_inconclusive_report_shows_in_status(tmp_path, monkeypatch):
-    def straddling(samples, k, kind="span", gamma=None):
+    def straddling(samples, k, kind="span", gamma=None, uncertified=0):
         return Prop2Report(kind=kind, k=k, runs=len(samples), mean=1.0, sd=1.05, ratio=1.05,
                            ratio_se=0.02, bound=1.0, holds=True, inconclusive=True)
 
@@ -290,6 +290,36 @@ def test_prop2_inconclusive_report_shows_in_status(tmp_path, monkeypatch):
     check = json.loads((out / "report.json").read_text())["checks"]["prop2"]
     assert check["status"] == "inconclusive"
     assert check["result"]["inconclusive"] is True
+
+
+def test_prop2_undecided_triangle_probes_show_in_report_and_status(tmp_path, monkeypatch):
+    monkeypatch.setattr(multigraph, "BNB_BUDGET", 1)
+    cfg = {
+        "schema_version": 1,
+        "process": "multigraph",
+        "graph": {"family": "complete", "args": {"n": 4}},
+        "runs": 1000,
+        "seed": 2,
+        "checks": [{"name": "prop2", "ks": [1, 2], "kinds": ["tria"]}],
+    }
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=out) == 0
+    check = json.loads((out / "report.json").read_text())["checks"]["prop2"]
+    assert check["status"] == "inconclusive"
+    by_k = {r["k"]: r for r in check["result"]["reports"]}
+    assert by_k[1]["uncertified"] == 0
+    assert by_k[2]["uncertified"] > 0 and by_k[2]["inconclusive"] is True
+
+
+def test_dual_agreement_zero_standard_error_is_inconclusive(tmp_path):
+    # times near 1e-300: their squared deviations underflow to 0
+    cfg = dict(BASE, graph={"edge_list": "a b 1e300\nb c 1e300\na c 1e300\n"},
+               runs=1000, checks=["dual_agreement"])
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=out) == 0
+    check = json.loads((out / "report.json").read_text())["checks"]["dual_agreement"]
+    assert check["status"] == "inconclusive"
+    assert check["result"]["z_mean"] is None and check["result"]["z_var"] is None
 
 
 @pytest.mark.parametrize("scenario", ["bounds", "fpp_bridge", "multigraph_k4",

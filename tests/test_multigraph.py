@@ -1,13 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fpplab import multigraph
 from fpplab.graphs import Multigraph, complete_graph, parse_edge_list, path_graph, random_gnp_graph
 from fpplab.multigraph import (
     SPAN_BOUND,
     TRIA_BOUND,
+    ForestUnion,
+    LiveTriangles,
     a_k_eval,
     has_spanning_tree_packing,
     has_triangle_packing,
@@ -18,7 +22,7 @@ from fpplab.multigraph import (
     simulate_arrivals,
     stopping_times,
 )
-from reference_packing import spanning_tree_packing_by_partition
+from reference_packing import forest_union_rank_by_partition, spanning_tree_packing_by_partition
 
 C4 = parse_edge_list("a b 1\nb c 1\nc d 1\na d 1")
 
@@ -169,9 +173,11 @@ def test_stopping_times_monotone_in_k_and_kind():
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from(["span", "tria"]))
 def test_scan_stops_at_the_first_prefix_that_packs_k(seed, kind):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 6))
+    n = int(rng.integers(3, 7))
     g = random_gnp_graph(n, 0.7, (0.5, 2.0), rng) if kind == "span" else complete_graph(n)
-    traj = simulate_arrivals(g, 1.0, rng)
+    # a window of half an arrival on average makes the scan extend the stream
+    horizon = 0.5 / sum(g.weights) if rng.random() < 0.5 else 1.0
+    traj = simulate_arrivals(g, horizon, rng)
     ks = [1, 2, 3]
     got = stopping_times(traj, ks, kinds=(kind,))[kind]
 
@@ -183,6 +189,67 @@ def test_scan_stops_at_the_first_prefix_that_packs_k(seed, kind):
     counts = [packs(j) for j in range(len(traj.times))]
     for k in ks:
         assert got[k] == traj.times[next(j for j, c in enumerate(counts) if c >= k)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_forest_union_rank_matches_partition_formula(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    g = random_gnp_graph(n, 0.7, (1.0, 1.0), rng)
+    union = ForestUnion(g)
+    mult = [0] * g.m
+
+    def check():
+        m = Multigraph(g, tuple(mult))
+        assert union.rank == forest_union_rank_by_partition(m, len(union.forests))
+
+    for e in rng.integers(0, g.m, size=int(rng.integers(1, 4 * n))):
+        rank = union.rank
+        rose = union.add(int(e))
+        mult[e] += 1
+        assert union.rank == rank + rose
+        check()
+        if rng.random() < 0.2:
+            union.grow()
+            check()
+
+
+def test_live_triangles_follow_the_arrivals():
+    g = complete_graph(6)
+    rng = np.random.default_rng(11)
+    live = LiveTriangles(g)
+    for e in rng.integers(0, g.m, size=40):
+        before = list(live.triangles)
+        closes = live.add(int(e))
+        mult = live.multiplicity
+        assert live.triangles == [t for t in g.triangles if all(mult[x] for x in t)]
+        assert closes == any(e in t for t in live.triangles)
+        assert set(before) <= set(live.triangles)
+        # every live edge leaves after its last live triangle, exactly once
+        for i, gone in enumerate(live.leaving):
+            later = {x for t in live.triangles[i + 1:] for x in t}
+            assert sorted(gone) == sorted(set(live.triangles[i]) - later)
+        assert live.live_copies == sum(mult[x] for x in {x for t in live.triangles for x in t})
+        fresh = Multigraph(g, tuple(mult))
+        assert max_triangle_packing(live) == max_triangle_packing(fresh)
+
+
+def test_undecided_triangle_probes_are_counted(monkeypatch):
+    monkeypatch.setattr(multigraph, "BNB_BUDGET", 1)
+    ks = [1, 2, 3]
+    uncertified = Counter()
+    samples = sample_stopping_times(complete_graph(5), ks, 100, seed=3, kinds=("tria",),
+                                    uncertified=uncertified)
+    # an undecided probe before T(k) may delay T(k) and every later time
+    assert 0 < uncertified["tria", 2] <= uncertified["tria", 3]
+    assert uncertified["tria", 1] == 0  # the greedy bound finds one live triangle
+    # a time the full budget decides is never earlier than the budget-starved one
+    monkeypatch.undo()
+    exact = sample_stopping_times(complete_graph(5), ks, 100, seed=3, kinds=("tria",))
+    for k in ks:
+        assert np.all(exact["tria"][k] <= samples["tria"][k])
+    assert np.array_equal(exact["tria"][1], samples["tria"][1])
 
 
 def test_stopping_times_unattainable_raises():
@@ -246,6 +313,18 @@ def test_prop2_check_smoke():
     assert rep.runs == 1500
     with pytest.raises(ValueError):
         prop2_check(samples[:999], 1)
+
+
+def test_prop2_check_with_uncertified_probes_is_inconclusive():
+    rng = np.random.default_rng(5)
+    samples = 10.0 + rng.exponential(1.0, 1000)  # sd/mean ~ 0.09: a clear pass
+    assert prop2_check(samples, 1, kind="tria").inconclusive is False
+    rep = prop2_check(samples, 1, kind="tria", uncertified=2)
+    assert rep.uncertified == 2 and rep.holds and rep.inconclusive
+    failing = rng.exponential(1.0, 1000) ** 3  # sd/mean far above the bound
+    assert not prop2_check(failing, 1, kind="tria").holds
+    rep = prop2_check(failing, 1, kind="tria", uncertified=1)
+    assert rep.holds and rep.inconclusive
 
 
 def test_prop2_check_straddling_band_is_inconclusive():
