@@ -30,11 +30,11 @@ from .fpp import (
     submultiplicativity_probe,
 )
 from .multigraph import (
+    MultigraphTrajectory,
     a_k_eval,
     max_spanning_tree_packing,
     max_triangle_packing,
     prop2_check,
-    simulate_arrivals,
     stopping_times,
 )
 from .growth import (

@@ -248,7 +248,8 @@ def _check_theorem1_lower(ctx, params):
     sol = ctx.solution()
     points = theorem1_lower_check(batch.Xi, sol.E_T, sol.var_T, deltas)
     ok = all(p.holds for p in points)
-    return {"points": [_clean(p) for p in points]}, ok
+    return {"points": [_clean(p) for p in points],
+            "inconclusive": any(p.inconclusive for p in points)}, ok
 
 
 def default_trend_family():
@@ -294,6 +295,11 @@ def _check_prop2(ctx, params):
         return kind
 
     kinds = tuple(_list(params.get("kinds", ["span", "tria"]), "prop2 kinds", known_kind))
+    for what, values in (("ks", ks), ("kinds", kinds)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"prop2 {what} must not repeat, got {list(values)!r}")
+    if "tria" in kinds and not g.triangles:
+        raise ConfigError("prop2 kind 'tria' needs a graph with a triangle")
     gamma, _ = min_cut_weight(g)
     uncertified = Counter()
     samples = sample_stopping_times(g, ks, ctx.runs, ctx.check_seed("prop2"), kinds=kinds,

@@ -4,8 +4,9 @@ triangles.
 
 Packing numbers change only at arrival instants, and by at most one per
 arrival, so each stopping time is read off one forward pass over the
-arrivals.  The pass keeps its packing state from one arrival to the next
-and never rebuilds the multigraph:
+arrivals, drawn in chunks of ``CHUNK`` as the pass asks for them.  The
+pass keeps its packing state from one arrival to the next and never
+rebuilds the multigraph:
 
 * spanning trees: a :class:`ForestUnion` of count + 1 edge-disjoint
   forests takes one matroid-union augmentation per arrival; when its rank
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,58 +35,34 @@ from .stats import BAND_SIGMAS, MIN_RUNS, SampleStats, band_verdict, spawn_seeds
 # ---------------------------------------------------------------------------
 # Arrival stream
 
-@dataclass
+CHUNK = 64  # arrivals per draw; a scan on the shipped scenarios fits in one
+
+
 class MultigraphTrajectory:
-    graph: WeightedGraph
-    times: np.ndarray      # strictly increasing arrival times
-    edge_ids: np.ndarray   # which base edge arrived at each event
-    horizon: float
-    _next_time: float = field(repr=False, default=math.inf)  # first arrival past horizon
-    _rng: np.random.Generator = field(repr=False, default=None)
+    """The Poisson arrival stream of a base graph's edge copies, drawn on
+    demand: ``times`` (strictly increasing) and ``edge_ids`` (the base
+    edge of each arrival) are lists that :meth:`extend` grows in place."""
 
-    def extend(self, new_horizon: float) -> None:
-        """Continue the same Poisson stream to a later horizon, resuming at
-        the pending arrival beyond the old horizon (no redraws in the
-        window already observed empty)."""
-        if new_horizon <= self.horizon:
-            return
-        times, edges, nxt = _arrival_block(self.graph, new_horizon, self._rng,
-                                           pending=self._next_time)
-        self.times = np.concatenate([self.times, times])
-        self.edge_ids = np.concatenate([self.edge_ids, edges])
-        self.horizon = new_horizon
-        self._next_time = nxt
+    def __init__(self, g: WeightedGraph, rng: np.random.Generator):
+        self.graph = g
+        self.times: list[float] = []
+        self.edge_ids: list[int] = []
+        self._rng = rng
+        w = g.weight_array()
+        self._total = float(w.sum())
+        self._cdf = (w / self._total).cumsum()
+        self._cdf /= self._cdf[-1]
 
-
-def _arrival_block(g: WeightedGraph, t_end: float, rng: np.random.Generator,
-                   pending: float):
-    """Superposition sampling: global Exp(sum w) inter-arrivals continuing
-    from the ``pending`` arrival, edges chosen proportional to w_e.
-    Returns (times <= t_end, edges, first arrival beyond t_end)."""
-    w = g.weight_array()
-    total = float(w.sum())
-    times = []
-    t = pending
-    while t <= t_end:
-        times.append(t)
-        t += rng.exponential(1.0 / total)
-    k = len(times)
-    # numpy's own Generator.choice(m, size=k, p=w/total) path, minus its
-    # per-call validation of p: the same indices and the same stream after
-    cdf = (w / total).cumsum()
-    cdf /= cdf[-1]
-    edges = cdf.searchsorted(rng.random(k), side="right")
-    return np.asarray(times), np.asarray(edges, dtype=np.int64), t
-
-
-def simulate_arrivals(g: WeightedGraph, horizon: float,
-                      rng: np.random.Generator) -> MultigraphTrajectory:
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
-    first = rng.exponential(1.0 / float(sum(g.weights)))
-    times, edges, nxt = _arrival_block(g, horizon, rng, pending=first)
-    return MultigraphTrajectory(graph=g, times=times, edge_ids=edges,
-                                horizon=horizon, _next_time=nxt, _rng=rng)
+    def extend(self) -> None:
+        """Append the next ``CHUNK`` arrivals: superposition sampling, with
+        Exp(sum w) inter-arrival times summed onto the last time and each
+        edge drawn proportional to w_e by numpy's own
+        ``Generator.choice(m, CHUNK, p=w/sum w)`` path, minus its per-call
+        validation of p (the same indices and the same stream after)."""
+        gaps = self._rng.exponential(1.0 / self._total, CHUNK)
+        gaps[0] += self.times[-1] if self.times else 0.0
+        self.times += gaps.cumsum().tolist()
+        self.edge_ids += self._cdf.searchsorted(self._rng.random(CHUNK), side="right").tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +359,12 @@ KIND_PREDICATES = {
 
 def stopping_times(traj: MultigraphTrajectory, ks: list[int],
                    kinds: tuple[str, ...] = ("span", "tria"),
-                   max_extensions: int = 60,
                    uncertified: Counter | None = None) -> dict[str, dict[int, float]]:
     """First times the multigraph packs k edge-disjoint spanning trees /
     triangles, by one forward pass over the arrivals per kind: an arrival
     raises the packing number by at most one, so after each the predicate
-    is asked for one more.
+    is asked for one more.  The pass extends the trajectory whenever it
+    runs out of arrivals.
 
     Each kind keeps its packing state across the arrivals: a
     :class:`ForestUnion` of count + 1 forests, or the
@@ -398,32 +375,25 @@ def stopping_times(traj: MultigraphTrajectory, ks: list[int],
     given, it is counted there under ``(kind, k)`` for every k not reached
     before it.
 
-    The trajectory is extended (doubling the horizon) while it packs fewer
-    than k; a graph that can never satisfy a kind (e.g. triangles on a
-    triangle-free base) raises after ``max_extensions`` doublings."""
+    A base graph is connected, so every target is reached except
+    triangles on a triangle-free base, which raises ValueError up front."""
     if any(k < 1 for k in ks):
         raise ValueError("every k must be >= 1")
     g = traj.graph
+    if "tria" in kinds and not g.triangles:
+        raise ValueError("a triangle-free graph never packs a triangle")
     targets = sorted(set(ks))
+    times, edge_ids = traj.times, traj.edge_ids
     results: dict[str, dict[int, float]] = {}
     for kind in kinds:
         pred = KIND_PREDICATES[kind]
         packing = ForestUnion(g) if kind == "span" else LiveTriangles(g)
         results[kind] = {}
-        edge_ids = traj.edge_ids.tolist()
         count = i = 0  # the first i arrivals pack exactly count
         for k in targets:
-            extensions = 0
             while count < k:
                 if i == len(edge_ids):
-                    if extensions >= max_extensions:
-                        raise RuntimeError(
-                            f"{kind} packing never reached k={k}; is the target attainable?"
-                        )
-                    traj.extend(traj.horizon * 2.0)
-                    edge_ids = traj.edge_ids.tolist()
-                    extensions += 1
-                    continue
+                    traj.extend()
                 i += 1
                 if not packing.add(edge_ids[i - 1]):
                     continue
@@ -436,7 +406,7 @@ def stopping_times(traj: MultigraphTrajectory, ks: list[int],
                     for later in targets:
                         if later > count:
                             uncertified[kind, later] += 1
-            results[kind][k] = float(traj.times[i - 1])
+            results[kind][k] = times[i - 1]
     return results
 
 
@@ -501,14 +471,13 @@ def sample_stopping_times(g: WeightedGraph, ks: list[int], runs: int, seed,
                           kinds: tuple[str, ...] = ("span", "tria"),
                           uncertified: Counter | None = None
                           ) -> dict[str, dict[int, np.ndarray]]:
-    """Monte Carlo stopping times, run i on the i-th substream of ``seed``
+    """Monte Carlo stopping times, run i drawing its arrivals from
+    ``default_rng`` of the i-th child of ``seed``
     (:func:`fpplab.stats.spawn_seeds`); undecided triangle probes are
     counted into ``uncertified`` as in :func:`stopping_times`."""
-    w_total = sum(g.weights)
-    horizon0 = max(4.0 * max(ks) / w_total, 1.0 / w_total)
     out = {kind: {k: np.empty(runs) for k in ks} for kind in kinds}
     for i, child in enumerate(spawn_seeds(seed, runs)):
-        traj = simulate_arrivals(g, horizon0, np.random.default_rng(child))
+        traj = MultigraphTrajectory(g, np.random.default_rng(child))
         st = stopping_times(traj, ks, kinds=kinds, uncertified=uncertified)
         for kind in kinds:
             for k in ks:

@@ -199,14 +199,19 @@ class LowerBoundPoint:
     log_rhs: float       # log of the variance-ratio lower bound
     lhs: float           # var X / (E X)^2
     holds: bool
+    tail_band: float     # BAND_SIGMAS binomial standard errors of the tail
+    inconclusive: bool
 
 
 def theorem1_lower_check(xi_samples, mean_x: float, var_x: float,
                          deltas) -> list[LowerBoundPoint]:
     """Per grid delta, check
     var X/(E X)^2 >= (1/4)(3/d - d)^2 F_K(d^2/(3-d^2)) (P(Xi/EX >= d) - d/3 - 1/(dK))^+
-    with K = ceil(3/d^2).  Log-space on the right; a clamped-to-zero slack
-    makes the bound hold trivially."""
+    with K = ceil(3/d^2).  The right side grows with the tail, so the
+    check is the sampled claim "tail <= the largest tail the bound
+    allows", judged by :func:`band_verdict` on a ``BAND_SIGMAS`` binomial
+    band.  That largest tail is found in log space, since F_K underflows;
+    a clamped-to-zero slack makes the bound at the empirical tail zero."""
     xi = np.asarray(xi_samples, dtype=float)
     lhs = var_x / mean_x**2
     log_lhs = math.log(lhs) if lhs > 0 else LOG_NEG_INF
@@ -214,15 +219,17 @@ def theorem1_lower_check(xi_samples, mean_x: float, var_x: float,
     for delta in deltas:
         K = math.ceil(3.0 / delta**2)
         tail = float(np.mean(xi / mean_x >= delta))
-        slack = tail - (delta / 3.0 + 1.0 / (delta * K))
-        if slack <= 0.0:
-            out.append(LowerBoundPoint(delta, K, tail, 0.0, LOG_NEG_INF, lhs, True))
-            continue
+        band = BAND_SIGMAS * math.sqrt(tail * (1.0 - tail) / len(xi))
+        floor = delta / 3.0 + 1.0 / (delta * K)
         fk = F_K_eval(K, delta**2 / (3.0 - delta**2))
-        log_rhs = (math.log(0.25) + 2.0 * math.log(3.0 / delta - delta)
-                   + fk.log_value + math.log(slack))
+        log_coef = math.log(0.25) + 2.0 * math.log(3.0 / delta - delta) + fk.log_value
+        # exp stays finite; a slack of e^700 lies past any tail + band
+        max_tail = floor + math.exp(min(log_lhs - log_coef, 700.0))
+        holds, inconclusive = band_verdict(tail, max_tail, band)
+        slack = max(tail - floor, 0.0)
+        log_rhs = log_coef + math.log(slack) if slack > 0.0 else LOG_NEG_INF
         out.append(LowerBoundPoint(delta, K, tail, slack, log_rhs, lhs,
-                                   holds=log_lhs >= log_rhs))
+                                   holds, band, inconclusive))
     return out
 
 

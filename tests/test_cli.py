@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from fpplab import cli, multigraph
 from fpplab.cli import CHECKS, main, run_scenario
 from fpplab.growth import GrowthConfig
 from fpplab.multigraph import Prop2Report
+from fpplab.stats import F_K_eval
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.json"))
@@ -149,6 +151,13 @@ def test_cli_seed_flag_overrides_config(tmp_path):
                               "args": {"c1": 3, "c2": 3, "bridge_rate": math.inf}}),
     lambda c: c.update(graph={"family": "random_gnp",
                               "args": {"n": 5, "p": 0.5, "weight_range": [0.5, math.inf]}}),
+    # triangles on a triangle-free graph never arrive: rejected before sampling
+    lambda c: c.update(process="multigraph", graph={"family": "path", "args": {"n": 4}},
+                       checks=[{"name": "prop2", "kinds": ["tria"]}]),
+    lambda c: c.update(process="multigraph", checks=[{"name": "prop2", "ks": [1, 1],
+                                                      "kinds": ["span"]}]),
+    lambda c: c.update(process="multigraph", checks=[{"name": "prop2", "ks": [1],
+                                                      "kinds": ["span", "span"]}]),
 ])
 def test_usage_errors_exit_two(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(BASE))
@@ -320,6 +329,26 @@ def test_dual_agreement_zero_standard_error_is_inconclusive(tmp_path):
     check = json.loads((out / "report.json").read_text())["checks"]["dual_agreement"]
     assert check["status"] == "inconclusive"
     assert check["result"]["z_mean"] is None and check["result"]["z_var"] is None
+
+
+@pytest.mark.parametrize("allowed, status, code", [(0.9, "inconclusive", 0), (0.8, "FAIL", 1)])
+def test_theorem1_lower_band_sets_the_status(tmp_path, monkeypatch, allowed, status, code):
+    # an empirical tail of 0.9 from 1000 runs has a 3-sigma band of 0.028; the
+    # variance ratio lets the bound allow a tail of ``allowed`` at delta = 1
+    real = cli.theorem1_lower_check
+    xi = np.array([2.0] * 900 + [0.0] * 100)
+    coef = F_K_eval(3, 0.5).value  # (1/4)(3/d - d)^2 F_K(d^2/(3 - d^2)) at d = 1, K = 3
+    var_x = coef * (allowed - 2.0 / 3.0)
+    monkeypatch.setattr(cli, "theorem1_lower_check",
+                        lambda _xi, _mean, _var, deltas: real(xi, 1.0, var_x, deltas))
+    cfg = dict(BASE, runs=1000, checks=[{"name": "theorem1_lower", "deltas": [1.0]}])
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=out) == code
+    check = json.loads((out / "report.json").read_text())["checks"]["theorem1_lower"]
+    assert check["status"] == status
+    (point,) = check["result"]["points"]
+    assert point["tail"] == 0.9 and point["tail_band"] == pytest.approx(0.0285, abs=1e-4)
+    assert check["result"]["inconclusive"] is point["inconclusive"] is (status == "inconclusive")
 
 
 @pytest.mark.parametrize("scenario", ["bounds", "fpp_bridge", "multigraph_k4",

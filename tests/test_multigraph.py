@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from fpplab import multigraph
 from fpplab.graphs import Multigraph, complete_graph, parse_edge_list, path_graph, random_gnp_graph
 from fpplab.multigraph import (
+    CHUNK,
     SPAN_BOUND,
     TRIA_BOUND,
     ForestUnion,
     LiveTriangles,
+    MultigraphTrajectory,
     a_k_eval,
     has_spanning_tree_packing,
     has_triangle_packing,
@@ -19,7 +21,6 @@ from fpplab.multigraph import (
     max_triangle_packing,
     prop2_check,
     sample_stopping_times,
-    simulate_arrivals,
     stopping_times,
 )
 from reference_packing import forest_union_rank_by_partition, spanning_tree_packing_by_partition
@@ -89,70 +90,68 @@ def test_triangle_budget_gives_uncertified_range():
     assert pc.lower <= exact.lower <= pc.upper
 
 
+def _arrivals_until(traj, t_end):
+    """Extend ``traj`` past ``t_end``; the number of arrivals up to it."""
+    while not traj.times or traj.times[-1] <= t_end:
+        traj.extend()
+    return sum(t <= t_end for t in traj.times)
+
+
 def test_arrival_stream_counts_and_order():
     g = parse_edge_list("a b 2\nb c 3")
     ts = []
     for i in range(2000):
-        traj = simulate_arrivals(g, 1.0, np.random.default_rng(i))
+        traj = MultigraphTrajectory(g, np.random.default_rng(i))
+        ts.append(_arrivals_until(traj, 1.0))
         assert np.all(np.diff(traj.times) > 0)
-        assert np.all(traj.times <= 1.0)
-        ts.append(len(traj.times))
+        assert len(traj.times) == len(traj.edge_ids)
     # Poisson(5) arrivals in [0, 1]
     assert abs(np.mean(ts) - 5.0) < 4.0 * math.sqrt(5.0 / 2000)
 
 
-def _choice_arrival_block(g, t_end, rng, pending):
-    """The arrival block as first written, with Generator.choice."""
-    w = g.weight_array()
-    total = float(w.sum())
-    times = []
-    t = pending
-    while t <= t_end:
-        times.append(t)
-        t += rng.exponential(1.0 / total)
-    k = len(times)
-    edges = rng.choice(g.m, size=k, p=w / total) if k else np.empty(0, dtype=np.int64)
-    return np.asarray(times), np.asarray(edges, dtype=np.int64), t
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_arrival_stream_matches_generator_choice(seed):
+    # each chunk is CHUNK summed Exp(sum w) gaps, then the edges of
+    # Generator.choice(m, CHUNK, p=w/sum w), drawn from the same generator
     rng = np.random.default_rng(seed)
     g = random_gnp_graph(int(rng.integers(2, 9)), 0.5, (0.1, 5.0), rng)
-    w_total = sum(g.weights)
-    for horizon in (0.01 / w_total, 1.0 / w_total, 20.0 / w_total):
-        ours = np.random.default_rng([seed, 1])
-        traj = simulate_arrivals(g, horizon, ours)
-        traj.extend(3.0 * horizon)
-        ref = np.random.default_rng([seed, 1])
-        first = ref.exponential(1.0 / w_total)
-        t1, e1, nxt = _choice_arrival_block(g, horizon, ref, first)
-        t2, e2, _ = _choice_arrival_block(g, 3.0 * horizon, ref, nxt)
-        assert np.array_equal(traj.times, np.concatenate([t1, t2]))
-        assert np.array_equal(traj.edge_ids, np.concatenate([e1, e2]))
-        assert traj.edge_ids.dtype == np.int64
+    w = g.weight_array()
+    ours = np.random.default_rng([seed, 1])
+    traj = MultigraphTrajectory(g, ours)
+    ref = np.random.default_rng([seed, 1])
+    last = 0.0
+    for _ in range(3):
+        traj.extend()
+        gaps = ref.exponential(1.0 / w.sum(), CHUNK)
+        times = np.cumsum(np.concatenate([[last], gaps]))[1:]
+        edges = ref.choice(g.m, CHUNK, p=w / w.sum())
+        assert traj.times[-CHUNK:] == times.tolist()
+        assert traj.edge_ids[-CHUNK:] == edges.tolist()
+        assert all(type(e) is int for e in traj.edge_ids)
         assert ours.bit_generator.state == ref.bit_generator.state
+        last = times[-1]
 
 
 def test_extend_preserves_prefix_and_law():
     g = parse_edge_list("a b 1")
+    t_end = 1.5 * CHUNK  # past the first chunk about half the time
     counts = []
     for i in range(2000):
-        traj = simulate_arrivals(g, 1.0, np.random.default_rng(i))
-        before = traj.times.copy()
-        traj.extend(3.0)
-        assert np.array_equal(traj.times[: len(before)], before)
+        traj = MultigraphTrajectory(g, np.random.default_rng(i))
+        traj.extend()
+        before = (list(traj.times), list(traj.edge_ids))
+        counts.append(_arrivals_until(traj, t_end))
+        assert (traj.times[:CHUNK], traj.edge_ids[:CHUNK]) == before
         assert np.all(np.diff(traj.times) > 0)
-        counts.append(len(traj.times))
-    # extension keeps the overall stream Poisson(3) on [0, 3]
-    assert abs(np.mean(counts) - 3.0) < 4.0 * math.sqrt(3.0 / 2000)
+    # extension keeps the overall stream Poisson(t_end) on [0, t_end]
+    assert abs(np.mean(counts) - t_end) < 4.0 * math.sqrt(t_end / 2000)
 
 
 def test_stopping_times_single_edge_is_exponential():
     g = parse_edge_list("a b 1")
     ts = np.empty(3000)
     for i in range(3000):
-        traj = simulate_arrivals(g, 2.0, np.random.default_rng(i))
+        traj = MultigraphTrajectory(g, np.random.default_rng(i))
         ts[i] = stopping_times(traj, [1], kinds=("span",))["span"][1]
     assert abs(ts.mean() - 1.0) < 4.0 / math.sqrt(3000)
     assert abs(ts.var(ddof=1) - 1.0) < 0.15
@@ -160,7 +159,7 @@ def test_stopping_times_single_edge_is_exponential():
 
 def test_stopping_times_monotone_in_k_and_kind():
     g = complete_graph(4)
-    traj = simulate_arrivals(g, 1.0, np.random.default_rng(0))
+    traj = MultigraphTrajectory(g, np.random.default_rng(0))
     st_ = stopping_times(traj, [1, 2, 3], kinds=("span", "tria"))
     assert st_["span"][1] <= st_["span"][2] <= st_["span"][3]
     assert st_["tria"][1] <= st_["tria"][2]
@@ -175,11 +174,12 @@ def test_scan_stops_at_the_first_prefix_that_packs_k(seed, kind):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 7))
     g = random_gnp_graph(n, 0.7, (0.5, 2.0), rng) if kind == "span" else complete_graph(n)
-    # a window of half an arrival on average makes the scan extend the stream
-    horizon = 0.5 / sum(g.weights) if rng.random() < 0.5 else 1.0
-    traj = simulate_arrivals(g, horizon, rng)
+    traj = MultigraphTrajectory(g, rng)
     ks = [1, 2, 3]
-    got = stopping_times(traj, ks, kinds=(kind,))[kind]
+    # chunks of one or two arrivals make the scan extend the stream often
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multigraph, "CHUNK", int(rng.choice([1, 2, CHUNK])))
+        got = stopping_times(traj, ks, kinds=(kind,))[kind]
 
     def packs(j):  # packing number of the first j + 1 arrivals, from scratch
         mult = np.bincount(traj.edge_ids[:j + 1], minlength=g.m)
@@ -253,10 +253,11 @@ def test_undecided_triangle_probes_are_counted(monkeypatch):
 
 
 def test_stopping_times_unattainable_raises():
-    g = parse_edge_list("a b 1")  # no triangle can ever appear
-    traj = simulate_arrivals(g, 1.0, np.random.default_rng(0))
-    with pytest.raises(RuntimeError):
-        stopping_times(traj, [1], kinds=("tria",), max_extensions=5)
+    for g in (parse_edge_list("a b 1"), path_graph(4), C4):  # no triangle can ever appear
+        traj = MultigraphTrajectory(g, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="triangle"):
+            stopping_times(traj, [1], kinds=("span", "tria"))
+        assert traj.times == []  # raised up front, before any draw
     with pytest.raises(ValueError):
         stopping_times(traj, [0, 1], kinds=("span",))
 

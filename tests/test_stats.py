@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fpplab.fpp import _block_runs, sample_fpp_batch, sample_traversal
 from fpplab.graphs import complete_graph
 from fpplab.growth import GrowthConfig, prop1_check
-from fpplab.multigraph import sample_stopping_times, simulate_arrivals, stopping_times
+from fpplab.multigraph import MultigraphTrajectory, sample_stopping_times, stopping_times
 from fpplab import stats
 from fpplab.stats import (
     F_K_eval,
@@ -203,6 +203,29 @@ def test_theorem1_lower_on_single_edge():
     assert any(p.slack > 0 for p in pts)  # the bound bites somewhere
 
 
+def test_theorem1_lower_band_straddling_and_failing():
+    # at delta = 1 (K = 3) the bound reads lhs >= F_3(1/2) (tail - 2/3)^+; a
+    # tail of 0.9 from 1000 runs has a 3-sigma binomial band of 0.028
+    xi = np.array([2.0] * 900 + [0.0] * 100)
+    coef = F_K_eval(3, 0.5).value
+    band = 3.0 * math.sqrt(0.9 * 0.1 / 1000)
+    cases = {1.0: (True, False),            # allows a tail of 5/3: a clear pass
+             0.9 + band / 2: (True, True),  # the band straddles the largest tail
+             0.8: (False, False)}           # the whole band lies past it: FAIL
+    for allowed, verdict in cases.items():
+        (p,) = theorem1_lower_check(xi, 1.0, coef * (allowed - 2.0 / 3.0), [1.0])
+        assert p.tail == 0.9 and p.tail_band == pytest.approx(band)
+        assert (p.holds, p.inconclusive) == verdict
+
+
+def test_theorem1_lower_takes_its_largest_tail_in_log_space():
+    # F_K(d^2/(3 - d^2)) at d = 0.1 underflows a double; every tail is allowed
+    assert F_K_eval(300, 0.1**2 / (3.0 - 0.1**2)).value == 0.0
+    (p,) = theorem1_lower_check(np.full(1000, 2.0), 1.0, 1e-300, [0.1])
+    assert p.tail == 1.0 and p.holds and not p.inconclusive
+    assert p.log_rhs < math.log(1e-300)
+
+
 def test_trend_experiment_requires_five_members():
     with pytest.raises(ValueError):
         theorem1_trend_experiment([("a", 1, None, 0, 1)] * 4, 100, seed=0)
@@ -238,7 +261,6 @@ def test_spawn_seeds_gives_run_i_its_own_stream():
     same = sample_stopping_times(k4, [1], runs, np.random.SeedSequence(seed),
                                  kinds=("span",))["span"][1]
     assert np.array_equal(span, same)
-    horizon0 = 4.0 / sum(k4.weights)  # the sampler's first arrival window at k = 1
     # FPP run i is row i % B of block i // B, the block drawn from
     # default_rng(SeedSequence(seed).spawn(n_blocks)[i // B])
     blocks = [sample_traversal(g, np.random.default_rng(c), B)
@@ -250,7 +272,7 @@ def test_spawn_seeds_gives_run_i_its_own_stream():
     # every other sampler: run i is a function of
     # default_rng(SeedSequence(seed).spawn(runs)[i]) alone
     for i, child in enumerate(children):
-        traj = simulate_arrivals(k4, horizon0, np.random.default_rng(child))
+        traj = MultigraphTrajectory(k4, np.random.default_rng(child))
         assert span[i] == stopping_times(traj, [1], kinds=("span",))["span"][1]
 
 
