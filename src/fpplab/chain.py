@@ -13,12 +13,15 @@ temporary is as large as the whole chain:
 * ``E T``         sum of expected occupation times
 * ``var T``       occupation-measure sum of per-state quadratic variation
 
-A spec either lists transitions one state at a time (``transitions``,
-walked breadth-first with full validation) or expands a whole layer at
-once (``expand``, used by the FPP chain); the complete graph K20 (2^19
-states) solves in about a second.  The variance identity and the
-per-state unit-drift identity double as free exactness tests of the
-solver and are exposed on the solution.
+Every spec is enumerated by one layered pass: a layer is expanded at
+once by the spec's ``expand`` (the FPP chain) or, for a spec that lists
+transitions one state at a time, by an adapter that calls
+``transitions`` per state and validates every transition.  A successor
+may skip layers, so it gets its state index only when its own layer
+comes up.  The complete graph K20 (2^19 states) solves in about a
+second.  The variance identity and the per-state unit-drift identity
+double as free exactness tests of the solver and are exposed on the
+solution.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ class ChainSpec:
     ``expand`` optionally enumerates a whole layer at once: given an int64
     array of states of one popcount it returns ``(is_target, src, dst,
     rate)``, the target flag per state and every transition out of the
-    non-target states, each adding exactly one element (``src`` indexes
-    the input array, ``dst`` holds successor bitmasks)."""
+    non-target states (``src`` indexes the input array, ``dst`` holds
+    successor bitmasks).  Without it, ``transitions`` is called once per
+    non-target state."""
 
     initial: int
     transitions: Callable[[int], list[tuple[int, float]]]
@@ -150,44 +154,49 @@ class ExactSolution:
 
 
 def _enumerate(spec, kind: str) -> _Chain:
-    if getattr(spec, "expand", None) is not None:
-        return _enumerate_layers(spec)
-    return _enumerate_callable(spec, kind)
-
-
-def _enumerate_layers(spec: ChainSpec) -> _Chain:
-    """Expand one popcount layer at a time; the cap is checked before a
-    layer beyond it is expanded."""
-    layer = np.array([spec.initial], dtype=np.int64)
+    """Expand one popcount layer at a time, by ``spec.expand`` or by its
+    validated ``transitions``.  A successor may skip layers: it waits in
+    ``pending`` under its popcount and gets its state index when its own
+    layer is popped.  The cap is checked before a layer is expanded."""
+    expand = getattr(spec, "expand", None) or _expand_transitions(spec, kind)
+    initial = _masks([spec.initial])
+    # popcount -> [(successor masks, the dst array of their edges, their slots)];
+    # the initial state has no edge, so its index goes to a scratch slot
+    pending = {int(np.bitwise_count(initial[0])): [(initial, np.empty(1, np.int32), slice(None))]}
     parts = {name: [] for name in ("states", "is_target", "src", "dst", "rate")}
     bounds = [0]
-    total = 1
-    while layer.size:
-        is_target, src, dst, rate = spec.expand(layer)
+    while pending:
+        waiting = pending.pop(min(pending))
+        layer, index = np.unique(np.concatenate([m for m, _, _ in waiting]), return_inverse=True)
         lo = bounds[-1]
-        hi = lo + layer.size
-        stuck = (np.bincount(src, minlength=layer.size) == 0) & ~is_target
-        if stuck.any():
-            raise UnreachableTargetError(
-                f"state {int(layer[stuck][0]):#x} has no outgoing transitions and is not a target"
-            )
-        successors, inverse = np.unique(dst, return_inverse=True)
-        total += successors.size
-        if total > spec.state_cap:
+        bounds.append(lo + layer.size)
+        if bounds[-1] > spec.state_cap:
             raise CapacityError(f"reachable state count exceeds cap {spec.state_cap}")
-        parts["states"].append(layer)
-        parts["is_target"].append(is_target)
-        parts["src"].append((src + lo).astype(np.int32))
-        parts["dst"].append((inverse + hi).astype(np.int32))
-        parts["rate"].append(rate)
-        bounds.append(hi)
-        layer = successors
+        start = 0
+        for part, dst, where in waiting:
+            dst[where] = index[start:start + part.size] + lo
+            start += part.size
+        del waiting, index
+        is_target, src, successors, rate = expand(layer)
+        dst = np.empty(successors.size, dtype=np.int32)
+        popcount = np.bitwise_count(successors)
+        counts = np.flatnonzero(np.bincount(popcount)).tolist()
+        for count in counts:
+            where = slice(None) if len(counts) == 1 else popcount == count
+            pending.setdefault(count, []).append((successors[where], dst, where))
+        for name, part in zip(parts, (layer, is_target, (src + lo).astype(np.int32), dst, rate)):
+            parts[name].append(part)
     # one field at a time, each layer's parts freed before the next join,
     # so no two whole-chain copies of a field are alive together
-    chain = {name: _join(pieces) for name, pieces in parts.items()}
-    if not chain["is_target"].any():
+    chain = _Chain(layers=np.array(bounds), **{k: _join(pieces) for k, pieces in parts.items()})
+    stuck = chain.states[(chain.out_rate == 0) & ~chain.is_target]
+    if stuck.size:
+        raise UnreachableTargetError(
+            f"state {int(stuck[0]):#x} has no outgoing transitions and is not a target"
+        )
+    if not chain.is_target.any():
         raise UnreachableTargetError("no target state reachable from the initial state")
-    return _Chain(layers=np.array(bounds), **chain)
+    return chain
 
 
 def _join(pieces: list[np.ndarray]) -> np.ndarray:
@@ -196,68 +205,39 @@ def _join(pieces: list[np.ndarray]) -> np.ndarray:
     return joined
 
 
-def _enumerate_callable(spec, kind: str) -> _Chain:
-    """BFS the reachable states through ``spec.transitions`` (target states
-    are not expanded), validating every transition, then lay the result
-    out in popcount layers."""
-    seen = {spec.initial}
-    stack = [spec.initial]
-    src_masks: list[int] = []
-    dst_masks: list[int] = []
-    rates: list[float] = []
-    targets: list[int] = []
-    while stack:
-        s = stack.pop()
-        if spec.is_target(s):
-            targets.append(s)
-            continue
-        outs = spec.transitions(s)
-        if not outs:
-            raise UnreachableTargetError(
-                f"state {s:#x} has no outgoing transitions and is not a target"
-            )
-        total = 0.0
-        for s2, q in outs:
-            if not (q > 0):
-                raise ChainValidationError(f"nonpositive {kind} {q} on {s:#x} -> {s2:#x}")
-            if (s & s2) != s or s2 == s:
-                raise ChainValidationError(
-                    f"transition {s:#x} -> {s2:#x} does not strictly increase the state"
-                )
-            total += q
-            src_masks.append(s)
-            dst_masks.append(s2)
-            rates.append(q)
-            if s2 not in seen:
-                seen.add(s2)
-                stack.append(s2)
-                if len(seen) > spec.state_cap:
-                    raise CapacityError(f"reachable state count exceeds cap {spec.state_cap}")
-        if kind == "probability" and total > 1.0 + 1e-12:
-            raise ChainValidationError(f"probabilities out of {s:#x} sum to {total} > 1")
-    if not targets:
-        raise UnreachableTargetError("no target state reachable from the initial state")
-    if max(seen).bit_length() > 63:
-        raise CapacityError("state bitmasks wider than 63 bits")
+def _masks(values) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise CapacityError("state bitmasks wider than 63 bits") from None
 
-    states = np.fromiter(seen, dtype=np.int64, count=len(seen))
-    popcount = np.bitwise_count(states)
-    order = np.lexsort((states, popcount))
-    states, popcount = states[order], popcount[order]
-    layers = np.concatenate(([0], np.flatnonzero(np.diff(popcount)) + 1, [states.size]))
-    by_mask = np.argsort(states)
-    sorted_masks = states[by_mask]
 
-    def index(masks):
-        return by_mask[np.searchsorted(sorted_masks, np.array(masks, dtype=np.int64))]
-
-    src = index(src_masks).astype(np.int32)
-    keep = np.argsort(src, kind="stable")
-    is_target = np.zeros(states.size, dtype=bool)
-    is_target[index(targets)] = True
-    return _Chain(states, is_target, layers, src[keep],
-                  index(dst_masks).astype(np.int32)[keep],
-                  np.array(rates, dtype=float)[keep])
+def _expand_transitions(spec, kind: str):
+    """``expand`` for a spec that lists its transitions one state at a
+    time; target states are not expanded, and every transition out of the
+    others is validated."""
+    def expand(layer: np.ndarray):
+        is_target = np.zeros(layer.size, dtype=bool)
+        src, dst, rates = [], [], []
+        for i, s in enumerate(layer.tolist()):
+            if spec.is_target(s):
+                is_target[i] = True
+                continue
+            outs = spec.transitions(s)
+            for s2, q in outs:
+                if not (q > 0):
+                    raise ChainValidationError(f"nonpositive {kind} {q} on {s:#x} -> {s2:#x}")
+                if (s & s2) != s or s2 == s:
+                    raise ChainValidationError(
+                        f"transition {s:#x} -> {s2:#x} does not strictly increase the state"
+                    )
+                src.append(i)
+                dst.append(s2)
+                rates.append(q)
+            if kind == "probability" and (total := sum(q for _, q in outs)) > 1.0 + 1e-12:
+                raise ChainValidationError(f"probabilities out of {s:#x} sum to {total} > 1")
+        return is_target, np.array(src, dtype=np.intp), _masks(dst), np.array(rates, dtype=float)
+    return expand
 
 
 def _backward(chain: _Chain, step, count: int) -> np.ndarray:

@@ -81,9 +81,12 @@ class ConfigError(ValueError):
 CHECKS: dict[str, dict] = {}
 
 
-def _register(name, processes, anchor, statement, min_runs=3):
+def _register(name, processes, anchor, statement, min_runs=3, parse=lambda params: {}):
+    """``parse`` turns the check's config entry into the parameters ``fn``
+    receives, raising ConfigError; every entry is parsed before any check
+    runs, and the parameters gain the check's run count, ``runs``."""
     def wrap(fn):
-        CHECKS[name] = {"fn": fn, "processes": processes, "anchor": anchor,
+        CHECKS[name] = {"fn": fn, "parse": parse, "processes": processes, "anchor": anchor,
                         "statement": statement, "min_runs": min_runs}
         return fn
     return wrap
@@ -96,10 +99,6 @@ class _Context:
         self.out_dir = out_dir
         self._graph = None
         self._solution = None
-
-    @property
-    def runs(self):
-        return self.cfg.get("runs", 10_000)
 
     def graph(self) -> WeightedGraph:
         if self._graph is None:
@@ -142,17 +141,20 @@ def _check_lemma1(ctx, params):
     return _clean(rep), rep.holds
 
 
+def _lemma2_params(params):
+    return {"deltas": _deltas(params, "lemma2", [0.05, 0.1, 0.2, 0.5]),
+            "epsilons": _list(params.get("epsilons", [0.05, 0.1, 0.2, 0.5]), "lemma2 epsilons",
+                              lambda v: _real(v, "lemma2 epsilon", 0.0))}
+
+
 @_register("lemma2", ("fpp",), "Lemma 2",
-           "var T/(E T)^2 <= 2d + e + occupation of {q_d >= e}/E T")
+           "var T/(E T)^2 <= 2d + e + occupation of {q_d >= e}/E T", parse=_lemma2_params)
 def _check_lemma2(ctx, params):
-    deltas = _deltas(params, "lemma2", [0.05, 0.1, 0.2, 0.5])
-    epsilons = _list(params.get("epsilons", [0.05, 0.1, 0.2, 0.5]), "lemma2 epsilons",
-                     lambda v: _real(v, "lemma2 epsilon", 0.0))
     sol = ctx.solution()
     grid = []
     ok = True
-    for d in deltas:
-        for e in epsilons:
+    for d in params["deltas"]:
+        for e in params["epsilons"]:
             rep = lemma2_bound(sol, d, e)
             ok = ok and rep.holds
             grid.append({"delta": d, "epsilon": e, "lhs": rep.lhs, "rhs": rep.rhs,
@@ -167,15 +169,17 @@ def _check_prop4(ctx, params):
 
 
 @_register("continuization", ("fpp", "bounds"), "continuization identity",
-           "E T_cont = E T_disc and var T_cont = var T_disc + E T_disc")
+           "E T_cont = E T_disc and var T_cont = var T_disc + E T_disc",
+           parse=lambda params: {
+               "count": _integer(params.get("count", 50), "continuization count", 1),
+               "bits": _integer(params.get("bits", 8), "continuization bits", 1)})
 def _check_continuization(ctx, params):
-    count = _integer(params.get("count", 50), "continuization count", 1)
-    bits = _integer(params.get("bits", 8), "continuization bits", 1)
+    count = params["count"]
     rng = np.random.default_rng(ctx.check_seed("continuization"))
     worst_mean = worst_var = 0.0
     ok = True
     for _ in range(count):
-        spec = _random_discrete_chain(rng, bits=bits)
+        spec = _random_discrete_chain(rng, bits=params["bits"])
         rep = continuization_check(spec)
         worst_mean = max(worst_mean, rep.mean_error)
         worst_var = max(worst_var, rep.var_error)
@@ -188,7 +192,7 @@ def _check_continuization(ctx, params):
            "MC mean/var of X agree with the exact chain solution within 4 sigma")
 def _check_dual_agreement(ctx, params):
     s, t = ctx.endpoints()
-    batch = sample_fpp_batch(ctx.graph(), s, t, ctx.runs,
+    batch = sample_fpp_batch(ctx.graph(), s, t, params["runs"],
                              ctx.check_seed("dual_agreement"))
     _write_fpp_csv(ctx, "dual_agreement_runs.csv", batch)
     stats = SampleStats.from_samples(batch.X)
@@ -204,16 +208,23 @@ def _check_dual_agreement(ctx, params):
     return {**result, "z_mean": z_mean, "z_var": z_var}, z_mean <= 4.0 and z_var <= 4.0
 
 
+def _given_reals(check, names):
+    """Parse the parameters among ``names`` that are given; the others
+    default to multiples of E T, known only once the chain is solved."""
+    return lambda params: {k: _real(params[k], f"{check} {k}") for k in names if k in params}
+
+
 @_register("coupling_lower", ("fpp",), "resampling coupling",
-           "var X >= (1/4) E (X' - X)^2 for the conditioned-interval coupling")
+           "var X >= (1/4) E (X' - X)^2 for the conditioned-interval coupling",
+           parse=_given_reals("coupling_lower", ("a", "b")))
 def _check_coupling_lower(ctx, params):
     s, t = ctx.endpoints()
     sol = ctx.solution()
-    a = _real(params.get("a", 0.25 * sol.E_T), "coupling_lower a")
-    b = _real(params.get("b", 2.0 * sol.E_T), "coupling_lower b")
+    a = params.get("a", 0.25 * sol.E_T)
+    b = params.get("b", 2.0 * sol.E_T)
     if not 0 < a < b:
         raise ConfigError("coupling interval needs 0 < a < b")
-    batch = sample_coupling_batch(ctx.graph(), s, t, ctx.runs,
+    batch = sample_coupling_batch(ctx.graph(), s, t, params["runs"],
                                   ctx.check_seed("coupling_lower"), a, b)
     increment = batch.X_prime - batch.X
     bound_ok = bool(np.all(increment <= batch.increment_bound + 1e-9))
@@ -221,32 +232,33 @@ def _check_coupling_lower(ctx, params):
     rhs = 0.25 * stats.mean
     holds, inconclusive = band_verdict(rhs, sol.var_T, BAND_SIGMAS * 0.25 * stats.mean_se)
     return {"var_X": sol.var_T, "quarter_mean_sq_increment": rhs,
-            "pathwise_increment_bound_held": bound_ok, "runs": ctx.runs,
+            "pathwise_increment_bound_held": bound_ok, "runs": params["runs"],
             "inconclusive": inconclusive}, bound_ok and holds
 
 
 @_register("submultiplicativity", ("fpp",), "submultiplicative tails",
-           "P(X > y1+y2) <= P(X > y1) P(X > y2), advisory with binomial band")
+           "P(X > y1+y2) <= P(X > y1) P(X > y2), advisory with binomial band",
+           parse=_given_reals("submultiplicativity", ("y1", "y2")))
 def _check_submult(ctx, params):
     s, t = ctx.endpoints()
-    batch = sample_fpp_batch(ctx.graph(), s, t, ctx.runs,
+    batch = sample_fpp_batch(ctx.graph(), s, t, params["runs"],
                              ctx.check_seed("submultiplicativity"))
     sol = ctx.solution()
-    y1 = _real(params.get("y1", sol.E_T), "submultiplicativity y1")
-    y2 = _real(params.get("y2", sol.E_T), "submultiplicativity y2")
+    y1 = params.get("y1", sol.E_T)
+    y2 = params.get("y2", sol.E_T)
     rep = submultiplicativity_probe(batch.X, y1, y2)
     return rep, None  # advisory: never a hard failure
 
 
 @_register("theorem1_lower", ("fpp",), "two-sided bound, lower half",
-           "var X/(E X)^2 >= explicit shortfall-moment expression on a delta grid")
+           "var X/(E X)^2 >= explicit shortfall-moment expression on a delta grid",
+           parse=lambda params: {"deltas": _deltas(params, "theorem1_lower", [0.25, 0.5, 1.0])})
 def _check_theorem1_lower(ctx, params):
-    deltas = _deltas(params, "theorem1_lower", [0.25, 0.5, 1.0])
     s, t = ctx.endpoints()
-    batch = sample_fpp_batch(ctx.graph(), s, t, ctx.runs,
+    batch = sample_fpp_batch(ctx.graph(), s, t, params["runs"],
                              ctx.check_seed("theorem1_lower"))
     sol = ctx.solution()
-    points = theorem1_lower_check(batch.Xi, sol.E_T, sol.var_T, deltas)
+    points = theorem1_lower_check(batch.Xi, sol.E_T, sol.var_T, params["deltas"])
     ok = all(p.holds for p in points)
     return {"points": [_clean(p) for p in points],
             "inconclusive": any(p.inconclusive for p in points)}, ok
@@ -265,14 +277,20 @@ def default_trend_family():
     return members
 
 
+def _trend_params(params):
+    # the one check with a run count of its own, checked with the others
+    own_runs = {"runs": params["runs"]} if "runs" in params else {}
+    return {**own_runs, "min_spearman": _real(params.get("min_spearman", 0.9),
+                                              "theorem1_trend min_spearman")}
+
+
 @_register("theorem1_trend", ("fpp",), "two-sided bound, qualitative",
-           "sd(X)/E X and the L0-size of Xi/E X move together across a family")
+           "sd(X)/E X and the L0-size of Xi/E X move together across a family",
+           parse=_trend_params)
 def _check_theorem1_trend(ctx, params):
     members = default_trend_family()
-    runs = params.get("runs", ctx.runs)
-    rep = theorem1_trend_experiment(members, runs, ctx.check_seed("theorem1_trend"))
-    min_rho = _real(params.get("min_spearman", 0.9), "theorem1_trend min_spearman")
-    ok = rep.spearman > min_rho
+    rep = theorem1_trend_experiment(members, params["runs"], ctx.check_seed("theorem1_trend"))
+    ok = rep.spearman > params["min_spearman"]
     if ctx.out_dir is not None:
         lines = ["member,param,sd_over_mean,ci,l0_xi,n_runs"]
         for mrow in rep.members:
@@ -282,11 +300,7 @@ def _check_theorem1_trend(ctx, params):
     return _clean(rep), ok
 
 
-@_register("prop2", ("multigraph",), "Proposition 2",
-           "sd/mean of the k-tree / k-triangle arrival times obeys graph-free bounds",
-           min_runs=MIN_RUNS)
-def _check_prop2(ctx, params):
-    g = ctx.graph()
+def _prop2_params(params):
     ks = _list(params.get("ks", [1]), "prop2 ks", lambda k: _integer(k, "prop2 k", 1))
 
     def known_kind(kind):
@@ -298,11 +312,20 @@ def _check_prop2(ctx, params):
     for what, values in (("ks", ks), ("kinds", kinds)):
         if len(set(values)) < len(values):
             raise ConfigError(f"prop2 {what} must not repeat, got {list(values)!r}")
+    return {"ks": ks, "kinds": kinds}
+
+
+@_register("prop2", ("multigraph",), "Proposition 2",
+           "sd/mean of the k-tree / k-triangle arrival times obeys graph-free bounds",
+           min_runs=MIN_RUNS, parse=_prop2_params)
+def _check_prop2(ctx, params):
+    g = ctx.graph()
+    ks, kinds, runs = params["ks"], params["kinds"], params["runs"]
     if "tria" in kinds and not g.triangles:
         raise ConfigError("prop2 kind 'tria' needs a graph with a triangle")
     gamma, _ = min_cut_weight(g)
     uncertified = Counter()
-    samples = sample_stopping_times(g, ks, ctx.runs, ctx.check_seed("prop2"), kinds=kinds,
+    samples = sample_stopping_times(g, ks, runs, ctx.check_seed("prop2"), kinds=kinds,
                                     uncertified=uncertified)
     if ctx.out_dir is not None:
         def cell(kind, k, i):  # empty for a kind that was not run
@@ -310,7 +333,7 @@ def _check_prop2(ctx, params):
 
         lines = ["run_index,k,T_span,T_tria"]
         for k in ks:
-            for i in range(ctx.runs):
+            for i in range(runs):
                 lines.append(f"{i},{k},{cell('span', k, i)},{cell('tria', k, i)}")
         (ctx.out_dir / "prop2_runs.csv").write_text("\n".join(lines) + "\n")
     reports = []
@@ -329,7 +352,7 @@ def _check_prop2(ctx, params):
            "lattice growth hitting time: var T <= E T / c_lo", min_runs=MIN_RUNS)
 def _check_prop1(ctx, params):
     cfg = _growth_config(ctx.cfg)
-    rep = prop1_check(cfg, ctx.runs, ctx.check_seed("prop1"))
+    rep = prop1_check(cfg, params["runs"], ctx.check_seed("prop1"))
     return _clean(rep), rep.holds
 
 
@@ -337,14 +360,15 @@ def _check_prop1(ctx, params):
            "coverage draw count: var T <= n E T", min_runs=MIN_RUNS)
 def _check_prop3(ctx, params):
     cov = CoverageConfig.from_graph(ctx.graph())
-    rep = prop3_check(cov, ctx.runs, ctx.check_seed("prop3"))
+    rep = prop3_check(cov, params["runs"], ctx.check_seed("prop3"))
     return _clean(rep), rep.holds
 
 
 @_register("a_k", ("multigraph", "bounds"), "Lemma 5 corollary",
-           "a(k) = inf q/(1-(1-q^3)^k) obeys a(1)=1 and a(k) <= (e/(e-1)) k^(-1/3)")
+           "a(k) = inf q/(1-(1-q^3)^k) obeys a(1)=1 and a(k) <= (e/(e-1)) k^(-1/3)",
+           parse=lambda params: {"kmax": _integer(params.get("kmax", 100), "a_k kmax", 1)})
 def _check_a_k(ctx, params):
-    kmax = _integer(params.get("kmax", 100), "a_k kmax", 1)
+    kmax = params["kmax"]
     envelope = math.e / (math.e - 1.0)
     values = [a_k_eval(k) for k in range(1, kmax + 1)]
     ok = abs(values[0] - 1.0) <= 1e-6 and all(
@@ -353,12 +377,13 @@ def _check_a_k(ctx, params):
 
 
 @_register("psi_minus", ("fpp", "bounds"), "explicit lower modulus",
-           "psi_-(d) > 0 on (0,1], log-space evaluation")
+           "psi_-(d) > 0 on (0,1], log-space evaluation",
+           parse=lambda params: {
+               "deltas": _deltas(params, "psi_minus", [round(0.05 * i, 2) for i in range(1, 21)])})
 def _check_psi_minus(ctx, params):
-    grid = _deltas(params, "psi_minus", [round(0.05 * i, 2) for i in range(1, 21)])
     rows = []
     ok = True
-    for d in grid:
+    for d in params["deltas"]:
         p = psi_minus_eval(d)
         rows.append({"delta": p.delta, "K": p.K, "log_value": p.log_value,
                      "value": p.value})
@@ -380,12 +405,14 @@ def _load_graph(cfg, seed) -> WeightedGraph:
         return parse_edge_list(_typed(spec["edge_list"], str, "graph edge_list"))
     if "path" in spec:
         p = Path(_typed(spec["path"], str, "graph path"))
-        if not p.exists():
-            raise ConfigError(f"graph file not found: {p}")
-        return parse_edge_list(p.read_text())
+        try:
+            text = p.read_text()
+        except (OSError, ValueError) as exc:  # a directory, a null byte, not UTF-8
+            raise ConfigError(f"cannot read graph file {p}: {exc}") from None
+        return parse_edge_list(text)
     if "family" in spec:
         name = spec["family"]
-        if name not in FAMILIES:
+        if not isinstance(name, str) or name not in FAMILIES:
             raise ConfigError(f"unknown family {name!r}; have {sorted(FAMILIES)}")
         try:
             args = dict(spec.get("args", {}))
@@ -492,10 +519,13 @@ def _validate_config(cfg):
     process = cfg.get("process")
     if process not in ("fpp", "multigraph", "coverage", "growth", "bounds"):
         raise ConfigError(f"unknown process kind {process!r}")
+    if "out" in cfg:
+        _typed(cfg["out"], str, "out")
     checks = cfg.get("checks")
     if not isinstance(checks, list) or not checks:
         raise ConfigError("config needs a non-empty 'checks' list")
-    norm = []
+    runs = _integer(cfg.get("runs", 10_000), "runs", 3)
+    parsed = []
     for item in checks:
         if isinstance(item, str):
             name, params = item, {}
@@ -504,21 +534,19 @@ def _validate_config(cfg):
             params = {k: v for k, v in item.items() if k != "name"}
         else:
             raise ConfigError(f"bad check entry: {item!r}")
-        if name not in CHECKS:
+        if not isinstance(name, str) or name not in CHECKS:
             known = ", ".join(sorted(CHECKS))
             raise ConfigError(f"unknown check {name!r}; catalog: {known}")
-        if process not in CHECKS[name]["processes"]:
+        meta = CHECKS[name]
+        if process not in meta["processes"]:
             raise ConfigError(
                 f"check {name!r} does not apply to process {process!r} "
-                f"(valid: {CHECKS[name]['processes']})"
+                f"(valid: {meta['processes']})"
             )
-        norm.append((name, params))
-    runs = _integer(cfg.get("runs", 10_000), "runs", 3)
-    for name, params in norm:
-        # theorem1_trend alone reads a per-check run count
-        n = params.get("runs", runs) if name == "theorem1_trend" else runs
-        _integer(n, f"{name} runs", CHECKS[name]["min_runs"])
-    return norm
+        values = meta["parse"](params)
+        values["runs"] = _integer(values.get("runs", runs), f"{name} runs", meta["min_runs"])
+        parsed.append((name, values))
+    return parsed
 
 
 def _integer(value, what, minimum):

@@ -199,7 +199,7 @@ class LowerBoundPoint:
     log_rhs: float       # log of the variance-ratio lower bound
     lhs: float           # var X / (E X)^2
     holds: bool
-    tail_band: float     # BAND_SIGMAS binomial standard errors of the tail
+    tail_band: float     # half-width of the BAND_SIGMAS Wilson score interval of the tail
     inconclusive: bool
 
 
@@ -209,23 +209,28 @@ def theorem1_lower_check(xi_samples, mean_x: float, var_x: float,
     var X/(E X)^2 >= (1/4)(3/d - d)^2 F_K(d^2/(3-d^2)) (P(Xi/EX >= d) - d/3 - 1/(dK))^+
     with K = ceil(3/d^2).  The right side grows with the tail, so the
     check is the sampled claim "tail <= the largest tail the bound
-    allows", judged by :func:`band_verdict` on a ``BAND_SIGMAS`` binomial
-    band.  That largest tail is found in log space, since F_K underflows;
-    a clamped-to-zero slack makes the bound at the empirical tail zero."""
+    allows", judged by :func:`band_verdict` on the centre and half-width
+    of the tail's ``BAND_SIGMAS`` Wilson score interval, which keeps a
+    nonzero width at an empirical tail of 0 or 1.  That largest tail is
+    found in log space, since F_K underflows; a clamped-to-zero slack
+    makes the bound at the empirical tail zero."""
     xi = np.asarray(xi_samples, dtype=float)
     lhs = var_x / mean_x**2
     log_lhs = math.log(lhs) if lhs > 0 else LOG_NEG_INF
+    n = len(xi)
+    z2 = BAND_SIGMAS**2 / n
     out = []
     for delta in deltas:
         K = math.ceil(3.0 / delta**2)
         tail = float(np.mean(xi / mean_x >= delta))
-        band = BAND_SIGMAS * math.sqrt(tail * (1.0 - tail) / len(xi))
+        centre = (tail + z2 / 2.0) / (1.0 + z2)
+        band = BAND_SIGMAS * math.sqrt(tail * (1.0 - tail) / n + z2 / (4.0 * n)) / (1.0 + z2)
         floor = delta / 3.0 + 1.0 / (delta * K)
         fk = F_K_eval(K, delta**2 / (3.0 - delta**2))
         log_coef = math.log(0.25) + 2.0 * math.log(3.0 / delta - delta) + fk.log_value
         # exp stays finite; a slack of e^700 lies past any tail + band
         max_tail = floor + math.exp(min(log_lhs - log_coef, 700.0))
-        holds, inconclusive = band_verdict(tail, max_tail, band)
+        holds, inconclusive = band_verdict(centre, max_tail, band)
         slack = max(tail - floor, 0.0)
         log_rhs = log_coef + math.log(slack) if slack > 0.0 else LOG_NEG_INF
         out.append(LowerBoundPoint(delta, K, tail, slack, log_rhs, lhs,

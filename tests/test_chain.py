@@ -21,6 +21,8 @@ from fpplab.chain import (
 from fpplab.fpp import fpp_chain_spec
 from fpplab.graphs import CapacityError, WeightedGraph, complete_graph, path_graph
 
+import reference_chain
+
 
 def weighted_path(rates):
     names = tuple(f"v{i}" for i in range(len(rates) + 1))
@@ -166,8 +168,25 @@ def test_state_capacity():
 
 def test_wide_bitmasks_are_a_capacity_error():
     wide = 1 << 70
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="wider than 63 bits"):
         solve_hitting(ChainSpec(0, lambda m: [(wide, 1.0)], lambda m: m == wide))
+    with pytest.raises(CapacityError, match="wider than 63 bits"):
+        solve_hitting(ChainSpec(wide, lambda m: [(wide | 1, 1.0)], lambda m: m != wide))
+
+
+def test_callable_chain_that_skips_a_layer():
+    # 0 -> 0b111 directly at rate 2, or through 0b011 at rate 1 then 1:
+    # layer 1 is empty, and T = Exp(3) + [1/3 chance] Exp(1) has
+    # E T = 1/3 + 1/3 and var T = 1/9 + (1/3) 2 - (1/3)^2, both 2/3
+    out = {0b000: [(0b011, 1.0), (0b111, 2.0)], 0b011: [(0b111, 1.0)]}
+    spec = ChainSpec(0, lambda m: out[m], lambda m: m == 0b111)
+    sol = solve_hitting(spec)
+    assert sol.states.tolist() == [0, 3, 7]
+    assert abs(sol.E_T - 2.0 / 3.0) < 1e-12 and abs(sol.var_T - 2.0 / 3.0) < 1e-12
+    ref = reference_chain.solve_hitting(spec)
+    for s, h in zip(sol.states.tolist(), sol.h):
+        assert abs(h - ref.h[s]) < 1e-12
+    assert abs(sol.E_T - ref.E_T) < 1e-12 and abs(sol.var_T - ref.var_T) < 1e-12
 
 
 def test_layered_state_capacity():

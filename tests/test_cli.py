@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fpplab import cli, multigraph
 from fpplab.cli import CHECKS, main, run_scenario
+from fpplab.graphs import CapacityError, GraphParseError, GraphValidationError
 from fpplab.growth import GrowthConfig
 from fpplab.multigraph import Prop2Report
 from fpplab.stats import F_K_eval
@@ -131,6 +132,10 @@ def test_cli_seed_flag_overrides_config(tmp_path):
     lambda c: c.update(graph=5),
     lambda c: c.update(graph={"edge_list": 5}),
     lambda c: c.update(graph={"path": 5}),
+    lambda c: c.update(graph={"path": "."}),                # a directory
+    lambda c: c.update(graph={"family": ["complete"]}),
+    lambda c: c.update(checks=[{"name": ["lemma1"]}]),
+    lambda c: c.update(out=5),
     lambda c: c.update(process="growth", checks=["prop1"], growth=5),
     lambda c: c.update(process="growth", checks=["prop1"], growth={"rate": 5}),
     lambda c: c.update(process="growth", checks=["prop1"],
@@ -280,6 +285,62 @@ def test_growth_config_returns_config_or_config_error(growth):
     assert 0 < cfg.c_lo <= cfg.c_hi
 
 
+# Names a mutation may write, so that edits often reach a real check, family or
+# parameter.  Integers stay small: a graph family builds whatever size it is
+# given, so a fuzzed complete(10**9) would exhaust memory rather than raise.
+_NAMES = st.sampled_from(sorted(CHECKS) + sorted(cli.FAMILIES) + [
+    "fpp", "multigraph", "coverage", "growth", "bounds", "name", "family", "args",
+    "edge_list", "path", "n", "rows", "cols", "c1", "c2", "bridge_rate", "p",
+    "weight_range", "runs", "seed", "deltas", "epsilons", "ks", "kinds", "span", "tria",
+    "a", "b", "y1", "y2", "kmax", "count", "bits", "min_spearman", "source", "target"])
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3)
+    | _NAMES | st.sampled_from(["a b 1", "a b 1\nb c 2", "a a 1", "a b nan", "a b 1\na b 2"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_NAMES | st.text(max_size=3),
+                                                               inner, max_size=3),
+    max_leaves=8)
+SCENARIOS = [json.loads(f.read_text()) for f in SCENARIO_FILES]
+
+
+def _mutate(data, cfg):
+    """One to three edits, each at a drawn depth of the config: replace a
+    value, delete a key or list item, or add a key."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = cfg
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = data.draw(st.sampled_from(keys))
+            if isinstance(node[key], (dict, list)) and data.draw(st.booleans()):
+                node = node[key]
+                continue
+            break
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if keys and action == "replace":
+            node[key] = data.draw(_SMALL_JSON)
+        elif keys and action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[data.draw(_NAMES)] = data.draw(_SMALL_JSON)
+        else:
+            node.append(data.draw(_SMALL_JSON))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_scenario_validates_or_raises_a_config_error(data):
+    # the work a run does before any sampling: a mutated shipped scenario is
+    # accepted or rejected with an error that maps to exit 2 or 3
+    cfg = json.loads(json.dumps(data.draw(st.sampled_from(SCENARIOS))))
+    _mutate(data, cfg)
+    for step in (cli._validate_config, lambda c: cli._load_graph(c, 7)):
+        try:
+            step(cfg)
+        except (cli.ConfigError, GraphParseError, GraphValidationError, CapacityError):
+            pass
+
+
 def test_prop2_inconclusive_report_shows_in_status(tmp_path, monkeypatch):
     def straddling(samples, k, kind="span", gamma=None, uncertified=0):
         return Prop2Report(kind=kind, k=k, runs=len(samples), mean=1.0, sd=1.05, ratio=1.05,
@@ -349,6 +410,19 @@ def test_theorem1_lower_band_sets_the_status(tmp_path, monkeypatch, allowed, sta
     (point,) = check["result"]["points"]
     assert point["tail"] == 0.9 and point["tail_band"] == pytest.approx(0.0285, abs=1e-4)
     assert check["result"]["inconclusive"] is point["inconclusive"] is (status == "inconclusive")
+
+
+def test_bad_check_parameter_exits_before_any_sampling(tmp_path, monkeypatch, capsys):
+    # every check's parameters are parsed before the first check runs, so
+    # a bad delta in the second check stops the run before the first samples
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the config was validated")
+
+    monkeypatch.setattr(cli, "sample_fpp_batch", no_sampling)
+    cfg = dict(BASE, graph={"family": "complete", "args": {"n": 12}}, runs=100_000,
+               checks=["dual_agreement", {"name": "theorem1_lower", "deltas": [0]}])
+    assert run_scenario(write_cfg(tmp_path, cfg)) == 2
+    assert "theorem1_lower delta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario", ["bounds", "fpp_bridge", "multigraph_k4",

@@ -203,18 +203,41 @@ def test_theorem1_lower_on_single_edge():
     assert any(p.slack > 0 for p in pts)  # the bound bites somewhere
 
 
+def wilson(tail, n, z=3.0):
+    """(centre, half-width) of the z-sigma Wilson score interval."""
+    z2 = z * z / n
+    return ((tail + z2 / 2) / (1 + z2),
+            z * math.sqrt(tail * (1 - tail) / n + z2 / (4 * n)) / (1 + z2))
+
+
 def test_theorem1_lower_band_straddling_and_failing():
     # at delta = 1 (K = 3) the bound reads lhs >= F_3(1/2) (tail - 2/3)^+; a
-    # tail of 0.9 from 1000 runs has a 3-sigma binomial band of 0.028
+    # tail of 0.9 from 1000 runs has a 3-sigma Wilson half-width of 0.0286
     xi = np.array([2.0] * 900 + [0.0] * 100)
     coef = F_K_eval(3, 0.5).value
-    band = 3.0 * math.sqrt(0.9 * 0.1 / 1000)
+    _, band = wilson(0.9, 1000)
+    assert band == pytest.approx(0.02856, abs=1e-5)
     cases = {1.0: (True, False),            # allows a tail of 5/3: a clear pass
              0.9 + band / 2: (True, True),  # the band straddles the largest tail
              0.8: (False, False)}           # the whole band lies past it: FAIL
     for allowed, verdict in cases.items():
         (p,) = theorem1_lower_check(xi, 1.0, coef * (allowed - 2.0 / 3.0), [1.0])
         assert p.tail == 0.9 and p.tail_band == pytest.approx(band)
+        assert (p.holds, p.inconclusive) == verdict
+
+
+def test_theorem1_lower_band_stays_open_at_a_tail_of_one():
+    # every Xi above delta * mean: the Wald band sqrt(tail (1 - tail) / n)
+    # would be 0, while the Wilson interval [0.9911, 1] keeps a width
+    xi = np.full(1000, 2.0)
+    coef = F_K_eval(3, 0.5).value
+    centre, band = wilson(1.0, 1000)
+    assert band > 0.004 and centre + band == pytest.approx(1.0)
+    for allowed, verdict in {1.05: (True, False),    # the whole interval is allowed
+                             0.995: (True, True),    # inside the interval: straddles
+                             0.99: (False, False)}.items():  # below it: FAIL
+        (p,) = theorem1_lower_check(xi, 1.0, coef * (allowed - 2.0 / 3.0), [1.0])
+        assert p.tail == 1.0 and p.tail_band == pytest.approx(band)
         assert (p.holds, p.inconclusive) == verdict
 
 
