@@ -14,7 +14,6 @@ from .graphs import (
 )
 from .chain import (
     ChainSpec,
-    DiscreteChainSpec,
     continuization_check,
     lemma1_bound,
     lemma2_bound,

@@ -13,6 +13,10 @@ temporary is as large as the whole chain:
 * ``E T``         sum of expected occupation times
 * ``var T``       occupation-measure sum of per-state quadratic variation
 
+One spec is read as rates (``solve_hitting``, ``variance_by_first_step``)
+or as jump probabilities, the leftover mass a self-loop (``solve_discrete``,
+``continuization_check``); the second reading continuized is the first.
+
 Every spec is enumerated by one layered pass: a layer is expanded at
 once by the spec's ``expand`` (the FPP chain) or, for a spec that lists
 transitions one state at a time, by an adapter that calls
@@ -49,7 +53,8 @@ class ChainValidationError(ValueError):
 @dataclass(frozen=True)
 class ChainSpec:
     """An increasing chain: initial bitmask state, transition enumerator
-    (strictly increasing, positive rates), and a target predicate.
+    (strictly increasing, positive numbers), and a target predicate.  The
+    numbers are rates or jump probabilities, as the solver reads them.
 
     ``expand`` optionally enumerates a whole layer at once: given an int64
     array of states of one popcount it returns ``(is_target, src, dst,
@@ -61,20 +66,7 @@ class ChainSpec:
     initial: int
     transitions: Callable[[int], list[tuple[int, float]]]
     is_target: Callable[[int], bool]
-    state_cap: int = STATE_CAP
     expand: Callable[[np.ndarray], tuple] | None = None
-
-
-@dataclass(frozen=True)
-class DiscreteChainSpec:
-    """Discrete-time analog: the enumerator returns probabilities of moving
-    to strictly larger states; any probability mass left over is a
-    self-loop (stay put)."""
-
-    initial: int
-    transitions: Callable[[int], list[tuple[int, float]]]
-    is_target: Callable[[int], bool]
-    state_cap: int = STATE_CAP
 
 
 @dataclass(frozen=True)
@@ -129,9 +121,9 @@ class ExactSolution:
     def initial(self) -> int:
         return int(self.states[0])
 
-    def monotone_h(self, tol: float = 1e-12) -> bool:
+    def monotone_h(self) -> bool:
         """h never increases along any enumerated transition."""
-        return bool(np.all(self.decrement >= -tol))
+        return bool(np.all(self.decrement >= -1e-12))
 
     def max_identity_error(self) -> float:
         """Worst deviation of the unit-drift identity b(S) = 1 over
@@ -139,26 +131,15 @@ class ExactSolution:
         live = ~self.is_target
         return float(np.abs(self.b[live] - 1.0).max()) if live.any() else 0.0
 
-    def to_json_dict(self) -> dict:
-        order = np.argsort(self.states)
-        rows = zip(self.states[order].tolist(), self.h[order].tolist(),
-                   self.visit_prob[order].tolist(), self.expected_time_in[order].tolist())
-        return {
-            "initial": self.initial,
-            "E_T": self.E_T,
-            "var_T": self.var_T,
-            "kappa": self.kappa,
-            "states": {str(s): {"h": h, "visit_prob": p, "time_in": t}
-                       for s, h, p, t in rows},
-        }
 
-
-def _enumerate(spec, kind: str) -> _Chain:
+def _enumerate(spec: ChainSpec, kind: str) -> _Chain:
     """Expand one popcount layer at a time, by ``spec.expand`` or by its
-    validated ``transitions``.  A successor may skip layers: it waits in
-    ``pending`` under its popcount and gets its state index when its own
-    layer is popped.  The cap is checked before a layer is expanded."""
-    expand = getattr(spec, "expand", None) or _expand_transitions(spec, kind)
+    validated ``transitions``, whose numbers ``kind`` names.  A successor
+    may skip layers: it waits in ``pending`` under its popcount and gets
+    its state index when its own layer is popped.  ``STATE_CAP`` is
+    checked before a layer is expanded."""
+    cap = STATE_CAP
+    expand = spec.expand or _expand_transitions(spec, kind)
     initial = _masks([spec.initial])
     # popcount -> [(successor masks, the dst array of their edges, their slots)];
     # the initial state has no edge, so its index goes to a scratch slot
@@ -170,8 +151,8 @@ def _enumerate(spec, kind: str) -> _Chain:
         layer, index = np.unique(np.concatenate([m for m, _, _ in waiting]), return_inverse=True)
         lo = bounds[-1]
         bounds.append(lo + layer.size)
-        if bounds[-1] > spec.state_cap:
-            raise CapacityError(f"reachable state count exceeds cap {spec.state_cap}")
+        if bounds[-1] > cap:
+            raise CapacityError(f"reachable state count exceeds cap {cap}")
         start = 0
         for part, dst, where in waiting:
             dst[where] = index[start:start + part.size] + lo
@@ -212,7 +193,7 @@ def _masks(values) -> np.ndarray:
         raise CapacityError("state bitmasks wider than 63 bits") from None
 
 
-def _expand_transitions(spec, kind: str):
+def _expand_transitions(spec: ChainSpec, kind: str):
     """``expand`` for a spec that lists its transitions one state at a
     time; target states are not expanded, and every transition out of the
     others is validated."""
@@ -297,7 +278,7 @@ def _solve(chain: _Chain) -> ExactSolution:
 
 def solve_hitting(spec: ChainSpec) -> ExactSolution:
     """Exactly solve mean, variance, visit probabilities and occupation
-    times of the hitting time of the target collection."""
+    times of the hitting time of the target collection (numbers as rates)."""
     return _solve(_enumerate(spec, "rate"))
 
 
@@ -308,9 +289,9 @@ def _first_step(q, sum_h, sum_m2):
 
 
 def variance_by_first_step(spec: ChainSpec) -> tuple[float, float]:
-    """Independent route to (E T, var T): first-step recursions for the
-    first and second moment of T.  Used to cross-check the occupation-
-    measure variance."""
+    """Independent route to (E T, var T) of the rate chain: first-step
+    recursions for the first and second moment of T.  Used to cross-check
+    the occupation-measure variance."""
     h, m2 = _backward(_enumerate(spec, "rate"), _first_step, 2)
     return float(h[0]), float(m2[0] - h[0] ** 2)
 
@@ -326,16 +307,10 @@ def _discrete_moments(chain: _Chain) -> tuple[float, float]:
     return float(n[0]), float(m2[0] - n[0] ** 2)
 
 
-def solve_discrete(spec: DiscreteChainSpec) -> tuple[float, float]:
-    """(mean, variance) of the step count until the target, allowing a
-    self-loop probability at each state."""
+def solve_discrete(spec: ChainSpec) -> tuple[float, float]:
+    """(mean, variance) of the step count until the target (numbers as
+    jump probabilities, the mass they leave at a state a self-loop)."""
     return _discrete_moments(_enumerate(spec, "probability"))
-
-
-def continuize(spec: DiscreteChainSpec) -> ChainSpec:
-    """Continuous-time chain with rates equal to the jump probabilities
-    (self-loop mass simply lowers the total exit rate)."""
-    return ChainSpec(spec.initial, spec.transitions, spec.is_target, spec.state_cap)
 
 
 @dataclass
@@ -400,10 +375,11 @@ class ContinuizationReport:
     holds: bool
 
 
-def continuization_check(spec: DiscreteChainSpec) -> ContinuizationReport:
+def continuization_check(spec: ChainSpec) -> ContinuizationReport:
     """Check E T_cont = E T_disc and var T_cont = var T_disc + E T_disc to
-    1e-10 by solving both chains exactly.  Requires the probabilities out
-    of every non-target state to sum to 1 (no self-loops)."""
+    1e-10 by solving both readings of the spec exactly.  Requires the
+    probabilities out of every non-target state to sum to 1 (no
+    self-loops)."""
     chain = _enumerate(spec, "probability")
     total = chain.out_rate
     off = np.flatnonzero(~chain.is_target & (np.abs(total - 1.0) > 1e-12))

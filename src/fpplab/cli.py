@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .chain import (
-    DiscreteChainSpec,
+    ChainSpec,
     continuization_check,
     lemma1_bound,
     lemma2_bound,
@@ -69,6 +69,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+
+# a built-in family with more edges is a capacity error before it is built
+# (complete(400) has 79 800 edges and takes about 36 MB)
+FAMILY_EDGE_CAP = 100_000
 
 
 class ConfigError(ValueError):
@@ -416,6 +420,9 @@ def _load_graph(cfg, seed) -> WeightedGraph:
             raise ConfigError(f"unknown family {name!r}; have {sorted(FAMILIES)}")
         try:
             args = dict(spec.get("args", {}))
+            if (edges := _family_edges(name, args)) > FAMILY_EDGE_CAP:
+                raise CapacityError(
+                    f"{name} family with {edges} edges exceeds cap {FAMILY_EDGE_CAP}")
             if name == "random_gnp":
                 args.setdefault("weight_range", (0.5, 2.0))
                 args["weight_range"] = tuple(args["weight_range"])
@@ -424,6 +431,25 @@ def _load_graph(cfg, seed) -> WeightedGraph:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad arguments for family {name!r}: {exc}") from None
     raise ConfigError("graph entry needs one of: edge_list, path, family")
+
+
+def _family_edges(name, args) -> int:
+    """Edge count of a built-in family from its integer args (at most this
+    many for random_gnp); 0 when one is missing or not a positive integer,
+    which the family itself rejects."""
+    ints = {k: v for k, v in args.items() if isinstance(v, numbers.Integral) and v > 0}
+    clique = lambda n: n * (n - 1) // 2
+    try:
+        if name == "path":
+            return ints["n"] - 1
+        if name == "grid":
+            r, c = ints["rows"], ints["cols"]
+            return r * (c - 1) + c * (r - 1)
+        if name == "bridge":
+            return clique(ints["c1"]) + clique(ints["c2"]) + 1
+        return clique(ints["n"])  # complete, random_gnp
+    except KeyError:
+        return 0
 
 
 def _growth_config(cfg) -> GrowthConfig:
@@ -446,9 +472,9 @@ def _growth_config(cfg) -> GrowthConfig:
         raise ConfigError(f"bad growth config: {exc}") from None
 
 
-def _random_discrete_chain(rng, bits=8) -> DiscreteChainSpec:
-    """Random increasing discrete chain on bitmasks: from each non-full
-    state, 1-3 strictly larger successors with probabilities summing to 1."""
+def _random_discrete_chain(rng, bits=8) -> ChainSpec:
+    """Random increasing chain on bitmasks: from each non-full state, 1-3
+    strictly larger successors with jump probabilities summing to 1."""
     full = (1 << bits) - 1
     table = {}
 
@@ -471,7 +497,7 @@ def _random_discrete_chain(rng, bits=8) -> DiscreteChainSpec:
             build(s)
 
     build(0)
-    return DiscreteChainSpec(
+    return ChainSpec(
         initial=0,
         transitions=lambda m: table.get(m, []),
         is_target=lambda m: m == full or m not in table,

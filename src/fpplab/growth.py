@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import DiscreteChainSpec
+from .chain import ChainSpec
 from .graphs import WeightedGraph
 from .stats import BAND_SIGMAS, MIN_RUNS, SampleStats, band_verdict, spawn_seeds
 
@@ -108,12 +108,12 @@ class GrowthConfig:
         return cls(target=target, rate_fn=fn, c_lo=c_lo, c_hi=c_hi)
 
 
-def validate_rate_monotone(rate_fn, rng: np.random.Generator, trials: int = 200) -> None:
-    """Sampled check of the growth condition and the locality contract:
-    adding a site to the cluster never lowers any frontier rate, and adding
-    a site that is not a lattice neighbour of v leaves the rate at v
-    unchanged.  Raises on a violation."""
-    for _ in range(trials):
+def validate_rate_monotone(rate_fn, rng: np.random.Generator) -> None:
+    """Sampled check, on 200 random clusters, of the growth condition and
+    the locality contract: adding a site to the cluster never lowers any
+    frontier rate, and adding a site that is not a lattice neighbour of v
+    leaves the rate at v unchanged.  Raises on a violation."""
+    for _ in range(200):
         cluster = {(0, 0)}
         for _ in range(int(rng.integers(0, 8))):
             frontier = _frontier(cluster)
@@ -264,10 +264,10 @@ def coverage_simulate(cfg: CoverageConfig, rng: np.random.Generator) -> int:
     return t
 
 
-def coverage_chain_spec(cfg: CoverageConfig) -> DiscreteChainSpec:
-    """Discrete chain on the set of drawn vertices: each step adds a
-    uniform vertex (self-loop when already drawn); absorbed once the
-    closed neighborhood of the drawn set covers everything."""
+def coverage_chain_spec(cfg: CoverageConfig) -> ChainSpec:
+    """Chain on the set of drawn vertices, read as jump probabilities: each
+    step adds a uniform vertex (self-loop when already drawn); absorbed
+    once the closed neighborhood of the drawn set covers everything."""
     nbhd = cfg.closed_neighborhoods()
     full = (1 << cfg.n) - 1
     n = cfg.n
@@ -282,7 +282,7 @@ def coverage_chain_spec(cfg: CoverageConfig) -> DiscreteChainSpec:
     def transitions(mask: int):
         return [(mask | (1 << v), 1.0 / n) for v in range(n) if not (mask >> v) & 1]
 
-    return DiscreteChainSpec(
+    return ChainSpec(
         initial=0,
         transitions=transitions,
         is_target=lambda mask: covered(mask) == full,

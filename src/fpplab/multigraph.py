@@ -263,7 +263,7 @@ class LiveTriangles:
         return closes
 
 
-def max_triangle_packing(m: Multigraph | LiveTriangles, budget: int | None = None,
+def max_triangle_packing(m: Multigraph | LiveTriangles,
                          stop_at: int | None = None) -> PackingCount:
     """Maximum number of edge-disjoint triangles; the N_e copies of each
     edge count as disjoint edges.
@@ -271,16 +271,16 @@ def max_triangle_packing(m: Multigraph | LiveTriangles, budget: int | None = Non
     Branch and bound over the live triangles in base order, with a greedy
     lower bound and, at triangle i, the relaxation bound "copies on the
     edges of triangles i.. over 3", kept as a running sum that drops each
-    edge after its last triangle.  If the node budget (default
-    ``BNB_BUDGET``) runs out, returns an uncertified (lower, upper) range,
-    the upper end being the root's relaxation bound; with ``stop_at`` the
-    search exits as soon as the lower bound reaches the target.
+    edge after its last triangle.  If the search visits more than
+    ``BNB_BUDGET`` nodes (read once per call), returns an uncertified
+    (lower, upper) range whose upper end is the root's relaxation bound;
+    with ``stop_at`` the search exits once the lower bound reaches it.
     """
     live = m if isinstance(m, LiveTriangles) else LiveTriangles(m.base, m.multiplicity)
     triples = live.triangles
     if not triples:
         return PackingCount(0, 0)
-    budget = BNB_BUDGET if budget is None else budget
+    budget = BNB_BUDGET
     mult = list(live.multiplicity)
     leaving = live.leaving
     root = live.live_copies

@@ -12,7 +12,6 @@ import pytest
 from conftest import record_acceptance
 from fpplab.chain import (
     continuization_check,
-    continuize,
     lemma1_bound,
     lemma2_bound,
     solve_discrete,
@@ -172,7 +171,7 @@ def test_criterion_7_growth_and_coverage(tmp_path):
     cfg = CoverageConfig.from_graph(path_graph(3))
     spec = coverage_chain_spec(cfg)
     d_mean, _ = solve_discrete(spec)
-    c_mean = solve_hitting(continuize(spec)).E_T
+    c_mean = solve_hitting(spec).E_T
     ok &= abs(c_mean - d_mean) <= 1e-10
     rng = np.random.default_rng(303)
     draws = np.array([coverage_simulate(cfg, rng) for _ in range(50_000)],

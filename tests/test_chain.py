@@ -1,17 +1,15 @@
-import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fpplab import chain
 from fpplab.chain import (
     ChainSpec,
     ChainValidationError,
-    DiscreteChainSpec,
     UnreachableTargetError,
     continuization_check,
-    continuize,
     lemma1_bound,
     lemma2_bound,
     solve_discrete,
@@ -108,7 +106,7 @@ def test_lemma2_rejects_nonpositive_grid():
 def test_solve_discrete_geometric():
     # one nonabsorbing state with escape probability p: N ~ Geometric(p)
     for p in (0.2, 0.5, 0.9):
-        spec = DiscreteChainSpec(
+        spec = ChainSpec(
             initial=0,
             transitions=lambda m, p=p: [(1, p)],
             is_target=lambda m: m == 1,
@@ -121,8 +119,8 @@ def test_solve_discrete_geometric():
 def test_continuization_geometric_exponential():
     # continuized geometric(p) is Exp(p): mean preserved, variance gains E T
     p = 0.3
-    spec = DiscreteChainSpec(0, lambda m: [(1, p)], lambda m: m == 1)
-    sol = solve_hitting(continuize(spec))
+    spec = ChainSpec(0, lambda m: [(1, p)], lambda m: m == 1)
+    sol = solve_hitting(spec)
     assert abs(sol.E_T - 1.0 / p) < 1e-12
     d_mean, d_var = solve_discrete(spec)
     assert abs(sol.var_T - (d_var + d_mean)) < 1e-12
@@ -139,7 +137,7 @@ def test_continuization_check_random_chains():
 
 
 def test_continuization_check_rejects_self_loops():
-    spec = DiscreteChainSpec(0, lambda m: [(1, 0.5)], lambda m: m == 1)
+    spec = ChainSpec(0, lambda m: [(1, 0.5)], lambda m: m == 1)
     with pytest.raises(ChainValidationError):
         continuization_check(spec)
 
@@ -154,13 +152,13 @@ def test_validation_errors():
         solve_hitting(ChainSpec(0, lambda m: [], lambda m: False))
 
 
-def test_state_capacity():
+def test_state_capacity(monkeypatch):
     # a chain adding any one of 25 bits exceeds a tiny cap quickly
+    monkeypatch.setattr(chain, "STATE_CAP", 1000)
     spec = ChainSpec(
         initial=0,
         transitions=lambda m: [(m | (1 << b), 1.0) for b in range(25) if not (m >> b) & 1],
         is_target=lambda m: m == (1 << 25) - 1,
-        state_cap=1000,
     )
     with pytest.raises(CapacityError):
         solve_hitting(spec)
@@ -189,17 +187,11 @@ def test_callable_chain_that_skips_a_layer():
     assert abs(sol.E_T - ref.E_T) < 1e-12 and abs(sol.var_T - ref.var_T) < 1e-12
 
 
-def test_layered_state_capacity():
-    spec = dataclasses.replace(fpp_chain_spec(complete_graph(12), 0, 11), state_cap=100)
+def test_layered_state_capacity(monkeypatch):
+    monkeypatch.setattr(chain, "STATE_CAP", 100)
+    spec = fpp_chain_spec(complete_graph(12), 0, 11)
     with pytest.raises(CapacityError):
         solve_hitting(spec)
-
-
-def test_to_json_dict_round_trips_scalars():
-    sol = solve_hitting(fpp_chain_spec(complete_graph(3), 0, 1))
-    d = sol.to_json_dict()
-    assert d["E_T"] == sol.E_T and d["var_T"] == sol.var_T
-    assert str(sol.initial) in d["states"]
 
 
 def test_exact_solver_memory_stays_near_its_output():

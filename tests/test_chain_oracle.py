@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fpplab.chain import continuize, lemma1_bound, lemma2_bound, solve_hitting
+from fpplab.chain import lemma1_bound, lemma2_bound, solve_hitting
 from fpplab.cli import _random_discrete_chain
 from fpplab.fpp import fpp_chain_spec
 from fpplab.graphs import complete_graph
@@ -59,4 +59,4 @@ def test_oracle_callable_chains():
     # irregular chains (multi-element jumps) go through the breadth-first path
     rng = np.random.default_rng(11)
     for _ in range(20):
-        _assert_agrees(continuize(_random_discrete_chain(rng, bits=7)))
+        _assert_agrees(_random_discrete_chain(rng, bits=7))

@@ -192,6 +192,22 @@ def test_capacity_exit_three(tmp_path, capsys):
     assert "capacity" in capsys.readouterr().err
 
 
+def test_family_over_the_edge_cap_exits_three_before_it_is_built(tmp_path, capsys, monkeypatch):
+    def unbuilt(**args):
+        raise AssertionError(f"family built with {args}")
+
+    monkeypatch.setitem(cli.FAMILIES, "complete", unbuilt)
+    monkeypatch.setitem(cli.FAMILIES, "grid", unbuilt)
+    cfg = dict(BASE, graph={"family": "complete", "args": {"n": 10_000}})
+    assert run_scenario(write_cfg(tmp_path, cfg)) == 3
+    assert "capacity" in capsys.readouterr().err
+    # grid(4, 4) has 24 edges
+    monkeypatch.setattr(cli, "FAMILY_EDGE_CAP", 23)
+    cfg = dict(BASE, graph={"family": "grid", "args": {"rows": 4, "cols": 4}})
+    assert run_scenario(write_cfg(tmp_path, cfg)) == 3
+    assert "24 edges" in capsys.readouterr().err
+
+
 def test_assertion_failure_exit_one(tmp_path, capsys):
     # an impossible Spearman threshold forces a genuine FAIL status
     cfg = dict(BASE)
@@ -286,8 +302,8 @@ def test_growth_config_returns_config_or_config_error(growth):
 
 
 # Names a mutation may write, so that edits often reach a real check, family or
-# parameter.  Integers stay small: a graph family builds whatever size it is
-# given, so a fuzzed complete(10**9) would exhaust memory rather than raise.
+# parameter.  Integers stay small: a family above ``cli.FAMILY_EDGE_CAP`` edges
+# is refused unbuilt, but one just under it can still take seconds to build.
 _NAMES = st.sampled_from(sorted(CHECKS) + sorted(cli.FAMILIES) + [
     "fpp", "multigraph", "coverage", "growth", "bounds", "name", "family", "args",
     "edge_list", "path", "n", "rows", "cols", "c1", "c2", "bridge_rate", "p",

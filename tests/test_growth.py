@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_growth
 from fpplab import cli
-from fpplab.chain import ChainSpec, continuize, solve_discrete, solve_hitting
+from fpplab.chain import ChainSpec, solve_discrete, solve_hitting
 from fpplab.graphs import path_graph
 from fpplab.growth import (
     RATE_BUILTINS,
@@ -215,7 +215,7 @@ def test_continuized_coverage_mean_matches_discrete():
     cfg = CoverageConfig.from_graph(path_graph(4))
     spec = coverage_chain_spec(cfg)
     d_mean, _ = solve_discrete(spec)
-    c = solve_hitting(continuize(spec))
+    c = solve_hitting(spec)
     # jump rates equal the move probabilities, so the mean holding time in a
     # state equals the mean geometric step count there
     assert abs(c.E_T - d_mean) < 1e-10

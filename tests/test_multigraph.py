@@ -81,9 +81,11 @@ def test_packing_monotone_under_edge_addition(seed):
     assert max_triangle_packing(m2).lower >= max_triangle_packing(m).lower
 
 
-def test_triangle_budget_gives_uncertified_range():
+def test_triangle_budget_gives_uncertified_range(monkeypatch):
     m = unit_multi(complete_graph(6), 3)
-    pc = max_triangle_packing(m, budget=5)
+    with monkeypatch.context() as mp:
+        mp.setattr(multigraph, "BNB_BUDGET", 5)
+        pc = max_triangle_packing(m)
     assert pc.lower <= pc.upper
     exact = max_triangle_packing(m)
     assert exact.certified
@@ -186,9 +188,16 @@ def test_scan_stops_at_the_first_prefix_that_packs_k(seed, kind):
         m = Multigraph(g, tuple(int(c) for c in mult))
         return max_spanning_tree_packing(m) if kind == "span" else max_triangle_packing(m).lower
 
-    counts = [packs(j) for j in range(len(traj.times))]
+    first = {}  # k -> the first prefix whose packing number reaches k
+    for j in range(len(traj.times)):
+        count = packs(j)
+        for k in ks:
+            if count >= k:
+                first.setdefault(k, j)
+        if len(first) == len(ks):
+            break
     for k in ks:
-        assert got[k] == traj.times[next(j for j, c in enumerate(counts) if c >= k)]
+        assert got[k] == traj.times[first[k]]
 
 
 @settings(max_examples=40, deadline=None)
