@@ -17,6 +17,7 @@ from .chain import (
     continuization_check,
     lemma1_bound,
     lemma2_bound,
+    lemma2_grid,
     solve_hitting,
 )
 from .fpp import (

@@ -16,10 +16,13 @@ temporary is as large as the whole chain:
 One spec is read as rates (``solve_hitting``, ``variance_by_first_step``)
 or as jump probabilities, the leftover mass a self-loop (``solve_discrete``,
 ``continuization_check``); the second reading continuized is the first.
+``continuization_check`` reads a whole list of specs both ways at once:
+it tags every spec's states with the spec's index and solves the tagged
+chains as one chain with one root per spec.
 
-Every spec is enumerated by one layered pass: a layer is expanded at
-once by the spec's ``expand`` (the FPP chain) or, for a spec that lists
-transitions one state at a time, by an adapter that calls
+Every chain is enumerated by one layered pass from its roots: a layer is
+expanded at once by the spec's ``expand`` (the FPP chain) or, for a spec
+that lists transitions one state at a time, by an adapter that calls
 ``transitions`` per state and validates every transition.  A successor
 may skip layers, so it gets its state index only when its own layer
 comes up.  The complete graph K20 (2^19 states) solves in about a
@@ -71,10 +74,11 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class _Chain:
-    """Reachable states in popcount layers, each layer sorted by bitmask
-    (``states[0]`` is the initial state), and the transitions sorted by
-    source index."""
+    """States reachable from the roots in popcount layers, each layer
+    sorted by bitmask (a single root is ``states[0]``), and the transitions
+    sorted by source index."""
 
+    roots: np.ndarray      # int32 state index per root
     states: np.ndarray     # int64 bitmasks
     is_target: np.ndarray  # bool per state
     layers: np.ndarray     # state offsets of the layers, len(layers) = #layers + 1
@@ -132,19 +136,17 @@ class ExactSolution:
         return float(np.abs(self.b[live] - 1.0).max()) if live.any() else 0.0
 
 
-def _enumerate(spec: ChainSpec, kind: str) -> _Chain:
-    """Expand one popcount layer at a time, by ``spec.expand`` or by its
-    validated ``transitions``, whose numbers ``kind`` names.  A successor
-    may skip layers: it waits in ``pending`` under its popcount and gets
-    its state index when its own layer is popped.  ``STATE_CAP`` is
-    checked before a layer is expanded."""
+def _enumerate(expand, roots: list[int], name=hex) -> _Chain:
+    """Expand one popcount layer at a time by ``expand`` (a spec's own, or
+    ``_expand_transitions``), starting from ``roots``.  A successor may
+    skip layers: it waits in ``pending`` under its popcount and gets its
+    state index when its own layer is popped.  ``STATE_CAP`` is checked
+    before a layer is expanded; ``name`` formats a state for an error."""
     cap = STATE_CAP
-    expand = spec.expand or _expand_transitions(spec, kind)
-    initial = _masks([spec.initial])
-    # popcount -> [(successor masks, the dst array of their edges, their slots)];
-    # the initial state has no edge, so its index goes to a scratch slot
-    pending = {int(np.bitwise_count(initial[0])): [(initial, np.empty(1, np.int32), slice(None))]}
-    parts = {name: [] for name in ("states", "is_target", "src", "dst", "rate")}
+    # popcount -> [(masks, the int32 array of their state indices, their slots)]
+    pending = {}
+    root_index = _wait(pending, _masks(roots))
+    parts = {key: [] for key in ("states", "is_target", "src", "dst", "rate")}
     bounds = [0]
     while pending:
         waiting = pending.pop(min(pending))
@@ -159,25 +161,39 @@ def _enumerate(spec: ChainSpec, kind: str) -> _Chain:
             start += part.size
         del waiting, index
         is_target, src, successors, rate = expand(layer)
-        dst = np.empty(successors.size, dtype=np.int32)
-        popcount = np.bitwise_count(successors)
-        counts = np.flatnonzero(np.bincount(popcount)).tolist()
-        for count in counts:
-            where = slice(None) if len(counts) == 1 else popcount == count
-            pending.setdefault(count, []).append((successors[where], dst, where))
-        for name, part in zip(parts, (layer, is_target, (src + lo).astype(np.int32), dst, rate)):
-            parts[name].append(part)
+        dst = _wait(pending, successors)
+        for key, part in zip(parts, (layer, is_target, (src + lo).astype(np.int32), dst, rate)):
+            parts[key].append(part)
     # one field at a time, each layer's parts freed before the next join,
     # so no two whole-chain copies of a field are alive together
-    chain = _Chain(layers=np.array(bounds), **{k: _join(pieces) for k, pieces in parts.items()})
+    chain = _Chain(roots=root_index, layers=np.array(bounds),
+                   **{k: _join(pieces) for k, pieces in parts.items()})
     stuck = chain.states[(chain.out_rate == 0) & ~chain.is_target]
     if stuck.size:
         raise UnreachableTargetError(
-            f"state {int(stuck[0]):#x} has no outgoing transitions and is not a target"
+            f"state {name(int(stuck[0]))} has no outgoing transitions and is not a target"
         )
     if not chain.is_target.any():
         raise UnreachableTargetError("no target state reachable from the initial state")
     return chain
+
+
+def _wait(pending: dict, masks: np.ndarray) -> np.ndarray:
+    """File ``masks`` in ``pending`` under their popcounts; the returned
+    int32 array receives their state indices as their layers are popped."""
+    index = np.empty(masks.size, dtype=np.int32)
+    popcount = np.bitwise_count(masks)
+    counts = np.flatnonzero(np.bincount(popcount)).tolist()
+    for count in counts:
+        where = slice(None) if len(counts) == 1 else popcount == count
+        pending.setdefault(count, []).append((masks[where], index, where))
+    return index
+
+
+def _spec_chain(spec: ChainSpec, kind: str) -> _Chain:
+    """The chain reachable from ``spec.initial``, its numbers read as ``kind``."""
+    expand = spec.expand or _expand_transitions(spec.transitions, spec.is_target, kind)
+    return _enumerate(expand, [spec.initial])
 
 
 def _join(pieces: list[np.ndarray]) -> np.ndarray:
@@ -193,31 +209,33 @@ def _masks(values) -> np.ndarray:
         raise CapacityError("state bitmasks wider than 63 bits") from None
 
 
-def _expand_transitions(spec: ChainSpec, kind: str):
+def _expand_transitions(transitions, is_target, kind: str, name=hex):
     """``expand`` for a spec that lists its transitions one state at a
     time; target states are not expanded, and every transition out of the
-    others is validated."""
+    others is validated.  ``name`` formats a state for an error."""
     def expand(layer: np.ndarray):
-        is_target = np.zeros(layer.size, dtype=bool)
+        target = np.zeros(layer.size, dtype=bool)
         src, dst, rates = [], [], []
         for i, s in enumerate(layer.tolist()):
-            if spec.is_target(s):
-                is_target[i] = True
+            if is_target(s):
+                target[i] = True
                 continue
-            outs = spec.transitions(s)
-            for s2, q in outs:
+            total = 0.0
+            for s2, q in transitions(s):
                 if not (q > 0):
-                    raise ChainValidationError(f"nonpositive {kind} {q} on {s:#x} -> {s2:#x}")
+                    raise ChainValidationError(
+                        f"nonpositive {kind} {q} on {name(s)} -> {name(s2)}")
                 if (s & s2) != s or s2 == s:
                     raise ChainValidationError(
-                        f"transition {s:#x} -> {s2:#x} does not strictly increase the state"
+                        f"transition {name(s)} -> {name(s2)} does not strictly increase the state"
                     )
                 src.append(i)
                 dst.append(s2)
                 rates.append(q)
-            if kind == "probability" and (total := sum(q for _, q in outs)) > 1.0 + 1e-12:
-                raise ChainValidationError(f"probabilities out of {s:#x} sum to {total} > 1")
-        return is_target, np.array(src, dtype=np.intp), _masks(dst), np.array(rates, dtype=float)
+                total += q
+            if kind == "probability" and total > 1.0 + 1e-12:
+                raise ChainValidationError(f"probabilities out of {name(s)} sum to {total} > 1")
+        return target, np.array(src, dtype=np.intp), _masks(dst), np.array(rates, dtype=float)
     return expand
 
 
@@ -242,13 +260,16 @@ def _backward(chain: _Chain, step, count: int) -> np.ndarray:
 
 
 def _solve(chain: _Chain) -> ExactSolution:
+    """Every root gets visit probability 1, so a chain of several roots
+    holds each root's own occupation times side by side, and ``E_T`` and
+    ``var_T`` are their sums over the roots."""
     n = len(chain.states)
     src, dst, rate = chain.src, chain.dst, chain.rate
     q = chain.out_rate
     (h,) = _backward(chain, lambda q_tot, s: ((1.0 + s) / q_tot,), 1)
 
     visit_prob = np.zeros(n)
-    visit_prob[0] = 1.0
+    visit_prob[chain.roots] = 1.0
     decrement = np.empty(len(src))
     a, b = np.zeros(n), np.zeros(n)
     for lo, hi, e0, e1 in chain.layer_slices:  # predecessors first
@@ -279,7 +300,7 @@ def _solve(chain: _Chain) -> ExactSolution:
 def solve_hitting(spec: ChainSpec) -> ExactSolution:
     """Exactly solve mean, variance, visit probabilities and occupation
     times of the hitting time of the target collection (numbers as rates)."""
-    return _solve(_enumerate(spec, "rate"))
+    return _solve(_spec_chain(spec, "rate"))
 
 
 def _first_step(q, sum_h, sum_m2):
@@ -292,7 +313,7 @@ def variance_by_first_step(spec: ChainSpec) -> tuple[float, float]:
     """Independent route to (E T, var T) of the rate chain: first-step
     recursions for the first and second moment of T.  Used to cross-check
     the occupation-measure variance."""
-    h, m2 = _backward(_enumerate(spec, "rate"), _first_step, 2)
+    h, m2 = _backward(_spec_chain(spec, "rate"), _first_step, 2)
     return float(h[0]), float(m2[0] - h[0] ** 2)
 
 
@@ -302,15 +323,18 @@ def _discrete_step(move, sum_n, sum_m2):
     return n, (1.0 + 2.0 * ((1.0 - move) * n + sum_n) + sum_m2) / move
 
 
-def _discrete_moments(chain: _Chain) -> tuple[float, float]:
+def _discrete_moments(chain: _Chain) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, variance) of the step count from each root."""
     n, m2 = _backward(chain, _discrete_step, 2)
-    return float(n[0]), float(m2[0] - n[0] ** 2)
+    n, m2 = n[chain.roots], m2[chain.roots]
+    return n, m2 - n**2
 
 
 def solve_discrete(spec: ChainSpec) -> tuple[float, float]:
     """(mean, variance) of the step count until the target (numbers as
     jump probabilities, the mass they leave at a state a self-loop)."""
-    return _discrete_moments(_enumerate(spec, "probability"))
+    mean, var = _discrete_moments(_spec_chain(spec, "probability"))
+    return float(mean[0]), float(var[0])
 
 
 @dataclass
@@ -340,28 +364,38 @@ class Lemma2Report:
     holds: bool
 
 
-def lemma2_bound(sol: ExactSolution, delta: float, epsilon: float) -> Lemma2Report:
-    """var T/(E T)^2 <= 2*delta + epsilon + (bad occupation time)/(E T),
-    where a state is bad when its large-decrement outflow q_delta(S)
-    (decrements above 2*delta*E T) is at least epsilon.  Everything on the
-    right is evaluated exactly from the occupation measure.
+def lemma2_grid(sol: ExactSolution, deltas, epsilons) -> list[Lemma2Report]:
+    """var T/(E T)^2 <= 2*delta + epsilon + (bad occupation time)/(E T) at
+    every (delta, epsilon) of the grid, delta-major, where a state is bad
+    when its large-decrement outflow q_delta(S) (decrements above
+    2*delta*E T) is at least epsilon.  Everything on the right is evaluated
+    exactly from the occupation measure; q_delta is built once per delta
+    and shared by that delta's reports.
 
     The threshold takes E T as h(initial), the same float the decrements
     are formed from, so a jump from the initial state straight into the
     target is never above the threshold at delta = 0.5, as in exact
     arithmetic."""
-    if not (delta > 0 and epsilon > 0):
+    if not (all(d > 0 for d in deltas) and all(e > 0 for e in epsilons)):
         raise ValueError("delta and epsilon must be positive")
-    threshold = 2.0 * delta * sol.h[0]
-    large = sol.decrement > threshold
-    q_delta = np.bincount(sol.src[large], sol.rate[large] * sol.decrement[large],
-                          minlength=len(sol.states))
-    occupation_bad = float(sol.expected_time_in[q_delta >= epsilon].sum())
     lhs = sol.var_T / sol.E_T**2
-    rhs = 2.0 * delta + epsilon + occupation_bad / sol.E_T
-    return Lemma2Report(delta=delta, epsilon=epsilon, q_delta=q_delta,
-                        occupation_bad=occupation_bad, lhs=lhs, rhs=rhs,
-                        holds=lhs <= rhs + ABS_TOL)
+    reports = []
+    for delta in deltas:
+        large = sol.decrement > 2.0 * delta * sol.h[0]
+        q_delta = np.bincount(sol.src[large], sol.rate[large] * sol.decrement[large],
+                              minlength=len(sol.states))
+        for epsilon in epsilons:
+            occupation_bad = float(sol.expected_time_in[q_delta >= epsilon].sum())
+            rhs = 2.0 * delta + epsilon + occupation_bad / sol.E_T
+            reports.append(Lemma2Report(delta=delta, epsilon=epsilon, q_delta=q_delta,
+                                        occupation_bad=occupation_bad, lhs=lhs, rhs=rhs,
+                                        holds=lhs <= rhs + ABS_TOL))
+    return reports
+
+
+def lemma2_bound(sol: ExactSolution, delta: float, epsilon: float) -> Lemma2Report:
+    """Lemma 2 at one (delta, epsilon); see ``lemma2_grid``."""
+    return lemma2_grid(sol, [delta], [epsilon])[0]
 
 
 @dataclass
@@ -375,26 +409,58 @@ class ContinuizationReport:
     holds: bool
 
 
-def continuization_check(spec: ChainSpec) -> ContinuizationReport:
+def continuization_check(specs: list[ChainSpec]) -> list[ContinuizationReport]:
     """Check E T_cont = E T_disc and var T_cont = var T_disc + E T_disc to
-    1e-10 by solving both readings of the spec exactly.  Requires the
-    probabilities out of every non-target state to sum to 1 (no
-    self-loops)."""
-    chain = _enumerate(spec, "probability")
+    1e-10 for every spec by solving both readings of it exactly; one report
+    per spec.  Requires the probabilities out of every non-target state to
+    sum to 1 (no self-loops).
+
+    The specs are solved as one chain read through their ``transitions``:
+    state S of spec i becomes ``S << t | (i + 1)``, where t bits hold every
+    tag, and each spec's initial state is a root.  A spec's moments are read
+    off its own states gathered in index order, which is its own chain's
+    order, so every report equals that of the spec checked alone, bit for
+    bit."""
+    if not specs:
+        return []
+    t = len(specs).bit_length()
+    low = (1 << t) - 1
+
+    def name(key):
+        return f"spec {(key & low) - 1} state {key >> t:#x}"
+
+    def transitions(key):
+        tag = key & low
+        return [(s << t | tag, q) for s, q in specs[tag - 1].transitions(key >> t)]
+
+    def is_target(key):
+        return specs[(key & low) - 1].is_target(key >> t)
+
+    chain = _enumerate(_expand_transitions(transitions, is_target, "probability", name),
+                       [spec.initial << t | i + 1 for i, spec in enumerate(specs)], name)
     total = chain.out_rate
     off = np.flatnonzero(~chain.is_target & (np.abs(total - 1.0) > 1e-12))
     if off.size:
-        s = int(chain.states[off[0]])
         raise ChainValidationError(
-            f"probabilities out of state {s:#x} sum to {total[off[0]]}, expected 1"
+            f"probabilities out of {name(int(chain.states[off[0]]))} sum to {total[off[0]]},"
+            " expected 1"
         )
-    mean_disc, var_disc = _discrete_moments(chain)
+    means_disc, vars_disc = _discrete_moments(chain)
     cont = _solve(chain)  # the continuized chain has the same transitions
-    mean_err = abs(cont.E_T - mean_disc)
-    var_err = abs(cont.var_T - (var_disc + mean_disc))
-    return ContinuizationReport(
-        mean_disc=mean_disc, var_disc=var_disc,
-        mean_cont=cont.E_T, var_cont=cont.var_T,
-        mean_error=mean_err, var_error=var_err,
-        holds=mean_err <= 1e-10 and var_err <= 1e-10,
-    )
+    tags = chain.states & low
+    order = np.argsort(tags, kind="stable")
+    ends = np.searchsorted(tags[order], np.arange(1, len(specs) + 2)).tolist()
+    reports = []
+    for i, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+        own = order[lo:hi]
+        time_in = cont.expected_time_in[own]
+        mean_cont, var_cont = float(time_in.sum()), float(np.dot(time_in, cont.a[own]))
+        mean_disc, var_disc = float(means_disc[i]), float(vars_disc[i])
+        mean_err = abs(mean_cont - mean_disc)
+        var_err = abs(var_cont - (var_disc + mean_disc))
+        reports.append(ContinuizationReport(
+            mean_disc=mean_disc, var_disc=var_disc, mean_cont=mean_cont, var_cont=var_cont,
+            mean_error=mean_err, var_error=var_err,
+            holds=mean_err <= 1e-10 and var_err <= 1e-10,
+        ))
+    return reports

@@ -24,12 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, chain
 from .chain import (
     ChainSpec,
     continuization_check,
     lemma1_bound,
-    lemma2_bound,
+    lemma2_grid,
     solve_hitting,
 )
 from .fpp import (
@@ -73,6 +73,12 @@ EXIT_CAPACITY = 3
 # a built-in family with more edges is a capacity error before it is built
 # (complete(400) has 79 800 edges and takes about 36 MB)
 FAMILY_EDGE_CAP = 100_000
+
+# _random_discrete_chains draws this many candidate successors per state and
+# round, for at most RANDOM_ROWS states a round, so a round's draws stay
+# under about 4096 * 8 * 63 doubles (16 MB) whatever the frontier's size
+RANDOM_CANDIDATES = 8
+RANDOM_ROWS = 4096
 
 
 class ConfigError(ValueError):
@@ -154,16 +160,10 @@ def _lemma2_params(params):
 @_register("lemma2", ("fpp",), "Lemma 2",
            "var T/(E T)^2 <= 2d + e + occupation of {q_d >= e}/E T", parse=_lemma2_params)
 def _check_lemma2(ctx, params):
-    sol = ctx.solution()
-    grid = []
-    ok = True
-    for d in params["deltas"]:
-        for e in params["epsilons"]:
-            rep = lemma2_bound(sol, d, e)
-            ok = ok and rep.holds
-            grid.append({"delta": d, "epsilon": e, "lhs": rep.lhs, "rhs": rep.rhs,
-                         "occupation_bad": rep.occupation_bad, "holds": rep.holds})
-    return {"grid": grid}, ok
+    reps = lemma2_grid(ctx.solution(), params["deltas"], params["epsilons"])
+    grid = [{"delta": rep.delta, "epsilon": rep.epsilon, "lhs": rep.lhs, "rhs": rep.rhs,
+             "occupation_bad": rep.occupation_bad, "holds": rep.holds} for rep in reps]
+    return {"grid": grid}, all(rep.holds for rep in reps)
 
 
 @_register("prop4", ("fpp",), "Proposition 4", "var X <= E X / w_min")
@@ -180,16 +180,11 @@ def _check_prop4(ctx, params):
 def _check_continuization(ctx, params):
     count = params["count"]
     rng = np.random.default_rng(ctx.check_seed("continuization"))
-    worst_mean = worst_var = 0.0
-    ok = True
-    for _ in range(count):
-        spec = _random_discrete_chain(rng, bits=params["bits"])
-        rep = continuization_check(spec)
-        worst_mean = max(worst_mean, rep.mean_error)
-        worst_var = max(worst_var, rep.var_error)
-        ok = ok and rep.holds
-    return {"chains": count, "worst_mean_error": worst_mean,
-            "worst_var_error": worst_var}, ok
+    reps = continuization_check(_random_discrete_chains(rng, count, params["bits"]))
+    worst_mean = max(rep.mean_error for rep in reps)
+    worst_var = max(rep.var_error for rep in reps)
+    return ({"chains": count, "worst_mean_error": worst_mean, "worst_var_error": worst_var},
+            all(rep.holds for rep in reps))
 
 
 @_register("dual_agreement", ("fpp",), "subset-chain formulation",
@@ -472,36 +467,63 @@ def _growth_config(cfg) -> GrowthConfig:
         raise ConfigError(f"bad growth config: {exc}") from None
 
 
-def _random_discrete_chain(rng, bits=8) -> ChainSpec:
-    """Random increasing chain on bitmasks: from each non-full state, 1-3
-    strictly larger successors with jump probabilities summing to 1."""
+def _random_discrete_chains(rng, count, bits) -> list[ChainSpec]:
+    """``count`` random increasing chains on ``bits``-bit masks, all drawn
+    together one frontier layer at a time: from each non-full state, 1-3
+    distinct strictly larger successors, each free bit joining a candidate
+    with probability 0.3, and Dirichlet(1) jump probabilities summing to 1.
+    Raises CapacityError before any draw when ``continuization_check``'s
+    tagged states would not fit in 63 bits, and once the chains together
+    pass the exact solver's state cap."""
+    if bits + count.bit_length() > 63:
+        raise CapacityError(f"{count} chains of {bits} bits need states wider than 63 bits")
     full = (1 << bits) - 1
-    table = {}
-
-    def build(mask):
-        if mask in table or mask == full:
-            return
-        free = bits - bin(mask).count("1")
-        n_succ = min(int(rng.integers(1, 4)), (1 << free) - 1)
-        succs = set()
-        while len(succs) < n_succ:
-            add = 0
-            for b in range(bits):
-                if not (mask >> b) & 1 and rng.random() < 0.3:
-                    add |= 1 << b
-            if add:
-                succs.add(mask | add)
-        probs = rng.dirichlet(np.ones(len(succs)))
-        table[mask] = [(s, float(p)) for s, p in zip(sorted(succs), probs)]
-        for s in succs:
-            build(s)
-
-    build(0)
-    return ChainSpec(
-        initial=0,
-        transitions=lambda m: table.get(m, []),
-        is_target=lambda m: m == full or m not in table,
-    )
+    weight = np.left_shift(1, np.arange(bits, dtype=np.int64))
+    before = np.tri(3 + RANDOM_CANDIDATES, k=-1, dtype=bool)  # [j, l]: column l precedes j
+    table = {}  # chain << bits | mask -> [(successor mask, probability)]
+    # the frontier: states not yet expanded, as chain index and mask
+    owner, mask = np.arange(count), np.zeros(count, dtype=np.int64)
+    expanded = np.empty(0, dtype=np.int64)  # sorted keys of the table
+    while mask.size:
+        keys = owner << bits | mask
+        expanded = np.sort(np.concatenate([expanded, keys]))
+        if expanded.size > chain.STATE_CAP:
+            raise CapacityError(f"random chains exceed the state cap {chain.STATE_CAP}")
+        free = (mask[:, None] & weight) == 0
+        want = np.minimum(rng.integers(1, 4, size=mask.size),
+                          np.where(free.sum(axis=1) >= 2, 3, 1))
+        succ = np.zeros((mask.size, 3), dtype=np.int64)
+        have = np.zeros(mask.size, dtype=np.int64)
+        short = np.arange(mask.size)  # the states still short of successors
+        while short.size:
+            rows, rest = short[:RANDOM_ROWS], short[RANDOM_ROWS:]
+            shape = (rows.size, RANDOM_CANDIDATES, bits)
+            cand = mask[rows, None] | ((rng.random(shape) < 0.3) & free[rows, None]) @ weight
+            # a candidate counts, in draw order, if it adds a bit and is not
+            # already a successor or an earlier candidate
+            both = np.concatenate([succ[rows], cand], axis=1)
+            repeat = ((both[:, :, None] == both[:, None, :]) & before).any(axis=2)[:, 3:]
+            new = ~repeat & (cand != mask[rows, None])
+            slot = have[rows, None] + np.cumsum(new, axis=1) - 1
+            r, c = np.nonzero(new & (slot < want[rows, None]))
+            succ[rows[r], slot[r, c]] = cand[r, c]
+            have[rows] = np.minimum(slot[:, -1] + 1, want[rows])
+            short = np.concatenate([rows[have[rows] < want[rows]], rest])
+        prob = rng.standard_exponential((mask.size, 3)) * (np.arange(3) < want[:, None])
+        prob /= prob.sum(axis=1, keepdims=True)
+        filled = succ != 0  # successors are nonzero; 0 marks an unused slot
+        pairs = list(zip(succ[filled].tolist(), prob[filled].tolist()))
+        ends = np.cumsum(want).tolist()
+        table.update(zip(keys.tolist(), [pairs[e - k:e] for e, k in zip(ends, want.tolist())]))
+        keys = np.sort(np.repeat(owner, 3)[filled.ravel()] << bits | succ[filled])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        keys = keys[(keys & full) != full]  # full states are targets
+        at = np.minimum(np.searchsorted(expanded, keys), expanded.size - 1)
+        keys = keys[expanded[at] != keys]
+        owner, mask = keys >> bits, keys & full
+    return [ChainSpec(initial=0, transitions=lambda m, i=i << bits: table.get(i | m, []),
+                      is_target=lambda m, i=i << bits: i | m not in table)
+            for i in range(count)]
 
 
 def _clean(obj):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fpplab import chain
+from fpplab import chain, cli
 from fpplab.chain import (
     ChainSpec,
     ChainValidationError,
@@ -12,10 +12,12 @@ from fpplab.chain import (
     continuization_check,
     lemma1_bound,
     lemma2_bound,
+    lemma2_grid,
     solve_discrete,
     solve_hitting,
     variance_by_first_step,
 )
+from fpplab.cli import _random_discrete_chains
 from fpplab.fpp import fpp_chain_spec
 from fpplab.graphs import CapacityError, WeightedGraph, complete_graph, path_graph
 
@@ -101,6 +103,21 @@ def test_lemma2_rejects_nonpositive_grid():
         lemma2_bound(sol, 0.0, 0.1)
     with pytest.raises(ValueError):
         lemma2_bound(sol, 0.1, -1.0)
+    with pytest.raises(ValueError):
+        lemma2_grid(sol, [0.1, 0.2], [0.1, 0.0])
+
+
+def test_lemma2_grid_equals_each_cell_alone():
+    sol = solve_hitting(fpp_chain_spec(complete_graph(8), 0, 7))
+    deltas, epsilons = [0.05, 0.1, 0.2, 0.5], [0.05, 0.1, 0.2, 0.5]
+    grid = lemma2_grid(sol, deltas, epsilons)
+    cells = [(d, e) for d in deltas for e in epsilons]
+    assert [(r.delta, r.epsilon) for r in grid] == cells
+    for rep, (d, e) in zip(grid, cells):
+        alone = lemma2_bound(sol, d, e)
+        assert (rep.lhs, rep.rhs, rep.occupation_bad, rep.holds) == (
+            alone.lhs, alone.rhs, alone.occupation_bad, alone.holds)
+        assert np.array_equal(rep.q_delta, alone.q_delta)
 
 
 def test_solve_discrete_geometric():
@@ -127,19 +144,75 @@ def test_continuization_geometric_exponential():
 
 
 def test_continuization_check_random_chains():
-    from fpplab.cli import _random_discrete_chain
-
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        rep = continuization_check(_random_discrete_chain(rng, bits=6))
+    reps = continuization_check(_random_discrete_chains(np.random.default_rng(5), 20, 6))
+    assert len(reps) == 20
+    for rep in reps:
         assert rep.holds
         assert rep.mean_error <= 1e-10 and rep.var_error <= 1e-10
 
 
+@pytest.mark.parametrize("bits", [4, 6, 8, 10])
+def test_batched_continuization_equals_each_spec_alone(bits):
+    # the tagged chain gives every spec exactly its own solve's floats
+    for seed in range(4):
+        specs = _random_discrete_chains(np.random.default_rng(seed), 12, bits)
+        batched = continuization_check(specs)
+        for spec, rep in zip(specs, batched):
+            (alone,) = continuization_check([spec])
+            assert rep == alone
+            mean, var = solve_discrete(spec)
+            assert (rep.mean_disc, rep.var_disc) == (mean, var)
+            sol = solve_hitting(spec)
+            assert (rep.mean_cont, rep.var_cont) == (sol.E_T, sol.var_T)
+
+
+@pytest.mark.parametrize("rows", [4096, 5])
+def test_random_chains_follow_their_contract(rows, monkeypatch):
+    # a frontier wider than RANDOM_ROWS is drawn over several rounds
+    monkeypatch.setattr(cli, "RANDOM_ROWS", rows)
+    bits = 6
+    for spec in _random_discrete_chains(np.random.default_rng(3), 30, bits):
+        reach, todo = set(), [spec.initial]
+        while todo:
+            m = todo.pop()
+            if m in reach:
+                continue
+            reach.add(m)
+            outs = spec.transitions(m)
+            if m == (1 << bits) - 1:
+                assert spec.is_target(m) and not outs
+                continue
+            succ = [s for s, _ in outs]
+            assert 1 <= len(succ) <= 3 and len(set(succ)) == len(succ)
+            assert all(s & m == m and s != m and s < 1 << bits for s in succ)
+            assert abs(sum(p for _, p in outs) - 1.0) < 1e-12
+            todo.extend(succ)
+
+
 def test_continuization_check_rejects_self_loops():
-    spec = ChainSpec(0, lambda m: [(1, 0.5)], lambda m: m == 1)
-    with pytest.raises(ChainValidationError):
-        continuization_check(spec)
+    ok = ChainSpec(0, lambda m: [(1, 1.0)], lambda m: m == 1)
+    loop = ChainSpec(0b10, lambda m: [(0b11, 0.5)], lambda m: m == 0b11)
+    with pytest.raises(ChainValidationError, match="spec 2 state 0x2 sum to 0.5"):
+        continuization_check([ok, ok, loop])
+    with pytest.raises(ChainValidationError, match="spec 1 state 0x0 sum to 1.5 > 1"):
+        continuization_check([ok, ChainSpec(0, lambda m: [(1, 1.5)], lambda m: m == 1)])
+
+
+def test_random_chains_too_wide_to_tag_are_a_capacity_error():
+    # bits + count.bit_length() > 63 is refused before anything is drawn
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew {name}")
+
+    for count, bits in ((1, 63), (2, 62), (1 << 20, 43)):
+        with pytest.raises(CapacityError, match="wider than 63 bits"):
+            _random_discrete_chains(NoDraws(), count, bits)
+
+
+def test_random_chains_over_the_state_cap_are_a_capacity_error(monkeypatch):
+    monkeypatch.setattr(chain, "STATE_CAP", 100)
+    with pytest.raises(CapacityError, match="state cap 100"):
+        _random_discrete_chains(np.random.default_rng(0), 50, 8)
 
 
 def test_validation_errors():
@@ -153,13 +226,14 @@ def test_validation_errors():
 
 
 def test_state_capacity(monkeypatch):
-    # a chain adding any one of 25 bits exceeds a tiny cap quickly
-    monkeypatch.setattr(chain, "STATE_CAP", 1000)
+    # a chain adding any one of 12 bits has 4096 states: it solves under the
+    # default cap and must stop at the patched one
     spec = ChainSpec(
         initial=0,
-        transitions=lambda m: [(m | (1 << b), 1.0) for b in range(25) if not (m >> b) & 1],
-        is_target=lambda m: m == (1 << 25) - 1,
+        transitions=lambda m: [(m | (1 << b), 1.0) for b in range(12) if not (m >> b) & 1],
+        is_target=lambda m: m == (1 << 12) - 1,
     )
+    monkeypatch.setattr(chain, "STATE_CAP", 1000)
     with pytest.raises(CapacityError):
         solve_hitting(spec)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fpplab.chain import lemma1_bound, lemma2_bound, solve_hitting
-from fpplab.cli import _random_discrete_chain
+from fpplab.cli import _random_discrete_chains
 from fpplab.fpp import fpp_chain_spec
 from fpplab.graphs import complete_graph
 
@@ -56,7 +56,6 @@ def test_oracle_complete_graphs(n):
 
 
 def test_oracle_callable_chains():
-    # irregular chains (multi-element jumps) go through the breadth-first path
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        _assert_agrees(_random_discrete_chain(rng, bits=7))
+    # irregular chains (multi-element jumps) go through the per-state adapter
+    for spec in _random_discrete_chains(np.random.default_rng(11), 20, 7):
+        _assert_agrees(spec)

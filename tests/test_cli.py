@@ -190,6 +190,11 @@ def test_capacity_exit_three(tmp_path, capsys):
     cfg["graph"] = {"family": "complete", "args": {"n": 25}}
     assert run_scenario(write_cfg(tmp_path, cfg)) == 3
     assert "capacity" in capsys.readouterr().err
+    # one 63-bit chain plus its one tag bit would not fit an int64 state
+    cfg = {"schema_version": 1, "process": "bounds", "seed": 1,
+           "checks": [{"name": "continuization", "count": 1, "bits": 63}]}
+    assert run_scenario(write_cfg(tmp_path, cfg)) == 3
+    assert "wider than 63 bits" in capsys.readouterr().err
 
 
 def test_family_over_the_edge_cap_exits_three_before_it_is_built(tmp_path, capsys, monkeypatch):

@@ -86,6 +86,7 @@ def test_triangle_budget_gives_uncertified_range(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(multigraph, "BNB_BUDGET", 5)
         pc = max_triangle_packing(m)
+    assert not pc.certified
     assert pc.lower <= pc.upper
     exact = max_triangle_packing(m)
     assert exact.certified
