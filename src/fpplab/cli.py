@@ -58,6 +58,7 @@ from .stats import (
     MIN_RUNS,
     SampleStats,
     band_verdict,
+    modulus_terms,
     psi_minus_eval,
     theorem1_lower_check,
     theorem1_trend_experiment,
@@ -190,12 +191,12 @@ def _check_continuization(ctx, params):
 @_register("dual_agreement", ("fpp",), "subset-chain formulation",
            "MC mean/var of X agree with the exact chain solution within 4 sigma")
 def _check_dual_agreement(ctx, params):
+    sol = ctx.solution()  # first: a graph past the exact cap exits before sampling
     s, t = ctx.endpoints()
     batch = sample_fpp_batch(ctx.graph(), s, t, params["runs"],
                              ctx.check_seed("dual_agreement"))
     _write_fpp_csv(ctx, "dual_agreement_runs.csv", batch)
     stats = SampleStats.from_samples(batch.X)
-    sol = ctx.solution()
     result = {"mc_mean": stats.mean, "exact_mean": sol.E_T,
               "mc_var": stats.variance, "exact_var": sol.var_T}
     if not (stats.mean_se > 0 and stats.variance_se > 0):
@@ -239,10 +240,10 @@ def _check_coupling_lower(ctx, params):
            "P(X > y1+y2) <= P(X > y1) P(X > y2), advisory with binomial band",
            parse=_given_reals("submultiplicativity", ("y1", "y2")))
 def _check_submult(ctx, params):
+    sol = ctx.solution()
     s, t = ctx.endpoints()
     batch = sample_fpp_batch(ctx.graph(), s, t, params["runs"],
                              ctx.check_seed("submultiplicativity"))
-    sol = ctx.solution()
     y1 = params.get("y1", sol.E_T)
     y2 = params.get("y2", sol.E_T)
     rep = submultiplicativity_probe(batch.X, y1, y2)
@@ -251,12 +252,13 @@ def _check_submult(ctx, params):
 
 @_register("theorem1_lower", ("fpp",), "two-sided bound, lower half",
            "var X/(E X)^2 >= explicit shortfall-moment expression on a delta grid",
-           parse=lambda params: {"deltas": _deltas(params, "theorem1_lower", [0.25, 0.5, 1.0])})
+           parse=lambda params: {
+               "deltas": _modulus_deltas(params, "theorem1_lower", [0.25, 0.5, 1.0])})
 def _check_theorem1_lower(ctx, params):
+    sol = ctx.solution()
     s, t = ctx.endpoints()
     batch = sample_fpp_batch(ctx.graph(), s, t, params["runs"],
                              ctx.check_seed("theorem1_lower"))
-    sol = ctx.solution()
     points = theorem1_lower_check(batch.Xi, sol.E_T, sol.var_T, params["deltas"])
     ok = all(p.holds for p in points)
     return {"points": [_clean(p) for p in points],
@@ -378,7 +380,8 @@ def _check_a_k(ctx, params):
 @_register("psi_minus", ("fpp", "bounds"), "explicit lower modulus",
            "psi_-(d) > 0 on (0,1], log-space evaluation",
            parse=lambda params: {
-               "deltas": _deltas(params, "psi_minus", [round(0.05 * i, 2) for i in range(1, 21)])})
+               "deltas": _modulus_deltas(params, "psi_minus",
+                                         [round(0.05 * i, 2) for i in range(1, 21)])})
 def _check_psi_minus(ctx, params):
     rows = []
     ok = True
@@ -403,12 +406,7 @@ def _load_graph(cfg, seed) -> WeightedGraph:
     if "edge_list" in spec:
         return parse_edge_list(_typed(spec["edge_list"], str, "graph edge_list"))
     if "path" in spec:
-        p = Path(_typed(spec["path"], str, "graph path"))
-        try:
-            text = p.read_text()
-        except (OSError, ValueError) as exc:  # a directory, a null byte, not UTF-8
-            raise ConfigError(f"cannot read graph file {p}: {exc}") from None
-        return parse_edge_list(text)
+        return parse_edge_list(_read_text(_typed(spec["path"], str, "graph path"), "graph file"))
     if "family" in spec:
         name = spec["family"]
         if not isinstance(name, str) or name not in FAMILIES:
@@ -426,6 +424,16 @@ def _load_graph(cfg, seed) -> WeightedGraph:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad arguments for family {name!r}: {exc}") from None
     raise ConfigError("graph entry needs one of: edge_list, path, family")
+
+
+def _read_text(path, what) -> str:
+    """The UTF-8 text of the file at ``path``; a file that cannot be read
+    (missing, a directory, a null byte in the path, not UTF-8) is a
+    ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
 def _family_edges(name, args) -> int:
@@ -629,26 +637,38 @@ def _deltas(params, check, default):
                  lambda d: _real(d, f"{check} delta", 0.0, 1.0))
 
 
+def _modulus_deltas(params, check, default):
+    """:func:`_deltas` for the checks built on the explicit modulus, which
+    cannot evaluate a delta too small for log space."""
+    deltas = _deltas(params, check, default)
+    for d in deltas:
+        try:
+            modulus_terms(d)
+        except ValueError as exc:
+            raise ConfigError(f"{check} {exc}") from None
+    return deltas
+
+
 def run_scenario(config_path, seed=None, out_dir=None, threads=1) -> int:
     """Run one scenario config and return its exit code.  ``threads`` is
     accepted and ignored: every sampler runs serially."""
     try:
-        cfg = json.loads(Path(config_path).read_text())
-    except FileNotFoundError:
-        print(f"error: config not found: {config_path}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        text = _read_text(config_path, "config")
+        try:
+            cfg = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
         checks = _validate_config(cfg)
         seed = _integer(cfg.get("seed", 0) if seed is None else seed, "seed", 0)
+        out = Path(out_dir) if out_dir else (Path(cfg["out"]) if "out" in cfg else None)
+        if out is not None:
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except (OSError, ValueError) as exc:  # a file in the way, a null byte
+                raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out = Path(out_dir) if out_dir else (Path(cfg["out"]) if "out" in cfg else None)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
     ctx = _Context(cfg, seed, out)
 
     report = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,

@@ -4,7 +4,11 @@ Traversal times are independent Exponential(rate w_e).  The percolation
 time X(v', v'') is the shortest-path length under those times, Xi is the
 largest single-edge time on the minimizing path, and the whole model can
 be recast as an increasing subset-valued chain solved exactly by
-:mod:`fpplab.chain`.
+:mod:`fpplab.chain`.  That chain has one rate rule, its ``expand``: the
+rates w(S, y) of a whole popcount layer come from one 0/1 product with the
+rate matrix, and ``transitions`` reads them off a one-state layer.  A
+plain-Python per-state rule in ``tests/reference_chain.py`` is the
+reference the tests hold it to, bit for bit.
 
 Monte Carlo runs come in blocks: block j of a batch draws its uniforms from
 ``default_rng(spawn_seeds(seed, n_blocks)[j])``, one row per run, and run i
@@ -179,26 +183,14 @@ def sample_fpp_batch(g: WeightedGraph, source: int, target: int, runs: int,
 
 def fpp_chain_spec(g: WeightedGraph, source: int, target: int) -> ChainSpec:
     """The reached-vertex-set chain: from S, vertex y joins at aggregate
-    rate w(S, y) = sum of rates of frontier edges into y."""
+    rate w(S, y) = sum of rates of frontier edges into y.  ``expand`` is
+    the one rate rule; ``transitions`` reads it off one state at a time."""
     if g.n > EXACT_CAP:
         raise CapacityError(f"|V|={g.n} exceeds exact-solver cap {EXACT_CAP}")
     if source == target:
         raise ValueError("source and target must differ")
     target_bit = 1 << target
-
-    def transitions(mask: int):
-        rates: dict[int, float] = {}
-        for s in range(g.n):
-            if not (mask >> s) & 1:
-                continue
-            for y, e in g.neighbors(s):
-                if not (mask >> y) & 1:
-                    rates[y] = rates.get(y, 0.0) + g.weights[e]
-        return [(mask | (1 << y), w) for y, w in sorted(rates.items())]
-
-    weight = np.zeros((g.n, g.n))
-    for (u, v), w in zip(g.edges, g.weights):
-        weight[u, v] = weight[v, u] = w
+    weight = np.append(g.weight_array(), 0.0)[_edge_table(g)]
     bit = np.int64(1) << np.arange(g.n, dtype=np.int64)
 
     def expand(masks: np.ndarray):
@@ -206,14 +198,18 @@ def fpp_chain_spec(g: WeightedGraph, source: int, target: int) -> ChainSpec:
         is_target = member[:, target]
         live = np.flatnonzero(~is_target)
         inside = member[live]
-        # w(S, y) summed over the members s of S in increasing order, the
-        # same floating-point sums as ``transitions``
-        rates = np.zeros(inside.shape)
-        for s in range(g.n):
-            np.add(rates, weight[s], out=rates, where=inside[:, s, None])
+        # w(S, y) for the whole layer as one 0/1 product.  einsum, which
+        # calls no BLAS, adds the members' rows in increasing member order
+        # whatever the layer's size; a BLAS ``@`` reorders the sums on some
+        # CPUs and layer shapes, which moves their last bits.
+        rates = np.einsum("ls,sy->ly", inside.astype(float), weight)
         rates[inside] = 0.0
         row, y = np.nonzero(rates)
         return is_target, live[row], masks[live[row]] | bit[y], rates[row, y]
+
+    def transitions(mask: int):
+        _, _, successors, rate = expand(np.array([mask], dtype=np.int64))
+        return list(zip(successors.tolist(), rate.tolist()))
 
     return ChainSpec(
         initial=1 << source,

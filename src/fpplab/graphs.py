@@ -172,8 +172,10 @@ def parse_edge_list(text: str) -> WeightedGraph:
     """Parse edge-list text: one ``u v w`` per line, ``#`` comments, UTF-8.
 
     Vertex ids are assigned in first-appearance order.  Weights with more
-    than 15 significant digits are rejected so serialize/parse round-trips
-    stay bit-exact in double precision.
+    than 17 significant digits are rejected: 17 tell any two doubles
+    apart, so ``repr``, which :meth:`WeightedGraph.to_edge_list` writes,
+    never needs more, and every written edge list parses back to the same
+    weights.
     """
     vertex_ids: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
@@ -189,8 +191,8 @@ def parse_edge_list(text: str) -> WeightedGraph:
         a, b, wtok = parts
         if a == b:
             raise GraphParseError(f"line {lineno}: self-loop {a!r}")
-        if _significant_digits(wtok) > 15:
-            raise GraphParseError(f"line {lineno}: weight {wtok!r} has more than 15 significant digits")
+        if _significant_digits(wtok) > 17:
+            raise GraphParseError(f"line {lineno}: weight {wtok!r} has more than 17 significant digits")
         try:
             w = float(wtok)
         except ValueError:

@@ -171,17 +171,32 @@ class PsiMinusValue:
     value: float  # 0.0 when below double-precision range
 
 
+def modulus_terms(delta: float) -> tuple[int, float, float]:
+    """K = ceil(3/d^2), s = d^2/(3-d^2) and the log of
+    (1/4)(3/d - d)^2 F_K(s), the factor that psi_- and the Theorem 1 lower
+    bound share.  Raises ValueError for a delta outside (0, 1], or one so
+    small that K or the log is not a finite double (below about 4.8e-153)."""
+    if not (0.0 < delta <= 1.0):
+        raise ValueError("delta must lie in (0, 1]")
+    try:
+        K = math.ceil(3.0 / delta**2)
+        s = delta**2 / (3.0 - delta**2)
+        log_coef = (math.log(0.25) + 2.0 * math.log(3.0 / delta - delta)
+                    + F_K_eval(K, s).log_value)
+    except (OverflowError, ZeroDivisionError):
+        log_coef = math.nan
+    if not math.isfinite(log_coef):
+        raise ValueError(f"delta {delta!r} is too small to evaluate in log space")
+    return K, s, log_coef
+
+
 def psi_minus_eval(delta: float) -> PsiMinusValue:
     """Explicit lower modulus: sqrt of
     (1/4)(3/d - d)^2 * F_K(d^2/(3-d^2)) * d/3 with K = ceil(3/d^2),
-    evaluated in log space (astronomically small for small d)."""
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
-    K = math.ceil(3.0 / delta**2)
-    s = delta**2 / (3.0 - delta**2)
-    fk = F_K_eval(K, s)
-    log_sq = (math.log(0.25) + 2.0 * math.log(3.0 / delta - delta)
-              + fk.log_value + math.log(delta / 3.0))
+    evaluated in log space (astronomically small for small d); a delta
+    :func:`modulus_terms` rejects raises ValueError."""
+    K, s, log_coef = modulus_terms(delta)
+    log_sq = log_coef + math.log(delta / 3.0)
     log_value = 0.5 * log_sq
     value = math.exp(log_value) if log_value > -700 else 0.0
     return PsiMinusValue(delta=delta, K=K, s=s, log_value=log_value, value=value)
@@ -213,7 +228,8 @@ def theorem1_lower_check(xi_samples, mean_x: float, var_x: float,
     of the tail's ``BAND_SIGMAS`` Wilson score interval, which keeps a
     nonzero width at an empirical tail of 0 or 1.  That largest tail is
     found in log space, since F_K underflows; a clamped-to-zero slack
-    makes the bound at the empirical tail zero."""
+    makes the bound at the empirical tail zero.  A delta
+    :func:`modulus_terms` rejects raises ValueError."""
     xi = np.asarray(xi_samples, dtype=float)
     lhs = var_x / mean_x**2
     log_lhs = math.log(lhs) if lhs > 0 else LOG_NEG_INF
@@ -221,13 +237,11 @@ def theorem1_lower_check(xi_samples, mean_x: float, var_x: float,
     z2 = BAND_SIGMAS**2 / n
     out = []
     for delta in deltas:
-        K = math.ceil(3.0 / delta**2)
+        K, _, log_coef = modulus_terms(delta)
         tail = float(np.mean(xi / mean_x >= delta))
         centre = (tail + z2 / 2.0) / (1.0 + z2)
         band = BAND_SIGMAS * math.sqrt(tail * (1.0 - tail) / n + z2 / (4.0 * n)) / (1.0 + z2)
         floor = delta / 3.0 + 1.0 / (delta * K)
-        fk = F_K_eval(K, delta**2 / (3.0 - delta**2))
-        log_coef = math.log(0.25) + 2.0 * math.log(3.0 / delta - delta) + fk.log_value
         # exp stays finite; a slack of e^700 lies past any tail + band
         max_tail = floor + math.exp(min(log_lhs - log_coef, 700.0))
         holds, inconclusive = band_verdict(centre, max_tail, band)

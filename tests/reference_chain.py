@@ -4,12 +4,15 @@ This is the straightforward implementation of the hitting-time formulas
 that ``fpplab.chain`` evaluates with layered array sweeps.  It walks the
 callable ``transitions`` / ``is_target`` interface of a chain spec, so it
 shares no code with the array core and serves as its oracle in
-``test_chain_oracle.py``.
+``test_chain_oracle.py``.  ``fpp_spec`` is the FPP reached-set chain's rate
+rule written one state at a time, the reference for ``fpp_chain_spec``'s
+layer rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 
 @dataclass
@@ -29,6 +32,24 @@ class ReferenceSolution:
                 if self.h[s2] > self.h[s] + tol:
                     return False
         return True
+
+
+def fpp_spec(g, source: int, target: int):
+    """The reached-vertex-set chain of FPP on ``g``: from S, vertex y joins
+    at w(S, y), the rates of the edges from S into y summed over the
+    members of S in increasing order; successors in increasing y."""
+    def transitions(mask: int):
+        rates: dict[int, float] = {}
+        for s in range(g.n):
+            if not (mask >> s) & 1:
+                continue
+            for y, e in g.neighbors(s):
+                if not (mask >> y) & 1:
+                    rates[y] = rates.get(y, 0.0) + g.weights[e]
+        return [(mask | (1 << y), w) for y, w in sorted(rates.items())]
+
+    return SimpleNamespace(initial=1 << source, transitions=transitions,
+                           is_target=lambda mask: bool((mask >> target) & 1))
 
 
 def _enumerate_reachable(spec):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fpplab import cli, multigraph
 from fpplab.cli import CHECKS, main, run_scenario
@@ -185,6 +185,51 @@ def test_missing_and_malformed_config_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unreadable_config_or_unusable_output_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE)
+    in_the_way = tmp_path / "file"
+    in_the_way.write_text("")
+    # a directory as the config, and a config that is not UTF-8
+    assert main(["run", str(tmp_path)]) == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps(dict(BASE, source="\u00e9"), ensure_ascii=False)
+                       .encode("latin-1"))
+    assert run_scenario(str(latin1)) == 2
+    assert capsys.readouterr().err.count("cannot read config") == 2
+    # an output directory where a file is, given on the command line or below
+    # a file in the config
+    assert main(["run", cfg, "--out", str(in_the_way)]) == 2
+    assert run_scenario(write_cfg(tmp_path, dict(BASE, out=str(in_the_way / "sub")))) == 2
+    assert capsys.readouterr().err.count("cannot create output directory") == 2
+
+
+@pytest.mark.parametrize("check, delta, code", [
+    ("psi_minus", 1e-150, 0),
+    ("psi_minus", 1e-153, 2),       # lgamma(K + 3) overflows
+    ("psi_minus", 1e-160, 2),       # K = ceil(inf)
+    ("psi_minus", 1e-200, 2),       # d^2 underflows to 0
+    ("theorem1_lower", 1e-150, 0),
+    ("theorem1_lower", 1e-200, 2),
+])
+def test_deltas_too_small_for_log_space_exit_two(tmp_path, capsys, check, delta, code):
+    cfg = dict(BASE, runs=100, checks=[{"name": check, "deltas": [delta]}])
+    assert run_scenario(write_cfg(tmp_path, cfg)) == code
+    if code == 2:
+        assert f"{check} delta {delta!r} is too small" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["dual_agreement", "submultiplicativity", "theorem1_lower"])
+def test_fpp_check_past_the_exact_cap_exits_three_before_it_samples(tmp_path, capsys,
+                                                                   monkeypatch, check):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the exact solve")
+
+    monkeypatch.setattr(cli, "sample_fpp_batch", no_sampling)
+    cfg = dict(BASE, graph={"family": "path", "args": {"n": 21}}, checks=[check])
+    assert run_scenario(write_cfg(tmp_path, cfg)) == 3
+    assert "capacity" in capsys.readouterr().err
+
+
 def test_capacity_exit_three(tmp_path, capsys):
     cfg = dict(BASE)
     cfg["graph"] = {"family": "complete", "args": {"n": 25}}
@@ -321,6 +366,8 @@ _SMALL_JSON = st.recursive(
                                                                inner, max_size=3),
     max_leaves=8)
 SCENARIOS = [json.loads(f.read_text()) for f in SCENARIO_FILES]
+RUNNABLE = [json.loads(f.read_text()) for f in SCENARIO_FILES
+            if f.stem == "bounds" or f.stem.startswith("fpp_")]
 
 
 def _mutate(data, cfg):
@@ -360,6 +407,33 @@ def test_mutated_scenario_validates_or_raises_a_config_error(data):
             step(cfg)
         except (cli.ConfigError, GraphParseError, GraphValidationError, CapacityError):
             pass
+
+
+def _fewest_runs(cfg):
+    """The config's run count set to its minimum, 3, and each check's own
+    integer run count to that check's minimum, so that a mutated scenario
+    runs in well under a second."""
+    if not isinstance(cfg, dict):
+        return
+    cfg["runs"] = 3
+    checks = cfg.get("checks")
+    for item in checks if isinstance(checks, list) else []:
+        if (isinstance(item, dict) and isinstance(item.get("runs"), int)
+                and isinstance(item.get("name"), str) and item["name"] in CHECKS):
+            item["runs"] = CHECKS[item["name"]]["min_runs"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_scenario_runs_to_an_exit_code(data, tmp_path, capsys):
+    # through the checks: a mutated shipped bounds or fpp scenario, run with
+    # the fewest runs, ends in an exit code and never in an exception
+    cfg = json.loads(json.dumps(data.draw(st.sampled_from(RUNNABLE))))
+    _mutate(data, cfg)
+    _fewest_runs(cfg)
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=tmp_path / "out") in (0, 1, 2, 3)
+    capsys.readouterr()
 
 
 def test_prop2_inconclusive_report_shows_in_status(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fpplab.graphs import (
     CapacityError,
@@ -97,8 +97,11 @@ def test_triangles_match_brute_force_and_are_built_once(seed):
     assert g.triangles is g.triangles
 
 
+_POSITIVE_DOUBLES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
 @st.composite
-def connected_graphs(draw):
+def connected_graphs(draw, weight=st.floats(min_value=0.01, max_value=100.0)):
     n = draw(st.integers(min_value=2, max_value=8))
     # random spanning tree plus random extra edges guarantees connectivity
     rng_bits = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -112,11 +115,7 @@ def connected_graphs(draw):
         u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
         edges.add((u, v))
     edges = tuple(sorted(edges))
-    # parser-admissible weights: at most 15 significant digits
-    weights = tuple(
-        float(f"{draw(st.floats(min_value=0.01, max_value=100.0, allow_nan=False)):.12g}")
-        for _ in edges
-    )
+    weights = tuple(draw(weight) for _ in edges)
     names = tuple(f"v{i}" for i in range(n))
     return WeightedGraph(names, edges, weights)
 
@@ -129,9 +128,12 @@ def named_edges(g):
 
 
 @settings(max_examples=60, deadline=None)
-@given(connected_graphs())
+@given(connected_graphs(weight=_POSITIVE_DOUBLES))
+@example(random_gnp_graph(5, 0.8, (0.5, 2.0), np.random.default_rng(1)))
+@example(bridge_graph(3, 3, 1 / 3))
 def test_edge_list_round_trip(g):
-    # serializing and re-parsing preserves the named weighted graph exactly
+    # serializing and re-parsing preserves the named weighted graph exactly,
+    # whatever the weights: ``repr`` writes at most 17 significant digits
     g2 = parse_edge_list(g.to_edge_list())
     assert set(g2.vertices) == set(g.vertices)
     assert named_edges(g2) == named_edges(g)

@@ -19,6 +19,7 @@ from fpplab.stats import (
     _spearman,
     band_verdict,
     l0_norm_estimate,
+    modulus_terms,
     psi_minus_eval,
     spawn_seeds,
     theorem1_lower_check,
@@ -186,6 +187,29 @@ def test_psi_minus_finite_log_deep_into_the_tail():
         psi_minus_eval(0.0)
     with pytest.raises(ValueError):
         psi_minus_eval(1.5)
+
+
+def test_tiny_deltas_are_evaluated_in_log_space_or_rejected():
+    # bisect to the smallest delta whose K and log factor are finite doubles
+    ok, bad = 1e-150, 1e-200
+    while math.nextafter(ok, 0.0) != bad:
+        mid = math.exp((math.log(ok) + math.log(bad)) / 2.0)
+        mid = mid if bad < mid < ok else math.nextafter(ok, 0.0)
+        try:
+            modulus_terms(mid)
+            ok = mid
+        except ValueError:
+            bad = mid
+    assert 1e-153 < ok < 1e-152
+    assert math.isfinite(psi_minus_eval(ok).log_value)
+    (point,) = theorem1_lower_check(np.ones(10), 1.0, 0.5, [ok])
+    assert point.holds and math.isfinite(point.log_rhs)
+    # below it, and far below it (K overflows, d^2 underflows to 0)
+    for delta in (bad, 1e-160, 1e-200, 5e-324):
+        with pytest.raises(ValueError, match="log space"):
+            psi_minus_eval(delta)
+        with pytest.raises(ValueError, match="log space"):
+            theorem1_lower_check(np.ones(10), 1.0, 0.5, [delta])
 
 
 def test_theorem1_lower_trivial_when_tail_small():
