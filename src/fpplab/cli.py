@@ -138,6 +138,19 @@ class _Context:
     def check_seed(self, name):
         return np.random.SeedSequence([self.seed, _stable_hash(name)])
 
+    def write(self, name, head, lines=()):
+        """Write ``head`` and then each of ``lines`` as the output file
+        ``name``.  Without an output directory nothing is written and
+        ``lines``, often a generator, is never read; a file the OS refuses
+        is a ConfigError."""
+        if self.out_dir is None:
+            return
+        path = self.out_dir / name
+        try:
+            path.write_text("\n".join([head, *lines]) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from None
+
 
 def _stable_hash(name: str) -> int:
     h = 0
@@ -195,7 +208,8 @@ def _check_dual_agreement(ctx, params):
     s, t = ctx.endpoints()
     batch = sample_fpp_batch(ctx.graph(), s, t, params["runs"],
                              ctx.check_seed("dual_agreement"))
-    _write_fpp_csv(ctx, "dual_agreement_runs.csv", batch)
+    ctx.write("dual_agreement_runs.csv", "run_index,X,Xi,path_len",
+              (f"{i},{x!r},{xi!r},{plen}" for i, x, xi, plen in batch.rows()))
     stats = SampleStats.from_samples(batch.X)
     result = {"mc_mean": stats.mean, "exact_mean": sol.E_T,
               "mc_var": stats.variance, "exact_var": sol.var_T}
@@ -208,21 +222,30 @@ def _check_dual_agreement(ctx, params):
     return {**result, "z_mean": z_mean, "z_var": z_var}, z_mean <= 4.0 and z_var <= 4.0
 
 
-def _given_reals(check, names):
-    """Parse the parameters among ``names`` that are given; the others
-    default to multiples of E T, known only once the chain is solved."""
-    return lambda params: {k: _real(params[k], f"{check} {k}") for k in names if k in params}
+def _given_reals(check, names, low=-math.inf):
+    """Parse the parameters among ``names`` that are given, each above
+    ``low``; the others default to multiples of E T, known only once the
+    chain is solved."""
+    return lambda params: {k: _real(params[k], f"{check} {k}", low)
+                           for k in names if k in params}
+
+
+def _coupling_params(params):
+    given = _given_reals("coupling_lower", ("a", "b"), 0.0)(params)
+    if given.keys() == {"a", "b"} and given["a"] >= given["b"]:
+        raise ConfigError(f"coupling_lower needs a < b, got a={given['a']}, b={given['b']}")
+    return given
 
 
 @_register("coupling_lower", ("fpp",), "resampling coupling",
            "var X >= (1/4) E (X' - X)^2 for the conditioned-interval coupling",
-           parse=_given_reals("coupling_lower", ("a", "b")))
+           parse=_coupling_params)
 def _check_coupling_lower(ctx, params):
     s, t = ctx.endpoints()
     sol = ctx.solution()
     a = params.get("a", 0.25 * sol.E_T)
     b = params.get("b", 2.0 * sol.E_T)
-    if not 0 < a < b:
+    if not 0 < a < b:  # a given bound against the other's default
         raise ConfigError("coupling interval needs 0 < a < b")
     batch = sample_coupling_batch(ctx.graph(), s, t, params["runs"],
                                   ctx.check_seed("coupling_lower"), a, b)
@@ -237,7 +260,7 @@ def _check_coupling_lower(ctx, params):
 
 
 @_register("submultiplicativity", ("fpp",), "submultiplicative tails",
-           "P(X > y1+y2) <= P(X > y1) P(X > y2), advisory with binomial band",
+           "P(X > y1+y2) <= P(X > y1) P(X > y2) within a 3-sigma binomial band",
            parse=_given_reals("submultiplicativity", ("y1", "y2")))
 def _check_submult(ctx, params):
     sol = ctx.solution()
@@ -247,7 +270,7 @@ def _check_submult(ctx, params):
     y1 = params.get("y1", sol.E_T)
     y2 = params.get("y2", sol.E_T)
     rep = submultiplicativity_probe(batch.X, y1, y2)
-    return rep, None  # advisory: never a hard failure
+    return rep, rep["holds"]
 
 
 @_register("theorem1_lower", ("fpp",), "two-sided bound, lower half",
@@ -291,14 +314,10 @@ def _trend_params(params):
 def _check_theorem1_trend(ctx, params):
     members = default_trend_family()
     rep = theorem1_trend_experiment(members, params["runs"], ctx.check_seed("theorem1_trend"))
-    ok = rep.spearman > params["min_spearman"]
-    if ctx.out_dir is not None:
-        lines = ["member,param,sd_over_mean,ci,l0_xi,n_runs"]
-        for mrow in rep.members:
-            lines.append(f"{mrow.name},{mrow.param!r},{mrow.sd_over_mean!r},"
-                         f"{mrow.ratio_se!r},{mrow.l0_xi!r},{mrow.n_runs}")
-        (ctx.out_dir / "trend_members.csv").write_text("\n".join(lines) + "\n")
-    return _clean(rep), ok
+    ctx.write("trend_members.csv", "member,param,sd_over_mean,ci,l0_xi,n_runs",
+              (f"{m.name},{m.param!r},{m.sd_over_mean!r},{m.ratio_se!r},{m.l0_xi!r},{m.n_runs}"
+               for m in rep.members))
+    return _clean(rep), rep.spearman > params["min_spearman"]
 
 
 def _prop2_params(params):
@@ -328,15 +347,13 @@ def _check_prop2(ctx, params):
     uncertified = Counter()
     samples = sample_stopping_times(g, ks, runs, ctx.check_seed("prop2"), kinds=kinds,
                                     uncertified=uncertified)
-    if ctx.out_dir is not None:
-        def cell(kind, k, i):  # empty for a kind that was not run
-            return repr(float(samples[kind][k][i])) if kind in kinds else ""
 
-        lines = ["run_index,k,T_span,T_tria"]
-        for k in ks:
-            for i in range(runs):
-                lines.append(f"{i},{k},{cell('span', k, i)},{cell('tria', k, i)}")
-        (ctx.out_dir / "prop2_runs.csv").write_text("\n".join(lines) + "\n")
+    def cell(kind, k, i):  # empty for a kind that was not run
+        return repr(float(samples[kind][k][i])) if kind in kinds else ""
+
+    ctx.write("prop2_runs.csv", "run_index,k,T_span,T_tria",
+              (f"{i},{k},{cell('span', k, i)},{cell('tria', k, i)}"
+               for k in ks for i in range(runs)))
     reports = []
     ok = True
     for kind in kinds:
@@ -558,15 +575,6 @@ def _clean(obj):
     return obj
 
 
-def _write_fpp_csv(ctx, name, batch):
-    if ctx.out_dir is None:
-        return
-    lines = ["run_index,X,Xi,path_len"]
-    for i, x, xi, plen in batch.rows():
-        lines.append(f"{i},{x!r},{xi!r},{plen}")
-    (ctx.out_dir / name).write_text("\n".join(lines) + "\n")
-
-
 def _validate_config(cfg):
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -678,18 +686,16 @@ def run_scenario(config_path, seed=None, out_dir=None, threads=1) -> int:
     try:
         for name, params in checks:
             result, passed = CHECKS[name]["fn"](ctx, params)
-            inconclusive = isinstance(result, dict) and bool(result.get("inconclusive"))
-            if passed is None:
-                status = "report"
-            elif not passed:
+            if not passed:
                 status = "FAIL"
                 any_fail = True
-            elif inconclusive:
+            elif isinstance(result, dict) and result.get("inconclusive"):
                 status = "inconclusive"
             else:
                 status = "pass"
             report["checks"][name] = {"status": status, "result": _clean(result)}
             rows.append((name, CHECKS[name]["anchor"], status))
+        ctx.write("report.json", json.dumps(report, sort_keys=True, indent=2))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -700,9 +706,6 @@ def run_scenario(config_path, seed=None, out_dir=None, threads=1) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if out is not None:
-        (out / "report.json").write_text(text + "\n")
     width = max(len(r[0]) for r in rows)
     print(f"scenario: {config_path}  (seed {seed})")
     for name, anchor, status in rows:

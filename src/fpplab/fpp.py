@@ -28,7 +28,7 @@ import numpy as np
 
 from .chain import ABS_TOL, ChainSpec, ExactSolution
 from .graphs import EXACT_CAP, CapacityError, WeightedGraph
-from .stats import spawn_seeds
+from .stats import BAND_SIGMAS, band_verdict, spawn_seeds
 
 _BLOCK_CELLS = 1 << 20   # traversal times per block, at most
 _BLOCK_RUNS = 1024       # runs per block, at most
@@ -290,24 +290,17 @@ def sample_coupling_batch(g: WeightedGraph, source: int, target: int, runs: int,
 
 
 def submultiplicativity_probe(samples: np.ndarray, y1: float, y2: float) -> dict:
-    """Empirical tail check P(X > y1+y2) <= P(X > y1) P(X > y2) plus a
-    3-sigma binomial band.  Advisory: reports, does not assert."""
+    """Empirical tails against P(X > y1+y2) <= P(X > y1) P(X > y2), judged
+    by :func:`band_verdict` on a ``BAND_SIGMAS`` binomial band."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
-    report = {"n": n, "y1": y1, "y2": y2}
-    if n < 10_000:
-        report["warning"] = "fewer than 1e4 samples; tail estimates imprecise"
     p12 = float(np.mean(samples > y1 + y2))
     p1 = float(np.mean(samples > y1))
     p2 = float(np.mean(samples > y2))
     var12 = p12 * (1 - p12) / n
     var1 = p1 * (1 - p1) / n
     var2 = p2 * (1 - p2) / n
-    band = 3.0 * math.sqrt(var12 + p2**2 * var1 + p1**2 * var2)
-    report.update({
-        "tail_sum": p12,
-        "tail_product": p1 * p2,
-        "band": band,
-        "holds_within_band": p12 <= p1 * p2 + band,
-    })
-    return report
+    band = BAND_SIGMAS * math.sqrt(var12 + p2**2 * var1 + p1**2 * var2)
+    holds, inconclusive = band_verdict(p12, p1 * p2, band)
+    return {"n": n, "y1": y1, "y2": y2, "tail_sum": p12, "tail_product": p1 * p2,
+            "band": band, "holds": holds, "inconclusive": inconclusive}

@@ -306,6 +306,8 @@ def random_gnp_graph(n: int, p: float, weight_range: tuple[float, float],
                      rng: np.random.Generator) -> WeightedGraph:
     """Connected G(n,p) with uniform weights in ``weight_range`` (resamples
     until connected)."""
+    if not 0 < p <= 1:  # p <= 0 never draws a connected graph for n >= 2
+        raise ValueError(f"edge probability p must lie in (0, 1], got {p!r}")
     lo, hi = weight_range
     if not (0 < lo <= hi < math.inf):
         raise ValueError("weight range must be positive and finite")

@@ -99,7 +99,9 @@ def l0_norm_estimate(samples) -> L0Estimate:
 
     The empirical tail is a right-continuous nonincreasing step function,
     so the fixed point sits either at a sample value or at one of the
-    levels (n - i)/n; scan the constant pieces left to right.
+    levels (n - i)/n.  It lies on the first constant piece, left to right,
+    whose tail is below the piece's right end (the last piece's tail is 0),
+    at the larger of that tail and the piece's left end.
     """
     v = np.abs(np.asarray(samples, dtype=float))
     n = len(v)
@@ -112,14 +114,8 @@ def l0_norm_estimate(samples) -> L0Estimate:
     lefts = np.concatenate([[0.0], u])
     rights = np.concatenate([u, [math.inf]])
     tails = np.concatenate([ge_counts / n, [0.0]])  # tail on each piece
-    for left, right, g in zip(lefts, rights, tails):
-        if left >= right:
-            continue
-        if g <= left:
-            return L0Estimate(value=float(left), n=n)
-        if g < right:
-            return L0Estimate(value=float(g), n=n)
-    raise AssertionError("fixed point always exists on the last piece")
+    i = int(np.argmax(tails < rights))
+    return L0Estimate(value=float(max(lefts[i], tails[i])), n=n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each reporting a single
 pass/fail line (collected into the terminal summary by conftest)."""
 
+import hashlib
 import json
 import math
 import time
@@ -213,24 +214,29 @@ def test_criterion_8_section4_machinery():
     assert ok
 
 
-def test_criterion_9_trend():
-    from fpplab.cli import default_trend_family
-    from fpplab.stats import theorem1_trend_experiment
-
+def test_criterion_9_trend(tmp_path, capsys):
+    # the shipped trend scenario at its own seed; its report's golden digest
+    # is checked here, so that the slow run is made once in the suite
     t0 = time.time()
-    members = default_trend_family()
-    assert len(members) == 10
-    rep = theorem1_trend_experiment(members, 10_000, seed=909)
+    code = run_scenario(str(SCENARIOS / "fpp_trend.json"), out_dir=tmp_path)
     elapsed = time.time() - t0
-    ok = rep.spearman > 0.9
-    worst = next(m for m in rep.members if m.name == "bridge-0.01")
-    ok &= worst.sd_over_mean >= 0.1 and worst.l0_xi >= 0.1
+    capsys.readouterr()
+    raw = (tmp_path / "report.json").read_bytes()
+    rep = json.loads(raw)["checks"]["theorem1_trend"]["result"]
+    members = {m["name"]: m for m in rep["members"]}
+    assert len(members) == 10
+    worst = members["bridge-0.01"]
+    ok = code == 0 and rep["spearman"] > 0.9
+    ok &= worst["sd_over_mean"] >= 0.1 and worst["l0_xi"] >= 0.1
     ok &= elapsed < 900.0
     record_acceptance(
-        9, ok, f"spearman {rep.spearman:.3f} > 0.9; bridge-0.01 "
-               f"sd/mean {worst.sd_over_mean:.2f}, l0 {worst.l0_xi:.2f} >= 0.1; "
+        9, ok, f"spearman {rep['spearman']:.3f} > 0.9; bridge-0.01 "
+               f"sd/mean {worst['sd_over_mean']:.2f}, l0 {worst['l0_xi']:.2f} >= 0.1; "
                f"{elapsed:.0f}s")
     assert ok
+    golden = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+    digest = hashlib.sha256(raw).hexdigest()
+    assert digest == golden["fpp_trend"], f"fpp_trend: report.json sha256 is now {digest}"
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fpplab import cli, multigraph
+from fpplab import cli, growth, multigraph
 from fpplab.cli import CHECKS, main, run_scenario
 from fpplab.graphs import CapacityError, GraphParseError, GraphValidationError
 from fpplab.growth import GrowthConfig
@@ -366,8 +366,6 @@ _SMALL_JSON = st.recursive(
                                                                inner, max_size=3),
     max_leaves=8)
 SCENARIOS = [json.loads(f.read_text()) for f in SCENARIO_FILES]
-RUNNABLE = [json.loads(f.read_text()) for f in SCENARIO_FILES
-            if f.stem == "bounds" or f.stem.startswith("fpp_")]
 
 
 def _mutate(data, cfg):
@@ -423,13 +421,24 @@ def _fewest_runs(cfg):
             item["runs"] = CHECKS[item["name"]]["min_runs"]
 
 
+@pytest.fixture
+def three_run_floor(monkeypatch):
+    """Propositions 1-3 accept 3 runs instead of ``MIN_RUNS``: in the check
+    catalog, fixed when each check registered, and where the sampled
+    verdicts read it at call time."""
+    for name in ("prop1", "prop2", "prop3"):
+        monkeypatch.setitem(CHECKS[name], "min_runs", 3)
+    monkeypatch.setattr(multigraph, "MIN_RUNS", 3)
+    monkeypatch.setattr(growth, "MIN_RUNS", 3)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_mutated_scenario_runs_to_an_exit_code(data, tmp_path, capsys):
-    # through the checks: a mutated shipped bounds or fpp scenario, run with
-    # the fewest runs, ends in an exit code and never in an exception
-    cfg = json.loads(json.dumps(data.draw(st.sampled_from(RUNNABLE))))
+def test_mutated_scenario_runs_to_an_exit_code(data, tmp_path, capsys, three_run_floor):
+    # through the checks: a mutated shipped scenario, run with the fewest
+    # runs, ends in an exit code and never in an exception
+    cfg = json.loads(json.dumps(data.draw(st.sampled_from(SCENARIOS))))
     _mutate(data, cfg)
     _fewest_runs(cfg)
     assert run_scenario(write_cfg(tmp_path, cfg), out_dir=tmp_path / "out") in (0, 1, 2, 3)
@@ -505,6 +514,70 @@ def test_theorem1_lower_band_sets_the_status(tmp_path, monkeypatch, allowed, sta
     (point,) = check["result"]["points"]
     assert point["tail"] == 0.9 and point["tail_band"] == pytest.approx(0.0285, abs=1e-4)
     assert check["result"]["inconclusive"] is point["inconclusive"] is (status == "inconclusive")
+
+
+@pytest.mark.parametrize("tail_sum, status, code", [
+    (100, "pass", 0), (260, "inconclusive", 0), (500, "FAIL", 1)])
+def test_submultiplicativity_band_sets_the_status(tmp_path, monkeypatch, tail_sum, status,
+                                                  code):
+    # 1000 runs with P(X > 1) = 0.5, so the bound on P(X > 2) is 0.25 with a
+    # 3-sigma band of 0.04-0.06; ``tail_sum`` of the runs lie above 2
+    real = cli.submultiplicativity_probe
+    x = np.array([3.0] * tail_sum + [1.5] * (500 - tail_sum) + [0.0] * 500)
+    monkeypatch.setattr(cli, "submultiplicativity_probe", lambda _x, _y1, _y2: real(x, 1.0, 1.0))
+    cfg = dict(BASE, runs=1000, checks=["submultiplicativity"])
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=out) == code
+    check = json.loads((out / "report.json").read_text())["checks"]["submultiplicativity"]
+    assert check["status"] == status
+    result = check["result"]
+    assert result["tail_sum"] == tail_sum / 1000 and result["tail_product"] == 0.25
+    assert result["holds"] is (status != "FAIL")
+    assert result["inconclusive"] is (status == "inconclusive")
+
+
+def test_every_status_is_pass_fail_or_inconclusive(tmp_path):
+    # every check that applies to fpp
+    cfg = dict(BASE, runs=100, checks=sorted(n for n, m in CHECKS.items()
+                                              if "fpp" in m["processes"]))
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=out) in (0, 1)
+    report = json.loads((out / "report.json").read_text())
+    assert set(report["checks"]) == set(cfg["checks"])
+    for check in report["checks"].values():
+        assert check["status"] in ("pass", "FAIL", "inconclusive")
+
+
+@pytest.mark.parametrize("name", ["report.json", "dual_agreement_runs.csv"])
+def test_output_file_the_os_refuses_exits_two(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = dict(BASE, runs=100, checks=["lemma1", "dual_agreement"])
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=out) == 2
+    assert f"cannot write {out / name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("interval", [{"a": 2.0, "b": 1.0}, {"a": 1.0, "b": 1.0},
+                                      {"a": 0.0}, {"b": -1.0}, {"a": -1.0, "b": 2.0}])
+def test_bad_coupling_interval_exits_before_any_sampling(tmp_path, monkeypatch, capsys,
+                                                        interval):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the config was validated")
+
+    monkeypatch.setattr(cli, "sample_fpp_batch", no_sampling)
+    monkeypatch.setattr(cli, "sample_coupling_batch", no_sampling)
+    cfg = dict(BASE, checks=["dual_agreement", {"name": "coupling_lower", **interval}])
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=out) == 2
+    assert "coupling_lower" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_coupling_bound_below_its_default_partner_exits_two(tmp_path, capsys):
+    # a defaults to E T / 4, which a given b of 0.01 lies below on complete(3)
+    cfg = dict(BASE, runs=100, checks=[{"name": "coupling_lower", "b": 0.01}])
+    assert run_scenario(write_cfg(tmp_path, cfg)) == 2
+    assert "coupling interval needs 0 < a < b" in capsys.readouterr().err
 
 
 def test_bad_check_parameter_exits_before_any_sampling(tmp_path, monkeypatch, capsys):

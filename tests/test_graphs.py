@@ -187,6 +187,22 @@ def test_random_gnp_connected_and_seeded():
     assert g2.edges == g.edges and g2.weights == g.weights
 
 
+class _NoDraws:
+    def random(self, *args, **kwargs):
+        raise AssertionError("drew from the rng")
+
+
+@pytest.mark.parametrize("p", [0.0, -0.5, 1.5, math.nan])
+def test_random_gnp_rejects_p_outside_unit_interval_before_drawing(p):
+    with pytest.raises(ValueError, match="edge probability"):
+        random_gnp_graph(120, p, (0.5, 2.0), _NoDraws())
+
+
+def test_random_gnp_with_p_one_is_complete():
+    g = random_gnp_graph(5, 1.0, (1.0, 1.0), np.random.default_rng(0))
+    assert g.m == 10
+
+
 def test_multigraph_validation():
     g = path_graph(3)
     m = Multigraph(g, (2, 0))

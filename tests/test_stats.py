@@ -94,6 +94,19 @@ def test_l0_norm_hand_cases():
         l0_norm_estimate([])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 2.0]) | st.floats(-3.0, 3.0),
+                min_size=1, max_size=40))
+def test_l0_norm_is_the_least_threshold_its_tail_does_not_exceed(values):
+    # the definition, searched over every place the fixed point can sit:
+    # 0, a sample value or a tail level k/n
+    v = np.abs(np.asarray(values, dtype=float))
+    n = len(v)
+    candidates = np.concatenate([[0.0], v, np.arange(n + 1) / n])
+    want = min(d for d in candidates if np.count_nonzero(v > d) / n <= d)
+    assert l0_norm_estimate(values).value == want
+
+
 def test_l0_norm_uniform_limit():
     rng = np.random.default_rng(1)
     v = rng.random(200_000)
