@@ -11,6 +11,7 @@ from .graphs import (
     parse_edge_list,
     path_graph,
     random_gnp_graph,
+    twin_classes,
 )
 from .chain import (
     ChainSpec,
@@ -25,7 +26,9 @@ from .fpp import (
     fpp_chain_spec,
     prop4_check,
     sample_coupling_batch,
+    sample_dijkstra_batch,
     sample_fpp_batch,
+    sample_lumped_fpp_batch,
     sample_traversal,
     submultiplicativity_probe,
 )

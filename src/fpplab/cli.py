@@ -250,7 +250,8 @@ def _check_coupling_lower(ctx, params):
     batch = sample_coupling_batch(ctx.graph(), s, t, params["runs"],
                                   ctx.check_seed("coupling_lower"), a, b)
     increment = batch.X_prime - batch.X
-    bound_ok = bool(np.all(increment <= batch.increment_bound + 1e-9))
+    # rounding allowance on the scale of the times, so slow rates do not fail it
+    bound_ok = bool(np.all(increment <= batch.increment_bound + chain.REL_TOL * (b - a)))
     stats = SampleStats.from_samples(increment ** 2)
     rhs = 0.25 * stats.mean
     holds, inconclusive = band_verdict(rhs, sol.var_T, BAND_SIGMAS * 0.25 * stats.mean_se)

@@ -10,13 +10,22 @@ rate matrix, and ``transitions`` reads them off a one-state layer.  A
 plain-Python per-state rule in ``tests/reference_chain.py`` is the
 reference the tests hold it to, bit for bit.
 
+Runs are sampled one of two ways.  The general sampler draws every
+traversal time and runs a lock-step Dijkstra over a block of runs.  When
+the twin classes of :func:`fpplab.graphs.twin_classes` number at most half
+the vertices (the complete graphs, cliques joined by bridges), a run is
+read off the reached-set chain lumped onto per-class counts instead, one
+joining vertex per stage, with a parent trace that gives Xi.  The
+Dijkstra stays the general sampler and the lumped one's oracle.
+
 Monte Carlo runs come in blocks: block j of a batch draws its uniforms from
 ``default_rng(spawn_seeds(seed, n_blocks)[j])``, one row per run, and run i
-is row ``i % B`` of block ``i // B``.  ``B`` is the largest power of two up
-to 1024 with ``B * m <= 2**20``, so a block never holds more than 2**20
-traversal times.  ``Generator.random`` fills row-major, so a block of k
-rows is the first k rows of a full one: a shorter batch is a prefix of a
-longer one.
+is row ``i % B`` of block ``i // B``.  A run takes c uniforms: the m
+traversal times for the Dijkstra, 4 per stage (4(n - 1)) on the lumped
+chain.  ``B`` is the largest power of two up to 1024 with ``B * c <=
+2**20``, so a block never holds more than 2**20 uniforms.
+``Generator.random`` fills row-major, so a block of k rows is the first k
+rows of a full one: a shorter batch is a prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -26,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ABS_TOL, ChainSpec, ExactSolution
-from .graphs import EXACT_CAP, CapacityError, WeightedGraph
-from .stats import BAND_SIGMAS, band_verdict, spawn_seeds
+from .chain import REL_TOL, ChainSpec, ExactSolution
+from .graphs import EXACT_CAP, CapacityError, WeightedGraph, twin_classes
+from .stats import band_verdict, spawn_seeds, wilson_band
 
 _BLOCK_CELLS = 1 << 20   # traversal times per block, at most
 _BLOCK_RUNS = 1024       # runs per block, at most
@@ -63,7 +72,8 @@ def sample_traversal(g: WeightedGraph, rng: np.random.Generator, runs: int) -> n
 # a one-run-at-a-time pure-Python Dijkstra)
 
 def _block_runs(m: int) -> int:
-    """B: the largest power of two up to 1024 with B * m <= 2**20."""
+    """B: the largest power of two up to 1024 with B * m <= 2**20, for m
+    uniforms per run."""
     b = _BLOCK_RUNS
     while b > 1 and b * m > _BLOCK_CELLS:
         b //= 2
@@ -81,7 +91,7 @@ def _edge_table(g: WeightedGraph) -> np.ndarray:
     """The ``(n, n)`` edge ids; pairs with no edge between them (the
     diagonal too) hold the pad id m."""
     table = np.full((g.n, g.n), g.m, dtype=np.intp)
-    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    u, v = g.edge_array().T
     table[u, v] = table[v, u] = np.arange(g.m)
     return table
 
@@ -165,7 +175,19 @@ class FppBatch:
 def sample_fpp_batch(g: WeightedGraph, source: int, target: int, runs: int,
                      seed) -> FppBatch:
     """``runs`` independent FPP realizations on the block streams of
-    ``seed`` (see the module docstring), one lock-step Dijkstra per block."""
+    ``seed`` (see the module docstring): on the twin-class lumped chain
+    when the twin classes are at most half the vertices, else by the
+    lock-step Dijkstra."""
+    label = twin_classes(g, source, target)
+    if 2 * (int(label.max()) + 1) <= g.n:
+        return sample_lumped_fpp_batch(g, source, target, runs, seed, label)
+    return sample_dijkstra_batch(g, source, target, runs, seed)
+
+
+def sample_dijkstra_batch(g: WeightedGraph, source: int, target: int, runs: int,
+                          seed) -> FppBatch:
+    """``runs`` FPP realizations, one lock-step Dijkstra per block: block j
+    draws ``random((k, m))``, the traversal times of its k runs."""
     table = _edge_table(g)
     batch = FppBatch(X=np.empty(runs), Xi=np.empty(runs),
                      path_len=np.empty(runs, dtype=np.int64))
@@ -175,6 +197,114 @@ def sample_fpp_batch(g: WeightedGraph, source: int, target: int, runs: int,
         batch.Xi[part] = _along_path(xi, edges).max(axis=1)
         batch.path_len[part] = (edges != g.m).sum(axis=1)
         del xi  # let the next block reuse this one's memory
+    return batch
+
+
+# ---------------------------------------------------------------------------
+# The twin-class lumped chain (strongly lumpable: Kemeny & Snell, Finite
+# Markov Chains, 1960; on K_n it is Janson's stage chain, CPC 8, 1999)
+
+@dataclass(frozen=True)
+class _Lumped:
+    size: np.ndarray    # vertices per class
+    rate: np.ndarray    # (K, K) w(d, c): the rate between a member of d and one of c
+    offset: np.ndarray  # first slot of each class in a run's (n,) slot array
+    source: int         # the classes of source and target
+    target: int
+
+
+def _lumped(g: WeightedGraph, label: np.ndarray, source: int, target: int) -> _Lumped:
+    """The class sizes and rates of the twin classes ``label``.  Twins
+    see every other vertex at one rate, and the members of a class meet
+    each other at one rate, read off its first two members."""
+    order = np.argsort(label, kind="stable")
+    size = np.bincount(label)
+    offset = np.concatenate([[0], np.cumsum(size)[:-1]])
+    first = order[offset]
+    second = order[np.minimum(offset + 1, g.n - 1)]
+    rates = g.rate_matrix()
+    rate = rates[np.ix_(first, first)]
+    rate[np.diag_indices_from(rate)] = np.where(size > 1, rates[first, second], 0.0)
+    return _Lumped(size=size, rate=rate, offset=offset,
+                   source=int(label[source]), target=int(label[target]))
+
+
+def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the first index whose running total ``cum`` exceeds
+    ``u`` times the row total: an index drawn in proportion to its
+    increment.  The point is held below the total, so u -> 1 too picks an
+    index with a positive increment, never one whose increment is 0."""
+    total = cum[:, -1]
+    point = np.minimum(u * total, np.nextafter(total, 0.0))
+    return (cum <= point[:, None]).sum(axis=1)
+
+
+def _lumped_block(chain: _Lumped, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X, Xi and the path length of each run of the ``(k, n - 1, 4)``
+    uniform block ``u``, one stage (one joining vertex) per step, every
+    run in step.
+
+    At stage i, class c joins at rate (size_c - count_c) * sum_d count_d
+    w(d, c): ``u[:, i - 1, 0]`` gives the holding time -ln(u)/total,
+    ``1`` the joining class, ``2`` its parent's class d, drawn with weight
+    count_d w(d, c), and ``3`` the parent, uniform among the reached
+    members of d.  A run's reached vertices are its stages, 0 the source,
+    kept in per-class slots.  Once every vertex has joined, each run
+    walks back from the target's stage to the source: X is the target's
+    join time and Xi the largest join-time gap along the way.
+    """
+    k, stages = u.shape[0], u.shape[1] + 1
+    rows = np.arange(k)
+    count = np.zeros((k, len(chain.size)))
+    count[:, chain.source] = 1.0
+    free = chain.size - count
+    pull = np.tile(chain.rate[chain.source], (k, 1))  # sum_d count_d w(d, c)
+    slot = np.zeros((k, stages), dtype=np.intp)       # the stage in each slot
+    parent = np.zeros((k, stages), dtype=np.intp)
+    tau = np.zeros((k, stages))
+    at_target = np.zeros(k, dtype=np.intp)
+    now = np.zeros(k)
+    for i in range(1, stages):
+        draw = u[:, i - 1]
+        cum = np.cumsum(free * pull, axis=1)
+        now -= np.log(np.maximum(draw[:, 0], _TINY)) / cum[:, -1]
+        c = _pick(cum, draw[:, 1])
+        d = _pick(np.cumsum(count * chain.rate[:, c].T, axis=1), draw[:, 2])
+        reached = count[rows, d].astype(np.intp)
+        j = np.minimum((draw[:, 3] * reached).astype(np.intp), reached - 1)
+        parent[:, i] = slot[rows, chain.offset[d] + j]
+        tau[:, i] = now
+        slot[rows, chain.offset[c] + count[rows, c].astype(np.intp)] = i
+        count[rows, c] += 1.0
+        free[rows, c] -= 1.0
+        pull += chain.rate[c]
+        at_target[c == chain.target] = i
+    X = tau[rows, at_target]
+    Xi = np.zeros(k)
+    path_len = np.zeros(k, dtype=np.int64)
+    cur = at_target
+    while cur.any():
+        up = parent[rows, cur]
+        np.maximum(Xi, tau[rows, cur] - tau[rows, up], out=Xi)
+        path_len += cur != 0
+        cur = up
+    return X, Xi, path_len
+
+
+def sample_lumped_fpp_batch(g: WeightedGraph, source: int, target: int, runs: int,
+                            seed, label: np.ndarray | None = None) -> FppBatch:
+    """``runs`` FPP realizations on the twin-class lumped chain (``label``
+    from :func:`twin_classes`, computed when not given): block j draws
+    ``random((k, n - 1, 4))``, four uniforms per stage, with B sized by
+    ``4 * (n - 1)`` uniforms per run."""
+    if label is None:
+        label = twin_classes(g, source, target)
+    chain = _lumped(g, label, source, target)
+    batch = FppBatch(X=np.empty(runs), Xi=np.empty(runs),
+                     path_len=np.empty(runs, dtype=np.int64))
+    for rng, part in _blocks(seed, runs, 4 * (g.n - 1)):
+        u = rng.random((part.stop - part.start, g.n - 1, 4))
+        batch.X[part], batch.Xi[part], batch.path_len[part] = _lumped_block(chain, u)
     return batch
 
 
@@ -190,7 +320,7 @@ def fpp_chain_spec(g: WeightedGraph, source: int, target: int) -> ChainSpec:
     if source == target:
         raise ValueError("source and target must differ")
     target_bit = 1 << target
-    weight = np.append(g.weight_array(), 0.0)[_edge_table(g)]
+    weight = g.rate_matrix()
     bit = np.int64(1) << np.arange(g.n, dtype=np.int64)
 
     def expand(masks: np.ndarray):
@@ -233,7 +363,7 @@ def prop4_check(sol: ExactSolution, g: WeightedGraph) -> Prop4Report:
     w_min = g.min_weight()
     bound = sol.E_T / w_min
     return Prop4Report(var_T=sol.var_T, E_T=sol.E_T, w_min=w_min, bound=bound,
-                       holds=sol.var_T <= bound + ABS_TOL)
+                       holds=sol.var_T <= bound * (1.0 + REL_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +421,16 @@ def sample_coupling_batch(g: WeightedGraph, source: int, target: int, runs: int,
 
 def submultiplicativity_probe(samples: np.ndarray, y1: float, y2: float) -> dict:
     """Empirical tails against P(X > y1+y2) <= P(X > y1) P(X > y2), judged
-    by :func:`band_verdict` on a ``BAND_SIGMAS`` binomial band."""
+    by :func:`band_verdict` on the Wilson centres of the three tails, with
+    the band their :func:`wilson_band` half-widths carried through the
+    product, so a tail of 0 or 1 still leaves a band."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     p12 = float(np.mean(samples > y1 + y2))
     p1 = float(np.mean(samples > y1))
     p2 = float(np.mean(samples > y2))
-    var12 = p12 * (1 - p12) / n
-    var1 = p1 * (1 - p1) / n
-    var2 = p2 * (1 - p2) / n
-    band = BAND_SIGMAS * math.sqrt(var12 + p2**2 * var1 + p1**2 * var2)
-    holds, inconclusive = band_verdict(p12, p1 * p2, band)
+    (c12, b12), (c1, b1), (c2, b2) = (wilson_band(p, n) for p in (p12, p1, p2))
+    band = math.sqrt(b12**2 + c2**2 * b1**2 + c1**2 * b2**2)
+    holds, inconclusive = band_verdict(c12, c1 * c2, band)
     return {"n": n, "y1": y1, "y2": y2, "tail_sum": p12, "tail_product": p1 * p2,
             "band": band, "holds": holds, "inconclusive": inconclusive}

@@ -6,6 +6,7 @@ positive edge rates.  Graphs are immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -33,51 +34,83 @@ class WeightedGraph:
     """Finite connected simple graph with positive edge rates.
 
     ``vertices`` keeps first-appearance order from the input; edges are
-    stored as index pairs ``(u, v)`` with ``u < v``.
+    stored as index pairs ``(u, v)`` with ``u < v``.  Validation runs on
+    arrays; the per-vertex adjacency and the pair-to-edge map are built on
+    first use.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     weights: tuple[float, ...]
-    _adj: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False, default=())
-    _edge_of: dict[tuple[int, int], int] = field(repr=False, compare=False, default=None)
     _weights: np.ndarray = field(repr=False, compare=False, default=None)
+    _ends: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        n = len(self.vertices)
-        edge_of = {}
-        adj = [[] for _ in range(n)]
-        for i, ((u, v), w) in enumerate(zip(self.edges, self.weights)):
-            if u == v:
-                raise GraphValidationError(f"self-loop at vertex {self.vertices[u]!r}")
-            if not (0 <= u < v < n):
-                raise GraphValidationError(f"edge index pair out of range: {(u, v)}")
-            if (u, v) in edge_of:
-                raise GraphParseError(f"duplicate edge {self.vertices[u]!r}-{self.vertices[v]!r}")
-            if not (0 < w < math.inf):
-                raise GraphValidationError(f"weight {w} on edge {(u, v)} is not positive and finite")
-            edge_of[(u, v)] = edge_of[(v, u)] = i
-            adj[u].append((v, i))
-            adj[v].append((u, i))
-        object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
-        object.__setattr__(self, "_edge_of", edge_of)
+        n, m = len(self.vertices), len(self.edges)
+        if len(self.weights) != m:
+            raise GraphValidationError(f"{m} edges but {len(self.weights)} weights")
+        ends = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64,
+                           count=2 * m).reshape(m, 2)
         weights = np.asarray(self.weights, dtype=float)
-        weights.flags.writeable = False
-        object.__setattr__(self, "_weights", weights)
+        u, v = ends.T
+        bad = (u == v) | (u < 0) | (u >= v) | (v >= n) | ~((weights > 0) & (weights < math.inf))
+        _, first, pair = np.unique(u * max(n, 1) + v, return_index=True, return_inverse=True)
+        duplicate = first[pair] != np.arange(m)
+        if (bad | duplicate).any():
+            i = int(np.argmax(bad | duplicate))
+            self._reject(i, bool(duplicate[i]))
+        for name, array in (("_weights", weights), ("_ends", ends)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if n > 0 and not self._is_connected():
             raise GraphValidationError("graph is not connected")
 
+    def _reject(self, i: int, duplicate: bool):
+        """Raise the error of edge ``i``, the first bad edge, checked in
+        the order self-loop, index range, duplicate, weight.  Every earlier
+        edge is valid, so ``duplicate`` (the pair repeats an earlier one)
+        is exact for an edge in range."""
+        (u, v), w = self.edges[i], self.weights[i]
+        if u == v:
+            raise GraphValidationError(f"self-loop at vertex {self.vertices[u]!r}")
+        if not (0 <= u < v < len(self.vertices)):
+            raise GraphValidationError(f"edge index pair out of range: {(u, v)}")
+        if duplicate:
+            raise GraphParseError(f"duplicate edge {self.vertices[u]!r}-{self.vertices[v]!r}")
+        raise GraphValidationError(f"weight {w} on edge {(u, v)} is not positive and finite")
+
     def _is_connected(self) -> bool:
+        """Depth-first search from vertex 0 over the CSR adjacency."""
         n = len(self.vertices)
-        seen = {0}
+        heads = self._ends.ravel()
+        order = np.argsort(heads, kind="stable")
+        tails = self._ends[:, ::-1].ravel()[order]
+        start = np.searchsorted(heads[order], np.arange(n + 1))
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
         stack = [0]
         while stack:
             u = stack.pop()
-            for v, _ in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == n
+            nbrs = tails[start[u]:start[u + 1]]
+            new = nbrs[~seen[nbrs]]
+            seen[new] = True
+            stack.extend(new.tolist())
+        return bool(seen.all())
+
+    @cached_property
+    def _adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        adj = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.edges):
+            adj[u].append((v, i))
+            adj[v].append((u, i))
+        return tuple(tuple(a) for a in adj)
+
+    @cached_property
+    def _edge_of(self) -> dict[tuple[int, int], int]:
+        edge_of = {}
+        for i, (u, v) in enumerate(self.edges):
+            edge_of[(u, v)] = edge_of[(v, u)] = i
+        return edge_of
 
     @property
     def n(self) -> int:
@@ -100,6 +133,18 @@ class WeightedGraph:
     def weight_array(self) -> np.ndarray:
         """The edge rates as one read-only float array, built once."""
         return self._weights
+
+    def edge_array(self) -> np.ndarray:
+        """The ``(m, 2)`` edge endpoints as one read-only int array, built once."""
+        return self._ends
+
+    def rate_matrix(self) -> np.ndarray:
+        """The symmetric ``(n, n)`` rates w(u, v), 0 where no edge is (the
+        diagonal too); a new array per call."""
+        rates = np.zeros((self.n, self.n))
+        u, v = self._ends.T
+        rates[u, v] = rates[v, u] = self._weights
+        return rates
 
     @cached_property
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
@@ -243,6 +288,47 @@ def min_cut_weight(g: WeightedGraph) -> tuple[float, int]:
     return best, witness
 
 
+def twin_classes(g: WeightedGraph, source: int, target: int) -> np.ndarray:
+    """One class label per vertex, the classes numbered by their first
+    member: u and v are twins when their rate rows agree, by exact float
+    equality, at every x outside {u, v}, and ``source`` and ``target``
+    are classes of their own.
+
+    Twinship is transitive, and the members of a class meet each other at
+    one rate c (0 when they are not adjacent), so a class is a set of
+    equal rows of the rate matrix with c on the diagonal.  Twins also have
+    equal sorted rows, so c only needs trying at 0 and at the rates of the
+    edges whose ends have equal sorted rows.
+    """
+    if source == target:
+        raise ValueError("source and target must differ")
+    others = np.ones(g.n, dtype=bool)
+    others[[source, target]] = False
+    others = np.flatnonzero(others)
+    rows = g.rate_matrix()[others]
+    key = np.full(g.n, -1)
+    key[others] = _row_groups(np.sort(rows, axis=1))[1]
+    u, v = g.edge_array().T
+    alike = (key[u] == key[v]) & (key[u] >= 0)
+    inner = np.sort(np.append(g.weight_array()[alike], 0.0))  # the rates c to try
+    label = np.arange(g.n)
+    for c in inner[np.r_[True, inner[1:] != inner[:-1]]].tolist():
+        rows[np.arange(len(others)), others] = c
+        first, group = _row_groups(rows)
+        # a vertex has twins at one rate c only, so the passes never disagree
+        np.minimum.at(label, others, others[first[group]])
+    return np.unique(label, return_inverse=True)[1]
+
+
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first row of each group, group of each row) for the groups of
+    equal rows.  Rows compare as bytes, which is float equality for rates
+    and zeros (no -0.0, no NaN); ``np.unique(axis=0)`` is far slower."""
+    flat = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, group = np.unique(flat.ravel(), return_index=True, return_inverse=True)
+    return first, group
+
+
 # ---------------------------------------------------------------------------
 # Built-in graph families (used by the CLI and the acceptance scenarios)
 
@@ -258,7 +344,7 @@ def complete_graph(n: int) -> WeightedGraph:
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
     names = tuple(f"v{i}" for i in range(n))
-    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    edges = tuple(itertools.combinations(range(n), 2))
     return WeightedGraph(names, edges, (1.0,) * len(edges))
 
 
@@ -304,25 +390,26 @@ def bridge_graph(c1: int, c2: int, bridge_rate: float) -> WeightedGraph:
 
 def random_gnp_graph(n: int, p: float, weight_range: tuple[float, float],
                      rng: np.random.Generator) -> WeightedGraph:
-    """Connected G(n,p) with uniform weights in ``weight_range`` (resamples
-    until connected)."""
+    """Connected G(n,p) with uniform weights in ``weight_range``.  Each of
+    up to 1000 attempts draws ``random(pairs) < p`` over the pairs i < j in
+    lexicographic order, then, when enough edges came up to connect n
+    vertices, one ``random(edges)`` for their weights."""
     if not 0 < p <= 1:  # p <= 0 never draws a connected graph for n >= 2
         raise ValueError(f"edge probability p must lie in (0, 1], got {p!r}")
     lo, hi = weight_range
     if not (0 < lo <= hi < math.inf):
         raise ValueError("weight range must be positive and finite")
     names = tuple(f"v{i}" for i in range(n))
+    pairs = np.column_stack(np.triu_indices(n, 1))
     for _ in range(1000):
-        edges = []
-        weights = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    edges.append((i, j))
-                    weights.append(float(lo + (hi - lo) * rng.random()))
+        present = rng.random(len(pairs)) < p
+        if present.sum() < n - 1:  # too few edges to connect n vertices
+            continue
+        weights = lo + (hi - lo) * rng.random(int(present.sum()))
         try:
-            return WeightedGraph(names, tuple(edges), tuple(weights))
-        except (GraphValidationError, GraphParseError):
+            return WeightedGraph(names, tuple(map(tuple, pairs[present].tolist())),
+                                 tuple(weights.tolist()))
+        except GraphValidationError:
             continue
     raise ValueError(f"could not sample a connected G({n},{p}) in 1000 tries")
 

@@ -79,6 +79,16 @@ def band_verdict(stat: float, bound: float, band: float) -> tuple[bool, bool]:
     return holds, holds and bool(stat + band > bound)
 
 
+def wilson_band(p: float, n: int) -> tuple[float, float]:
+    """Centre and half-width of the ``BAND_SIGMAS`` Wilson score interval
+    of a binomial proportion ``p`` from ``n`` trials.  Unlike the Wald
+    band, its width stays positive at p = 0 or 1."""
+    z2 = BAND_SIGMAS**2 / n
+    centre = (p + z2 / 2.0) / (1.0 + z2)
+    band = BAND_SIGMAS * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n)) / (1.0 + z2)
+    return centre, band
+
+
 def _jack_se(loo_values: np.ndarray) -> float:
     n = len(loo_values)
     center = loo_values.mean()
@@ -108,7 +118,7 @@ def l0_norm_estimate(samples) -> L0Estimate:
     if n < 1:
         raise ValueError("need at least one sample")
     vs = np.sort(v)
-    u = np.unique(vs)  # sorted ascending
+    u = vs[np.r_[True, vs[1:] != vs[:-1]]]  # the distinct values, ascending
     # piece boundaries: [0, u0), [u0, u1), ..., [u_last, inf)
     ge_counts = n - np.searchsorted(vs, u, side="left")
     lefts = np.concatenate([[0.0], u])
@@ -221,22 +231,19 @@ def theorem1_lower_check(xi_samples, mean_x: float, var_x: float,
     with K = ceil(3/d^2).  The right side grows with the tail, so the
     check is the sampled claim "tail <= the largest tail the bound
     allows", judged by :func:`band_verdict` on the centre and half-width
-    of the tail's ``BAND_SIGMAS`` Wilson score interval, which keeps a
-    nonzero width at an empirical tail of 0 or 1.  That largest tail is
+    of the tail's :func:`wilson_band`, which keeps a nonzero width at an
+    empirical tail of 0 or 1.  That largest tail is
     found in log space, since F_K underflows; a clamped-to-zero slack
     makes the bound at the empirical tail zero.  A delta
     :func:`modulus_terms` rejects raises ValueError."""
     xi = np.asarray(xi_samples, dtype=float)
     lhs = var_x / mean_x**2
     log_lhs = math.log(lhs) if lhs > 0 else LOG_NEG_INF
-    n = len(xi)
-    z2 = BAND_SIGMAS**2 / n
     out = []
     for delta in deltas:
         K, _, log_coef = modulus_terms(delta)
         tail = float(np.mean(xi / mean_x >= delta))
-        centre = (tail + z2 / 2.0) / (1.0 + z2)
-        band = BAND_SIGMAS * math.sqrt(tail * (1.0 - tail) / n + z2 / (4.0 * n)) / (1.0 + z2)
+        centre, band = wilson_band(tail, len(xi))
         floor = delta / 3.0 + 1.0 / (delta * K)
         # exp stays finite; a slack of e^700 lies past any tail + band
         max_tail = floor + math.exp(min(log_lhs - log_coef, 700.0))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,16 @@ def test_usage_errors_exit_two(tmp_path, mutate, capsys):
     mutate(cfg)
     assert run_scenario(write_cfg(tmp_path, cfg)) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_random_gnp_too_sparse_to_connect_exits_two_at_once(tmp_path, capsys):
+    # 1000 attempts at n = 120 draw one random(7140) each; none connects
+    cfg = dict(BASE, graph={"family": "random_gnp", "args": {"n": 120, "p": 1e-9}})
+    path = write_cfg(tmp_path, cfg)
+    t0 = time.perf_counter()
+    assert run_scenario(path) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert "could not sample a connected" in capsys.readouterr().err
 
 
 def test_negative_seed_flag_exit_two(tmp_path, capsys):
@@ -606,3 +617,33 @@ def test_scenario_in_fresh_interpreter_loads_no_scipy(tmp_path, scenario):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip().splitlines()[-1] == "0 []"
+
+
+def _scaled_verdicts(tmp_path, graph, scale, name):
+    """The exact and pathwise verdicts of a run on ``graph`` with every
+    rate multiplied by ``scale``, read through ``fpplab run``."""
+    scaled = type(graph)(graph.vertices, graph.edges, tuple(w * scale for w in graph.weights))
+    cfg = {"schema_version": 1, "process": "fpp", "runs": 200, "seed": 3,
+           "graph": {"edge_list": scaled.to_edge_list()},
+           "checks": ["lemma1", "lemma2", "prop4", "coupling_lower"]}
+    out = tmp_path / name
+    run_scenario(write_cfg(tmp_path, cfg, f"{name}.json"), out_dir=out)
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    return {"lemma1": checks["lemma1"]["status"],
+            "monotone": checks["lemma1"]["result"]["monotone"],
+            "lemma2": [cell["holds"] for cell in checks["lemma2"]["result"]["grid"]],
+            "prop4": checks["prop4"]["status"],
+            "pathwise": checks["coupling_lower"]["result"]["pathwise_increment_bound_held"]}
+
+
+@pytest.mark.parametrize("scenario", ["fpp_bridge", "fpp_grid", "fpp_triangle"])
+def test_exact_and_pathwise_verdicts_do_not_depend_on_the_rate_scale(scenario, tmp_path,
+                                                                      capsys):
+    # a power-of-two scale is exact in floating point: every time scales
+    # by 2^-k exactly, so only a tolerance on a fixed scale could move a verdict
+    graph = cli._load_graph(json.loads((SCENARIO_DIR / f"{scenario}.json").read_text()), 0)
+    base = _scaled_verdicts(tmp_path, graph, 1.0, "base")
+    assert base["lemma1"] == base["prop4"] == "pass" and base["monotone"] and base["pathwise"]
+    for k in (-40, -30, -20, -10, -1, 1, 10, 20, 30, 40):
+        assert _scaled_verdicts(tmp_path, graph, 2.0**k, f"k{k}") == base, f"rates x 2^{k}"
+    capsys.readouterr()

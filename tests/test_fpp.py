@@ -6,18 +6,32 @@ from hypothesis import given, settings, strategies as st
 
 from fpplab.fpp import (
     _block_runs,
+    _lumped,
+    _lumped_block,
+    _pick,
     conditioned_exponential,
     coupled_resample,
     fpp_chain_spec,
     prop4_check,
     sample_coupling_batch,
+    sample_dijkstra_batch,
     sample_fpp_batch,
+    sample_lumped_fpp_batch,
     sample_traversal,
     submultiplicativity_probe,
     traversal_from_uniform,
 )
 from fpplab.chain import solve_hitting
-from fpplab.graphs import CapacityError, complete_graph, grid_graph, path_graph, random_gnp_graph
+from fpplab.graphs import (
+    CapacityError,
+    bridge_graph,
+    complete_graph,
+    grid_graph,
+    path_graph,
+    random_gnp_graph,
+    twin_classes,
+)
+from fpplab.stats import SampleStats
 from reference_fpp import shortest_path
 
 
@@ -107,11 +121,17 @@ def test_shortest_path_lexicographic_tie_break():
     assert res.path == (0, 1, 3)
 
 
+def _lumps(g, s, t):
+    """Whether sample_fpp_batch takes the lumped path on (g, s, t)."""
+    return 2 * (int(twin_classes(g, s, t).max()) + 1) <= g.n
+
+
 def test_batch_sampler_matches_reference_dijkstra():
     rng = np.random.default_rng(3)
     for trial in range(30):
         n = int(rng.integers(3, 8))
         g = random_gnp_graph(n, 0.6, (0.5, 2.0), rng)
+        assert not _lumps(g, 0, n - 1)
         batch = sample_fpp_batch(g, 0, n - 1, 3, seed=trial)
         # three runs fit one block: rows 0..2 of the block drawn from child 0
         block = np.random.SeedSequence(trial).spawn(1)[0]
@@ -151,6 +171,7 @@ def test_lockstep_kernel_matches_shortest_path(n, p, seed, runs, data):
     g = random_gnp_graph(n, p, (0.5, 2.0), np.random.default_rng(seed))
     s = data.draw(st.integers(0, n - 1))
     t = data.draw(st.integers(0, n - 1).filter(lambda v: v != s))
+    assert not _lumps(g, s, t)
     batch = sample_fpp_batch(g, s, t, runs, seed)
     block = np.random.SeedSequence(seed).spawn(1)[0]
     for i, xi in enumerate(sample_traversal(g, np.random.default_rng(block), runs)):
@@ -158,6 +179,80 @@ def test_lockstep_kernel_matches_shortest_path(n, p, seed, runs, data):
         assert abs(batch.X[i] - ref.X) <= 1e-12 * ref.X
         assert batch.Xi[i] == ref.Xi
         assert batch.path_len[i] == len(ref.path_edges)
+
+
+# ---------------------------------------------------------------------------
+# The twin-class lumped sampler, against the lock-step Dijkstra
+
+@pytest.mark.parametrize("g, s, t, runs", [
+    (complete_graph(16), 0, 1, 20_000),
+    (complete_graph(64), 0, 1, 6_000),
+    (bridge_graph(8, 8, 0.1), 0, 15, 20_000),  # 6 classes, two of size 6
+])
+def test_lumped_sampler_agrees_with_dijkstra_in_law(g, s, t, runs):
+    from scipy.stats import ks_2samp
+
+    assert _lumps(g, s, t)
+    lumped = sample_fpp_batch(g, s, t, runs, seed=31)
+    dijkstra = sample_dijkstra_batch(g, s, t, runs, seed=32)
+    assert np.array_equal(lumped.X, sample_lumped_fpp_batch(g, s, t, runs, seed=31).X)
+    for name in ("X", "Xi"):
+        assert ks_2samp(getattr(lumped, name), getattr(dijkstra, name)).pvalue > 1e-6, name
+    assert np.all(lumped.Xi <= lumped.X) and np.all(lumped.path_len >= 1)
+
+
+def test_lumped_mean_on_k64_is_janson_closed_form():
+    # unit rates on K_n: E X = H_{n-1} / (n - 1) (Janson, CPC 8, 1999)
+    n = 64
+    stats = SampleStats.from_samples(sample_lumped_fpp_batch(complete_graph(n), 0, 1,
+                                                             20_000, seed=5).X)
+    exact = sum(1.0 / k for k in range(1, n)) / (n - 1)
+    assert abs(stats.mean - exact) <= 4.0 * stats.mean_se
+
+
+def test_lumped_moments_on_k12_match_the_exact_chain():
+    g = complete_graph(12)
+    sol = solve_hitting(fpp_chain_spec(g, 0, 1))
+    stats = SampleStats.from_samples(sample_lumped_fpp_batch(g, 0, 1, 40_000, seed=6).X)
+    assert abs(stats.mean - sol.E_T) <= 4.0 * stats.mean_se
+    assert abs(stats.variance - sol.var_T) <= 4.0 * stats.variance_se
+
+
+def test_lumped_batches_are_prefix_stable():
+    g = complete_graph(8)
+    assert _lumps(g, 0, 7)
+    B = _block_runs(4 * (g.n - 1))
+    b200 = sample_fpp_batch(g, 0, 7, 200, seed=9)
+    b60 = sample_fpp_batch(g, 0, 7, 60, seed=9)
+    cross = sample_fpp_batch(g, 0, 7, B + 3, seed=9)
+    longer = sample_fpp_batch(g, 0, 7, 2 * B + 5, seed=9)
+    for name in ("X", "Xi", "path_len"):
+        assert np.array_equal(getattr(b200, name)[:60], getattr(b60, name))
+        assert np.array_equal(getattr(cross, name)[:200], getattr(b200, name))
+        assert np.array_equal(getattr(longer, name)[:B + 3], getattr(cross, name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([0.0, 0.0, 5e-324, 1e-300, 0.1, 1.0, 3.0, 1e300]),
+                         min_size=1, max_size=6).filter(any), min_size=1, max_size=5),
+       st.sampled_from([0.0, 0.5, float(np.nextafter(1.0, 0.0))]))
+def test_pick_never_draws_an_index_of_rate_zero(rows, u):
+    # u * total rounds up to the total only on subnormal totals (5e-324)
+    width = max(map(len, rows))
+    rates = np.array([r + [0.0] * (width - len(r)) for r in rows])
+    picked = _pick(np.cumsum(rates, axis=1), np.full(len(rows), u))
+    assert np.all(rates[np.arange(len(rows)), picked] > 0)
+
+
+def test_lumped_block_at_extreme_uniforms():
+    # u -> 1 picks the last class with a positive rate and u = 0 the first,
+    # stage after stage; a full or unreachable class would overrun its slots
+    g = bridge_graph(8, 8, 0.1)
+    chain = _lumped(g, twin_classes(g, 0, 15), 0, 15)
+    for u in (float(np.nextafter(1.0, 0.0)), 0.0):
+        X, Xi, path_len = _lumped_block(chain, np.full((3, g.n - 1, 4), u))
+        assert np.all(np.isfinite(X)) and np.all((0 < Xi) & (Xi <= X))
+        assert np.all((path_len >= 3) & (path_len <= g.n - 1))
 
 
 def test_fpp_chain_capacity_and_args():
@@ -241,6 +336,14 @@ def test_sample_coupling_batch_block_streams():
         k = rows.stop - rows.start
         for name in ("X", "X_prime", "increment_bound"):
             assert np.array_equal(getattr(batch, name)[rows], getattr(cs, name)[:k])
+
+
+def test_submultiplicativity_band_stays_open_far_in_the_tail():
+    # every tail 0: the Wald variances p(1 - p)/n were all 0, and the check
+    # passed on no evidence; the Wilson band leaves it inconclusive
+    rep = submultiplicativity_probe(np.full(1000, 0.5), 1000.0, 1000.0)
+    assert rep["tail_sum"] == rep["tail_product"] == 0.0
+    assert rep["band"] > 0 and rep["holds"] and rep["inconclusive"]
 
 
 def test_submultiplicativity_probe_reporting():

@@ -18,6 +18,7 @@ from fpplab.graphs import (
     parse_edge_list,
     path_graph,
     random_gnp_graph,
+    twin_classes,
 )
 
 
@@ -118,6 +119,117 @@ def connected_graphs(draw, weight=st.floats(min_value=0.01, max_value=100.0)):
     weights = tuple(draw(weight) for _ in edges)
     names = tuple(f"v{i}" for i in range(n))
     return WeightedGraph(names, edges, weights)
+
+
+def _loop_validation(vertices, edges, weights):
+    """The per-edge validation loop that array validation replaced, kept
+    as its oracle: the first bad edge raises, checked in the order
+    self-loop, index range, duplicate, weight; then connectivity."""
+    n = len(vertices)
+    seen = set()
+    adj = [[] for _ in range(n)]
+    for (u, v), w in zip(edges, weights):
+        if u == v:
+            raise GraphValidationError(f"self-loop at vertex {vertices[u]!r}")
+        if not (0 <= u < v < n):
+            raise GraphValidationError(f"edge index pair out of range: {(u, v)}")
+        if (u, v) in seen:
+            raise GraphParseError(f"duplicate edge {vertices[u]!r}-{vertices[v]!r}")
+        if not (0 < w < math.inf):
+            raise GraphValidationError(f"weight {w} on edge {(u, v)} is not positive and finite")
+        seen.add((u, v))
+        adj[u].append(v)
+        adj[v].append(u)
+    reached, stack = {0}, [0]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in reached:
+                reached.add(v)
+                stack.append(v)
+    if n > 0 and len(reached) != n:
+        raise GraphValidationError("graph is not connected")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n),
+                       st.sampled_from([1.0, 0.5, 2.0, 0.0, -1.0, math.inf, math.nan])),
+             max_size=12))))
+def test_array_validation_raises_what_the_edge_loop_raised(case):
+    n, triples = case
+    vertices = tuple(f"v{i}" for i in range(n))
+    edges = tuple((u, v) for u, v, _ in triples)
+    weights = tuple(w for _, _, w in triples)
+    try:
+        _loop_validation(vertices, edges, weights)
+    except (GraphValidationError, GraphParseError, IndexError) as exc:
+        # IndexError: a self-loop at a vertex index past the names
+        with pytest.raises(type(exc)) as got:
+            WeightedGraph(vertices, edges, weights)
+        assert str(got.value) == str(exc)
+    else:
+        g = WeightedGraph(vertices, edges, weights)
+        for (u, v), i in zip(edges, range(len(edges))):
+            assert g.edge_index(u, v) == g.edge_index(v, u) == i
+        assert [len(g.neighbors(u)) for u in range(n)] == [
+            sum(u in e for e in edges) for u in range(n)]
+
+
+def test_one_weight_per_edge():
+    with pytest.raises(GraphValidationError, match="1 edges but 2 weights"):
+        WeightedGraph(("a", "b"), ((0, 1),), (1.0, 2.0))
+
+
+def test_adjacency_is_built_on_first_use():
+    g = complete_graph(6)
+    assert "_adj" not in vars(g) and "_edge_of" not in vars(g)
+    assert g.edges == tuple((i, j) for i in range(6) for j in range(i + 1, 6))
+    assert g.edge_index(4, 2) == g.edges.index((2, 4))
+    assert "_edge_of" in vars(g) and "_adj" not in vars(g)
+
+
+def _brute_twin_classes(g, s, t):
+    """Label per vertex from the definition: a pair by pair comparison of
+    rate rows outside the pair, merged by union-find."""
+    rates = np.zeros((g.n, g.n))
+    for (u, v), w in zip(g.edges, g.weights):
+        rates[u, v] = rates[v, u] = w
+    root = list(range(g.n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for u, v in itertools.combinations([x for x in range(g.n) if x not in (s, t)], 2):
+        outside = [x for x in range(g.n) if x not in (u, v)]
+        if all(rates[u, x] == rates[v, x] for x in outside):
+            root[find(v)] = find(u)
+    firsts = sorted({find(x) for x in range(g.n)})
+    return [firsts.index(find(x)) for x in range(g.n)]
+
+
+def test_twin_classes_of_the_built_in_families():
+    # K_n: everything but the endpoints is one class
+    assert twin_classes(complete_graph(6), 0, 1).tolist() == [0, 1, 2, 2, 2, 2]
+    # bridge(8, 8): the two clique interiors, the bridge ends, s and t
+    label = twin_classes(bridge_graph(8, 8, 0.1), 0, 15)
+    assert label.tolist() == [0] + [1] * 6 + [2, 3] + [4] * 6 + [5]
+    # a grid has no twins; a star's leaves are non-adjacent twins
+    assert twin_classes(grid_graph(4, 4), 0, 15).tolist() == list(range(16))
+    star = WeightedGraph(tuple("abcde"), ((0, 1), (0, 2), (0, 3), (0, 4)), (1.0,) * 4)
+    assert twin_classes(star, 1, 2).tolist() == [0, 1, 2, 3, 3]
+    with pytest.raises(ValueError):
+        twin_classes(star, 1, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(weight=st.sampled_from([1.0, 2.0])), st.data())
+def test_twin_classes_match_the_pairwise_definition(g, data):
+    s = data.draw(st.integers(0, g.n - 1))
+    t = data.draw(st.integers(0, g.n - 1).filter(lambda v: v != s))
+    assert twin_classes(g, s, t).tolist() == _brute_twin_classes(g, s, t)
 
 
 def named_edges(g):

@@ -24,6 +24,7 @@ from fpplab.stats import (
     spawn_seeds,
     theorem1_lower_check,
     theorem1_trend_experiment,
+    wilson_band,
 )
 from reference_fpp import shortest_path
 
@@ -105,6 +106,36 @@ def test_l0_norm_is_the_least_threshold_its_tail_does_not_exceed(values):
     candidates = np.concatenate([[0.0], v, np.arange(n + 1) / n])
     want = min(d for d in candidates if np.count_nonzero(v > d) / n <= d)
     assert l0_norm_estimate(values).value == want
+
+
+def _l0_by_np_unique(samples):
+    """l0_norm_estimate as written with ``np.unique`` for the distinct
+    values, the form it replaced."""
+    vs = np.sort(np.abs(np.asarray(samples, dtype=float)))
+    n = len(vs)
+    u = np.unique(vs)
+    ge_counts = n - np.searchsorted(vs, u, side="left")
+    lefts = np.concatenate([[0.0], u])
+    rights = np.concatenate([u, [math.inf]])
+    tails = np.concatenate([ge_counts / n, [0.0]])
+    i = int(np.argmax(tails < rights))
+    return float(max(lefts[i], tails[i]))
+
+
+@pytest.mark.parametrize("samples", [
+    [0.3], [0.0], [7.0],                       # a single sample
+    [0.4] * 5, [0.0] * 4, [2.0] * 3,           # all equal
+    [0.1, 0.1, 0.5, 0.5, 0.5, 0.9],            # ties
+    [-0.2, 0.2, 0.2, 0.6, -0.6, 1.5, 1.5],     # ties through |v|
+    list(np.random.default_rng(5).integers(0, 6, 200) / 5.0),
+])
+def test_l0_norm_equals_the_np_unique_form(samples):
+    assert l0_norm_estimate(samples).value == _l0_by_np_unique(samples)
+
+
+def test_wilson_band_is_the_theorem1_lower_interval():
+    for tail, n in ((0.0, 10), (0.9, 1000), (1.0, 1000), (0.37, 3)):
+        assert wilson_band(tail, n) == wilson(tail, n)
 
 
 def test_l0_norm_uniform_limit():
