@@ -17,7 +17,6 @@ from .chain import (
     ChainSpec,
     continuization_check,
     lemma1_bound,
-    lemma2_bound,
     lemma2_grid,
     solve_hitting,
 )

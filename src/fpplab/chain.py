@@ -132,12 +132,6 @@ class ExactSolution:
         that scales with the rates as h does."""
         return bool(np.all(self.decrement >= -1e-12 * self.h[0]))
 
-    def max_identity_error(self) -> float:
-        """Worst deviation of the unit-drift identity b(S) = 1 over
-        reachable non-target states."""
-        live = ~self.is_target
-        return float(np.abs(self.b[live] - 1.0).max()) if live.any() else 0.0
-
 
 def _enumerate(expand, roots: list[int], name=hex) -> _Chain:
     """Expand one popcount layer at a time by ``expand`` (a spec's own, or
@@ -394,11 +388,6 @@ def lemma2_grid(sol: ExactSolution, deltas, epsilons) -> list[Lemma2Report]:
                                         occupation_bad=occupation_bad, lhs=lhs, rhs=rhs,
                                         holds=lhs <= rhs + ABS_TOL))
     return reports
-
-
-def lemma2_bound(sol: ExactSolution, delta: float, epsilon: float) -> Lemma2Report:
-    """Lemma 2 at one (delta, epsilon); see ``lemma2_grid``."""
-    return lemma2_grid(sol, [delta], [epsilon])[0]
 
 
 @dataclass

@@ -18,14 +18,11 @@ read off the reached-set chain lumped onto per-class counts instead, one
 joining vertex per stage, with a parent trace that gives Xi.  The
 Dijkstra stays the general sampler and the lumped one's oracle.
 
-Monte Carlo runs come in blocks: block j of a batch draws its uniforms from
-``default_rng(spawn_seeds(seed, n_blocks)[j])``, one row per run, and run i
-is row ``i % B`` of block ``i // B``.  A run takes c uniforms: the m
-traversal times for the Dijkstra, 4 per stage (4(n - 1)) on the lumped
-chain.  ``B`` is the largest power of two up to 1024 with ``B * c <=
-2**20``, so a block never holds more than 2**20 uniforms.
-``Generator.random`` fills row-major, so a block of k rows is the first k
-rows of a full one: a shorter batch is a prefix of a longer one.
+Monte Carlo runs follow the block rule of :func:`fpplab.stats.blocks`,
+with the ``BLOCK_CELLS`` = 2**20 budget and B sized by c uniforms per run:
+the m traversal times for the Dijkstra (the coupling, which draws 2m per
+run, is sized by m too), 4 per stage (4(n - 1)) on the lumped chain.  No
+FPP run outlives its row.
 """
 
 from __future__ import annotations
@@ -37,11 +34,7 @@ import numpy as np
 
 from .chain import REL_TOL, ChainSpec, ExactSolution
 from .graphs import EXACT_CAP, CapacityError, WeightedGraph, twin_classes
-from .stats import band_verdict, spawn_seeds, wilson_band
-
-_BLOCK_CELLS = 1 << 20   # traversal times per block, at most
-_BLOCK_RUNS = 1024       # runs per block, at most
-_TINY = np.nextafter(0.0, 1.0)  # the smallest positive double
+from .stats import TINY, band_verdict, blocks, exponential_in_place, wilson_band
 
 
 def traversal_from_uniform(u, w):
@@ -49,43 +42,18 @@ def traversal_from_uniform(u, w):
     Exponential(rate w) traversal times.  A draw u == 0 (probability 2**-53)
     reads as the smallest positive double, so xi stays finite and strictly
     positive without consuming another draw."""
-    return _traversal_in_place(np.array(u, dtype=float), w)
-
-
-def _traversal_in_place(u: np.ndarray, w) -> np.ndarray:
-    """:func:`traversal_from_uniform`, overwriting ``u``: a block of 2**20
-    times costs 8 MB, so the draw makes no temporary copies."""
-    np.maximum(u, _TINY, out=u)
-    np.log(u, out=u)
-    u /= -w
-    return u
+    return exponential_in_place(np.array(u, dtype=float), w)
 
 
 def sample_traversal(g: WeightedGraph, rng: np.random.Generator, runs: int) -> np.ndarray:
     """A ``(runs, m)`` block of traversal times, independent Exp(w_e) per
     edge, one row per run."""
-    return _traversal_in_place(rng.random((runs, g.m)), g.weight_array())
+    return exponential_in_place(rng.random((runs, g.m)), g.weight_array())
 
 
 # ---------------------------------------------------------------------------
 # Lock-step Dijkstra over a block of runs (cross-checked in the tests against
 # a one-run-at-a-time pure-Python Dijkstra)
-
-def _block_runs(m: int) -> int:
-    """B: the largest power of two up to 1024 with B * m <= 2**20, for m
-    uniforms per run."""
-    b = _BLOCK_RUNS
-    while b > 1 and b * m > _BLOCK_CELLS:
-        b //= 2
-    return b
-
-
-def _blocks(seed, runs: int, m: int):
-    """(generator, run slice) for each block of a ``runs``-run batch."""
-    b = _block_runs(m)
-    for j, child in enumerate(spawn_seeds(seed, -(-runs // b))):
-        yield np.random.default_rng(child), slice(j * b, min(runs, (j + 1) * b))
-
 
 def _edge_table(g: WeightedGraph) -> np.ndarray:
     """The ``(n, n)`` edge ids; pairs with no edge between them (the
@@ -191,7 +159,7 @@ def sample_dijkstra_batch(g: WeightedGraph, source: int, target: int, runs: int,
     table = _edge_table(g)
     batch = FppBatch(X=np.empty(runs), Xi=np.empty(runs),
                      path_len=np.empty(runs, dtype=np.int64))
-    for rng, part in _blocks(seed, runs, g.m):
+    for rng, part in blocks(seed, runs, g.m):
         xi = sample_traversal(g, rng, part.stop - part.start)
         batch.X[part], edges = _lockstep_dijkstra(table, xi, source, target)
         batch.Xi[part] = _along_path(xi, edges).max(axis=1)
@@ -267,7 +235,7 @@ def _lumped_block(chain: _Lumped, u: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for i in range(1, stages):
         draw = u[:, i - 1]
         cum = np.cumsum(free * pull, axis=1)
-        now -= np.log(np.maximum(draw[:, 0], _TINY)) / cum[:, -1]
+        now -= np.log(np.maximum(draw[:, 0], TINY)) / cum[:, -1]
         c = _pick(cum, draw[:, 1])
         d = _pick(np.cumsum(count * chain.rate[:, c].T, axis=1), draw[:, 2])
         reached = count[rows, d].astype(np.intp)
@@ -302,7 +270,7 @@ def sample_lumped_fpp_batch(g: WeightedGraph, source: int, target: int, runs: in
     chain = _lumped(g, label, source, target)
     batch = FppBatch(X=np.empty(runs), Xi=np.empty(runs),
                      path_len=np.empty(runs, dtype=np.int64))
-    for rng, part in _blocks(seed, runs, 4 * (g.n - 1)):
+    for rng, part in blocks(seed, runs, 4 * (g.n - 1)):
         u = rng.random((part.stop - part.start, g.n - 1, 4))
         batch.X[part], batch.Xi[part], batch.path_len[part] = _lumped_block(chain, u)
     return batch
@@ -411,7 +379,7 @@ def sample_coupling_batch(g: WeightedGraph, source: int, target: int, runs: int,
     ``random((k, 2, m))`` for :func:`coupled_resample`."""
     batch = CouplingBatch(X=np.empty(runs), X_prime=np.empty(runs),
                           increment_bound=np.empty(runs))
-    for rng, part in _blocks(seed, runs, g.m):
+    for rng, part in blocks(seed, runs, g.m):
         u = rng.random((part.stop - part.start, 2, g.m))
         _, _, block = coupled_resample(g, u, a, b, source, target)
         batch.X[part], batch.X_prime[part] = block.X, block.X_prime

@@ -67,11 +67,11 @@ class WeightedGraph:
 
     def _reject(self, i: int, duplicate: bool):
         """Raise the error of edge ``i``, the first bad edge, checked in
-        the order self-loop, index range, duplicate, weight.  Every earlier
-        edge is valid, so ``duplicate`` (the pair repeats an earlier one)
-        is exact for an edge in range."""
+        the order self-loop at a vertex, index range, duplicate, weight.
+        Every earlier edge is valid, so ``duplicate`` (the pair repeats an
+        earlier one) is exact for an edge in range."""
         (u, v), w = self.edges[i], self.weights[i]
-        if u == v:
+        if u == v and 0 <= u < len(self.vertices):
             raise GraphValidationError(f"self-loop at vertex {self.vertices[u]!r}")
         if not (0 <= u < v < len(self.vertices)):
             raise GraphValidationError(f"edge index pair out of range: {(u, v)}")

@@ -1,4 +1,5 @@
-"""Estimators and the two-sided concentration machinery.
+"""Estimators, the two-sided concentration machinery, and the block stream
+rule every Monte Carlo sampler draws by (:func:`blocks`, :class:`RowStream`).
 
 Moment estimates carry leave-one-out jackknife standard errors (ratio
 statistics like sd/mean have no closed-form CI).  The scale-free smallness
@@ -18,17 +19,84 @@ LOG_NEG_INF = float("-inf")
 MIN_RUNS = 1000    # fewest Monte Carlo runs behind a sampled verdict
 BAND_SIGMAS = 3.0  # verdict band half-width, in jackknife standard errors
 
+BLOCK_RUNS = 1024      # runs per block, at most
+BLOCK_CELLS = 1 << 20  # uniforms per block of a numpy-kernel (FPP) sampler
+# Uniforms per block of a sampler whose runs are Python loops over their
+# rows (Propositions 1-3).  Such a block stays alive while its runs read
+# it, so it is kept small: at 2**15 (256 KB) the packing-growth workload's
+# peak resident set is no higher than with one generator per run.
+ROW_CELLS = 1 << 15
+TINY = np.nextafter(0.0, 1.0)  # the smallest positive double
+
+
+# ---------------------------------------------------------------------------
+# The block stream rule, shared by every Monte Carlo sampler
 
 def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
     """The n independent child seeds of ``seed`` (an int, an entropy list or
-    a SeedSequence): Monte Carlo run i draws from
-    ``default_rng(SeedSequence(seed).spawn(runs)[i])``, and block j of the
-    FPP samplers from ``spawn(n_blocks)[j]``, so every result is fixed by
-    (seed, run index).  A given SeedSequence is not advanced: the children
-    are spawned from a fresh copy, so passing it twice gives the same runs."""
+    a SeedSequence).  Every sampler draws in blocks (:func:`blocks`): block
+    j of a batch draws its uniforms from ``default_rng(spawn_seeds(seed,
+    n_blocks)[j])``, one row per run, and run i reads row ``i % B`` of
+    block ``i // B``; a run that outlives its row reads on from a stream of
+    its own (:class:`RowStream`).  So every result is fixed by (seed, run
+    index), and a shorter batch is a prefix of a longer one.  A given
+    SeedSequence is not advanced: the children are spawned from a fresh
+    copy, so passing it twice gives the same runs."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key,
                                   pool_size=ss.pool_size).spawn(n)
+
+
+def block_runs(c: int, cells: int = BLOCK_CELLS) -> int:
+    """B: the largest power of two up to ``BLOCK_RUNS`` with B * c <=
+    ``cells``, for c uniforms per run."""
+    b = BLOCK_RUNS
+    while b > 1 and b * c > cells:
+        b //= 2
+    return b
+
+
+def blocks(seed, runs: int, c: int, cells: int = BLOCK_CELLS):
+    """(generator, run slice) for each block of a ``runs``-run batch with c
+    uniforms per run.  ``Generator.random`` fills row-major, so a block of
+    k rows is the first k rows of a full one.  Only uniforms keep that
+    prefix property: the ziggurat behind ``exponential`` takes a variable
+    number of raw draws, so the samplers transform uniforms instead."""
+    b = block_runs(c, cells)
+    for j, child in enumerate(spawn_seeds(seed, -(-runs // b))):
+        yield np.random.default_rng(child), slice(j * b, min(runs, (j + 1) * b))
+
+
+class RowStream:
+    """The uniforms that row r of a block's run reads once its row is used
+    up: ``SeedSequence(child.entropy, spawn_key=child.spawn_key + (r,))``
+    for the block's seed ``child``, a generator made only on the first
+    draw.  :meth:`random` reads like ``Generator.random``, so a plain
+    generator can stand in for it."""
+
+    __slots__ = ("_block", "_row", "_rng")
+
+    def __init__(self, block: np.random.Generator, row: int):
+        self._block, self._row, self._rng = block, row, None
+
+    def random(self, shape) -> np.ndarray:
+        if self._rng is None:
+            child = self._block.bit_generator.seed_seq
+            self._rng = np.random.default_rng(np.random.SeedSequence(
+                child.entropy, spawn_key=child.spawn_key + (self._row,)))
+        return self._rng.random(shape)
+
+
+def exponential_in_place(u: np.ndarray, w) -> np.ndarray:
+    """Overwrite Uniform[0,1) draws ``u`` with the Exponential(rate w) draws
+    -ln(u)/w, making no temporary copies (an FPP block of 2**20 costs
+    8 MB).  A draw u == 0 (probability 2**-53) reads as the smallest
+    positive double, so the time stays finite and strictly positive
+    without consuming another draw."""
+    np.maximum(u, TINY, out=u)
+    np.log(u, out=u)
+    u /= -w
+    return u
 
 
 @dataclass

@@ -6,10 +6,27 @@ frontier.  Each step it recomputes the sorted frontier from the whole
 cluster, re-rates every frontier site and picks the next site by a linear
 scan of the partial rate sums, so it relies on no locality of the rate
 function and serves as the oracle in ``test_growth.py``: on the same
-generator both must return the same float.
+generator both must return the same float.  It reads the same uniforms,
+``random((2, GROWTH_ROW))`` at a time: ``GROWTH_ROW`` holding times
+-ln(u) / (total rate), then as many picks u * (total rate).
+
+That comparison cannot catch a wrong rate semantics, since both loops read
+the rates the same way.  First passage percolation on Z^2 is the
+independent law, sampled by a lazily drawn Dijkstra with no event loop:
+when a site's rate depends on the site alone (``constant``,
+``site_weighted``), Richardson growth is site FPP
+(``site_fpp_hitting_time``); at ``neighbor_count``'s rate, base times the
+cluster neighbours, it is bond FPP with Exp(base) bonds
+(``bond_fpp_hitting_time``).
 """
 
 from __future__ import annotations
+
+import heapq
+
+import numpy as np
+
+from fpplab import growth
 
 _NBRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -27,15 +44,23 @@ def frontier(cluster: set) -> list:
 def growth_hitting_time(cfg, rng) -> float:
     cluster = {(0, 0)}
     t = 0.0
+    events = iter(())
     while True:
+        draw = next(events, None)
+        if draw is None:
+            u = rng.random((2, growth.GROWTH_ROW))
+            events = zip((-np.log(np.maximum(u[0], np.nextafter(0.0, 1.0)))).tolist(),
+                         u[1].tolist())
+            draw = next(events)
+        hold, u_pick = draw
         sites = frontier(cluster)
         rates = [cfg.rate_fn(cluster, v) for v in sites]
         for r in rates:
             if not (cfg.c_lo - 1e-12 <= r <= cfg.c_hi + 1e-12):
                 raise ValueError(f"rate {r} escapes the stated bounds [{cfg.c_lo}, {cfg.c_hi}]")
         total = sum(rates)
-        t += rng.exponential(1.0 / total)
-        pick = rng.random() * total
+        t += hold / total
+        pick = u_pick * total
         acc = 0.0
         chosen = sites[-1]
         for v, r in zip(sites, rates):
@@ -46,3 +71,40 @@ def growth_hitting_time(cfg, rng) -> float:
         cluster.add(chosen)
         if chosen in cfg.target:
             return t
+
+
+def site_fpp_hitting_time(cfg, rng) -> float:
+    """The first passage time to ``cfg.target`` in site FPP: every site
+    but the origin holds an Exp(rate at that site) passage time, and T(v)
+    is T of its first reached neighbour plus v's own time.  Dijkstra pops
+    sites in time order, so a site's time is drawn once, when it is first
+    reached, and fixes T(v) there.  The rate is read with an empty
+    cluster, so it must depend on the site alone."""
+    heap, reached = [(0.0, (0, 0))], {(0, 0)}
+    while True:
+        t, (x, y) = heapq.heappop(heap)
+        if (x, y) in cfg.target:
+            return t
+        for dx, dy in _NBRS:
+            v = (x + dx, y + dy)
+            if v not in reached:
+                reached.add(v)
+                heapq.heappush(heap, (t + rng.exponential(1.0 / cfg.rate_fn(set(), v)), v))
+
+
+def bond_fpp_hitting_time(target, base: float, rng) -> float:
+    """The first passage time to ``target`` in bond FPP with Exp(base)
+    passage times: a bond's time is drawn when its first end is popped,
+    the only time Dijkstra relaxes it."""
+    heap, done = [(0.0, (0, 0))], set()
+    while True:
+        t, (x, y) = heapq.heappop(heap)
+        if (x, y) in done:
+            continue
+        if (x, y) in target:
+            return t
+        done.add((x, y))
+        for dx, dy in _NBRS:
+            v = (x + dx, y + dy)
+            if v not in done:
+                heapq.heappush(heap, (t + rng.exponential(1.0 / base), v))

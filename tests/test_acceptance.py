@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
+from helpers import lemma2_bound, max_identity_error
 from fpplab.chain import (
     continuization_check,
     lemma1_bound,
-    lemma2_bound,
     solve_discrete,
     solve_hitting,
 )
@@ -67,7 +67,7 @@ def test_criterion_1_exactness(sweep200):
     details.append("closed forms @1e-10")
     # martingale identity on every reachable state of the sweep
     chains, elapsed = sweep200
-    worst = max(sol.max_identity_error() for _, sol in chains)
+    worst = max(max_identity_error(sol) for _, sol in chains)
     ok &= worst <= 1e-9
     ok &= elapsed < 10.0
     details.append(f"b(S)=1 worst err {worst:.2e} on 200 chains in {elapsed:.1f}s")

@@ -11,7 +11,6 @@ from fpplab.chain import (
     UnreachableTargetError,
     continuization_check,
     lemma1_bound,
-    lemma2_bound,
     lemma2_grid,
     solve_discrete,
     solve_hitting,
@@ -22,6 +21,7 @@ from fpplab.fpp import fpp_chain_spec
 from fpplab.graphs import CapacityError, WeightedGraph, complete_graph, path_graph
 
 import reference_chain
+from helpers import lemma2_bound, max_identity_error
 
 
 def weighted_path(rates):
@@ -69,7 +69,7 @@ def test_occupation_variance_matches_first_step_recursion():
 
 def test_identity_and_monotonicity():
     sol = solve_hitting(fpp_chain_spec(complete_graph(4), 0, 3))
-    assert sol.max_identity_error() < 1e-12
+    assert max_identity_error(sol) < 1e-12
     assert sol.monotone_h()
     # visit probabilities of target states account for all the mass
     assert abs(sol.visit_prob[sol.is_target].sum() - 1.0) < 1e-12

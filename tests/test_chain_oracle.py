@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from fpplab.chain import lemma1_bound, lemma2_bound, solve_hitting
+from fpplab.chain import lemma1_bound, solve_hitting
 from fpplab.cli import _random_discrete_chains
 from fpplab.fpp import fpp_chain_spec
 from fpplab.graphs import bridge_graph, complete_graph, random_gnp_graph
 
 import reference_chain
+from helpers import lemma2_bound
 
 GRID = [0.05, 0.1, 0.2, 0.5]
 TOL = 1e-10

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpplab.fpp import (
-    _block_runs,
     _lumped,
     _lumped_block,
     _pick,
@@ -31,7 +30,7 @@ from fpplab.graphs import (
     random_gnp_graph,
     twin_classes,
 )
-from fpplab.stats import SampleStats
+from fpplab.stats import SampleStats, block_runs
 from reference_fpp import shortest_path
 
 
@@ -87,11 +86,11 @@ def test_block_draws_are_prefix_stable_and_positive():
 
 def test_block_size_rule():
     # B is the largest power of two up to 1024 with B * m <= 2**20
-    assert _block_runs(complete_graph(256).m) == 32
-    assert _block_runs(complete_graph(64).m) == 512
-    assert _block_runs(7) == 1024
+    assert block_runs(complete_graph(256).m) == 32
+    assert block_runs(complete_graph(64).m) == 512
+    assert block_runs(7) == 1024
     for m in (1, 7, 1024, 1025, 2016, 32640, 2**19, 2**20):
-        b = _block_runs(m)
+        b = block_runs(m)
         assert b & (b - 1) == 0 and b <= 1024
         assert b * m <= 2**20 and (b == 1024 or 2 * b * m > 2**20)
 
@@ -149,7 +148,7 @@ def test_sample_fpp_batch_thread_determinism():
     # short, changes none of the runs it shares with another batch, also
     # when the shorter batch ends a few runs into its second block
     g = complete_graph(5)
-    B = _block_runs(g.m)
+    B = block_runs(g.m)
     b200 = sample_fpp_batch(g, 0, 4, 200, seed=9)
     again = sample_fpp_batch(g, 0, 4, 200, seed=9)
     b60 = sample_fpp_batch(g, 0, 4, 60, seed=9)
@@ -221,7 +220,7 @@ def test_lumped_moments_on_k12_match_the_exact_chain():
 def test_lumped_batches_are_prefix_stable():
     g = complete_graph(8)
     assert _lumps(g, 0, 7)
-    B = _block_runs(4 * (g.n - 1))
+    B = block_runs(4 * (g.n - 1))
     b200 = sample_fpp_batch(g, 0, 7, 200, seed=9)
     b60 = sample_fpp_batch(g, 0, 7, 60, seed=9)
     cross = sample_fpp_batch(g, 0, 7, B + 3, seed=9)
@@ -327,7 +326,7 @@ def test_coupled_resample_validates_interval():
 def test_sample_coupling_batch_block_streams():
     # block j draws random((k, 2, m)) from child j; run i is row i % B of it
     g = complete_graph(4)
-    B = _block_runs(g.m)
+    B = block_runs(g.m)
     batch = sample_coupling_batch(g, 0, 3, B + 3, 5, 0.2, 1.5)
     for j, child in enumerate(np.random.SeedSequence(5).spawn(2)):
         u = np.random.default_rng(child).random((B, 2, g.m))

@@ -124,12 +124,13 @@ def connected_graphs(draw, weight=st.floats(min_value=0.01, max_value=100.0)):
 def _loop_validation(vertices, edges, weights):
     """The per-edge validation loop that array validation replaced, kept
     as its oracle: the first bad edge raises, checked in the order
-    self-loop, index range, duplicate, weight; then connectivity."""
+    self-loop at a vertex, index range, duplicate, weight; then
+    connectivity."""
     n = len(vertices)
     seen = set()
     adj = [[] for _ in range(n)]
     for (u, v), w in zip(edges, weights):
-        if u == v:
+        if u == v and 0 <= u < n:
             raise GraphValidationError(f"self-loop at vertex {vertices[u]!r}")
         if not (0 <= u < v < n):
             raise GraphValidationError(f"edge index pair out of range: {(u, v)}")
@@ -163,8 +164,7 @@ def test_array_validation_raises_what_the_edge_loop_raised(case):
     weights = tuple(w for _, _, w in triples)
     try:
         _loop_validation(vertices, edges, weights)
-    except (GraphValidationError, GraphParseError, IndexError) as exc:
-        # IndexError: a self-loop at a vertex index past the names
+    except (GraphValidationError, GraphParseError) as exc:
         with pytest.raises(type(exc)) as got:
             WeightedGraph(vertices, edges, weights)
         assert str(got.value) == str(exc)
@@ -174,6 +174,15 @@ def test_array_validation_raises_what_the_edge_loop_raised(case):
             assert g.edge_index(u, v) == g.edge_index(v, u) == i
         assert [len(g.neighbors(u)) for u in range(n)] == [
             sum(u in e for e in edges) for u in range(n)]
+
+
+def test_self_loop_past_the_names_is_out_of_range():
+    # the range is checked before the self-loop message names the vertex
+    for loop in ((3, 3), (-1, -1)):
+        with pytest.raises(GraphValidationError, match="edge index pair out of range"):
+            WeightedGraph(("a", "b"), ((0, 1), loop), (1.0, 1.0))
+    with pytest.raises(GraphValidationError, match="self-loop at vertex 'b'"):
+        WeightedGraph(("a", "b"), ((0, 1), (1, 1)), (1.0, 1.0))
 
 
 def test_one_weight_per_edge():

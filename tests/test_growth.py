@@ -5,23 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_growth
+from helpers import RateMonotonicityError, validate_rate_monotone
 from fpplab import cli
 from fpplab.chain import ChainSpec, solve_discrete, solve_hitting
-from fpplab.graphs import path_graph
+from fpplab.graphs import grid_graph, path_graph
 from fpplab.growth import (
     RATE_BUILTINS,
     CoverageConfig,
     GrowthConfig,
-    RateMonotonicityError,
     coverage_chain_spec,
+    coverage_samples,
     coverage_simulate,
     constant_rate,
     growth_hitting_time,
+    growth_samples,
     neighbor_count_rate,
     prop1_check,
     prop3_check,
     site_weighted_rate,
-    validate_rate_monotone,
     _variance_inequality_report,
 )
 from fpplab.stats import SampleStats
@@ -158,6 +159,24 @@ def test_growth_hitting_time_rates_only_the_new_sites_neighbours():
     assert calls[0] <= 4 * len(cluster)
 
 
+@pytest.mark.parametrize("kind", sorted(_BUILTIN_PARAMS))
+def test_growth_samples_are_lattice_fpp_in_law(kind):
+    # Richardson growth is FPP on Z^2: site FPP when the rate is fixed by
+    # the site, bond FPP at neighbor_count's rate; two-sample KS of the
+    # block sampler against a lazily drawn Dijkstra
+    from scipy.stats import ks_2samp  # the test's oracle only
+
+    cfg = GrowthConfig.builtin([[3, 0], [-3, 0], [0, 3], [0, -3]], kind, **_BUILTIN_PARAMS[kind])
+    ours = growth_samples(cfg, 3000, seed=12)
+    rng = np.random.default_rng(13)
+    if kind == "neighbor_count":
+        base = _BUILTIN_PARAMS[kind]["base"]
+        ref = [reference_growth.bond_fpp_hitting_time(cfg.target, base, rng) for _ in range(3000)]
+    else:
+        ref = [reference_growth.site_fpp_hitting_time(cfg, rng) for _ in range(3000)]
+    assert ks_2samp(ours, ref).pvalue > 1e-6
+
+
 def test_prop1_check_passes():
     cfg = GrowthConfig.builtin([[2, 0], [-2, 0], [0, 2], [0, -2]],
                                "site_weighted", c_lo=0.5, c_hi=2.0)
@@ -219,6 +238,15 @@ def test_continuized_coverage_mean_matches_discrete():
     # jump rates equal the move probabilities, so the mean holding time in a
     # state equals the mean geometric step count there
     assert abs(c.E_T - d_mean) < 1e-10
+
+
+@pytest.mark.parametrize("g", [path_graph(5), grid_graph(3, 4)], ids=["path5", "grid3x4"])
+def test_coverage_samples_match_the_exact_chain(g):
+    cfg = CoverageConfig.from_graph(g)
+    mean, var = solve_discrete(coverage_chain_spec(cfg))
+    stats = SampleStats.from_samples(coverage_samples(cfg, 20_000, seed=14))
+    assert abs(stats.mean - mean) <= 4.0 * stats.mean_se
+    assert abs(stats.variance - var) <= 4.0 * stats.variance_se
 
 
 def test_prop3_check_passes():

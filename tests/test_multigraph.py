@@ -114,8 +114,9 @@ def test_arrival_stream_counts_and_order():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_arrival_stream_matches_generator_choice(seed):
-    # each chunk is CHUNK summed Exp(sum w) gaps, then the edges of
-    # Generator.choice(m, CHUNK, p=w/sum w), drawn from the same generator
+    # each chunk reads random((2, CHUNK)): CHUNK Exp(sum w) gaps -ln(u)/sum w
+    # summed onto the last time, then the edges Generator.choice(m, CHUNK,
+    # p=w/sum w) picks from the next CHUNK uniforms of the same generator
     rng = np.random.default_rng(seed)
     g = random_gnp_graph(int(rng.integers(2, 9)), 0.5, (0.1, 5.0), rng)
     w = g.weight_array()
@@ -125,8 +126,8 @@ def test_arrival_stream_matches_generator_choice(seed):
     last = 0.0
     for _ in range(3):
         traj.extend()
-        gaps = ref.exponential(1.0 / w.sum(), CHUNK)
-        times = np.cumsum(np.concatenate([[last], gaps]))[1:]
+        gaps = -np.log(ref.random(CHUNK)) / w.sum()
+        times = last + np.cumsum(gaps)
         edges = ref.choice(g.m, CHUNK, p=w / w.sum())
         assert traj.times[-CHUNK:] == times.tolist()
         assert traj.edge_ids[-CHUNK:] == edges.tolist()

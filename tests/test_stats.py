@@ -8,16 +8,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpplab.fpp import _block_runs, sample_fpp_batch, sample_traversal
-from fpplab.graphs import complete_graph
-from fpplab.growth import GrowthConfig, prop1_check
+from fpplab.fpp import (
+    sample_coupling_batch,
+    sample_dijkstra_batch,
+    sample_fpp_batch,
+    sample_lumped_fpp_batch,
+    sample_traversal,
+)
+from fpplab.graphs import complete_graph, path_graph
+from fpplab import growth, multigraph
+from fpplab.growth import (
+    CoverageConfig,
+    GrowthConfig,
+    coverage_samples,
+    coverage_simulate,
+    growth_samples,
+    prop1_check,
+    prop3_check,
+)
 from fpplab.multigraph import MultigraphTrajectory, sample_stopping_times, stopping_times
 from fpplab import stats
 from fpplab.stats import (
+    ROW_CELLS,
     F_K_eval,
+    RowStream,
     SampleStats,
     _spearman,
     band_verdict,
+    block_runs,
     l0_norm_estimate,
     modulus_terms,
     psi_minus_eval,
@@ -26,6 +44,7 @@ from fpplab.stats import (
     theorem1_trend_experiment,
     wilson_band,
 )
+import reference_growth
 from reference_fpp import shortest_path
 
 
@@ -341,17 +360,9 @@ def test_spawn_seeds_gives_run_i_its_own_stream():
     children = np.random.SeedSequence(seed).spawn(runs)
     assert [c.spawn_key for c in spawn_seeds(seed, runs)] == [c.spawn_key for c in children]
     g = complete_graph(5)
-    B = _block_runs(g.m)
+    B = block_runs(g.m)
     fpp_runs = B + 3  # the FPP samplers draw in blocks of B runs; cross one boundary
     batch = sample_fpp_batch(g, 0, 4, fpp_runs, seed)
-    same = sample_fpp_batch(g, 0, 4, fpp_runs, np.random.SeedSequence(seed))
-    for name in ("X", "Xi", "path_len"):
-        assert np.array_equal(getattr(batch, name), getattr(same, name))
-    k4 = complete_graph(4)
-    span = sample_stopping_times(k4, [1], runs, seed, kinds=("span",))["span"][1]
-    same = sample_stopping_times(k4, [1], runs, np.random.SeedSequence(seed),
-                                 kinds=("span",))["span"][1]
-    assert np.array_equal(span, same)
     # FPP run i is row i % B of block i // B, the block drawn from
     # default_rng(SeedSequence(seed).spawn(n_blocks)[i // B])
     blocks = [sample_traversal(g, np.random.default_rng(c), B)
@@ -360,11 +371,138 @@ def test_spawn_seeds_gives_run_i_its_own_stream():
         ref = shortest_path(g, blocks[i // B][i % B], 0, 4)
         assert batch.Xi[i] == ref.Xi and batch.path_len[i] == len(ref.path_edges)
         assert abs(batch.X[i] - ref.X) < 1e-12
-    # every other sampler: run i is a function of
-    # default_rng(SeedSequence(seed).spawn(runs)[i]) alone
-    for i, child in enumerate(children):
-        traj = MultigraphTrajectory(k4, np.random.default_rng(child))
-        assert span[i] == stopping_times(traj, [1], kinds=("span",))["span"][1]
+
+
+# Every Monte Carlo sampler, as (draw(runs, seed) -> its arrays, the
+# uniforms per run c() and block budget that size its blocks, the module
+# constant that sets its row length, or None when no run outlives its row);
+# prop1_check and prop3_check judge the samples of growth_samples and
+# coverage_samples
+K4, K5 = complete_graph(4), complete_graph(5)
+RING2 = GrowthConfig.builtin([[2, 0], [-2, 0], [0, 2], [0, -2], [1, 1], [-1, 1], [1, -1], [-1, -1]],
+                             "site_weighted", c_lo=0.5, c_hi=2.0)
+PATH5 = CoverageConfig.from_graph(path_graph(5))
+SAMPLERS = {
+    "sample_dijkstra_batch": (
+        lambda runs, seed: list(vars(sample_dijkstra_batch(K5, 0, 4, runs, seed)).values()),
+        lambda: K5.m, stats.BLOCK_CELLS, None),
+    "sample_lumped_fpp_batch": (
+        lambda runs, seed: list(vars(sample_lumped_fpp_batch(K5, 0, 4, runs, seed)).values()),
+        lambda: 4 * (K5.n - 1), stats.BLOCK_CELLS, None),
+    "sample_coupling_batch": (
+        lambda runs, seed: list(vars(sample_coupling_batch(K5, 0, 4, runs, seed, 0.2, 1.5)).values()),
+        lambda: K5.m, stats.BLOCK_CELLS, None),
+    "sample_stopping_times": (
+        lambda runs, seed: [t for by_k in sample_stopping_times(
+            K4, [1], runs, seed, kinds=("span", "tria")).values() for t in by_k.values()],
+        lambda: 2 * multigraph.CHUNK, ROW_CELLS, (multigraph, "CHUNK")),
+    "prop1_check": (
+        lambda runs, seed: [growth_samples(RING2, runs, seed)],
+        lambda: 2 * growth.GROWTH_ROW, ROW_CELLS, (growth, "GROWTH_ROW")),
+    "prop3_check": (
+        lambda runs, seed: [coverage_samples(PATH5, runs, seed)],
+        lambda: growth.COVERAGE_ROW, ROW_CELLS, (growth, "COVERAGE_ROW")),
+}
+
+
+@pytest.mark.parametrize("name, row", [(name, None) for name in SAMPLERS] + [
+    (name, row) for name, entry in SAMPLERS.items() if entry[3] for row in (1, 2)])
+def test_every_sampler_keeps_the_block_stream_contract(name, row, monkeypatch):
+    # an int seed and the same SeedSequence give the same runs, and a batch
+    # that ends a few runs into its second block is a prefix of a longer
+    # one; with rows of one or two draws every run reads on from its own
+    # extension stream, and the same holds
+    draw, c, cells, row_attr = SAMPLERS[name]
+    if row is not None:
+        monkeypatch.setattr(*row_attr, row)
+    B = block_runs(c(), cells)
+    short = draw(B + 3, 9)
+    same = draw(B + 3, np.random.SeedSequence(9))
+    longer = draw(2 * B + 1, 9)
+    assert len(short) == len(same) == len(longer) > 0
+    for a, b, full in zip(short, same, longer):
+        assert len(a) == B + 3
+        assert np.array_equal(a, b) and np.array_equal(full[:B + 3], a)
+
+
+class Replay:
+    """A generator stand-in that hands out one recorded row first, then
+    reads on from ``rest``."""
+
+    def __init__(self, row, rest):
+        self.row, self.rest = row, rest
+
+    def random(self, shape):
+        row, self.row = self.row, None
+        if row is not None:
+            assert row.shape == tuple(np.atleast_1d(shape))
+            return row.copy()
+        return self.rest.random(shape)
+
+
+@pytest.mark.parametrize("name", ["sample_stopping_times", "prop1_check", "prop3_check"])
+def test_row_sampler_run_i_reads_its_block_row_then_its_own_stream(name, monkeypatch):
+    # run i reads row i % B of block i // B, drawn as random((B, *row)) from
+    # default_rng(SeedSequence(seed).spawn(n_blocks)[i // B]), then row
+    # shapes from SeedSequence(block.entropy, spawn_key=block.spawn_key +
+    # (i % B,)); rows of 3 draws make most runs read on
+    _, c, cells, row_attr = SAMPLERS[name]
+    row = 3
+    monkeypatch.setattr(*row_attr, row)
+    seed, B = 9, block_runs(c(), cells)
+    if name == "sample_stopping_times":
+        got = sample_stopping_times(K4, [2], B + 3, seed, kinds=("span",))["span"][2]
+        shape = (2, row)
+        replay = lambda rng: stopping_times(MultigraphTrajectory(K4, rng), [2],
+                                            kinds=("span",))["span"][2]
+    elif name == "prop1_check":
+        got = growth_samples(RING2, B + 3, seed)
+        shape = (2, row)
+        replay = lambda rng: reference_growth.growth_hitting_time(RING2, rng)
+    else:
+        got = coverage_samples(PATH5, B + 3, seed)
+        shape = (row,)
+        replay = lambda rng: coverage_simulate(PATH5, rng)
+    children = np.random.SeedSequence(seed).spawn(2)
+    rows = [np.random.default_rng(child).random((B, *shape)) for child in children]
+    for i in range(B + 3):
+        child = children[i // B]
+        own = np.random.default_rng(np.random.SeedSequence(
+            child.entropy, spawn_key=child.spawn_key + (i % B,)))
+        assert got[i] == replay(Replay(rows[i // B][i % B], own))
+
+
+def test_row_samplers_make_one_generator_per_block(monkeypatch):
+    # at most one generator per block plus one per run that outlived its
+    # row: a regression to a generator per run fails here
+    runs = 3000
+    cross = GrowthConfig.builtin([[3, 0], [-3, 0], [0, 3], [0, -3]],
+                                 "site_weighted", c_lo=0.5, c_hi=2.0)
+    cases = [
+        (lambda: sample_stopping_times(K4, [1, 2], runs, 5, kinds=("span",)),
+         2 * multigraph.CHUNK),
+        (lambda: prop1_check(cross, runs, 6), 2 * growth.GROWTH_ROW),
+        (lambda: prop3_check(PATH5, runs, 7), growth.COVERAGE_ROW),
+    ]
+    real_rng, real_random = np.random.default_rng, RowStream.random
+    for run, c in cases:
+        made, outlived = [0], [0]
+
+        def counting_rng(*args, **kwargs):
+            made[0] += 1
+            return real_rng(*args, **kwargs)
+
+        def counting_random(self, shape):
+            outlived[0] += self._rng is None
+            return real_random(self, shape)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(np.random, "default_rng", counting_rng)
+            mp.setattr(RowStream, "random", counting_random)
+            run()
+        n_blocks = -(-runs // block_runs(c, ROW_CELLS))
+        assert made[0] <= n_blocks + outlived[0]
+        assert outlived[0] <= runs // 100  # so the bound above says something
 
 
 def test_spearman_matches_scipy_bitwise():
