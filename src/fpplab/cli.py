@@ -34,6 +34,7 @@ from .chain import (
 )
 from .fpp import (
     fpp_chain_spec,
+    lumped_fpp_chain_spec,
     prop4_check,
     sample_coupling_batch,
     sample_fpp_batch,
@@ -50,6 +51,7 @@ from .graphs import (
     grid_graph,
     min_cut_weight,
     parse_edge_list,
+    twin_classes,
 )
 from .growth import CoverageConfig, GrowthConfig, prop1_check, prop3_check
 from .multigraph import a_k_eval, prop2_check, sample_stopping_times
@@ -109,6 +111,7 @@ class _Context:
         self.seed = seed
         self.out_dir = out_dir
         self._graph = None
+        self._label = None
         self._solution = None
 
     def graph(self) -> WeightedGraph:
@@ -129,11 +132,24 @@ class _Context:
             raise ConfigError("source and target coincide")
         return s, t
 
+    def twin_label(self):
+        if self._label is None:
+            self._label = twin_classes(self.graph(), *self.endpoints())
+        return self._label
+
     def solution(self):
         if self._solution is None:
-            s, t = self.endpoints()
-            self._solution = solve_hitting(fpp_chain_spec(self.graph(), s, t))
+            g, (s, t) = self.graph(), self.endpoints()
+            spec = fpp_chain_spec(g, s, t)  # checks the cap before the (n, n) twin test
+            if int(self.twin_label().max()) + 1 < g.n:
+                spec = lumped_fpp_chain_spec(g, s, t, self.twin_label())
+            self._solution = solve_hitting(spec)
         return self._solution
+
+    def fpp_batch(self, check, runs):
+        s, t = self.endpoints()
+        return sample_fpp_batch(self.graph(), s, t, runs, self.check_seed(check),
+                                label=self.twin_label())
 
     def check_seed(self, name):
         return np.random.SeedSequence([self.seed, _stable_hash(name)])
@@ -205,9 +221,7 @@ def _check_continuization(ctx, params):
            "MC mean/var of X agree with the exact chain solution within 4 sigma")
 def _check_dual_agreement(ctx, params):
     sol = ctx.solution()  # first: a graph past the exact cap exits before sampling
-    s, t = ctx.endpoints()
-    batch = sample_fpp_batch(ctx.graph(), s, t, params["runs"],
-                             ctx.check_seed("dual_agreement"))
+    batch = ctx.fpp_batch("dual_agreement", params["runs"])
     ctx.write("dual_agreement_runs.csv", "run_index,X,Xi,path_len",
               (f"{i},{x!r},{xi!r},{plen}" for i, x, xi, plen in batch.rows()))
     stats = SampleStats.from_samples(batch.X)
@@ -265,9 +279,7 @@ def _check_coupling_lower(ctx, params):
            parse=_given_reals("submultiplicativity", ("y1", "y2")))
 def _check_submult(ctx, params):
     sol = ctx.solution()
-    s, t = ctx.endpoints()
-    batch = sample_fpp_batch(ctx.graph(), s, t, params["runs"],
-                             ctx.check_seed("submultiplicativity"))
+    batch = ctx.fpp_batch("submultiplicativity", params["runs"])
     y1 = params.get("y1", sol.E_T)
     y2 = params.get("y2", sol.E_T)
     rep = submultiplicativity_probe(batch.X, y1, y2)
@@ -280,9 +292,7 @@ def _check_submult(ctx, params):
                "deltas": _modulus_deltas(params, "theorem1_lower", [0.25, 0.5, 1.0])})
 def _check_theorem1_lower(ctx, params):
     sol = ctx.solution()
-    s, t = ctx.endpoints()
-    batch = sample_fpp_batch(ctx.graph(), s, t, params["runs"],
-                             ctx.check_seed("theorem1_lower"))
+    batch = ctx.fpp_batch("theorem1_lower", params["runs"])
     points = theorem1_lower_check(batch.Xi, sol.E_T, sol.var_T, params["deltas"])
     ok = all(p.holds for p in points)
     return {"points": [_clean(p) for p in points],

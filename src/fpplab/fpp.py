@@ -8,7 +8,9 @@ be recast as an increasing subset-valued chain solved exactly by
 rates w(S, y) of a whole popcount layer come from one 0/1 product with the
 rate matrix, and ``transitions`` reads them off a one-state layer.  A
 plain-Python per-state rule in ``tests/reference_chain.py`` is the
-reference the tests hold it to, bit for bit.
+reference the tests hold it to, bit for bit.  On a graph with twins the
+same chain lumps onto per-class counts (:func:`lumped_fpp_chain_spec`):
+K17 has 32 lumped states instead of 65 536 vertex subsets.
 
 Runs are sampled one of two ways.  The general sampler draws every
 traversal time and runs a lock-step Dijkstra over a block of runs.  When
@@ -20,9 +22,8 @@ Dijkstra stays the general sampler and the lumped one's oracle.
 
 Monte Carlo runs follow the block rule of :func:`fpplab.stats.blocks`,
 with the ``BLOCK_CELLS`` = 2**20 budget and B sized by c uniforms per run:
-the m traversal times for the Dijkstra (the coupling, which draws 2m per
-run, is sized by m too), 4 per stage (4(n - 1)) on the lumped chain.  No
-FPP run outlives its row.
+the m traversal times for the Dijkstra, 2m for the coupling, 4 per
+stage (4(n - 1)) on the lumped chain.  No FPP run outlives its row.
 """
 
 from __future__ import annotations
@@ -141,12 +142,14 @@ class FppBatch:
 
 
 def sample_fpp_batch(g: WeightedGraph, source: int, target: int, runs: int,
-                     seed) -> FppBatch:
+                     seed, label: np.ndarray | None = None) -> FppBatch:
     """``runs`` independent FPP realizations on the block streams of
     ``seed`` (see the module docstring): on the twin-class lumped chain
-    when the twin classes are at most half the vertices, else by the
-    lock-step Dijkstra."""
-    label = twin_classes(g, source, target)
+    when the twin classes (``label`` from :func:`twin_classes`, computed
+    when not given) are at most half the vertices, else by the lock-step
+    Dijkstra."""
+    if label is None:
+        label = twin_classes(g, source, target)
     if 2 * (int(label.max()) + 1) <= g.n:
         return sample_lumped_fpp_batch(g, source, target, runs, seed, label)
     return sample_dijkstra_batch(g, source, target, runs, seed)
@@ -279,15 +282,29 @@ def sample_lumped_fpp_batch(g: WeightedGraph, source: int, target: int, runs: in
 # ---------------------------------------------------------------------------
 # Subset-chain formulation
 
-def fpp_chain_spec(g: WeightedGraph, source: int, target: int) -> ChainSpec:
-    """The reached-vertex-set chain: from S, vertex y joins at aggregate
-    rate w(S, y) = sum of rates of frontier edges into y.  ``expand`` is
-    the one rate rule; ``transitions`` reads it off one state at a time."""
+def _exact_args(g: WeightedGraph, source: int, target: int) -> None:
     if g.n > EXACT_CAP:
         raise CapacityError(f"|V|={g.n} exceeds exact-solver cap {EXACT_CAP}")
     if source == target:
         raise ValueError("source and target must differ")
-    target_bit = 1 << target
+
+
+def _layer_spec(initial: int, target_bit: int, expand) -> ChainSpec:
+    """The spec whose one rate rule is ``expand``; ``transitions`` reads
+    it off a one-state layer."""
+    def transitions(mask: int):
+        _, _, successors, rate = expand(np.array([mask], dtype=np.int64))
+        return list(zip(successors.tolist(), rate.tolist()))
+
+    return ChainSpec(initial=initial, transitions=transitions,
+                     is_target=lambda mask: bool(mask & target_bit), expand=expand)
+
+
+def fpp_chain_spec(g: WeightedGraph, source: int, target: int) -> ChainSpec:
+    """The reached-vertex-set chain: from S, vertex y joins at aggregate
+    rate w(S, y) = sum of rates of frontier edges into y.  ``expand`` is
+    the one rate rule; ``transitions`` reads it off one state at a time."""
+    _exact_args(g, source, target)
     weight = g.rate_matrix()
     bit = np.int64(1) << np.arange(g.n, dtype=np.int64)
 
@@ -305,16 +322,35 @@ def fpp_chain_spec(g: WeightedGraph, source: int, target: int) -> ChainSpec:
         row, y = np.nonzero(rates)
         return is_target, live[row], masks[live[row]] | bit[y], rates[row, y]
 
-    def transitions(mask: int):
-        _, _, successors, rate = expand(np.array([mask], dtype=np.int64))
-        return list(zip(successors.tolist(), rate.tolist()))
+    return _layer_spec(1 << source, 1 << target, expand)
 
-    return ChainSpec(
-        initial=1 << source,
-        transitions=transitions,
-        is_target=lambda mask: bool(mask & target_bit),
-        expand=expand,
-    )
+
+def lumped_fpp_chain_spec(g: WeightedGraph, source: int, target: int,
+                          label: np.ndarray) -> ChainSpec:
+    """The reached-set chain lumped onto the twin classes ``label`` (from
+    :func:`twin_classes`), with the E T, var T, kappa and Lemma 2 sums of
+    :func:`fpp_chain_spec`.  Class c owns the ``size_c`` bits from its
+    offset and count k sets the lowest k of them, so the popcount counts
+    the reached vertices and a transition sets one bit; class c joins at
+    rate (size_c - count_c) * sum_d count_d w(d, c)."""
+    _exact_args(g, source, target)
+    chain = _lumped(g, label, source, target)
+    one = np.int64(1)
+    field = ((one << chain.size) - 1) << chain.offset
+
+    def expand(masks: np.ndarray):
+        count = np.bitwise_count(masks[:, None] & field)
+        is_target = count[:, chain.target] > 0
+        live = np.flatnonzero(~is_target)
+        reached = count[live].astype(float)
+        # einsum, as in fpp_chain_spec, so the sums keep one order
+        rates = (chain.size - reached) * np.einsum("ld,dc->lc", reached, chain.rate)
+        row, c = np.nonzero(rates)
+        bit = one << (chain.offset[c] + count[live[row], c])
+        return is_target, live[row], masks[live[row]] | bit, rates[row, c]
+
+    return _layer_spec(1 << int(chain.offset[chain.source]),
+                       1 << int(chain.offset[chain.target]), expand)
 
 
 @dataclass
@@ -379,7 +415,7 @@ def sample_coupling_batch(g: WeightedGraph, source: int, target: int, runs: int,
     ``random((k, 2, m))`` for :func:`coupled_resample`."""
     batch = CouplingBatch(X=np.empty(runs), X_prime=np.empty(runs),
                           increment_bound=np.empty(runs))
-    for rng, part in blocks(seed, runs, g.m):
+    for rng, part in blocks(seed, runs, 2 * g.m):
         u = rng.random((part.stop - part.start, 2, g.m))
         _, _, block = coupled_resample(g, u, a, b, source, target)
         batch.X[part], batch.X_prime[part] = block.X, block.X_prime

@@ -263,13 +263,15 @@ def _vertices(u: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(u, n - 1).astype(np.intp)
 
 
-def coverage_simulate(cfg: CoverageConfig, rng, row: list | None = None) -> int:
+def coverage_simulate(cfg: CoverageConfig, rng, row: list | None = None,
+                      nbhd: list[int] | None = None) -> int:
     """Number of IID uniform vertex draws until every vertex lies in the
     closed neighborhood of the drawn set.  The draws come from ``row`` (a
     block row from :func:`_vertices`, as a list) when given, then ``random(
     COVERAGE_ROW)`` at a time from ``rng``, a generator or a
-    :class:`fpplab.stats.RowStream`."""
-    nbhd = cfg.closed_neighborhoods()
+    :class:`fpplab.stats.RowStream`; ``nbhd`` is
+    ``cfg.closed_neighborhoods()``, built here when not given."""
+    nbhd = nbhd or cfg.closed_neighborhoods()
     full = (1 << cfg.n) - 1
     covered = t = 0
     draws = row or ()
@@ -286,10 +288,12 @@ def coverage_samples(cfg: CoverageConfig, runs: int, seed) -> np.ndarray:
     """``runs`` coverage draw counts; block j draws ``random((k,
     COVERAGE_ROW))``."""
     samples = np.empty(runs)
+    nbhd = cfg.closed_neighborhoods()
     for rng, part in blocks(seed, runs, COVERAGE_ROW, ROW_CELLS):
         rows = _vertices(rng.random((part.stop - part.start, COVERAGE_ROW)), cfg.n)
         for r, row in enumerate(rows):
-            samples[part.start + r] = coverage_simulate(cfg, RowStream(rng, r), row.tolist())
+            samples[part.start + r] = coverage_simulate(cfg, RowStream(rng, r), row.tolist(),
+                                                        nbhd)
     return samples
 
 

@@ -97,6 +97,21 @@ def test_lemma2_threshold_tie_at_half():
     assert not rep.q_delta.any()
 
 
+def test_lemma2_threshold_tie_through_dead_ends():
+    # 4, 7 and 8 hang off the source and open no route to the target, so
+    # h is h(initial) on every state that adds only them, and their jumps
+    # into the target tie with the delta = 0.5 threshold; rounding puts
+    # three of those decrements 1 ulp above h(initial)
+    g = WeightedGraph(tuple(f"v{i}" for i in range(9)),
+                      ((0, 1), (0, 4), (0, 6), (1, 2), (1, 6), (2, 3), (2, 5), (0, 7), (0, 8),
+                       (4, 7), (4, 8), (7, 8)), (0.5,) * 4 + (1.0,) + (0.5,) * 7)
+    sol = solve_hitting(fpp_chain_spec(g, 0, 1))
+    assert (sol.decrement > sol.h[0]).any()
+    rep = lemma2_bound(sol, 0.5, 0.05)
+    assert rep.occupation_bad == 0.0 and rep.rhs == 1.05
+    assert not rep.q_delta.any()
+
+
 def test_lemma2_rejects_nonpositive_grid():
     sol = solve_hitting(fpp_chain_spec(complete_graph(3), 0, 1))
     with pytest.raises(ValueError):

@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fpplab import cli, growth, multigraph
+from fpplab import cli, fpp, growth, multigraph
+from fpplab.chain import solve_hitting
 from fpplab.cli import CHECKS, main, run_scenario
-from fpplab.graphs import CapacityError, GraphParseError, GraphValidationError
+from fpplab.fpp import fpp_chain_spec
+from fpplab.graphs import (CapacityError, GraphParseError, GraphValidationError, bridge_graph,
+                           complete_graph)
 from fpplab.growth import GrowthConfig
 from fpplab.multigraph import Prop2Report
 from fpplab.stats import F_K_eval
@@ -636,14 +639,71 @@ def _scaled_verdicts(tmp_path, graph, scale, name):
             "pathwise": checks["coupling_lower"]["result"]["pathwise_increment_bound_held"]}
 
 
-@pytest.mark.parametrize("scenario", ["fpp_bridge", "fpp_grid", "fpp_triangle"])
+# graphs with twins, solved on twin-class counts
+TWIN_GRAPHS = {"complete8": complete_graph(8), "bridge_5_6": bridge_graph(5, 6, 0.1)}
+
+
+@pytest.mark.parametrize("scenario", ["fpp_bridge", "fpp_grid", "fpp_triangle", *TWIN_GRAPHS])
 def test_exact_and_pathwise_verdicts_do_not_depend_on_the_rate_scale(scenario, tmp_path,
                                                                       capsys):
     # a power-of-two scale is exact in floating point: every time scales
     # by 2^-k exactly, so only a tolerance on a fixed scale could move a verdict
-    graph = cli._load_graph(json.loads((SCENARIO_DIR / f"{scenario}.json").read_text()), 0)
+    if scenario in TWIN_GRAPHS:
+        graph = TWIN_GRAPHS[scenario]
+    else:
+        graph = cli._load_graph(json.loads((SCENARIO_DIR / f"{scenario}.json").read_text()), 0)
     base = _scaled_verdicts(tmp_path, graph, 1.0, "base")
     assert base["lemma1"] == base["prop4"] == "pass" and base["monotone"] and base["pathwise"]
     for k in (-40, -30, -20, -10, -1, 1, 10, 20, 30, 40):
         assert _scaled_verdicts(tmp_path, graph, 2.0**k, f"k{k}") == base, f"rates x 2^{k}"
     capsys.readouterr()
+
+
+def _context(graph):
+    return cli._Context({"process": "fpp", "graph": graph}, 1, None)
+
+
+def test_graph_with_twins_solves_on_class_counts_and_twin_free_on_subsets():
+    grid = _context({"family": "grid", "args": {"rows": 3, "cols": 3}})
+    full = solve_hitting(fpp_chain_spec(grid.graph(), 0, 8))
+    assert np.array_equal(grid.solution().states, full.states)
+    assert (grid.solution().E_T, grid.solution().var_T) == (full.E_T, full.var_T)
+    k8 = _context({"family": "complete", "args": {"n": 8}})
+    assert len(k8.solution().states) == 14  # of 128 vertex subsets
+
+
+def test_bench_exact_workload_solves_at_most_64_states(tmp_path, monkeypatch):
+    solved = []
+
+    def counting(spec):
+        sol = solve_hitting(spec)
+        solved.append(len(sol.states))
+        return sol
+
+    monkeypatch.setattr(cli, "solve_hitting", counting)
+    grid = [0.05, 0.1, 0.2, 0.5]
+    cfg = {"schema_version": 1, "process": "fpp", "seed": 1,
+           "graph": {"family": "complete", "args": {"n": 17}},
+           "checks": ["lemma1", {"name": "lemma2", "deltas": grid, "epsilons": grid},
+                      "prop4", "continuization"]}
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=tmp_path / "out") == 0
+    assert solved == [32]
+
+
+def test_twin_classes_are_computed_once_per_scenario(tmp_path, monkeypatch, capsys):
+    calls = []
+    twin_classes = cli.twin_classes
+
+    def counting(*args):
+        calls.append(args)
+        return twin_classes(*args)
+
+    def not_again(*args):
+        raise AssertionError("the sampler recomputed the twin classes")
+
+    monkeypatch.setattr(cli, "twin_classes", counting)
+    monkeypatch.setattr(fpp, "twin_classes", not_again)
+    cfg = dict(BASE, graph={"family": "complete", "args": {"n": 8}}, runs=200,
+               checks=["lemma1", "dual_agreement", "submultiplicativity", "theorem1_lower"])
+    assert run_scenario(write_cfg(tmp_path, cfg)) == 0
+    assert len(calls) == 1

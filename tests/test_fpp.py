@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from fpplab.fpp import (
     conditioned_exponential,
     coupled_resample,
     fpp_chain_spec,
+    lumped_fpp_chain_spec,
     prop4_check,
     sample_coupling_batch,
     sample_dijkstra_batch,
@@ -20,9 +23,11 @@ from fpplab.fpp import (
     submultiplicativity_probe,
     traversal_from_uniform,
 )
-from fpplab.chain import solve_hitting
+from fpplab import fpp
+from fpplab.chain import lemma1_bound, lemma2_grid, solve_hitting
 from fpplab.graphs import (
     CapacityError,
+    WeightedGraph,
     bridge_graph,
     complete_graph,
     grid_graph,
@@ -30,7 +35,7 @@ from fpplab.graphs import (
     random_gnp_graph,
     twin_classes,
 )
-from fpplab.stats import SampleStats, block_runs
+from fpplab.stats import BLOCK_CELLS, SampleStats, block_runs
 from reference_fpp import shortest_path
 
 
@@ -254,11 +259,107 @@ def test_lumped_block_at_extreme_uniforms():
         assert np.all((path_len >= 3) & (path_len <= g.n - 1))
 
 
+GRID = [0.05, 0.1, 0.2, 0.5]
+
+
+def _assert_lumped_agrees(g, s, t):
+    """The chain on twin-class counts against the chain on vertex subsets:
+    moments and Lemma 2's sums to 1e-12 relative, every verdict equal."""
+    label = twin_classes(g, s, t)
+    full = solve_hitting(fpp_chain_spec(g, s, t))
+    lumped = solve_hitting(lumped_fpp_chain_spec(g, s, t, label))
+    assert len(lumped.states) <= len(full.states)
+
+    def close(x, y):
+        return abs(x - y) <= 1e-12 * abs(y)
+
+    for name in ("E_T", "var_T", "kappa"):
+        assert close(getattr(lumped, name), getattr(full, name)), name
+    assert lumped.monotone_h() == full.monotone_h()
+    assert lemma1_bound(lumped).holds == lemma1_bound(full).holds
+    assert prop4_check(lumped, g).holds == prop4_check(full, g).holds
+    for a, b in zip(lemma2_grid(lumped, GRID, GRID), lemma2_grid(full, GRID, GRID),
+                    strict=True):
+        assert a.holds == b.holds
+        for name in ("lhs", "rhs", "occupation_bad"):
+            assert close(getattr(a, name), getattr(b, name)), (a.delta, a.epsilon, name)
+
+
+@pytest.mark.parametrize("g, s, t", [
+    (complete_graph(8), 0, 7),
+    (complete_graph(12), 0, 1),
+    (complete_graph(16), 0, 15),
+    (bridge_graph(5, 6, 0.1), 0, 10),
+])
+def test_lumped_exact_chain_matches_the_full_chain(g, s, t):
+    _assert_lumped_agrees(g, s, t)
+
+
+@st.composite
+def graphs_with_planted_twins(draw):
+    """A connected graph on k base vertices, with base vertex v (not the
+    endpoints 0 and 1) copied into up to 12 - k more vertices of its
+    neighbourhood and rates; the copies and v meet each other at one rate
+    c, 0 meaning not adjacent."""
+    k = draw(st.integers(3, 7))
+    rate = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weight = {(int(rng.integers(v)), v): None for v in range(1, k)}  # a spanning tree
+    for _ in range(draw(st.integers(0, k))):
+        weight[tuple(sorted(rng.choice(k, size=2, replace=False).tolist()))] = None
+    weight = {e: draw(rate) for e in sorted(weight)}
+    v = draw(st.integers(2, k - 1))
+    twins = [v, *range(k, k + draw(st.integers(1, 12 - k)))]
+    for (a, b), w in list(weight.items()):
+        if v in (a, b):
+            for x in twins[1:]:
+                weight[(b if a == v else a, x)] = w
+    c = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    if c:
+        weight.update(dict.fromkeys(itertools.combinations(twins, 2), c))
+    n = k + len(twins) - 1
+    return WeightedGraph(tuple(f"v{i}" for i in range(n)), tuple(weight), tuple(weight.values()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_with_planted_twins())
+def test_lumped_exact_chain_matches_the_full_chain_on_planted_twins(g):
+    _assert_lumped_agrees(g, 0, 1)
+
+
+def _janson_moments(n: int) -> tuple[Fraction, Fraction]:
+    """E X and var X on K_n with unit rates: stage j lasts Exp(j(n - j)),
+    and the target joins at a stage J uniform on {1..n-1}, independent of
+    the stage lengths (Janson, CPC 8, 1999)."""
+    means = [Fraction(1, j * (n - j)) for j in range(1, n)]
+    mean_to = list(itertools.accumulate(means))               # E[X | J]
+    var_to = list(itertools.accumulate(m * m for m in means))  # var[X | J]
+    mean = sum(mean_to) / (n - 1)
+    return mean, (sum(var_to) + sum(m * m for m in mean_to)) / (n - 1) - mean**2
+
+
+@pytest.mark.parametrize("n", range(3, 21))
+def test_lumped_exact_chain_on_complete_graphs_is_janson_closed_form(n):
+    g = complete_graph(n)
+    sol = solve_hitting(lumped_fpp_chain_spec(g, 0, n - 1, twin_classes(g, 0, n - 1)))
+    mean, var = _janson_moments(n)
+    assert mean == sum(Fraction(1, k) for k in range(1, n)) / (n - 1)  # H_{n-1}/(n-1)
+    assert abs(sol.E_T - float(mean)) <= 1e-12 * float(mean)
+    assert abs(sol.var_T - float(var)) <= 1e-12 * float(var)
+    # the target reached or not, with 0..n-2 of the other vertices reached
+    assert len(sol.states) == 2 * (n - 1)
+
+
 def test_fpp_chain_capacity_and_args():
     with pytest.raises(CapacityError):
         fpp_chain_spec(complete_graph(21), 0, 1)
     with pytest.raises(ValueError):
         fpp_chain_spec(complete_graph(3), 1, 1)
+    # the lumped spec checks both before it reads the label
+    with pytest.raises(CapacityError):
+        lumped_fpp_chain_spec(complete_graph(21), 0, 1, None)
+    with pytest.raises(ValueError):
+        lumped_fpp_chain_spec(complete_graph(3), 1, 1, None)
 
 
 def test_prop4_triangle():
@@ -326,7 +427,7 @@ def test_coupled_resample_validates_interval():
 def test_sample_coupling_batch_block_streams():
     # block j draws random((k, 2, m)) from child j; run i is row i % B of it
     g = complete_graph(4)
-    B = block_runs(g.m)
+    B = block_runs(2 * g.m)
     batch = sample_coupling_batch(g, 0, 3, B + 3, 5, 0.2, 1.5)
     for j, child in enumerate(np.random.SeedSequence(5).spawn(2)):
         u = np.random.default_rng(child).random((B, 2, g.m))
@@ -335,6 +436,23 @@ def test_sample_coupling_batch_block_streams():
         k = rows.stop - rows.start
         for name in ("X", "X_prime", "increment_bound"):
             assert np.array_equal(getattr(batch, name)[rows], getattr(cs, name)[:k])
+
+
+def test_coupling_block_stays_within_the_block_budget(monkeypatch):
+    # a run draws (2, m) uniforms, so B is sized by 2m: on K64 (m = 2016)
+    # sizing by m would give 512 runs of 4032 uniforms, twice the budget
+    g = complete_graph(64)
+    sizes = []
+
+    def record(g, u, a, b, source, target):
+        sizes.append(u.size)
+        k = len(u)
+        return None, None, fpp.CouplingBatch(np.zeros(k), np.zeros(k), np.zeros(k))
+
+    monkeypatch.setattr(fpp, "coupled_resample", record)
+    sample_coupling_batch(g, 0, 1, 600, 5, 0.2, 1.5)
+    assert sizes == [256 * 2 * g.m] * 2 + [88 * 2 * g.m]
+    assert max(sizes) <= BLOCK_CELLS
 
 
 def test_submultiplicativity_band_stays_open_far_in_the_tail():

@@ -225,6 +225,21 @@ def test_coverage_edgeless_is_coupon_collector():
     assert abs(mean - 3.0 * (1 + 1 / 2 + 1 / 3)) < 1e-12
 
 
+def test_coverage_samples_build_the_neighbourhoods_once(monkeypatch):
+    cfg = CoverageConfig.from_graph(path_graph(5))
+    before = coverage_samples(cfg, 600, 4)
+    built = []
+    closed = CoverageConfig.closed_neighborhoods
+
+    def counting(self):
+        built.append(self)
+        return closed(self)
+
+    monkeypatch.setattr(CoverageConfig, "closed_neighborhoods", counting)
+    assert np.array_equal(coverage_samples(cfg, 600, 4), before)
+    assert built == [cfg]
+
+
 def test_coverage_single_vertex():
     cfg = CoverageConfig(n=1)
     assert coverage_simulate(cfg, np.random.default_rng(0)) == 1
