@@ -2,13 +2,25 @@
 how long until the multigraph packs k edge-disjoint spanning trees or
 triangles.
 
-Packing numbers change only at arrival instants, and by at most one per
-arrival, so each stopping time is read off one forward pass over the
-arrivals.  A run's first ``CHUNK`` arrivals are its row of a block
-(:func:`fpplab.stats.blocks`); the pass draws ``CHUNK`` more at a time
-from the run's own stream only when it outlives them.  The pass keeps its
-packing state from one arrival to the next and never rebuilds the
-multigraph:
+Packing numbers never fall as copies arrive, so each stopping time is an
+arrival time, and :func:`sample_stopping_times` reads it off a whole
+block of runs at once, each run's first ``CHUNK`` arrivals being its row
+of the block (:func:`fpplab.stats.blocks`), by a min-max formula:
+
+* spanning trees: T_span(k) is the latest, over vertex partitions P with
+  |P| >= 2, of the arrival that brings the copies crossing P to
+  k(|P| - 1) (the tree-packing theorem; Nash-Williams 1961, Tutte 1961);
+* triangles: T_tria(k) is the earliest, over k-multisets Q of base
+  triangles, of the latest arrival of an edge's u_e(Q)-th copy, where
+  u_e(Q) counts the triangles of Q on e.
+
+The formulas run on tables of partitions and multisets built once per
+batch and capped at ``TABLE_CELLS``.  The per-run forward pass of
+:func:`stopping_times` is the fallback and the tests' oracle: it serves a
+kind past the cap, and a run whose row leaves some k undecided, drawing
+``CHUNK`` more arrivals at a time from the run's own stream.  The pass
+keeps its packing state from one arrival to the next and never rebuilds
+the multigraph:
 
 * spanning trees: a :class:`ForestUnion` of count + 1 edge-disjoint
   forests takes one matroid-union augmentation per arrival; when its rank
@@ -18,11 +30,13 @@ multigraph:
   on one of them.
 
 A triangle probe that runs out of branch-and-bound budget is counted and
-makes the Proposition 2 check inconclusive.
+makes the Proposition 2 check inconclusive; the block formulas are exact
+and never leave one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from collections import Counter, deque
@@ -382,11 +396,13 @@ KIND_PREDICATES = {
 def stopping_times(traj: MultigraphTrajectory, ks: list[int],
                    kinds: tuple[str, ...] = ("span", "tria"),
                    uncertified: Counter | None = None) -> dict[str, dict[int, float]]:
-    """First times the multigraph packs k edge-disjoint spanning trees /
-    triangles, by one forward pass over the arrivals per kind: an arrival
-    raises the packing number by at most one, so after each the predicate
-    is asked for one more.  The pass extends the trajectory whenever it
-    runs out of arrivals.
+    """First times one run's multigraph packs k edge-disjoint spanning
+    trees / triangles, by one forward pass over the arrivals per kind: an
+    arrival raises the packing number by at most one, so after each the
+    predicate is asked for one more.  The pass extends the trajectory
+    whenever it runs out of arrivals.  :func:`sample_stopping_times` reads
+    most runs off their block by the min-max formulas instead; this pass
+    serves the rest, and the tests check the formulas against it.
 
     Each kind keeps its packing state across the arrivals: a
     :class:`ForestUnion` of count + 1 forests, or the
@@ -399,12 +415,8 @@ def stopping_times(traj: MultigraphTrajectory, ks: list[int],
 
     A base graph is connected, so every target is reached except
     triangles on a triangle-free base, which raises ValueError up front."""
-    if any(k < 1 for k in ks):
-        raise ValueError("every k must be >= 1")
     g = traj.graph
-    if "tria" in kinds and not g.triangles:
-        raise ValueError("a triangle-free graph never packs a triangle")
-    targets = sorted(set(ks))
+    targets = _targets(g, ks, kinds)
     times, edge_ids = traj.times, traj.edge_ids
     results: dict[str, dict[int, float]] = {}
     for kind in kinds:
@@ -430,6 +442,232 @@ def stopping_times(traj: MultigraphTrajectory, ks: list[int],
                             uncertified[kind, later] += 1
             results[kind][k] = times[i - 1]
     return results
+
+
+def _targets(g: WeightedGraph, ks: list[int], kinds: tuple[str, ...]) -> list[int]:
+    """The distinct ks in increasing order.  Raises ValueError for a k
+    below 1, and for triangles on a triangle-free base, the one target a
+    connected base never reaches."""
+    if any(k < 1 for k in ks):
+        raise ValueError("every k must be >= 1")
+    if "tria" in kinds and not g.triangles:
+        raise ValueError("a triangle-free graph never packs a triangle")
+    return sorted(set(ks))
+
+
+# ---------------------------------------------------------------------------
+# Stopping times of a whole block, by the min-max formulas
+#
+# k spanning trees fit iff every vertex partition P with |P| >= 2 is
+# crossed by at least k(|P| - 1) copies; k edge-disjoint triangles fit iff
+# some k-multiset Q of base triangles finds, on every edge e, at least as
+# many copies as its u_e(Q) triangles on e.  A run's row decides T(k) when
+# the extremum is one of its arrivals; the kernels return the row length
+# for the runs whose row leaves T(k) undecided.
+
+# Cells of the tables that one batch builds for a kind, at most: the
+# crossing matrix, or the slots of every multiset over the ks.  A kind
+# whose tables would be larger samples by the forward pass alone.  A
+# block's work grows with its table.  In 512-run batches the two paths
+# took about as long on K8 spanning trees (115 892 cells), the block path
+# was 4x slower on K9 (761 256 cells) and 2x faster on K6 triangles for
+# k <= 4 (121 440 cells).
+TABLE_CELLS = 1 << 17
+
+
+def _bell(n: int, limit: int) -> int:
+    """Bell(n), the number of set partitions of n vertices, or the first
+    Bell number past ``limit`` when Bell(n) is larger (Bell triangle)."""
+    row = [1]
+    for _ in range(n - 1):
+        if row[-1] > limit:
+            break
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
+def _block_table(g: WeightedGraph, kind: str, targets: list[int]):
+    """The tables of ``kind``'s block formula for ``targets``, or None when
+    their cells, counted before anything is enumerated, pass
+    ``TABLE_CELLS``."""
+    if kind == "span":
+        cells = (_bell(g.n, TABLE_CELLS) - 1) * g.m
+    else:
+        t = len(g.triangles)
+        cells = sum(math.comb(t + k - 1, k) * min(3 * k, g.m) for k in targets)
+    if cells > TABLE_CELLS:
+        return None
+    return _span_table(g) if kind == "span" else _tria_table(g, targets)
+
+
+def _span_table(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(cross, need): the crossing matrix, 1 where base edge e crosses
+    vertex partition P, (m, P), over the partitions with at least two
+    parts, and each one's part count less one, (P,)."""
+    labels = np.zeros((1, 1), dtype=np.intp)  # restricted growth strings
+    for _ in range(g.n - 1):
+        choices = labels.max(axis=1) + 2  # an old part, or a new one
+        labels = np.repeat(labels, choices, axis=0)
+        label = np.arange(len(labels)) - np.repeat(np.cumsum(choices) - choices, choices)
+        labels = np.column_stack([labels, label])
+    need = labels.max(axis=1)
+    labels = labels[need > 0]
+    u, v = np.array(g.edges, dtype=np.intp).T
+    return (labels[:, u] != labels[:, v]).T.astype(np.uint8), need[need > 0]
+
+
+def _tria_table(g: WeightedGraph, targets: list[int]) -> tuple[dict[int, np.ndarray], int, int]:
+    """(slots, levels, m): per k, the distinct (edge, level) slots of every
+    k-multiset of base triangles, one column per multiset, (S, Q).  Slot
+    e * levels + u - 1 stands for the u-th copy of edge e, where u is the
+    number of the multiset's triangles on e; a multiset with fewer than S
+    slots repeats its first."""
+    levels = max(targets)
+    slot = np.min_scalar_type(g.m * levels)
+    none = np.iinfo(slot).max  # past every slot
+    tri = np.array(g.triangles, dtype=slot)
+    slots = {}
+    for k in targets:
+        count = math.comb(len(tri) + k - 1, k)
+        multisets = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(range(len(tri)), k)),
+            dtype=np.intp, count=count * k).reshape(count, k)
+        edges = np.sort(tri[multisets].reshape(count, 3 * k), axis=1, kind="stable")
+        top = np.ones(edges.shape, dtype=bool)  # an edge's last use in its row
+        top[:, :-1] = edges[:, 1:] != edges[:, :-1]
+        width = int(top.sum(axis=1).max())
+        col = np.sort(np.where(top, edges * slot.type(levels) + _occurrence(edges), none),
+                      axis=1, kind="stable")[:, :width]
+        col = np.where(col == none, col[:, :1], col)
+        slots[k] = np.ascontiguousarray(col.T)
+    return slots, levels, g.m
+
+
+def _occurrence(rows: np.ndarray) -> np.ndarray:
+    """Per cell of row-sorted ``rows``, how many equal cells precede it in
+    its row."""
+    pos = np.arange(rows.shape[1], dtype=np.min_scalar_type(rows.shape[1]))
+    start = np.zeros(rows.shape, dtype=pos.dtype)  # where each cell's run of equals starts
+    start[:, 1:] = np.where(rows[:, 1:] != rows[:, :-1], pos[1:], 0)
+    np.maximum.accumulate(start, axis=1, out=start)
+    return pos - start
+
+
+def _by_edge(edges: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's arrivals sorted by edge, then by arrival: the (edge,
+    arrival index) of each cell, (B, C) each, in the smallest integers.
+    A stable sort of small integers is a radix sort, whose code is a
+    quarter of the default sort's; numpy's code pages count into the
+    resident set."""
+    c = edges.shape[1]
+    key = edges.astype(np.min_scalar_type(m * c))
+    key *= c
+    key += np.arange(c, dtype=key.dtype)
+    key.sort(axis=1, kind="stable")
+    return np.divmod(key, c)
+
+
+def _span_first(table, edges: np.ndarray, targets: list[int]) -> np.ndarray:
+    """(len(targets), B): per k and run, the index of the arrival that
+    completes k spanning trees, or the row length where the row never
+    gets there.  That arrival is the latest over partitions P of the first
+    at which k(|P| - 1) copies cross P, so it is also the first arrival
+    after which every partition is crossed enough.  Each run bisects its
+    row for it: one probe counts the run's copies per edge up to its probe
+    arrival, (B, m), and multiplies them into the crossing matrix in
+    integers (no BLAS, whose buffers would raise the resident set),
+    partitions in chunks of (B, P) within ``ROW_CELLS``."""
+    cross, need = table
+    b, c = edges.shape
+    m = len(cross)
+    # where edge e's arrivals start in each run's sorted row, as a cell of
+    # the (C + 1, B) prefix counts below: (m + 1, B)
+    start = np.zeros((m + 1, b), dtype=np.intp)
+    for e in range(m):
+        start[e + 1] = start[e] + (edges == e).sum(axis=1)
+    start = start * b + np.arange(b)
+    order = np.ascontiguousarray(_by_edge(edges, m)[1].T)  # (C, B): sums run down the rows
+    count = np.min_scalar_type(c + 1)  # copies in a row, and one more
+    seen = np.zeros((c + 1, b), dtype=count)
+    cross = cross.astype(count, copy=False)
+    # the crossing copies that k trees need, capped at c + 1 (out of reach)
+    goal = np.minimum(np.multiply.outer(targets, need), c + 1).astype(count)[..., None]
+    step = max(1, ROW_CELLS // b)
+
+    def packs(last: np.ndarray, j: int) -> np.ndarray:
+        """Per run: do its arrivals up to ``last`` pack targets[j] trees?"""
+        np.cumsum(order <= last, axis=0, dtype=count, out=seen[1:])
+        at = seen.take(start)
+        copies = at[1:] - at[:-1]  # (m, B)
+        ok = np.ones(b, dtype=bool)
+        for p0 in range(0, len(need), step):
+            crossing = np.einsum("er,ep->pr", copies, cross[:, p0:p0 + step])
+            ok &= (crossing >= goal[j, p0:p0 + step]).all(axis=0)
+        return ok
+
+    first = np.empty((len(targets), b), dtype=np.intp)
+    lo = np.full(b, -1)  # an arrival that packs fewer than k trees, or -1
+    for j in range(len(targets)):
+        hi = np.where(packs(np.full(b, c - 1), j), c - 1, c)  # one that packs k, or c
+        lo[hi == c] = c - 1  # undecided: nothing to search
+        while (hi - lo > 1).any():
+            mid = (lo + hi) // 2
+            ok = packs(mid, j)
+            hi = np.where(ok, mid, hi)
+            lo = np.where(ok, lo, mid)
+        first[j] = hi
+        lo = hi  # an arrival adds at most one tree: T(k) < T(k + 1)
+    return first
+
+
+def _tria_first(table, edges: np.ndarray, targets: list[int]) -> np.ndarray:
+    """(len(targets), B): per k and run, the index of the arrival that
+    completes k triangles, the earliest over multisets of the latest
+    arrival among their slots; the row length where the row never gets
+    there.  Runs go in chunks whose copy arrivals fit ``ROW_CELLS``, and
+    multisets in chunks of (Q, runs) within it."""
+    slots, levels, m = table
+    b, c = edges.shape
+    first = np.full((len(targets), b), c, dtype=np.min_scalar_type(c))
+    runs = max(1, min(b, ROW_CELLS // (m * levels)))
+    step = max(1, ROW_CELLS // runs)
+    for r0 in range(0, b, runs):
+        arrival = _copy_arrivals(edges[r0:r0 + runs], m, levels)
+        for j, k in enumerate(targets):
+            best = first[j, r0:r0 + runs]
+            for q0 in range(0, slots[k].shape[1], step):
+                chunk = slots[k][:, q0:q0 + step]
+                latest = arrival[chunk[0]]
+                for row in chunk[1:]:
+                    np.maximum(latest, arrival[row], out=latest)
+                np.minimum(best, latest.min(axis=0), out=best)
+    return first
+
+
+def _copy_arrivals(edges: np.ndarray, m: int, levels: int) -> np.ndarray:
+    """(m * levels, B): row e * levels + u - 1 holds, per run, the index of
+    the arrival that brings edge e its u-th copy, or the row length when
+    the row brings fewer."""
+    b, c = edges.shape
+    by_edge, order = _by_edge(edges, m)
+    use = _occurrence(by_edge)
+    keep = use < levels
+    cell = np.min_scalar_type(m * levels * b)  # (slot, run) as slot * b + run
+    slot_run = ((by_edge.astype(cell) * cell.type(levels) + use) * cell.type(b)
+                + np.arange(b, dtype=cell)[:, None])
+    arrival = np.full((m * levels, b), c, dtype=np.min_scalar_type(c))
+    arrival.ravel()[slot_run[keep]] = order[keep]
+    return arrival
+
+
+BLOCK_FIRST = {
+    "span": _span_first,
+    "tria": _tria_first,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +731,43 @@ def sample_stopping_times(g: WeightedGraph, ks: list[int], runs: int, seed,
                           kinds: tuple[str, ...] = ("span", "tria"),
                           uncertified: Counter | None = None
                           ) -> dict[str, dict[int, np.ndarray]]:
-    """Monte Carlo stopping times; undecided triangle probes are counted
-    into ``uncertified`` as in :func:`stopping_times`.  Block j draws
-    ``random((k, 2, CHUNK))``, the first ``CHUNK`` arrivals of its k runs,
-    turned into arrival times and edges for the whole block at once."""
+    """Monte Carlo stopping times.  Block j draws ``random((B, 2, CHUNK))``,
+    the first ``CHUNK`` arrivals of its B runs, turned into arrival times
+    and edges for the whole block at once.  A kind whose tables fit
+    (:func:`_block_table`) reads every run's stopping arrivals off the
+    block by its min-max formula; a run whose row leaves some k undecided,
+    and every run of a kind past the table cap, takes the forward pass of
+    :func:`stopping_times` from its row on through its
+    :class:`fpplab.stats.RowStream`, counting undecided triangle probes
+    into ``uncertified`` for those k only.  Where the branch and bound
+    decides, both paths give the same times, bit for bit."""
+    targets = _targets(g, ks, kinds)
+    tables = {kind: _block_table(g, kind, targets) for kind in kinds}
     out = {kind: {k: np.empty(runs) for k in ks} for kind in kinds}
     law = _arrival_law(g)
+    edge_id = np.min_scalar_type(g.m)
     for rng, part in blocks(seed, runs, 2 * CHUNK, ROW_CELLS):
         times, edges = _arrivals(rng.random((part.stop - part.start, 2, CHUNK)), *law)
-        for r, (t, e) in enumerate(zip(times, edges)):
-            traj = MultigraphTrajectory(g, RowStream(rng, r), t.tolist(), e.tolist(), law)
-            st = stopping_times(traj, ks, kinds=kinds, uncertified=uncertified)
-            for kind in kinds:
-                for k in ks:
+        edges = edges.astype(edge_id)  # the kernels' temporaries follow its width
+        late: dict[int, dict[str, list[int]]] = {}  # row -> kind -> its undecided ks
+        for kind in kinds:
+            if tables[kind] is None:  # nothing decided
+                first = np.full((len(targets), len(edges)), CHUNK)
+            else:
+                first = BLOCK_FIRST[kind](tables[kind], edges, targets)
+            decided = first < CHUNK
+            for j, k in enumerate(targets):
+                rows = np.flatnonzero(decided[j])
+                out[kind][k][part.start + rows] = times[rows, first[j, rows]]
+            for r in np.flatnonzero(~decided[-1]).tolist():
+                late.setdefault(r, {})[kind] = [k for j, k in enumerate(targets)
+                                               if not decided[j, r]]
+        for r, pending in late.items():
+            traj = MultigraphTrajectory(g, RowStream(rng, r), times[r].tolist(),
+                                        edges[r].tolist(), law)
+            for kind, late_ks in pending.items():
+                st = stopping_times(traj, late_ks, kinds=(kind,), uncertified=uncertified)
+                for k in late_ks:
                     out[kind][k][part.start + r] = st[kind][k]
     return out
 

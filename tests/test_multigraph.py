@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fpplab import multigraph
 from fpplab.graphs import Multigraph, complete_graph, parse_edge_list, path_graph, random_gnp_graph
+from fpplab.stats import ROW_CELLS, RowStream, blocks
 from fpplab.multigraph import (
     CHUNK,
     SPAN_BOUND,
@@ -247,6 +249,9 @@ def test_live_triangles_follow_the_arrivals():
 
 
 def test_undecided_triangle_probes_are_counted(monkeypatch):
+    # past the table cap every run takes the forward pass, the one path with
+    # a branch and bound; the block formulas are exact and never leave a probe
+    monkeypatch.setattr(multigraph, "TABLE_CELLS", 0)
     monkeypatch.setattr(multigraph, "BNB_BUDGET", 1)
     ks = [1, 2, 3]
     uncertified = Counter()
@@ -255,12 +260,155 @@ def test_undecided_triangle_probes_are_counted(monkeypatch):
     # an undecided probe before T(k) may delay T(k) and every later time
     assert 0 < uncertified["tria", 2] <= uncertified["tria", 3]
     assert uncertified["tria", 1] == 0  # the greedy bound finds one live triangle
-    # a time the full budget decides is never earlier than the budget-starved one
+    # a time the full budget (or the block formulas) decides is never earlier
+    # than the budget-starved one
     monkeypatch.undo()
     exact = sample_stopping_times(complete_graph(5), ks, 100, seed=3, kinds=("tria",))
     for k in ks:
         assert np.all(exact["tria"][k] <= samples["tria"][k])
     assert np.array_equal(exact["tria"][1], samples["tria"][1])
+
+
+def forward_samples(g, ks, runs, seed, kinds, uncertified=None):
+    """The forward pass alone, on the block rows and row streams that
+    ``sample_stopping_times`` draws: the oracle of its block formulas."""
+    out = {kind: {k: np.empty(runs) for k in ks} for kind in kinds}
+    law = multigraph._arrival_law(g)
+    for rng, part in blocks(seed, runs, 2 * multigraph.CHUNK, ROW_CELLS):
+        u = rng.random((part.stop - part.start, 2, multigraph.CHUNK))
+        for r, (t, e) in enumerate(zip(*multigraph._arrivals(u, *law))):
+            traj = MultigraphTrajectory(g, RowStream(rng, r), t.tolist(), e.tolist(), law)
+            st_ = stopping_times(traj, ks, kinds=kinds, uncertified=uncertified)
+            for kind in kinds:
+                for k in ks:
+                    out[kind][k][part.start + r] = st_[kind][k]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(["span", "tria"]),
+       st.sets(st.integers(min_value=1, max_value=4), min_size=1),
+       st.sampled_from([1, 2, CHUNK]))
+def test_block_formulas_equal_the_forward_pass(seed, kind, ks, chunk):
+    rng = np.random.default_rng(seed)
+    g = random_gnp_graph(int(rng.integers(3, 8)), 0.7, (0.1, 5.0), rng)
+    assume(kind == "span" or g.triangles)
+    ks = sorted(ks)
+    # rows of one or two arrivals leave most runs to the forward pass
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multigraph, "CHUNK", chunk)
+        uncertified = Counter()
+        got = sample_stopping_times(g, ks, 150, seed, kinds=(kind,), uncertified=uncertified)
+        want = forward_samples(g, ks, 150, seed, (kind,))
+    for k in ks:
+        assert np.array_equal(got[kind][k], want[kind][k])
+    assert uncertified == Counter()
+
+
+def test_table_decided_runs_leave_no_uncertified_probe(monkeypatch):
+    # K5's rows decide every run by the formulas, so a starved branch and
+    # bound, which the forward pass would trip over, is never asked
+    g, ks = complete_graph(5), [1, 2, 3]
+    exact = forward_samples(g, ks, 200, 4, ("tria",))
+    monkeypatch.setattr(multigraph, "BNB_BUDGET", 1)
+    starved = Counter()
+    forward_samples(g, ks, 200, 4, ("tria",), uncertified=starved)
+    assert starved["tria", 3] > 0
+    uncertified = Counter()
+    got = sample_stopping_times(g, ks, 200, 4, kinds=("tria",), uncertified=uncertified)
+    assert uncertified == Counter()
+    for k in ks:
+        assert np.array_equal(got["tria"][k], exact["tria"][k])
+
+
+def test_forward_pass_takes_only_the_ks_a_row_leaves_undecided(monkeypatch):
+    # rows of 8 arrivals on K5 decide T(1) and often T(2), never T(3) (nine
+    # edges); a starved branch and bound may delay what the forward pass
+    # reads, but a time the row decides keeps its exact value
+    g, ks, runs, seed = complete_graph(5), [1, 2, 3], 300, 8
+    monkeypatch.setattr(multigraph, "CHUNK", 8)
+    exact = forward_samples(g, ks, runs, seed, ("tria",))["tria"]
+    row_end = np.concatenate([
+        multigraph._arrivals(rng.random((part.stop - part.start, 2, 8)),
+                             *multigraph._arrival_law(g))[0][:, -1]
+        for rng, part in blocks(seed, runs, 16, ROW_CELLS)])
+    monkeypatch.setattr(multigraph, "BNB_BUDGET", 1)
+    got = sample_stopping_times(g, ks, runs, seed, kinds=("tria",))["tria"]
+    assert not np.any(exact[3] <= row_end)
+    for k in (1, 2):
+        in_row = exact[k] <= row_end
+        assert in_row.any()
+        assert np.array_equal(got[k][in_row], exact[k][in_row])
+    assert np.any(got[2] > exact[2])  # the starved pass did bite
+
+
+# A few block temporaries live at once, each within ROW_CELLS cells of at
+# most 8 bytes.
+TEMPORARY_BYTES = 4 * ROW_CELLS * 8
+
+
+def _traced_peak(f):
+    """f's result and the peak of the memory it allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, ks, kind", [(9, [1, 2], "span"), (8, [4], "tria")])
+def test_past_the_table_cap_samples_by_the_forward_pass_alone(monkeypatch, n, ks, kind):
+    g = complete_graph(n)
+    runs, seed = 256, 6
+    want = forward_samples(g, ks, runs, seed, (kind,))
+
+    def block_path(*args):
+        raise AssertionError("the block path ran past TABLE_CELLS")
+
+    monkeypatch.setattr(multigraph, "_span_table", block_path)
+    monkeypatch.setattr(multigraph, "_tria_table", block_path)
+    monkeypatch.setitem(multigraph.BLOCK_FIRST, kind, block_path)
+    calls = []
+    real = multigraph.stopping_times
+
+    def spy(traj, late_ks, **kwargs):
+        calls.append(late_ks)
+        return real(traj, late_ks, **kwargs)
+
+    monkeypatch.setattr(multigraph, "stopping_times", spy)
+    got, peak = _traced_peak(lambda: sample_stopping_times(g, ks, runs, seed, kinds=(kind,)))
+    assert calls == [ks] * runs
+    for k in ks:
+        assert np.array_equal(got[kind][k], want[kind][k])
+    assert peak <= TEMPORARY_BYTES
+
+
+@pytest.mark.parametrize("n, ks, kind", [(7, [1, 2, 3], "span"), (6, [1, 2, 3, 4], "tria")])
+def test_block_kernels_stay_within_the_cell_budget(n, ks, kind):
+    # a (partitions, runs, CHUNK) or (runs, multisets, 3k) array would be
+    # 14M or 27M cells here
+    g = complete_graph(n)
+    table = multigraph._block_table(g, kind, ks)
+    assert table is not None
+    u = np.random.default_rng(0).random((ROW_CELLS // (2 * CHUNK), 2, CHUNK))  # one block
+    _, edges = multigraph._arrivals(u, *multigraph._arrival_law(g))
+    first, peak = _traced_peak(lambda: multigraph.BLOCK_FIRST[kind](table, edges, ks))
+    assert first.shape == (len(ks), len(edges))
+    assert peak <= TEMPORARY_BYTES
+
+
+def test_table_sizes_are_counted_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(multigraph, "_span_table", no_enumeration)
+    monkeypatch.setattr(multigraph, "_tria_table", no_enumeration)
+    big = complete_graph(40)
+    assert multigraph._block_table(big, "span", [1]) is None
+    assert multigraph._block_table(complete_graph(6), "tria", [50]) is None
+    assert [multigraph._bell(n, 10**9) for n in range(1, 8)] == [1, 2, 5, 15, 52, 203, 877]
 
 
 def test_stopping_times_unattainable_raises():
