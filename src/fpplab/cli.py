@@ -20,6 +20,7 @@ import math
 import numbers
 import sys
 from collections import Counter
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,7 @@ from .stats import (
     band_verdict,
     modulus_terms,
     psi_minus_eval,
+    python_values,
     theorem1_lower_check,
     theorem1_trend_experiment,
 )
@@ -359,12 +361,12 @@ def _check_prop2(ctx, params):
     samples = sample_stopping_times(g, ks, runs, ctx.check_seed("prop2"), kinds=kinds,
                                     uncertified=uncertified)
 
-    def cell(kind, k, i):  # empty for a kind that was not run
-        return repr(float(samples[kind][k][i])) if kind in kinds else ""
+    def cells(kind, k):  # empty for a kind that was not run
+        return map(repr, python_values(samples[kind][k])) if kind in kinds else repeat("", runs)
 
     ctx.write("prop2_runs.csv", "run_index,k,T_span,T_tria",
-              (f"{i},{k},{cell('span', k, i)},{cell('tria', k, i)}"
-               for k in ks for i in range(runs)))
+              (f"{i},{k},{span},{tria}" for k in ks
+               for i, span, tria in zip(range(runs), cells("span", k), cells("tria", k))))
     reports = []
     ok = True
     for kind in kinds:

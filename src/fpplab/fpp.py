@@ -35,7 +35,8 @@ import numpy as np
 
 from .chain import REL_TOL, ChainSpec, ExactSolution
 from .graphs import EXACT_CAP, CapacityError, WeightedGraph, twin_classes
-from .stats import TINY, band_verdict, blocks, exponential_in_place, wilson_band
+from .stats import (TINY, band_verdict, blocks, exponential_in_place, python_values,
+                    wilson_band)
 
 
 def traversal_from_uniform(u, w):
@@ -137,8 +138,8 @@ class FppBatch:
     path_len: np.ndarray
 
     def rows(self):
-        for i in range(len(self.X)):
-            yield i, float(self.X[i]), float(self.Xi[i]), int(self.path_len[i])
+        return zip(range(len(self.X)), python_values(self.X), python_values(self.Xi),
+                   python_values(self.path_len))
 
 
 def sample_fpp_batch(g: WeightedGraph, source: int, target: int, runs: int,

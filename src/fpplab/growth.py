@@ -14,9 +14,17 @@ vertex is in the closed neighborhood of the drawn set.
 Both samplers draw in blocks (:func:`fpplab.stats.blocks`), a row per run:
 ``GROWTH_ROW`` events of two uniforms each (the Exp(1) holding time
 -ln(u), scaled by the total frontier rate, and the pick), or
-``COVERAGE_ROW`` vertices ⌊u·n⌋.  Each block is transformed at once; a
-run that outlives its row reads rows of the same length from its own
-stream (:class:`fpplab.stats.RowStream`).
+``COVERAGE_ROW`` vertices ⌊u·n⌋.  Each block, or for growth each chunk of
+``LOCKSTEP_RUNS`` rows, is transformed at once; a run that outlives its
+row reads rows of the same length from its own stream
+(:class:`fpplab.stats.RowStream`).
+
+A rate builtin's growth runs go through a lock-step kernel
+(:func:`_lockstep`): ``LOCKSTEP_RUNS`` runs advance together, an event
+each per step, on a lattice window around the target, where a run's
+frontier rates and their cumulative sum sit in the loop's frontier order.
+So every time is the float the per-run loop (:func:`growth_hitting_time`)
+returns, and that loop reruns each run the kernel leaves.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable
 
 import numpy as np
@@ -42,16 +50,32 @@ _NBRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 # draws on path(5) and 34 on grid 3x4.
 GROWTH_ROW = 64
 COVERAGE_ROW = 32
+# The lock-step growth kernel (_lockstep) runs LOCKSTEP_RUNS runs at a time
+# on a lattice window WINDOW_MARGIN sites past the target's largest
+# |coordinate|, and hands the rest of a batch to the per-run loop once more
+# than MAX_LEFT_SHARE of the runs it ended had left the window.  At margin
+# 3, 4.3 % of growth_cross's runs left it; a margin of 4 left 1.5 % but
+# took as long, with a third more cells per run.
+WINDOW_MARGIN = 3
+LOCKSTEP_RUNS = 64
+MAX_LEFT_SHARE = 0.25
 
 
-def _site_hash_unit(v: Site) -> float:
-    """Deterministic pseudo-random value in [0,1) from lattice coordinates."""
-    x, y = v
+def _site_hash(x, y):
+    """Deterministic pseudo-random value in [0,1) from lattice coordinates:
+    Python ints, or arrays of them.  The window passes object arrays, which
+    keep Python's exact integer arithmetic (int64 arrays agree for |x|, |y|
+    < 2**31, but their bitwise loops fault in numpy code that nothing else
+    in a Proposition 1 run touches)."""
     h = (x * 2654435761 + y * 40503 + 0x9E3779B9) & 0xFFFFFFFF
     h ^= h >> 16
     h = (h * 0x45D9F3B) & 0xFFFFFFFF
     h ^= h >> 16
     return h / 2**32
+
+
+def _site_hash_unit(v: Site) -> float:
+    return _site_hash(*v)
 
 
 def _positive(*values) -> None:
@@ -93,6 +117,14 @@ RATE_BUILTINS = {
     "site_weighted": site_weighted_rate,
     "neighbor_count": neighbor_count_rate,
 }
+# The builtins' rates on arrays, ``grid_rate(x, y, k)`` at site (x, y) with
+# k cluster neighbours, broadcast over the three; each is bit-identical to
+# its ``rate_fn``.
+_GRID_RATES = {
+    "constant": lambda c: lambda x, y, k: c,
+    "site_weighted": lambda c_lo, c_hi: lambda x, y, k: c_lo + (c_hi - c_lo) * _site_hash(x, y),
+    "neighbor_count": lambda base: lambda x, y, k: base * k,
+}
 
 
 @dataclass
@@ -105,6 +137,9 @@ class GrowthConfig:
     rate_fn: Callable[[set, Site], float] = field(repr=False)
     c_lo: float = 1.0
     c_hi: float = 1.0
+    # set by builtin(): the rate on arrays, which lets growth_samples run
+    # its runs in lock-step (_lockstep)
+    grid_rate: Callable | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def builtin(cls, target, kind: str, **params) -> "GrowthConfig":
@@ -114,7 +149,8 @@ class GrowthConfig:
         target = frozenset(tuple(v) for v in target)
         if not target or (0, 0) in target:
             raise ValueError("target must be non-empty and must not contain the origin")
-        return cls(target=target, rate_fn=fn, c_lo=c_lo, c_hi=c_hi)
+        return cls(target=target, rate_fn=fn, c_lo=c_lo, c_hi=c_hi,
+                   grid_rate=_GRID_RATES[kind](**params))
 
 
 def _frontier(cluster: set) -> list:
@@ -161,11 +197,12 @@ def growth_hitting_time(cfg: GrowthConfig, rng, row: list | None = None) -> floa
         if e == len(holds):
             holds, picks = _events(rng.random((2, GROWTH_ROW))).tolist()
             e = 0
-        total = sum(rates)
+        partial = list(accumulate(rates))
+        total = partial[-1]  # the sequential sum, as the kernel's cumsum reads it
         t += holds[e] / total
         pick = picks[e] * total
         e += 1
-        i = min(bisect_right(list(accumulate(rates)), pick), len(frontier) - 1)
+        i = min(bisect_right(partial, pick), len(frontier) - 1)
         chosen = frontier.pop(i)
         del rates[i]
         cluster.add(chosen)
@@ -185,13 +222,177 @@ def growth_hitting_time(cfg: GrowthConfig, rng, row: list | None = None) -> floa
                 rates.insert(j, r)
 
 
-def growth_samples(cfg: GrowthConfig, runs: int, seed) -> np.ndarray:
-    """``runs`` hitting times; block j draws ``random((k, 2, GROWTH_ROW))``."""
-    samples = np.empty(runs)
+@dataclass
+class _Window:
+    """The lattice window [-R, R]^2 of the lock-step kernel, its cells
+    numbered row-major with x first, which is the frontier's sorted order.
+    ``rates[k, c]`` is the rate of cell c with k cluster neighbours; a site
+    adds ``_JOINED`` to its own count on joining the cluster, which points
+    it at the zero rows.  A run ends in the kernel when it picks a cell of
+    ``target`` or of ``border``."""
+
+    width: int
+    rates: np.ndarray
+    target: np.ndarray
+    border: np.ndarray
+
+
+_JOINED = 5
+
+
+def _window(cfg: GrowthConfig) -> _Window | None:
+    """The window for ``cfg``, R = ``WINDOW_MARGIN`` past the target's
+    largest |coordinate|, or None when ``cfg`` has no grid rate, when the
+    state of ``LOCKSTEP_RUNS`` runs would pass ``ROW_CELLS`` cells, or when
+    some window rate escapes the stated bounds (the per-run loop then
+    raises where a run reaches it)."""
+    if cfg.grid_rate is None:
+        return None
+    R = max(max(abs(x), abs(y)) for x, y in cfg.target) + WINDOW_MARGIN
+    w = 2 * R + 1
+    if LOCKSTEP_RUNS * w * w > ROW_CELLS:
+        return None
+    side = np.arange(-R, R + 1, dtype=object)  # Python ints: exact at any coordinate
+    rates = np.zeros((2 * _JOINED, w * w))
+    rates[:_JOINED] = cfg.grid_rate(np.repeat(side, w), np.tile(side, w),
+                                    np.arange(_JOINED)[:, None])
+    live = rates[1:_JOINED]  # a frontier site has 1-4 cluster neighbours
+    if np.any((live < cfg.c_lo - 1e-12) | (live > cfg.c_hi + 1e-12)):
+        return None
+    target = np.zeros(w * w, bool)
+    target[[(vx + R) * w + vy + R for vx, vy in cfg.target]] = True
+    border = np.ones((w, w), bool)
+    border[1:-1, 1:-1] = False
+    return _Window(w, rates, target, border.ravel())
+
+
+def _event_rows(seed, runs: int):
+    """(block generator, the block's first run, the chunk's first run,
+    events) for each chunk of at most ``LOCKSTEP_RUNS`` rows of a batch,
+    in stream order: drawing a block's rows a chunk at a time continues its
+    one stream of ``random((k, 2, GROWTH_ROW))``."""
     for rng, part in blocks(seed, runs, 2 * GROWTH_ROW, ROW_CELLS):
-        rows = _events(rng.random((part.stop - part.start, 2, GROWTH_ROW)))
-        for r, row in enumerate(rows):
-            samples[part.start + r] = growth_hitting_time(cfg, RowStream(rng, r), row.tolist())
+        for lo in range(part.start, part.stop, LOCKSTEP_RUNS):
+            k = min(LOCKSTEP_RUNS, part.stop - lo)
+            yield rng, part.start, lo, _events(rng.random((k, 2, GROWTH_ROW)))
+
+
+def _lockstep(win: _Window, chunks, samples: np.ndarray):
+    """Run the batch of ``chunks`` (:func:`_event_rows`) on ``win`` in
+    ``LOCKSTEP_RUNS`` slots that advance together, one event each per step;
+    a slot whose run ends takes the next run in stream order.  Writes each
+    hitting time into ``samples`` and yields (block generator, run, its row
+    in the block, its events as lists) for each run that uses up its row
+    or picks a border cell.  Each step is the loop's: the cumulative sum of
+    a run's cell rates, zero off the frontier, holds its partial sums in
+    frontier order, so the pick is the count of partial sums <= pick,
+    capped at the last frontier cell."""
+    cells = win.width ** 2
+    origin = cells // 2
+    steps = np.array([win.width, -win.width, 1, -1])
+    n = LOCKSTEP_RUNS
+    offset = np.arange(n) * cells  # each slot's first cell in the flat state
+    run = np.zeros(n, np.intp)
+    event = np.zeros(n, np.intp)  # the run's next event
+    t = np.zeros(n)
+    site = np.zeros(n, np.intp)  # its last pick, which joins the cluster
+    rate = np.zeros((n, cells))
+    count = np.zeros((n, cells), np.uint8)
+    events = np.empty((n, 2, GROWTH_ROW))
+    source = [None] * n  # (block generator, the block's first run)
+    head = next(chunks, None)  # the chunk being loaded, from its first unloaded row
+
+    def load(slots: np.ndarray) -> int:
+        """Start the next runs in ``slots``; returns how many there were."""
+        nonlocal head
+        loaded = 0
+        while loaded < len(slots) and head is not None:
+            rng, start, lo, rows = head
+            s = slots[loaded:loaded + len(rows)]
+            rows, rest = rows[:len(s)], rows[len(s):]
+            head = (rng, start, lo + len(s), rest) if len(rest) else next(chunks, None)
+            run[s] = np.arange(lo, lo + len(s))
+            events[s] = rows
+            for j in s.tolist():
+                source[j] = (rng, start)
+            loaded += len(s)
+        s = slots[:loaded]
+        event[s] = 0
+        t[s] = 0.0
+        site[s] = origin
+        rate[s] = 0.0
+        count[s] = 0
+        return loaded
+
+    m = load(np.arange(n))
+    ended = left = 0  # runs that ended, and those left to the loop
+    while m:
+        flat_rate, flat_count = rate[:m].reshape(-1), count[:m].reshape(-1)
+        at = offset[:m] + site[:m]
+        flat_rate[at] = 0.0
+        flat_count[at] += _JOINED
+        nbrs = site[:m, None] + steps
+        at = nbrs + offset[:m, None]
+        flat_count[at] += 1
+        flat_rate[at] = win.rates[flat_count[at], nbrs]
+        partial = np.cumsum(rate[:m], axis=1)
+        total = partial[:, -1]
+        slot = np.arange(m)
+        t[:m] += events[slot, 0, event[:m]] / total
+        pick = events[slot, 1, event[:m]] * total
+        event[:m] += 1
+        pos = np.count_nonzero(partial <= pick[:, None], axis=1)
+        capped = pos == cells
+        if capped.any():
+            pos[capped] = np.count_nonzero(partial[capped] < total[capped, None], axis=1)
+        site[:m] = pos
+        hit = win.target[pos]
+        samples[run[:m][hit]] = t[:m][hit]
+        done = np.flatnonzero(hit | win.border[pos] | (event[:m] == GROWTH_ROW))
+        if not len(done):
+            continue
+        ended += len(done)
+        leaving = done[~hit[done]]
+        left += len(leaving)
+        outgrown = ended >= n and left > MAX_LEFT_SHARE * ended
+        if outgrown:  # the runs outgrow the window: the loop takes every run left
+            leaving = np.flatnonzero(~hit)
+        for j in leaving.tolist():
+            rng, start = source[j]
+            yield rng, int(run[j]), int(run[j]) - start, events[j].tolist()
+        if outgrown:
+            yield from _each_run(chunks if head is None else chain([head], chunks))
+            return
+        loaded = load(done)
+        if loaded < len(done):  # the batch is used up: pack the live slots
+            keep = np.ones(m, bool)
+            keep[done[loaded:]] = False
+            live = np.flatnonzero(keep)
+            m = len(live)
+            for a in (run, event, t, site, rate, count, events):
+                a[:m] = a[live]
+            source[:m] = [source[j] for j in live.tolist()]
+
+
+def _each_run(chunks):
+    """(block generator, run, its row in the block, its events as lists)
+    for each run of ``chunks`` (:func:`_event_rows`)."""
+    for rng, start, lo, rows in chunks:
+        for r, row in enumerate(rows.tolist()):
+            yield rng, lo + r, lo + r - start, row
+
+
+def growth_samples(cfg: GrowthConfig, runs: int, seed) -> np.ndarray:
+    """``runs`` hitting times; block j draws ``random((k, 2, GROWTH_ROW))``.
+    With a window (:func:`_window`) the runs go through :func:`_lockstep`,
+    and a run it leaves is rerun from its row by
+    :func:`growth_hitting_time`, the same float."""
+    samples = np.empty(runs)
+    chunks = _event_rows(seed, runs)
+    win = _window(cfg)
+    left = _each_run(chunks) if win is None else _lockstep(win, chunks, samples)
+    for rng, i, r, row in left:
+        samples[i] = growth_hitting_time(cfg, RowStream(rng, r), row)
     return samples
 
 

@@ -87,6 +87,15 @@ class RowStream:
         return self._rng.random(shape)
 
 
+def python_values(a: np.ndarray):
+    """The elements of a 1-D array as Python numbers, as ``a.tolist()``
+    gives them, converted 256 at a time: nearly as fast as one ``tolist``,
+    without a list of every element (3 000 FPP runs held as lists raised
+    fpp-small's peak resident set by half a megabyte)."""
+    for lo in range(0, len(a), 256):
+        yield from a[lo:lo + 256].tolist()
+
+
 def exponential_in_place(u: np.ndarray, w) -> np.ndarray:
     """Overwrite Uniform[0,1) draws ``u`` with the Exponential(rate w) draws
     -ln(u)/w, making no temporary copies (an FPP block of 2**20 costs

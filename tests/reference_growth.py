@@ -23,6 +23,7 @@ cluster neighbours, it is bond FPP with Exp(base) bonds
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,7 +59,7 @@ def growth_hitting_time(cfg, rng) -> float:
         for r in rates:
             if not (cfg.c_lo - 1e-12 <= r <= cfg.c_hi + 1e-12):
                 raise ValueError(f"rate {r} escapes the stated bounds [{cfg.c_lo}, {cfg.c_hi}]")
-        total = sum(rates)
+        total = list(accumulate(rates))[-1]  # sequential, as sum() is not from Python 3.12
         t += hold / total
         pick = u_pick * total
         acc = 0.0

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_growth
 from helpers import RateMonotonicityError, validate_rate_monotone
-from fpplab import cli
+from fpplab import cli, growth
 from fpplab.chain import ChainSpec, solve_discrete, solve_hitting
 from fpplab.graphs import grid_graph, path_graph
 from fpplab.growth import (
@@ -25,7 +28,7 @@ from fpplab.growth import (
     site_weighted_rate,
     _variance_inequality_report,
 )
-from fpplab.stats import SampleStats
+from fpplab.stats import RowStream, SampleStats
 
 
 _BUILTIN_PARAMS = {
@@ -268,3 +271,186 @@ def test_prop3_check_passes():
     cfg = CoverageConfig.from_graph(path_graph(5))
     rep = prop3_check(cfg, 3000, seed=8)
     assert rep.holds
+
+
+# ---------------------------------------------------------------------------
+# The lock-step kernel against the per-run loop
+
+_CROSS = [[3, 0], [-3, 0], [0, 3], [0, -3]]
+_SITE_WEIGHTED = {"c_lo": 0.5, "c_hi": 2.0}
+
+
+def _per_run(cfg: GrowthConfig) -> GrowthConfig:
+    """``cfg`` without its grid rate: growth_samples runs it run by run."""
+    return dataclasses.replace(cfg, grid_rate=None)
+
+
+def _assert_bitwise_equal(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_RATE_PARAMS = {
+    "constant": st.builds(lambda c: {"c": c}, st.floats(0.1, 5.0)),
+    "site_weighted": st.builds(lambda a, b: {"c_lo": min(a, b), "c_hi": max(a, b)},
+                               st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+    "neighbor_count": st.builds(lambda base: {"base": base}, st.floats(0.1, 5.0)),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(_RATE_PARAMS)),
+       target=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+                       .filter(lambda v: v != (0, 0)), min_size=1, max_size=5),
+       slots=st.sampled_from([1, 3, growth.LOCKSTEP_RUNS]),
+       seed=st.integers(0, 2**32 - 1))
+def test_lockstep_kernel_equals_the_per_run_loop(data, kind, target, slots, seed):
+    # 260 runs span two blocks, so slots refill across a block boundary and
+    # are packed once the batch runs out; point targets send most runs out
+    # of the window, so the kernel hands the batch to the loop
+    cfg = GrowthConfig.builtin(target, kind, **data.draw(_RATE_PARAMS[kind]))
+    assert growth._window(cfg) is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "LOCKSTEP_RUNS", slots)
+        _assert_bitwise_equal(growth_samples(cfg, 260, seed),
+                              growth_samples(_per_run(cfg), 260, seed))
+
+
+def test_a_target_past_the_cell_budget_builds_no_window():
+    near = GrowthConfig.builtin([[7, 0]], "constant", c=1.0)
+    far = GrowthConfig.builtin([[8, 0]], "constant", c=1.0)
+    assert growth._window(near).width == 21
+    assert growth._window(far) is None
+
+
+@pytest.mark.parametrize("row", [1, 2])
+def test_lockstep_kernel_equals_the_loop_when_rows_run_out(monkeypatch, row):
+    monkeypatch.setattr(growth, "GROWTH_ROW", row)
+    for kind, params in _BUILTIN_PARAMS.items():
+        cfg = GrowthConfig.builtin([[1, 0], [0, 2]], kind, **params)
+        _assert_bitwise_equal(growth_samples(cfg, 300, 21), growth_samples(_per_run(cfg), 300, 21))
+
+
+def test_lockstep_kernel_caps_a_pick_at_the_total_as_the_loop_does():
+    # a pick u = 1 is u * total = total, past every partial sum, so both
+    # paths take the last frontier site in (x, y) order: (1, 0), (2, 0),
+    # then the target (3, 0)
+    cfg = GrowthConfig.builtin(_CROSS, "constant", c=1.0)
+    rows = np.random.default_rng(8).random((10, 2, growth.GROWTH_ROW))
+    rows[::2, 1] = 1.0
+    growth._events(rows)
+    samples = np.full(10, np.nan)
+    rng = np.random.default_rng(9)
+    for gen, i, r, row in growth._lockstep(growth._window(cfg), iter([(rng, 0, 0, rows)]),
+                                           samples):
+        samples[i] = growth_hitting_time(cfg, RowStream(gen, r), row)
+    for i, row in enumerate(rows):
+        assert samples[i] == growth_hitting_time(cfg, RowStream(rng, i), row.tolist())
+        if i % 2 == 0:
+            holds = row[0].tolist()
+            assert samples[i] == holds[0] / 4.0 + holds[1] / 6.0 + holds[2] / 8.0
+
+
+def test_grid_site_hash_equals_the_scalar_hash():
+    rng = np.random.default_rng(10)
+    xy = np.concatenate([rng.integers(-2**20, 2**20 + 1, (2000, 2)),
+                         [[-2**20, -2**20], [-2**20, 2**20], [2**20, -1], [-1, -1], [0, 0]]])
+    want = [growth._site_hash_unit((x, y)) for x, y in xy.tolist()]
+    assert growth._site_hash(xy[:, 0], xy[:, 1]).tolist() == want  # int64
+    x, y = xy.astype(object).T  # Python ints, as the window builds them
+    cfg = GrowthConfig.builtin([[1, 0]], "site_weighted", **_SITE_WEIGHTED)
+    assert cfg.grid_rate(x, y, 1).tolist() == [cfg.rate_fn(set(), v) for v in xy.tolist()]
+    assert np.array_equal(growth._site_hash(x, y).astype(float), want)
+
+
+def test_grid_rates_equal_the_builtin_rates():
+    sites = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    x, y = np.array(sites, dtype=object).T
+    for kind, params in _BUILTIN_PARAMS.items():
+        cfg = GrowthConfig.builtin([[1, 0]], kind, **params)
+        for k in range(1, 5):
+            grid = np.broadcast_to(cfg.grid_rate(x, y, k), len(sites)).tolist()
+            for (vx, vy), r in zip(sites, grid):
+                cluster = {(vx + dx, vy + dy) for dx, dy in _AXES[:k]}
+                assert r == cfg.rate_fn(cluster, (vx, vy))
+
+
+def test_a_custom_rate_takes_the_per_run_path(monkeypatch):
+    fn, c_lo, c_hi = constant_rate(1.0)
+    calls = [0]
+
+    def counting(S, v):
+        calls[0] += 1
+        return fn(S, v)
+
+    def no_kernel(*args):
+        raise AssertionError("the lock-step kernel ran a custom rate")
+
+    cfg = GrowthConfig(target=frozenset(map(tuple, _CROSS)), rate_fn=counting, c_lo=c_lo,
+                       c_hi=c_hi)
+    assert growth._window(cfg) is None
+    monkeypatch.setattr(growth, "_lockstep", no_kernel)
+    got = growth_samples(cfg, 300, 22)
+    assert calls[0] > 300
+    _assert_bitwise_equal(got, growth_samples(
+        _per_run(GrowthConfig.builtin(_CROSS, "constant", c=1.0)), 300, 22))
+
+
+def test_few_growth_cross_runs_leave_the_kernel(monkeypatch):
+    # the bench's and the shipped scenario's config: the kernel must stay
+    # the path that almost every run takes
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "growth_cross.json"
+    cfg = cli._growth_config(json.loads(scenario.read_text()))
+    loop_runs = [0]
+    loop = growth.growth_hitting_time
+
+    def counting(*args):
+        loop_runs[0] += 1
+        return loop(*args)
+
+    monkeypatch.setattr(growth, "growth_hitting_time", counting)
+    growth_samples(cfg, 4000, 29)
+    assert 0 < loop_runs[0] < 0.05 * 4000
+
+
+def test_rates_past_the_stated_bounds_raise_on_both_paths():
+    cfg = dataclasses.replace(GrowthConfig.builtin(_CROSS, "site_weighted", **_SITE_WEIGHTED),
+                              c_hi=1.0)
+    assert growth._window(cfg) is None
+    for c in (cfg, _per_run(cfg)):
+        with pytest.raises(ValueError, match=r"escapes the stated bounds \[0.5, 1.0\]"):
+            growth_samples(c, 300, 23)
+    # a bound that only a cluster neighbour count of 4 escapes: the loop
+    # raises only if a run rates such a site, on either path alike
+    cfg = dataclasses.replace(GrowthConfig.builtin(_CROSS, "neighbor_count", base=0.7),
+                              c_hi=3 * 0.7)
+    outcomes = []
+    for c in (cfg, _per_run(cfg)):
+        try:
+            outcomes.append(growth_samples(c, 300, 24).tobytes())
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def _neumaier_sum(values, start=0):
+    """Compensated summation, as builtins.sum adds floats from Python 3.12."""
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation
+
+
+@pytest.mark.parametrize("kind", sorted(_BUILTIN_PARAMS))
+def test_growth_samples_do_not_depend_on_how_sum_adds_floats(monkeypatch, kind):
+    # site_weighted's rates at (0.5, 2.0) lie on a grid of 2**-33, where
+    # every sum of a few is exact; the other two round
+    cfg = GrowthConfig.builtin(_CROSS, kind, **_BUILTIN_PARAMS[kind])
+    want = [growth_samples(c, 1000, 25) for c in (cfg, _per_run(cfg))]
+    monkeypatch.setattr(growth, "sum", _neumaier_sum, raising=False)
+    for c, w in zip((cfg, _per_run(cfg)), want):
+        _assert_bitwise_equal(growth_samples(c, 1000, 25), w)
