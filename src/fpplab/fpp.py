@@ -17,8 +17,10 @@ traversal time and runs a lock-step Dijkstra over a block of runs.  When
 the twin classes of :func:`fpplab.graphs.twin_classes` number at most half
 the vertices (the complete graphs, cliques joined by bridges), a run is
 read off the reached-set chain lumped onto per-class counts instead, one
-joining vertex per stage, with a parent trace that gives Xi.  The
-Dijkstra stays the general sampler and the lumped one's oracle.
+joining vertex per stage.  Its stage loop draws only the joining class;
+the parents that give Xi are resolved afterwards on the walk back from
+the target, only for the stages on it.  The Dijkstra stays the general
+sampler and the lumped one's oracle in law.
 
 Monte Carlo runs follow the block rule of :func:`fpplab.stats.blocks`,
 with the ``BLOCK_CELLS`` = 2**20 budget and B sized by c uniforms per run:
@@ -220,46 +222,57 @@ def _lumped_block(chain: _Lumped, u: np.ndarray) -> tuple[np.ndarray, np.ndarray
     w(d, c): ``u[:, i - 1, 0]`` gives the holding time -ln(u)/total,
     ``1`` the joining class, ``2`` its parent's class d, drawn with weight
     count_d w(d, c), and ``3`` the parent, uniform among the reached
-    members of d.  A run's reached vertices are its stages, 0 the source,
-    kept in per-class slots.  Once every vertex has joined, each run
-    walks back from the target's stage to the source: X is the target's
-    join time and Xi the largest join-time gap along the way.
+    members of d.  The stage loop draws only the joining class, from the
+    per-class ``free`` and ``pull`` laid out class-major, and keeps each
+    stage's class and total rate.  Then the join times are one running
+    sum, and a stable sort of each run's class sequence puts its stages in
+    per-class slots, 0 the source.  Parents are resolved on the walk back
+    from the target's stage to the source, only for the stages on it: the
+    count of class d at stage i is the number of d's slots below i.  X is
+    the target's join time and Xi the largest join-time gap on the walk.
     """
     k, stages = u.shape[0], u.shape[1] + 1
     rows = np.arange(k)
-    count = np.zeros((k, len(chain.size)))
-    count[:, chain.source] = 1.0
-    free = chain.size - count
-    pull = np.tile(chain.rate[chain.source], (k, 1))  # sum_d count_d w(d, c)
-    slot = np.zeros((k, stages), dtype=np.intp)       # the stage in each slot
-    parent = np.zeros((k, stages), dtype=np.intp)
-    tau = np.zeros((k, stages))
-    at_target = np.zeros(k, dtype=np.intp)
-    now = np.zeros(k)
+    free = np.repeat(chain.size[:, None].astype(float), k, axis=1)
+    free[chain.source] -= 1.0
+    flat_free = free.reshape(-1)
+    pull = np.repeat(chain.rate[chain.source][:, None], k, axis=1)  # sum_d count_d w(d, c)
+    # the class joining at each stage; a narrow type sorts by radix below
+    joined = np.empty((stages, k), dtype=np.min_scalar_type(len(chain.size) - 1))
+    joined[0] = chain.source
+    total = np.empty((stages - 1, k))
     for i in range(1, stages):
-        draw = u[:, i - 1]
-        cum = np.cumsum(free * pull, axis=1)
-        now -= np.log(np.maximum(draw[:, 0], TINY)) / cum[:, -1]
-        c = _pick(cum, draw[:, 1])
-        d = _pick(np.cumsum(count * chain.rate[:, c].T, axis=1), draw[:, 2])
-        reached = count[rows, d].astype(np.intp)
-        j = np.minimum((draw[:, 3] * reached).astype(np.intp), reached - 1)
-        parent[:, i] = slot[rows, chain.offset[d] + j]
-        tau[:, i] = now
-        slot[rows, chain.offset[c] + count[rows, c].astype(np.intp)] = i
-        count[rows, c] += 1.0
-        free[rows, c] -= 1.0
-        pull += chain.rate[c]
-        at_target[c == chain.target] = i
-    X = tau[rows, at_target]
+        cum = np.cumsum(free * pull, axis=0)
+        total[i - 1] = cum[-1]
+        c = _pick(cum.T, u[:, i - 1, 1])
+        joined[i] = c
+        flat_free[c * k + rows] -= 1.0
+        pull += chain.rate.take(c, axis=1)  # w(d, c), symmetric
+    # the join times: a running sum of the holding times -ln(u)/total
+    tau = np.zeros((k, stages))
+    held = tau[:, 1:]
+    np.maximum(u[:, :, 0], TINY, out=held)
+    np.log(held, out=held)
+    held /= total.T
+    np.negative(held, out=held)
+    np.cumsum(tau, axis=1, out=tau)
+    del total
+    slot = np.argsort(joined.T, axis=1, kind="stable").astype(np.int32)  # the stage in each slot
+    at = slot[:, chain.offset[chain.target]]  # the target is a class of its own
+    X = tau[rows, at]
     Xi = np.zeros(k)
     path_len = np.zeros(k, dtype=np.int64)
-    cur = at_target
-    while cur.any():
-        up = parent[rows, cur]
-        np.maximum(Xi, tau[rows, cur] - tau[rows, up], out=Xi)
-        path_len += cur != 0
-        cur = up
+    live = rows
+    while len(live):
+        count = np.add.reduceat(slot[live] < at[:, None], chain.offset, axis=1, dtype=float)
+        d = _pick(np.cumsum(count * chain.rate[:, joined[at, live]].T, axis=1), u[live, at - 1, 2])
+        reached = count[np.arange(len(live)), d].astype(np.intp)
+        j = np.minimum((u[live, at - 1, 3] * reached).astype(np.intp), reached - 1)
+        up = slot[live, chain.offset[d] + j]
+        Xi[live] = np.maximum(Xi[live], tau[live, at] - tau[live, up])
+        path_len[live] += 1
+        keep = up != 0
+        live, at = live[keep], up[keep]
     return X, Xi, path_len
 
 

@@ -80,21 +80,18 @@ class WeightedGraph:
         raise GraphValidationError(f"weight {w} on edge {(u, v)} is not positive and finite")
 
     def _is_connected(self) -> bool:
-        """Depth-first search from vertex 0 over the CSR adjacency."""
-        n = len(self.vertices)
-        heads = self._ends.ravel()
-        order = np.argsort(heads, kind="stable")
-        tails = self._ends[:, ::-1].ravel()[order]
-        start = np.searchsorted(heads[order], np.arange(n + 1))
-        seen = np.zeros(n, dtype=bool)
+        """Breadth-first search from vertex 0, one whole frontier per
+        step: the edges with an end in the frontier mark their other ends."""
+        seen = np.zeros(len(self.vertices), dtype=bool)
         seen[0] = True
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            nbrs = tails[start[u]:start[u + 1]]
-            new = nbrs[~seen[nbrs]]
-            seen[new] = True
-            stack.extend(new.tolist())
+        frontier = seen.copy()
+        u, v = self._ends.T
+        while frontier.any() and not seen.all():
+            reached = np.zeros_like(seen)
+            reached[v[frontier[u]]] = True
+            reached[u[frontier[v]]] = True
+            frontier = reached & ~seen
+            seen |= frontier
         return bool(seen.all())
 
     @cached_property

@@ -461,7 +461,8 @@ def _vertices(u: np.ndarray, n: int) -> np.ndarray:
     """Uniforms as vertices ⌊u·n⌋; the clamp to n - 1 catches a product
     u·n that rounds up to n."""
     u *= n
-    return np.minimum(u, n - 1).astype(np.intp)
+    np.minimum(u, n - 1, out=u)
+    return u.astype(np.intp)
 
 
 def coverage_simulate(cfg: CoverageConfig, rng, row: list | None = None,

@@ -1,7 +1,15 @@
+import os
 import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Tier-1 draws the same examples on every run.  HYPOTHESIS_PROFILE=explore
+# opts back into random search, for a deeper hunt.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 from fpplab.chain import solve_hitting
 from fpplab.fpp import fpp_chain_spec

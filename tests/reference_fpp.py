@@ -1,10 +1,16 @@
-"""Reference first-passage solver: one run at a time, in pure Python.
+"""Reference first-passage samplers.
 
-A heap-based Dijkstra with a deterministic tie-break: among minimal-length
-paths the lexicographically smallest vertex sequence wins, so the
-minimizing path (hence Xi) is a function of the traversal times.  It
-shares no code with the numpy lock-step kernel in ``fpplab.fpp`` and
-serves as its oracle in ``test_fpp.py`` and ``test_stats.py``.
+A heap-based Dijkstra, one run at a time in pure Python, with a
+deterministic tie-break: among minimal-length paths the lexicographically
+smallest vertex sequence wins, so the minimizing path (hence Xi) is a
+function of the traversal times.  It shares no code with the numpy
+lock-step kernel in ``fpplab.fpp`` and serves as its oracle in
+``test_fpp.py`` and ``test_stats.py``.
+
+``_lumped_block`` is the lumped-chain kernel that keeps every stage's
+parent, slot and join time as it goes.  ``test_fpp.py`` holds
+``fpplab.fpp._lumped_block``, which draws only the joining class in its
+stage loop, to it bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fpplab.fpp import _Lumped, _pick
 from fpplab.graphs import WeightedGraph
+from fpplab.stats import TINY
 
 
 @dataclass(frozen=True)
@@ -45,3 +53,55 @@ def shortest_path(g: WeightedGraph, xi: np.ndarray, source: int, target: int) ->
             if u not in settled:
                 heapq.heappush(heap, (dist + float(xi[e]), path + (u,)))
     raise RuntimeError("target unreachable; connected graphs cannot get here")
+
+
+def _lumped_block(chain: _Lumped, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X, Xi and the path length of each run of the ``(k, n - 1, 4)``
+    uniform block ``u``, one stage (one joining vertex) per step, every
+    run in step.
+
+    At stage i, class c joins at rate (size_c - count_c) * sum_d count_d
+    w(d, c): ``u[:, i - 1, 0]`` gives the holding time -ln(u)/total,
+    ``1`` the joining class, ``2`` its parent's class d, drawn with weight
+    count_d w(d, c), and ``3`` the parent, uniform among the reached
+    members of d.  A run's reached vertices are its stages, 0 the source,
+    kept in per-class slots.  Once every vertex has joined, each run
+    walks back from the target's stage to the source: X is the target's
+    join time and Xi the largest join-time gap along the way.
+    """
+    k, stages = u.shape[0], u.shape[1] + 1
+    rows = np.arange(k)
+    count = np.zeros((k, len(chain.size)))
+    count[:, chain.source] = 1.0
+    free = chain.size - count
+    pull = np.tile(chain.rate[chain.source], (k, 1))  # sum_d count_d w(d, c)
+    slot = np.zeros((k, stages), dtype=np.intp)       # the stage in each slot
+    parent = np.zeros((k, stages), dtype=np.intp)
+    tau = np.zeros((k, stages))
+    at_target = np.zeros(k, dtype=np.intp)
+    now = np.zeros(k)
+    for i in range(1, stages):
+        draw = u[:, i - 1]
+        cum = np.cumsum(free * pull, axis=1)
+        now -= np.log(np.maximum(draw[:, 0], TINY)) / cum[:, -1]
+        c = _pick(cum, draw[:, 1])
+        d = _pick(np.cumsum(count * chain.rate[:, c].T, axis=1), draw[:, 2])
+        reached = count[rows, d].astype(np.intp)
+        j = np.minimum((draw[:, 3] * reached).astype(np.intp), reached - 1)
+        parent[:, i] = slot[rows, chain.offset[d] + j]
+        tau[:, i] = now
+        slot[rows, chain.offset[c] + count[rows, c].astype(np.intp)] = i
+        count[rows, c] += 1.0
+        free[rows, c] -= 1.0
+        pull += chain.rate[c]
+        at_target[c == chain.target] = i
+    X = tau[rows, at_target]
+    Xi = np.zeros(k)
+    path_len = np.zeros(k, dtype=np.int64)
+    cur = at_target
+    while cur.any():
+        up = parent[rows, cur]
+        np.maximum(Xi, tau[rows, cur] - tau[rows, up], out=Xi)
+        path_len += cur != 0
+        cur = up
+    return X, Xi, path_len

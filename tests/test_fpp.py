@@ -36,6 +36,7 @@ from fpplab.graphs import (
     twin_classes,
 )
 from fpplab.stats import BLOCK_CELLS, SampleStats, block_runs
+import reference_fpp
 from reference_fpp import shortest_path
 
 
@@ -257,6 +258,52 @@ def test_lumped_block_at_extreme_uniforms():
         X, Xi, path_len = _lumped_block(chain, np.full((3, g.n - 1, 4), u))
         assert np.all(np.isfinite(X)) and np.all((0 < Xi) & (Xi <= X))
         assert np.all((path_len >= 3) & (path_len <= g.n - 1))
+
+
+@st.composite
+def twin_class_graphs(draw):
+    """A connected graph on classes of 1 to 8 vertices: the singleton
+    endpoints 0 and 1, then up to five more classes.  Two classes joined
+    in the class graph (a spanning tree plus extra pairs) are joined
+    completely at one rate, and the members of a class meet at one rate,
+    0 meaning not adjacent."""
+    sizes = [1, 1] + draw(st.lists(st.integers(1, 8), min_size=0, max_size=5))
+    K = len(sizes)
+    rate = st.sampled_from([1e-3, 0.05, 1.0, 3.0])
+    joins = {(draw(st.integers(0, b - 1)), b): draw(rate) for b in range(1, K)}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, K - 1), st.integers(0, K - 1)),
+                              max_size=K)):
+        if a != b:
+            joins[min(a, b), max(a, b)] = draw(rate)
+    members = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+    weight = {}
+    for (a, b), w in joins.items():
+        weight.update({(int(x), int(y)): w for x in members[a] for y in members[b]})
+    for group in members:
+        c = draw(st.sampled_from([0.0, 1e-3, 1.0]))
+        if c:
+            weight.update(dict.fromkeys(itertools.combinations(group.tolist(), 2), c))
+    edges = sorted(weight)
+    return WeightedGraph(tuple(f"v{i}" for i in range(sum(sizes))), tuple(edges),
+                         tuple(weight[e] for e in edges))
+
+
+EDGE_UNIFORMS = [None, 0.0, float(np.nextafter(1.0, 0.0))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(twin_class_graphs(), st.integers(1, 300), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(EDGE_UNIFORMS), min_size=4, max_size=4))
+def test_lumped_block_equals_the_reference_kernel(g, k, seed, columns):
+    # the kernel that keeps every stage's parent, slot and join time, bit
+    # for bit, with a uniform column held at 0 or just below 1
+    chain = _lumped(g, twin_classes(g, 0, 1), 0, 1)
+    u = np.random.default_rng(seed).random((k, g.n - 1, 4))
+    for q, value in enumerate(columns):
+        if value is not None:
+            u[..., q] = value
+    for got, want in zip(_lumped_block(chain, u), reference_fpp._lumped_block(chain, u)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 GRID = [0.05, 0.1, 0.2, 0.5]
