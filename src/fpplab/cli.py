@@ -3,9 +3,10 @@
 Scenarios are JSON configs naming a process, a graph source, and a list of
 checks; the runner executes every check, writes ``report.json`` plus
 per-run CSVs, and prints a summary table.  Everything downstream of
-(config, seed) is deterministic: Monte Carlo run i of a check draws from
-the i-th child of that check's seed, or, for the FPP samplers, from row
-i % B of the block whose seed is child i // B (see :mod:`fpplab.fpp`).
+(config, seed) is deterministic: Monte Carlo run i of a check reads row
+i % B of the block seeded by child i // B of the check's seed
+(:func:`fpplab.stats.blocks`).  The checks on (X, Xi) share one FPP
+sample per scenario, drawn from ``check_seed("fpp")``.
 
 Exit codes: 0 all hard assertions pass, 1 assertion failure,
 2 usage/config error, 3 capacity error.
@@ -108,6 +109,11 @@ def _register(name, processes, anchor, statement, min_runs=3, parse=lambda param
 
 
 class _Context:
+    """What a scenario's checks share, each made on first use: the graph,
+    its twin classes, the chain solution and one FPP sample of (X, Xi),
+    drawn from ``check_seed("fpp")`` at the config's ``runs``, which every
+    check on (X, Xi) reads."""
+
     def __init__(self, cfg, seed, out_dir):
         self.cfg = cfg
         self.seed = seed
@@ -115,6 +121,7 @@ class _Context:
         self._graph = None
         self._label = None
         self._solution = None
+        self._fpp = None
 
     def graph(self) -> WeightedGraph:
         if self._graph is None:
@@ -148,10 +155,12 @@ class _Context:
             self._solution = solve_hitting(spec)
         return self._solution
 
-    def fpp_batch(self, check, runs):
-        s, t = self.endpoints()
-        return sample_fpp_batch(self.graph(), s, t, runs, self.check_seed(check),
-                                label=self.twin_label())
+    def fpp_batch(self, runs):
+        if self._fpp is None:
+            s, t = self.endpoints()
+            self._fpp = sample_fpp_batch(self.graph(), s, t, runs, self.check_seed("fpp"),
+                                         label=self.twin_label())
+        return self._fpp
 
     def check_seed(self, name):
         return np.random.SeedSequence([self.seed, _stable_hash(name)])
@@ -223,7 +232,7 @@ def _check_continuization(ctx, params):
            "MC mean/var of X agree with the exact chain solution within 4 sigma")
 def _check_dual_agreement(ctx, params):
     sol = ctx.solution()  # first: a graph past the exact cap exits before sampling
-    batch = ctx.fpp_batch("dual_agreement", params["runs"])
+    batch = ctx.fpp_batch(params["runs"])
     ctx.write("dual_agreement_runs.csv", "run_index,X,Xi,path_len",
               (f"{i},{x!r},{xi!r},{plen}" for i, x, xi, plen in batch.rows()))
     stats = SampleStats.from_samples(batch.X)
@@ -281,7 +290,7 @@ def _check_coupling_lower(ctx, params):
            parse=_given_reals("submultiplicativity", ("y1", "y2")))
 def _check_submult(ctx, params):
     sol = ctx.solution()
-    batch = ctx.fpp_batch("submultiplicativity", params["runs"])
+    batch = ctx.fpp_batch(params["runs"])
     y1 = params.get("y1", sol.E_T)
     y2 = params.get("y2", sol.E_T)
     rep = submultiplicativity_probe(batch.X, y1, y2)
@@ -294,7 +303,7 @@ def _check_submult(ctx, params):
                "deltas": _modulus_deltas(params, "theorem1_lower", [0.25, 0.5, 1.0])})
 def _check_theorem1_lower(ctx, params):
     sol = ctx.solution()
-    batch = ctx.fpp_batch("theorem1_lower", params["runs"])
+    batch = ctx.fpp_batch(params["runs"])
     points = theorem1_lower_check(batch.Xi, sol.E_T, sol.var_T, params["deltas"])
     ok = all(p.holds for p in points)
     return {"points": [_clean(p) for p in points],
@@ -603,6 +612,7 @@ def _validate_config(cfg):
         raise ConfigError("config needs a non-empty 'checks' list")
     runs = _integer(cfg.get("runs", 10_000), "runs", 3)
     parsed = []
+    named = set()
     for item in checks:
         if isinstance(item, str):
             name, params = item, {}
@@ -614,6 +624,9 @@ def _validate_config(cfg):
         if not isinstance(name, str) or name not in CHECKS:
             known = ", ".join(sorted(CHECKS))
             raise ConfigError(f"unknown check {name!r}; catalog: {known}")
+        if name in named:  # the report keeps one entry per check
+            raise ConfigError(f"check {name!r} is named twice")
+        named.add(name)
         meta = CHECKS[name]
         if process not in meta["processes"]:
             raise ConfigError(
@@ -621,6 +634,8 @@ def _validate_config(cfg):
                 f"(valid: {meta['processes']})"
             )
         values = meta["parse"](params)
+        if "runs" in params and "runs" not in values:
+            raise ConfigError(f"check {name!r} runs the config's 'runs', not its own")
         values["runs"] = _integer(values.get("runs", runs), f"{name} runs", meta["min_runs"])
         parsed.append((name, values))
     return parsed

@@ -18,7 +18,7 @@ from fpplab.graphs import (CapacityError, GraphParseError, GraphValidationError,
                            complete_graph)
 from fpplab.growth import GrowthConfig
 from fpplab.multigraph import Prop2Report
-from fpplab.stats import F_K_eval
+from fpplab.stats import F_K_eval, wilson_band
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.json"))
@@ -116,6 +116,7 @@ def test_cli_seed_flag_overrides_config(tmp_path):
     lambda c: c.update(runs="many", checks=["dual_agreement"]),
     lambda c: c.update(runs=2, checks=["dual_agreement"]),
     lambda c: c.update(checks=[{"name": "theorem1_trend", "runs": 2}]),
+    lambda c: c.update(checks=[{"name": "dual_agreement", "runs": 500}]),  # not its own
     lambda c: c.update(process="growth", runs=500, checks=["prop1"]),
     lambda c: c.update(process="multigraph", runs=500, checks=["prop2"]),
     lambda c: c.update(process="coverage", runs=500, checks=["prop3"]),
@@ -167,6 +168,9 @@ def test_cli_seed_flag_overrides_config(tmp_path):
                                                       "kinds": ["span"]}]),
     lambda c: c.update(process="multigraph", checks=[{"name": "prop2", "ks": [1],
                                                       "kinds": ["span", "span"]}]),
+    # the report keeps one entry per check, so a second one would be lost
+    lambda c: c.update(checks=[{"name": "theorem1_lower", "deltas": [0.25]},
+                               {"name": "theorem1_lower", "deltas": [1.0]}]),
 ])
 def test_usage_errors_exit_two(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(BASE))
@@ -230,6 +234,32 @@ def test_deltas_too_small_for_log_space_exit_two(tmp_path, capsys, check, delta,
     assert run_scenario(write_cfg(tmp_path, cfg)) == code
     if code == 2:
         assert f"{check} delta {delta!r} is too small" in capsys.readouterr().err
+
+
+def test_fpp_checks_read_one_sample(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(g, s, t, runs, seed, **kwargs):
+        calls.append(runs)
+        return fpp.sample_fpp_batch(g, s, t, runs, seed, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_fpp_batch", counting)
+    graph = {"family": "bridge", "args": {"c1": 3, "c2": 3, "bridge_rate": 0.5}}
+    cfg = dict(BASE, graph=graph, runs=1000,
+               checks=["dual_agreement", "theorem1_lower", "submultiplicativity"])
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=out) == 0
+    assert calls == [1000]
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert checks["submultiplicativity"]["result"]["n"] == 1000
+    for point in checks["theorem1_lower"]["result"]["points"]:  # its band is sized by n
+        assert point["tail_band"] == wilson_band(point["tail"], 1000)[1]
+    ctx = cli._Context(cfg, BASE["seed"], None)
+    g, (s, t) = ctx.graph(), ctx.endpoints()
+    full = fpp.sample_fpp_batch(g, s, t, 1000, ctx.check_seed("fpp"))
+    rows = (out / "dual_agreement_runs.csv").read_text().splitlines()[1:]
+    assert rows == [f"{i},{x!r},{xi!r},{n}" for i, x, xi, n in
+                    zip(range(1000), full.X.tolist(), full.Xi.tolist(), full.path_len.tolist())]
 
 
 @pytest.mark.parametrize("check", ["dual_agreement", "submultiplicativity", "theorem1_lower"])

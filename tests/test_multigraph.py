@@ -294,12 +294,14 @@ def test_block_formulas_equal_the_forward_pass(seed, kind, ks, chunk):
     g = random_gnp_graph(int(rng.integers(3, 8)), 0.7, (0.1, 5.0), rng)
     assume(kind == "span" or g.triangles)
     ks = sorted(ks)
-    # rows of one or two arrivals leave most runs to the forward pass
+    # rows of one or two arrivals leave most runs to the forward pass, which
+    # reads on one or two arrivals at a time; a few runs reach every branch
+    runs = 150 if chunk == CHUNK else 30
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multigraph, "CHUNK", chunk)
         uncertified = Counter()
-        got = sample_stopping_times(g, ks, 150, seed, kinds=(kind,), uncertified=uncertified)
-        want = forward_samples(g, ks, 150, seed, (kind,))
+        got = sample_stopping_times(g, ks, runs, seed, kinds=(kind,), uncertified=uncertified)
+        want = forward_samples(g, ks, runs, seed, (kind,))
     for k in ks:
         assert np.array_equal(got[kind][k], want[kind][k])
     assert uncertified == Counter()
