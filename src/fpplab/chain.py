@@ -13,7 +13,7 @@ temporary is as large as the whole chain:
 * ``E T``         sum of expected occupation times
 * ``var T``       occupation-measure sum of per-state quadratic variation
 
-One spec is read as rates (``solve_hitting``, ``variance_by_first_step``)
+One spec is read as rates (``solve_hitting``)
 or as jump probabilities, the leftover mass a self-loop (``solve_discrete``,
 ``continuization_check``); the second reading continuized is the first.
 ``continuization_check`` reads a whole list of specs both ways at once:
@@ -298,20 +298,6 @@ def solve_hitting(spec: ChainSpec) -> ExactSolution:
     """Exactly solve mean, variance, visit probabilities and occupation
     times of the hitting time of the target collection (numbers as rates)."""
     return _solve(_spec_chain(spec, "rate"))
-
-
-def _first_step(q, sum_h, sum_m2):
-    # T = W + T' with W ~ Exp(q) independent of the jump target
-    eh = sum_h / q
-    return 1.0 / q + eh, 2.0 / q**2 + 2.0 * eh / q + sum_m2 / q
-
-
-def variance_by_first_step(spec: ChainSpec) -> tuple[float, float]:
-    """Independent route to (E T, var T) of the rate chain: first-step
-    recursions for the first and second moment of T.  Used to cross-check
-    the occupation-measure variance."""
-    h, m2 = _backward(_spec_chain(spec, "rate"), _first_step, 2)
-    return float(h[0]), float(m2[0] - h[0] ** 2)
 
 
 def _discrete_step(move, sum_n, sum_m2):

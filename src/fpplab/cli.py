@@ -634,8 +634,8 @@ def _validate_config(cfg):
                 f"(valid: {meta['processes']})"
             )
         values = meta["parse"](params)
-        if "runs" in params and "runs" not in values:
-            raise ConfigError(f"check {name!r} runs the config's 'runs', not its own")
+        if unknown := sorted(set(params) - set(values)):
+            raise ConfigError(f"check {name!r} takes no parameter {unknown[0]!r}")
         values["runs"] = _integer(values.get("runs", runs), f"{name} runs", meta["min_runs"])
         parsed.append((name, values))
     return parsed
@@ -771,7 +771,6 @@ def main(argv=None) -> int:
     runp.add_argument("config")
     runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--out", default=None)
-    runp.add_argument("--threads", type=int, default=1, help="accepted, ignored")
     sub.add_parser("list-checks", help="print the check catalog")
     sub.add_parser("families", help="print the built-in graph families")
     args = parser.parse_args(argv)

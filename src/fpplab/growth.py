@@ -1,12 +1,12 @@
 """Lattice growth and coverage processes.
 
 The growth process is Richardson's lattice growth on Z^2: a connected
-cluster grows from the origin, frontier sites fire at state-dependent rates
-bounded between c_lo and c_hi and nondecreasing in the cluster.  The
-frontier of a finite cluster is finite, so a run follows the process on the
-whole lattice until the cluster meets the target set.  A rate is local: it
-depends on the cluster only through the site's four lattice neighbours, so
-after each arrival only the new site's neighbours are re-rated.
+cluster grows from the origin, and a frontier site (x, y) with k cluster
+neighbours fires at rate ``rate(x, y, k)``, bounded between c_lo and c_hi
+and nondecreasing in k.  The rate sees the cluster only through k, so
+after each arrival only the new site's neighbours are re-rated.  The
+frontier of a finite cluster is finite, so a run follows the process on
+the whole lattice until the cluster meets the target set.
 
 The coverage process draws IID uniform vertices of a graph until every
 vertex is in the closed neighborhood of the drawn set.
@@ -19,12 +19,13 @@ Both samplers draw in blocks (:func:`fpplab.stats.blocks`), a row per run:
 row reads rows of the same length from its own stream
 (:class:`fpplab.stats.RowStream`).
 
-A rate builtin's growth runs go through a lock-step kernel
-(:func:`_lockstep`): ``LOCKSTEP_RUNS`` runs advance together, an event
-each per step, on a lattice window around the target, where a run's
-frontier rates and their cumulative sum sit in the loop's frontier order.
-So every time is the float the per-run loop (:func:`growth_hitting_time`)
-returns, and that loop reruns each run the kernel leaves.
+Growth runs go through a lock-step kernel (:func:`_lockstep`):
+``LOCKSTEP_RUNS`` runs advance together, an event each per step, on a
+lattice window around the target, where a run's frontier rates and their
+cumulative sum sit in the loop's frontier order.  So every time is the
+float the per-run loop (:func:`growth_hitting_time`) returns.  That loop
+reruns each run the kernel leaves, and runs every run of a target too far
+out for a window.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ def _site_hash(x, y):
     return h / 2**32
 
 
-def _site_hash_unit(v: Site) -> float:
-    return _site_hash(*v)
-
-
 def _positive(*values) -> None:
     for v in values:
         if not 0 < v < math.inf:
@@ -86,30 +83,21 @@ def _positive(*values) -> None:
 
 def constant_rate(c: float):
     _positive(c)
-
-    def rate(S, v):
-        return c
-    return rate, c, c
+    return (lambda x, y, k: c), c, c
 
 
 def site_weighted_rate(c_lo: float, c_hi: float):
-    """Per-site rate fixed by the coordinates; trivially nondecreasing in S."""
+    """Per-site rate fixed by the coordinates; trivially nondecreasing in k."""
     _positive(c_lo, c_hi)
     if c_lo > c_hi:
         raise ValueError(f"site_weighted needs c_lo <= c_hi, got {c_lo!r} > {c_hi!r}")
-
-    def rate(S, v):
-        return c_lo + (c_hi - c_lo) * _site_hash_unit(v)
-    return rate, c_lo, c_hi
+    return (lambda x, y, k: c_lo + (c_hi - c_lo) * _site_hash(x, y)), c_lo, c_hi
 
 
 def neighbor_count_rate(base: float):
-    """base times the number of cluster neighbors; increasing in S."""
+    """base times the number of cluster neighbours; increasing in k."""
     _positive(base)
-
-    def rate(S, v):
-        return base * sum((v[0] + dx, v[1] + dy) in S for dx, dy in _NBRS)
-    return rate, base, 4.0 * base
+    return (lambda x, y, k: base * k), base, 4.0 * base
 
 
 RATE_BUILTINS = {
@@ -117,56 +105,40 @@ RATE_BUILTINS = {
     "site_weighted": site_weighted_rate,
     "neighbor_count": neighbor_count_rate,
 }
-# The builtins' rates on arrays, ``grid_rate(x, y, k)`` at site (x, y) with
-# k cluster neighbours, broadcast over the three; each is bit-identical to
-# its ``rate_fn``.
-_GRID_RATES = {
-    "constant": lambda c: lambda x, y, k: c,
-    "site_weighted": lambda c_lo, c_hi: lambda x, y, k: c_lo + (c_hi - c_lo) * _site_hash(x, y),
-    "neighbor_count": lambda base: lambda x, y, k: base * k,
-}
 
 
 @dataclass
 class GrowthConfig:
-    """Growth towards ``target`` with frontier rates ``rate_fn(S, v)`` in
-    [c_lo, c_hi], nondecreasing in the cluster S and local: ``rate_fn(S, v)``
-    depends on S only through the four lattice neighbours of v."""
+    """Growth towards ``target`` where a frontier site (x, y) with k
+    cluster neighbours fires at ``rate(x, y, k)``, in [c_lo, c_hi] and
+    nondecreasing in k.  The per-run loop calls ``rate`` on Python ints;
+    the lock-step window calls it once on arrays (x and y as arrays of
+    Python ints, k as the integer column 1-4), so it must broadcast."""
 
     target: frozenset[Site]
-    rate_fn: Callable[[set, Site], float] = field(repr=False)
+    rate: Callable = field(repr=False)
     c_lo: float = 1.0
     c_hi: float = 1.0
-    # set by builtin(): the rate on arrays, which lets growth_samples run
-    # its runs in lock-step (_lockstep)
-    grid_rate: Callable | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def builtin(cls, target, kind: str, **params) -> "GrowthConfig":
         if kind not in RATE_BUILTINS:
             raise ValueError(f"unknown rate builtin {kind!r}; have {sorted(RATE_BUILTINS)}")
-        fn, c_lo, c_hi = RATE_BUILTINS[kind](**params)
+        rate, c_lo, c_hi = RATE_BUILTINS[kind](**params)
         target = frozenset(tuple(v) for v in target)
         if not target or (0, 0) in target:
             raise ValueError("target must be non-empty and must not contain the origin")
-        return cls(target=target, rate_fn=fn, c_lo=c_lo, c_hi=c_hi,
-                   grid_rate=_GRID_RATES[kind](**params))
+        return cls(target=target, rate=rate, c_lo=c_lo, c_hi=c_hi)
 
 
-def _frontier(cluster: set) -> list:
-    out = set()
-    for (x, y) in cluster:
-        for dx, dy in _NBRS:
-            v = (x + dx, y + dy)
-            if v not in cluster:
-                out.add(v)
-    return sorted(out)
+def _escapes(cfg: GrowthConfig, r) -> ValueError:
+    return ValueError(f"rate {r} escapes the stated bounds [{cfg.c_lo}, {cfg.c_hi}]")
 
 
-def _checked_rate(cfg: GrowthConfig, cluster: set, v: Site) -> float:
-    r = cfg.rate_fn(cluster, v)
+def _checked_rate(cfg: GrowthConfig, v: Site, k: int) -> float:
+    r = cfg.rate(*v, k)
     if not (cfg.c_lo - 1e-12 <= r <= cfg.c_hi + 1e-12):
-        raise ValueError(f"rate {r} escapes the stated bounds [{cfg.c_lo}, {cfg.c_hi}]")
+        raise _escapes(cfg, r)
     return r
 
 
@@ -185,11 +157,12 @@ def growth_hitting_time(cfg: GrowthConfig, rng, row: list | None = None) -> floa
     GROWTH_ROW))`` at a time from ``rng``, a generator or a
     :class:`fpplab.stats.RowStream`.
 
-    The frontier is kept sorted with its rates alongside; by locality an
-    arrival changes only the rates of the new site's lattice neighbours."""
+    The frontier is kept sorted with each site's rate and cluster neighbour
+    count alongside, so an arrival re-rates only the new site's neighbours."""
     cluster = {(0, 0)}
-    frontier = _frontier(cluster)
-    rates = [_checked_rate(cfg, cluster, v) for v in frontier]
+    frontier = sorted(_NBRS)  # the origin's neighbours, one cluster neighbour each
+    counts = [1] * len(frontier)
+    rates = [_checked_rate(cfg, v, 1) for v in frontier]
     t = 0.0
     holds, picks = row or ((), ())
     e = 0  # the next event of the row
@@ -204,7 +177,7 @@ def growth_hitting_time(cfg: GrowthConfig, rng, row: list | None = None) -> floa
         e += 1
         i = min(bisect_right(partial, pick), len(frontier) - 1)
         chosen = frontier.pop(i)
-        del rates[i]
+        del rates[i], counts[i]
         cluster.add(chosen)
         if chosen in cfg.target:
             return t
@@ -213,13 +186,14 @@ def growth_hitting_time(cfg: GrowthConfig, rng, row: list | None = None) -> floa
             v = (x + dx, y + dy)
             if v in cluster:
                 continue
-            r = _checked_rate(cfg, cluster, v)
             j = bisect_left(frontier, v)
             if j < len(frontier) and frontier[j] == v:
-                rates[j] = r
+                counts[j] += 1
+                rates[j] = _checked_rate(cfg, v, counts[j])
             else:
                 frontier.insert(j, v)
-                rates.insert(j, r)
+                counts.insert(j, 1)
+                rates.insert(j, _checked_rate(cfg, v, 1))
 
 
 @dataclass
@@ -242,23 +216,20 @@ _JOINED = 5
 
 def _window(cfg: GrowthConfig) -> _Window | None:
     """The window for ``cfg``, R = ``WINDOW_MARGIN`` past the target's
-    largest |coordinate|, or None when ``cfg`` has no grid rate, when the
-    state of ``LOCKSTEP_RUNS`` runs would pass ``ROW_CELLS`` cells, or when
-    some window rate escapes the stated bounds (the per-run loop then
-    raises where a run reaches it)."""
-    if cfg.grid_rate is None:
-        return None
+    largest |coordinate|, or None when the state of ``LOCKSTEP_RUNS`` runs
+    would pass ``ROW_CELLS`` cells.  Raises when a window rate escapes the
+    stated bounds."""
     R = max(max(abs(x), abs(y)) for x, y in cfg.target) + WINDOW_MARGIN
     w = 2 * R + 1
     if LOCKSTEP_RUNS * w * w > ROW_CELLS:
         return None
     side = np.arange(-R, R + 1, dtype=object)  # Python ints: exact at any coordinate
     rates = np.zeros((2 * _JOINED, w * w))
-    rates[:_JOINED] = cfg.grid_rate(np.repeat(side, w), np.tile(side, w),
-                                    np.arange(_JOINED)[:, None])
     live = rates[1:_JOINED]  # a frontier site has 1-4 cluster neighbours
-    if np.any((live < cfg.c_lo - 1e-12) | (live > cfg.c_hi + 1e-12)):
-        return None
+    live[:] = cfg.rate(np.repeat(side, w), np.tile(side, w), np.arange(1, _JOINED)[:, None])
+    bad = live[~((live >= cfg.c_lo - 1e-12) & (live <= cfg.c_hi + 1e-12))]
+    if bad.size:
+        raise _escapes(cfg, bad[0])
     target = np.zeros(w * w, bool)
     target[[(vx + R) * w + vy + R for vx, vy in cfg.target]] = True
     border = np.ones((w, w), bool)
@@ -386,7 +357,7 @@ def growth_samples(cfg: GrowthConfig, runs: int, seed) -> np.ndarray:
     """``runs`` hitting times; block j draws ``random((k, 2, GROWTH_ROW))``.
     With a window (:func:`_window`) the runs go through :func:`_lockstep`,
     and a run it leaves is rerun from its row by
-    :func:`growth_hitting_time`, the same float."""
+    :func:`growth_hitting_time`, the same float; without one, every run is."""
     samples = np.empty(runs)
     chunks = _event_rows(seed, runs)
     win = _window(cfg)

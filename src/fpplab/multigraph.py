@@ -225,18 +225,6 @@ def has_spanning_tree_packing(m: Multigraph | ForestUnion, k: int) -> bool:
     return union.rank >= k * (union.n - 1)
 
 
-def max_spanning_tree_packing(m: Multigraph) -> int:
-    """Maximum number of edge-disjoint spanning trees (0 if the multigraph
-    is disconnected): one union, grown while all its forests span."""
-    n = m.base.n
-    if n <= 1:
-        return 0
-    union = ForestUnion.of(m)
-    while union.rank == len(union.forests) * (n - 1):
-        union.grow()
-    return len(union.forests) - 1
-
-
 # ---------------------------------------------------------------------------
 # Triangle packing (branch and bound)
 

@@ -4,9 +4,10 @@ This is the straightforward event loop for Richardson growth on Z^2 that
 ``fpplab.growth.growth_hitting_time`` replaces with an incrementally kept
 frontier.  Each step it recomputes the sorted frontier from the whole
 cluster, re-rates every frontier site and picks the next site by a linear
-scan of the partial rate sums, so it relies on no locality of the rate
-function and serves as the oracle in ``test_growth.py``: on the same
-generator both must return the same float.  It reads the same uniforms,
+scan of the partial rate sums, counting each frontier site's cluster
+neighbours afresh, so it relies on none of the loop's incremental counts
+and serves as the oracle in ``test_growth.py``: on the same generator both
+must return the same float.  It reads the same uniforms,
 ``random((2, GROWTH_ROW))`` at a time: ``GROWTH_ROW`` holding times
 -ln(u) / (total rate), then as many picks u * (total rate).
 
@@ -55,7 +56,8 @@ def growth_hitting_time(cfg, rng) -> float:
             draw = next(events)
         hold, u_pick = draw
         sites = frontier(cluster)
-        rates = [cfg.rate_fn(cluster, v) for v in sites]
+        rates = [cfg.rate(x, y, sum((x + dx, y + dy) in cluster for dx, dy in _NBRS))
+                 for x, y in sites]
         for r in rates:
             if not (cfg.c_lo - 1e-12 <= r <= cfg.c_hi + 1e-12):
                 raise ValueError(f"rate {r} escapes the stated bounds [{cfg.c_lo}, {cfg.c_hi}]")
@@ -79,8 +81,8 @@ def site_fpp_hitting_time(cfg, rng) -> float:
     but the origin holds an Exp(rate at that site) passage time, and T(v)
     is T of its first reached neighbour plus v's own time.  Dijkstra pops
     sites in time order, so a site's time is drawn once, when it is first
-    reached, and fixes T(v) there.  The rate is read with an empty
-    cluster, so it must depend on the site alone."""
+    reached, and fixes T(v) there.  The rate is read at one cluster
+    neighbour, so it must depend on the site alone."""
     heap, reached = [(0.0, (0, 0))], {(0, 0)}
     while True:
         t, (x, y) = heapq.heappop(heap)
@@ -90,7 +92,7 @@ def site_fpp_hitting_time(cfg, rng) -> float:
             v = (x + dx, y + dy)
             if v not in reached:
                 reached.add(v)
-                heapq.heappush(heap, (t + rng.exponential(1.0 / cfg.rate_fn(set(), v)), v))
+                heapq.heappush(heap, (t + rng.exponential(1.0 / cfg.rate(*v, 1)), v))
 
 
 def bond_fpp_hitting_time(target, base: float, rng) -> float:

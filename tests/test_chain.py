@@ -14,14 +14,13 @@ from fpplab.chain import (
     lemma2_grid,
     solve_discrete,
     solve_hitting,
-    variance_by_first_step,
 )
 from fpplab.cli import _random_discrete_chains
 from fpplab.fpp import fpp_chain_spec
 from fpplab.graphs import CapacityError, WeightedGraph, complete_graph, path_graph
 
 import reference_chain
-from helpers import lemma2_bound, max_identity_error
+from helpers import lemma2_bound, max_identity_error, variance_by_first_step
 
 
 def weighted_path(rates):

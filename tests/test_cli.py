@@ -171,6 +171,9 @@ def test_cli_seed_flag_overrides_config(tmp_path):
     # the report keeps one entry per check, so a second one would be lost
     lambda c: c.update(checks=[{"name": "theorem1_lower", "deltas": [0.25]},
                                {"name": "theorem1_lower", "deltas": [1.0]}]),
+    # a misspelt parameter would otherwise run at its default
+    lambda c: c.update(checks=[{"name": "lemma1", "detlas": [0.1]}]),
+    lambda c: c.update(checks=[{"name": "submultiplicativity", "y_1": 0.5}]),
 ])
 def test_usage_errors_exit_two(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(BASE))

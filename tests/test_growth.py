@@ -41,33 +41,25 @@ _BUILTIN_PARAMS = {
 def test_rate_builtins_respect_bounds():
     rng = np.random.default_rng(0)
     fn, lo, hi = site_weighted_rate(0.5, 2.0)
-    for v in ((0, 0), (3, -2), (-7, 5)):
-        r = fn({(0, 0)}, v)
-        assert lo <= r <= hi
+    for x, y in ((0, 0), (3, -2), (-7, 5)):
+        for k in range(1, 5):
+            assert lo <= fn(x, y, k) <= hi
+            assert fn(x, y, k) == fn(x, y, 1)
     validate_rate_monotone(fn, rng)
     fn, lo, hi = neighbor_count_rate(0.7)
-    assert fn({(0, 0)}, (1, 0)) == 0.7
-    assert fn({(0, 0), (1, 1), (0, 2)}, (0, 1)) == pytest.approx(2.1)
+    assert fn(1, 0, 1) == 0.7
+    assert fn(0, 1, 3) == pytest.approx(2.1)
     validate_rate_monotone(fn, np.random.default_rng(1))
+    for kind, params in _BUILTIN_PARAMS.items():
+        validate_rate_monotone(RATE_BUILTINS[kind](**params)[0], np.random.default_rng(4))
 
 
 def test_validate_rate_monotone_catches_decreasing():
-    def bad_rate(S, v):
-        return 1.0 / len(S)  # shrinks as the cluster grows
+    def bad_rate(x, y, k):
+        return 1.0 / k  # shrinks as the cluster grows
 
     with pytest.raises(RateMonotonicityError):
         validate_rate_monotone(bad_rate, np.random.default_rng(2))
-
-
-def test_validate_rate_monotone_catches_nonlocal_rate():
-    def crowd_rate(S, v):
-        return min(1.0 + 0.01 * len(S), 2.0)  # monotone, but sees the whole cluster
-
-    with pytest.raises(ValueError, match="not one of its lattice neighbours") as err:
-        validate_rate_monotone(crowd_rate, np.random.default_rng(3))
-    assert not isinstance(err.value, RateMonotonicityError)
-    for kind, params in _BUILTIN_PARAMS.items():
-        validate_rate_monotone(RATE_BUILTINS[kind](**params)[0], np.random.default_rng(4))
 
 
 def test_growth_config_validation():
@@ -98,7 +90,7 @@ def test_growth_first_jump_law():
 _AXES = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def ring_chain_spec(rate_fn) -> ChainSpec:
+def ring_chain_spec(rate) -> ChainSpec:
     """Growth with the ring |x| + |y| = 2 as target: until the hit, the
     cluster is the origin plus a subset of its four neighbours (bits 0-3);
     bit 4 marks the hit."""
@@ -106,11 +98,12 @@ def ring_chain_spec(rate_fn) -> ChainSpec:
         cluster = {(0, 0)} | {a for i, a in enumerate(_AXES) if mask >> i & 1}
         frontier = {(x + dx, y + dy) for x, y in cluster for dx, dy in _AXES} - cluster
         out, hit = [], 0.0
-        for v in frontier:
-            if v in _AXES:
-                out.append((mask | 1 << _AXES.index(v), rate_fn(cluster, v)))
+        for x, y in frontier:
+            r = rate(x, y, sum((x + dx, y + dy) in cluster for dx, dy in _AXES))
+            if (x, y) in _AXES:
+                out.append((mask | 1 << _AXES.index((x, y)), r))
             else:
-                hit += rate_fn(cluster, v)
+                hit += r
         return out + ([(mask | 1 << 4, hit)] if hit else [])
 
     return ChainSpec(initial=0, transitions=transitions, is_target=lambda m: m >> 4 & 1)
@@ -126,7 +119,7 @@ def test_growth_hitting_time_matches_exact_ring_chain(rate, exact_mean):
     sol = solve_hitting(ring_chain_spec(fn))
     assert sol.E_T == pytest.approx(exact_mean, abs=1e-5)
     ring = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if abs(x) + abs(y) == 2]
-    cfg = GrowthConfig(target=frozenset(ring), rate_fn=fn, c_lo=c_lo, c_hi=c_hi)
+    cfg = GrowthConfig(target=frozenset(ring), rate=fn, c_lo=c_lo, c_hi=c_hi)
     rng = np.random.default_rng(11)
     stats = SampleStats.from_samples([growth_hitting_time(cfg, rng) for _ in range(20_000)])
     assert abs(stats.mean - sol.E_T) <= 4.0 * stats.mean_se
@@ -146,20 +139,21 @@ def test_growth_hitting_time_matches_rebuild_every_step_reference(kind, target, 
 
 
 def test_growth_hitting_time_rates_only_the_new_sites_neighbours():
+    # each site is rated once as it joins the frontier and once more per
+    # cluster neighbour it gains after that, at its count so far
     fn, c_lo, c_hi = constant_rate(1.0)
-    calls, seen = [0], []
+    seen = {}
 
-    def counting(S, v):
-        calls[0] += 1
-        seen.append(S)
-        return fn(S, v)
+    def counting(x, y, k):
+        seen.setdefault((x, y), []).append(k)
+        return fn(x, y, k)
 
     cfg = GrowthConfig(target=frozenset({(20, 0), (-20, 0), (0, 20), (0, -20)}),
-                       rate_fn=counting, c_lo=c_lo, c_hi=c_hi)
+                       rate=counting, c_lo=c_lo, c_hi=c_hi)
     growth_hitting_time(cfg, np.random.default_rng(5))
-    cluster = seen[-1]  # the simulator's own cluster, as it stood at the hit
-    assert len(cluster) > 100
-    assert calls[0] <= 4 * len(cluster)
+    assert len(seen) > 100
+    for ks in seen.values():
+        assert ks == list(range(1, len(ks) + 1)) and len(ks) <= 4
 
 
 @pytest.mark.parametrize("kind", sorted(_BUILTIN_PARAMS))
@@ -280,9 +274,11 @@ _CROSS = [[3, 0], [-3, 0], [0, 3], [0, -3]]
 _SITE_WEIGHTED = {"c_lo": 0.5, "c_hi": 2.0}
 
 
-def _per_run(cfg: GrowthConfig) -> GrowthConfig:
-    """``cfg`` without its grid rate: growth_samples runs it run by run."""
-    return dataclasses.replace(cfg, grid_rate=None)
+def _per_run_samples(cfg: GrowthConfig, runs: int, seed) -> np.ndarray:
+    """``growth_samples`` with no window, so every run takes the per-run loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "_window", lambda cfg: None)
+        return growth_samples(cfg, runs, seed)
 
 
 def _assert_bitwise_equal(a: np.ndarray, b: np.ndarray) -> None:
@@ -311,8 +307,7 @@ def test_lockstep_kernel_equals_the_per_run_loop(data, kind, target, slots, seed
     assert growth._window(cfg) is not None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(growth, "LOCKSTEP_RUNS", slots)
-        _assert_bitwise_equal(growth_samples(cfg, 260, seed),
-                              growth_samples(_per_run(cfg), 260, seed))
+        _assert_bitwise_equal(growth_samples(cfg, 260, seed), _per_run_samples(cfg, 260, seed))
 
 
 def test_a_target_past_the_cell_budget_builds_no_window():
@@ -327,7 +322,7 @@ def test_lockstep_kernel_equals_the_loop_when_rows_run_out(monkeypatch, row):
     monkeypatch.setattr(growth, "GROWTH_ROW", row)
     for kind, params in _BUILTIN_PARAMS.items():
         cfg = GrowthConfig.builtin([[1, 0], [0, 2]], kind, **params)
-        _assert_bitwise_equal(growth_samples(cfg, 300, 21), growth_samples(_per_run(cfg), 300, 21))
+        _assert_bitwise_equal(growth_samples(cfg, 300, 21), _per_run_samples(cfg, 300, 21))
 
 
 def test_lockstep_kernel_caps_a_pick_at_the_total_as_the_loop_does():
@@ -354,45 +349,39 @@ def test_grid_site_hash_equals_the_scalar_hash():
     rng = np.random.default_rng(10)
     xy = np.concatenate([rng.integers(-2**20, 2**20 + 1, (2000, 2)),
                          [[-2**20, -2**20], [-2**20, 2**20], [2**20, -1], [-1, -1], [0, 0]]])
-    want = [growth._site_hash_unit((x, y)) for x, y in xy.tolist()]
+    want = [growth._site_hash(x, y) for x, y in xy.tolist()]  # Python ints, as the loop has
     assert growth._site_hash(xy[:, 0], xy[:, 1]).tolist() == want  # int64
     x, y = xy.astype(object).T  # Python ints, as the window builds them
-    cfg = GrowthConfig.builtin([[1, 0]], "site_weighted", **_SITE_WEIGHTED)
-    assert cfg.grid_rate(x, y, 1).tolist() == [cfg.rate_fn(set(), v) for v in xy.tolist()]
     assert np.array_equal(growth._site_hash(x, y).astype(float), want)
+    rate = GrowthConfig.builtin([[1, 0]], "site_weighted", **_SITE_WEIGHTED).rate
+    assert rate(x, y, 1).tolist() == [rate(vx, vy, 1) for vx, vy in xy.tolist()]
 
 
-def test_grid_rates_equal_the_builtin_rates():
-    sites = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
-    x, y = np.array(sites, dtype=object).T
-    for kind, params in _BUILTIN_PARAMS.items():
-        cfg = GrowthConfig.builtin([[1, 0]], kind, **params)
-        for k in range(1, 5):
-            grid = np.broadcast_to(cfg.grid_rate(x, y, k), len(sites)).tolist()
-            for (vx, vy), r in zip(sites, grid):
-                cluster = {(vx + dx, vy + dy) for dx, dy in _AXES[:k]}
-                assert r == cfg.rate_fn(cluster, (vx, vy))
+def test_a_custom_rate_runs_through_the_kernel(monkeypatch):
+    # a rate that no builtin has, varying with the site and the count:
+    # it must broadcast over the window's arrays, and the kernel's times
+    # must be the loop's, bit for bit
+    def rate(x, y, k):
+        return 0.5 + 0.25 * (x % 3) + 0.125 * k
 
+    cfg = GrowthConfig(target=frozenset(map(tuple, _CROSS)), rate=rate, c_lo=0.625, c_hi=1.5)
+    validate_rate_monotone(rate, np.random.default_rng(22))
+    kernel_runs, loop_runs = [0], [0]
+    kernel, loop = growth._lockstep, growth.growth_hitting_time
 
-def test_a_custom_rate_takes_the_per_run_path(monkeypatch):
-    fn, c_lo, c_hi = constant_rate(1.0)
-    calls = [0]
+    def counting_kernel(win, chunks, samples):
+        kernel_runs[0] += 1
+        yield from kernel(win, chunks, samples)
 
-    def counting(S, v):
-        calls[0] += 1
-        return fn(S, v)
+    def counting_loop(*args):
+        loop_runs[0] += 1
+        return loop(*args)
 
-    def no_kernel(*args):
-        raise AssertionError("the lock-step kernel ran a custom rate")
-
-    cfg = GrowthConfig(target=frozenset(map(tuple, _CROSS)), rate_fn=counting, c_lo=c_lo,
-                       c_hi=c_hi)
-    assert growth._window(cfg) is None
-    monkeypatch.setattr(growth, "_lockstep", no_kernel)
+    monkeypatch.setattr(growth, "_lockstep", counting_kernel)
+    monkeypatch.setattr(growth, "growth_hitting_time", counting_loop)
     got = growth_samples(cfg, 300, 22)
-    assert calls[0] > 300
-    _assert_bitwise_equal(got, growth_samples(
-        _per_run(GrowthConfig.builtin(_CROSS, "constant", c=1.0)), 300, 22))
+    assert kernel_runs[0] == 1 and 0 < loop_runs[0] < 0.25 * 300
+    _assert_bitwise_equal(got, _per_run_samples(cfg, 300, 22))
 
 
 def test_few_growth_cross_runs_leave_the_kernel(monkeypatch):
@@ -415,21 +404,19 @@ def test_few_growth_cross_runs_leave_the_kernel(monkeypatch):
 def test_rates_past_the_stated_bounds_raise_on_both_paths():
     cfg = dataclasses.replace(GrowthConfig.builtin(_CROSS, "site_weighted", **_SITE_WEIGHTED),
                               c_hi=1.0)
-    assert growth._window(cfg) is None
-    for c in (cfg, _per_run(cfg)):
-        with pytest.raises(ValueError, match=r"escapes the stated bounds \[0.5, 1.0\]"):
-            growth_samples(c, 300, 23)
-    # a bound that only a cluster neighbour count of 4 escapes: the loop
-    # raises only if a run rates such a site, on either path alike
+    bounds = r"escapes the stated bounds \[0.5, 1.0\]"
+    with pytest.raises(ValueError, match=bounds):
+        growth._window(cfg)
+    for samples in (growth_samples, _per_run_samples):
+        with pytest.raises(ValueError, match=bounds):
+            samples(cfg, 300, 23)
+    # a bound that only a cluster neighbour count of 4 escapes: the window
+    # raises up front, the loop where a run rates such a site
     cfg = dataclasses.replace(GrowthConfig.builtin(_CROSS, "neighbor_count", base=0.7),
                               c_hi=3 * 0.7)
-    outcomes = []
-    for c in (cfg, _per_run(cfg)):
-        try:
-            outcomes.append(growth_samples(c, 300, 24).tobytes())
-        except ValueError as exc:
-            outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1]
+    for samples in (growth_samples, _per_run_samples):
+        with pytest.raises(ValueError, match=r"rate 2.8 escapes the stated bounds"):
+            samples(cfg, 300, 24)
 
 
 def _neumaier_sum(values, start=0):
@@ -450,7 +437,8 @@ def test_growth_samples_do_not_depend_on_how_sum_adds_floats(monkeypatch, kind):
     # site_weighted's rates at (0.5, 2.0) lie on a grid of 2**-33, where
     # every sum of a few is exact; the other two round
     cfg = GrowthConfig.builtin(_CROSS, kind, **_BUILTIN_PARAMS[kind])
-    want = [growth_samples(c, 1000, 25) for c in (cfg, _per_run(cfg))]
+    paths = (growth_samples, _per_run_samples)
+    want = [samples(cfg, 1000, 25) for samples in paths]
     monkeypatch.setattr(growth, "sum", _neumaier_sum, raising=False)
-    for c, w in zip((cfg, _per_run(cfg)), want):
-        _assert_bitwise_equal(growth_samples(c, 1000, 25), w)
+    for samples, w in zip(paths, want):
+        _assert_bitwise_equal(samples(cfg, 1000, 25), w)

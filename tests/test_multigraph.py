@@ -19,12 +19,12 @@ from fpplab.multigraph import (
     a_k_eval,
     has_spanning_tree_packing,
     has_triangle_packing,
-    max_spanning_tree_packing,
     max_triangle_packing,
     prop2_check,
     sample_stopping_times,
     stopping_times,
 )
+from helpers import max_spanning_tree_packing
 from reference_packing import forest_union_rank_by_partition, spanning_tree_packing_by_partition
 
 C4 = parse_edge_list("a b 1\nb c 1\nc d 1\na d 1")
@@ -305,6 +305,22 @@ def test_block_formulas_equal_the_forward_pass(seed, kind, ks, chunk):
     for k in ks:
         assert np.array_equal(got[kind][k], want[kind][k])
     assert uncertified == Counter()
+
+
+def test_block_formulas_keep_a_span_goal_past_the_row_out_of_reach(monkeypatch):
+    # two trees on a triangle need four copies, one more than a row of three
+    # arrivals holds; a row with one copy of each edge crosses every
+    # partition twice and the three singletons three times, so a goal
+    # capped at the row length would read two trees at its last arrival
+    g, runs, seed = complete_graph(3), 200, 5
+    monkeypatch.setattr(multigraph, "CHUNK", 3)
+    got = sample_stopping_times(g, [2], runs, seed, kinds=("span",))["span"][2]
+    want = forward_samples(g, [2], runs, seed, ("span",))["span"][2]
+    assert np.array_equal(got, want)
+    rows = np.concatenate([np.sort(multigraph._arrivals(rng.random((part.stop - part.start, 2, 3)),
+                                                        *multigraph._arrival_law(g))[1], axis=1)
+                           for rng, part in blocks(seed, runs, 6, ROW_CELLS)])
+    assert (rows == np.arange(3)).all(axis=1).sum() > 10
 
 
 def test_table_decided_runs_leave_no_uncertified_probe(monkeypatch):
