@@ -26,9 +26,10 @@ that lists transitions one state at a time, by an adapter that calls
 ``transitions`` per state and validates every transition.  A successor
 may skip layers, so it gets its state index only when its own layer
 comes up.  The full FPP chain of K20 (2^19 states) solves in about a
-second; the CLI solves only twin-free graphs, such as grids, on vertex
-subsets, and K17 on twin-class counts in 32 states.  The variance and
-unit-drift identities double as free exactness tests of the solver.
+second; the CLI solves every graph on its twin-class counts, K17 in 32
+states, which on a twin-free graph, such as a grid, are the vertex
+subsets.  The variance and unit-drift identities double as free
+exactness tests of the solver.
 """
 
 from __future__ import annotations

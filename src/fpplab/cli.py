@@ -36,7 +36,6 @@ from .chain import (
 )
 from .fpp import (
     fpp_chain_spec,
-    lumped_fpp_chain_spec,
     prop4_check,
     sample_coupling_batch,
     sample_fpp_batch,
@@ -44,6 +43,7 @@ from .fpp import (
 )
 from .graphs import (
     CapacityError,
+    EXACT_CAP,
     FAMILIES,
     GraphParseError,
     GraphValidationError,
@@ -149,10 +149,11 @@ class _Context:
     def solution(self):
         if self._solution is None:
             g, (s, t) = self.graph(), self.endpoints()
-            spec = fpp_chain_spec(g, s, t)  # checks the cap before the (n, n) twin test
-            if int(self.twin_label().max()) + 1 < g.n:
-                spec = lumped_fpp_chain_spec(g, s, t, self.twin_label())
-            self._solution = solve_hitting(spec)
+            # the cap comes before the (n, n) twin test, which a long path cannot afford
+            if g.n > EXACT_CAP:
+                raise CapacityError(f"|V|={g.n} exceeds exact-solver cap {EXACT_CAP}")
+            # on twin-class counts; a twin-free graph has one class per vertex
+            self._solution = solve_hitting(fpp_chain_spec(g, s, t, self.twin_label()))
         return self._solution
 
     def fpp_batch(self, runs):

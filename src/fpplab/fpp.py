@@ -4,13 +4,15 @@ Traversal times are independent Exponential(rate w_e).  The percolation
 time X(v', v'') is the shortest-path length under those times, Xi is the
 largest single-edge time on the minimizing path, and the whole model can
 be recast as an increasing subset-valued chain solved exactly by
-:mod:`fpplab.chain`.  That chain has one rate rule, its ``expand``: the
-rates w(S, y) of a whole popcount layer come from one 0/1 product with the
-rate matrix, and ``transitions`` reads them off a one-state layer.  A
-plain-Python per-state rule in ``tests/reference_chain.py`` is the
-reference the tests hold it to, bit for bit.  On a graph with twins the
-same chain lumps onto per-class counts (:func:`lumped_fpp_chain_spec`):
-K17 has 32 lumped states instead of 65 536 vertex subsets.
+:mod:`fpplab.chain`.  That chain has one rate rule, the ``expand`` of
+:func:`fpp_chain_spec`: it runs on the counts of twin classes (strongly
+lumpable), and the rates of a whole popcount layer come from one product
+of the counts with the class rate matrix; ``transitions`` reads them off a
+one-state layer.  With one class per vertex, the default, the states are
+the vertex subsets and the rates are w(S, y); a plain-Python per-state
+rule in ``tests/reference_chain.py`` is the reference the tests hold it
+to, bit for bit.  With the classes of :func:`fpplab.graphs.twin_classes`
+K17 has 32 states instead of 65 536 vertex subsets.
 
 Runs are sampled one of two ways.  The general sampler draws every
 traversal time and runs a lock-step Dijkstra over a block of runs.  When
@@ -294,61 +296,24 @@ def sample_lumped_fpp_batch(g: WeightedGraph, source: int, target: int, runs: in
 
 
 # ---------------------------------------------------------------------------
-# Subset-chain formulation
+# The exact chain: the reached set on twin-class counts
 
-def _exact_args(g: WeightedGraph, source: int, target: int) -> None:
+def fpp_chain_spec(g: WeightedGraph, source: int, target: int,
+                   label: np.ndarray | None = None) -> ChainSpec:
+    """The reached-set chain on the twin classes ``label`` (from
+    :func:`twin_classes`; None, the default, is one class per vertex: the
+    chain on vertex subsets, where y joins S at w(S, y), the rates of the
+    edges from S into y).  Class c owns the ``size_c`` bits from its
+    offset and count k sets the lowest k of them, so the popcount counts
+    the reached vertices and a transition sets one bit; class c joins at
+    rate (size_c - count_c) * sum_d count_d w(d, c).  ``expand`` is the
+    one rate rule; ``transitions`` reads it off one state at a time.  The
+    cap and the endpoints are checked before ``label`` is read."""
     if g.n > EXACT_CAP:
         raise CapacityError(f"|V|={g.n} exceeds exact-solver cap {EXACT_CAP}")
     if source == target:
         raise ValueError("source and target must differ")
-
-
-def _layer_spec(initial: int, target_bit: int, expand) -> ChainSpec:
-    """The spec whose one rate rule is ``expand``; ``transitions`` reads
-    it off a one-state layer."""
-    def transitions(mask: int):
-        _, _, successors, rate = expand(np.array([mask], dtype=np.int64))
-        return list(zip(successors.tolist(), rate.tolist()))
-
-    return ChainSpec(initial=initial, transitions=transitions,
-                     is_target=lambda mask: bool(mask & target_bit), expand=expand)
-
-
-def fpp_chain_spec(g: WeightedGraph, source: int, target: int) -> ChainSpec:
-    """The reached-vertex-set chain: from S, vertex y joins at aggregate
-    rate w(S, y) = sum of rates of frontier edges into y.  ``expand`` is
-    the one rate rule; ``transitions`` reads it off one state at a time."""
-    _exact_args(g, source, target)
-    weight = g.rate_matrix()
-    bit = np.int64(1) << np.arange(g.n, dtype=np.int64)
-
-    def expand(masks: np.ndarray):
-        member = (masks[:, None] & bit) != 0
-        is_target = member[:, target]
-        live = np.flatnonzero(~is_target)
-        inside = member[live]
-        # w(S, y) for the whole layer as one 0/1 product.  einsum, which
-        # calls no BLAS, adds the members' rows in increasing member order
-        # whatever the layer's size; a BLAS ``@`` reorders the sums on some
-        # CPUs and layer shapes, which moves their last bits.
-        rates = np.einsum("ls,sy->ly", inside.astype(float), weight)
-        rates[inside] = 0.0
-        row, y = np.nonzero(rates)
-        return is_target, live[row], masks[live[row]] | bit[y], rates[row, y]
-
-    return _layer_spec(1 << source, 1 << target, expand)
-
-
-def lumped_fpp_chain_spec(g: WeightedGraph, source: int, target: int,
-                          label: np.ndarray) -> ChainSpec:
-    """The reached-set chain lumped onto the twin classes ``label`` (from
-    :func:`twin_classes`), with the E T, var T, kappa and Lemma 2 sums of
-    :func:`fpp_chain_spec`.  Class c owns the ``size_c`` bits from its
-    offset and count k sets the lowest k of them, so the popcount counts
-    the reached vertices and a transition sets one bit; class c joins at
-    rate (size_c - count_c) * sum_d count_d w(d, c)."""
-    _exact_args(g, source, target)
-    chain = _lumped(g, label, source, target)
+    chain = _lumped(g, np.arange(g.n) if label is None else label, source, target)
     one = np.int64(1)
     field = ((one << chain.size) - 1) << chain.offset
 
@@ -357,14 +322,22 @@ def lumped_fpp_chain_spec(g: WeightedGraph, source: int, target: int,
         is_target = count[:, chain.target] > 0
         live = np.flatnonzero(~is_target)
         reached = count[live].astype(float)
-        # einsum, as in fpp_chain_spec, so the sums keep one order
+        # sum_d count_d w(d, c) for the whole layer as one product.  einsum,
+        # which calls no BLAS, adds the terms in increasing d whatever the
+        # layer's size; a BLAS ``@`` reorders the sums on some CPUs and
+        # layer shapes, which moves their last bits.
         rates = (chain.size - reached) * np.einsum("ld,dc->lc", reached, chain.rate)
         row, c = np.nonzero(rates)
         bit = one << (chain.offset[c] + count[live[row], c])
         return is_target, live[row], masks[live[row]] | bit, rates[row, c]
 
-    return _layer_spec(1 << int(chain.offset[chain.source]),
-                       1 << int(chain.offset[chain.target]), expand)
+    def transitions(mask: int):
+        _, _, successors, rate = expand(np.array([mask], dtype=np.int64))
+        return list(zip(successors.tolist(), rate.tolist()))
+
+    target_bit = 1 << int(chain.offset[chain.target])
+    return ChainSpec(initial=1 << int(chain.offset[chain.source]), transitions=transitions,
+                     is_target=lambda mask: bool(mask & target_bit), expand=expand)
 
 
 @dataclass

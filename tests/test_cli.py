@@ -277,6 +277,19 @@ def test_fpp_check_past_the_exact_cap_exits_three_before_it_samples(tmp_path, ca
     assert "capacity" in capsys.readouterr().err
 
 
+def test_exact_check_past_the_cap_exits_three_before_the_twin_test(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the twin test builds an (n, n) rate matrix: on a path family that passes
+    # FAMILY_EDGE_CAP, 100 000 vertices would need 80 GB
+    def no_twins(*args):
+        raise AssertionError("twin classes computed before the exact cap")
+
+    monkeypatch.setattr(cli, "twin_classes", no_twins)
+    cfg = dict(BASE, graph={"family": "path", "args": {"n": 21}}, checks=["lemma1"])
+    assert run_scenario(write_cfg(tmp_path, cfg)) == 3
+    assert "capacity" in capsys.readouterr().err
+
+
 def test_capacity_exit_three(tmp_path, capsys):
     cfg = dict(BASE)
     cfg["graph"] = {"family": "complete", "args": {"n": 25}}

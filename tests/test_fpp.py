@@ -13,7 +13,6 @@ from fpplab.fpp import (
     conditioned_exponential,
     coupled_resample,
     fpp_chain_spec,
-    lumped_fpp_chain_spec,
     prop4_check,
     sample_coupling_batch,
     sample_dijkstra_batch,
@@ -310,11 +309,12 @@ GRID = [0.05, 0.1, 0.2, 0.5]
 
 
 def _assert_lumped_agrees(g, s, t):
-    """The chain on twin-class counts against the chain on vertex subsets:
-    moments and Lemma 2's sums to 1e-12 relative, every verdict equal."""
+    """The chain on twin-class counts against the chain on vertex subsets
+    (one class per vertex): moments and Lemma 2's sums to 1e-12 relative,
+    every verdict equal."""
     label = twin_classes(g, s, t)
     full = solve_hitting(fpp_chain_spec(g, s, t))
-    lumped = solve_hitting(lumped_fpp_chain_spec(g, s, t, label))
+    lumped = solve_hitting(fpp_chain_spec(g, s, t, label))
     assert len(lumped.states) <= len(full.states)
 
     def close(x, y):
@@ -388,7 +388,7 @@ def _janson_moments(n: int) -> tuple[Fraction, Fraction]:
 @pytest.mark.parametrize("n", range(3, 21))
 def test_lumped_exact_chain_on_complete_graphs_is_janson_closed_form(n):
     g = complete_graph(n)
-    sol = solve_hitting(lumped_fpp_chain_spec(g, 0, n - 1, twin_classes(g, 0, n - 1)))
+    sol = solve_hitting(fpp_chain_spec(g, 0, n - 1, twin_classes(g, 0, n - 1)))
     mean, var = _janson_moments(n)
     assert mean == sum(Fraction(1, k) for k in range(1, n)) / (n - 1)  # H_{n-1}/(n-1)
     assert abs(sol.E_T - float(mean)) <= 1e-12 * float(mean)
@@ -397,16 +397,23 @@ def test_lumped_exact_chain_on_complete_graphs_is_janson_closed_form(n):
     assert len(sol.states) == 2 * (n - 1)
 
 
+class _Unread:
+    """A twin-class label that fails the test if anything reads it."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("the label was read")
+
+
 def test_fpp_chain_capacity_and_args():
     with pytest.raises(CapacityError):
         fpp_chain_spec(complete_graph(21), 0, 1)
     with pytest.raises(ValueError):
         fpp_chain_spec(complete_graph(3), 1, 1)
-    # the lumped spec checks both before it reads the label
+    # with a label given, both are checked before it is read
     with pytest.raises(CapacityError):
-        lumped_fpp_chain_spec(complete_graph(21), 0, 1, None)
+        fpp_chain_spec(complete_graph(21), 0, 1, _Unread())
     with pytest.raises(ValueError):
-        lumped_fpp_chain_spec(complete_graph(3), 1, 1, None)
+        fpp_chain_spec(complete_graph(3), 1, 1, _Unread())
 
 
 def test_prop4_triangle():
