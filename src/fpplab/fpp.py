@@ -21,8 +21,12 @@ the vertices (the complete graphs, cliques joined by bridges), a run is
 read off the reached-set chain lumped onto per-class counts instead, one
 joining vertex per stage.  Its stage loop draws only the joining class;
 the parents that give Xi are resolved afterwards on the walk back from
-the target, only for the stages on it.  The Dijkstra stays the general
-sampler and the lumped one's oracle in law.
+the target, only for the stages on it.  It works inside its block of
+uniforms, which it uses up: each stage's total rate goes into the spent
+class column, and the join times are formed in the holding-time column.
+The Dijkstra stays the general sampler and the lumped one's oracle in
+law.  Every FPP path reads the graph's edge and rate arrays; none builds
+an edge tuple.
 
 Monte Carlo runs follow the block rule of :func:`fpplab.stats.blocks`,
 with the ``BLOCK_CELLS`` = 2**20 budget and B sized by c uniforms per run:
@@ -208,30 +212,35 @@ def _lumped(g: WeightedGraph, label: np.ndarray, source: int, target: int) -> _L
 def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per row, the first index whose running total ``cum`` exceeds
     ``u`` times the row total: an index drawn in proportion to its
-    increment.  The point is held below the total, so u -> 1 too picks an
-    index with a positive increment, never one whose increment is 0."""
+    increment.  Below a total of about 2**-1021, u * total can round up to
+    the total; such a row picks the first index at its total, as u -> 1
+    does on any other row, so no row picks an index whose increment is 0."""
     total = cum[:, -1]
-    point = np.minimum(u * total, np.nextafter(total, 0.0))
-    return (cum <= point[:, None]).sum(axis=1)
+    picked = (cum <= (u * total)[:, None]).sum(axis=1)
+    if picked.max() == cum.shape[1]:  # some u * total rounded up to its total
+        picked = np.minimum(picked, (cum < total[:, None]).sum(axis=1))
+    return picked
 
 
 def _lumped_block(chain: _Lumped, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """X, Xi and the path length of each run of the ``(k, n - 1, 4)``
     uniform block ``u``, one stage (one joining vertex) per step, every
-    run in step.
+    run in step.  The kernel uses up ``u`` and works inside it.
 
     At stage i, class c joins at rate (size_c - count_c) * sum_d count_d
     w(d, c): ``u[:, i - 1, 0]`` gives the holding time -ln(u)/total,
     ``1`` the joining class, ``2`` its parent's class d, drawn with weight
     count_d w(d, c), and ``3`` the parent, uniform among the reached
     members of d.  The stage loop draws only the joining class, from the
-    per-class ``free`` and ``pull`` laid out class-major, and keeps each
-    stage's class and total rate.  Then the join times are one running
-    sum, and a stable sort of each run's class sequence puts its stages in
-    per-class slots, 0 the source.  Parents are resolved on the walk back
-    from the target's stage to the source, only for the stages on it: the
-    count of class d at stage i is the number of d's slots below i.  X is
-    the target's join time and Xi the largest join-time gap on the walk.
+    per-class ``free`` and ``pull`` laid out class-major, keeps each
+    stage's class, and puts its total rate into the spent class column
+    ``u[:, i - 1, 1]``.  Then the join times are one running sum, formed
+    in the holding-time column ``u[:, :, 0]``, and a stable sort of each
+    run's class sequence puts its stages in per-class slots, 0 the source.
+    Parents are resolved on the walk back from the target's stage to the
+    source, only for the stages on it: the count of class d at stage i is
+    the number of d's slots below i.  X is the target's join time and Xi
+    the largest join-time gap on the walk.
     """
     k, stages = u.shape[0], u.shape[1] + 1
     rows = np.arange(k)
@@ -242,39 +251,37 @@ def _lumped_block(chain: _Lumped, u: np.ndarray) -> tuple[np.ndarray, np.ndarray
     # the class joining at each stage; a narrow type sorts by radix below
     joined = np.empty((stages, k), dtype=np.min_scalar_type(len(chain.size) - 1))
     joined[0] = chain.source
-    total = np.empty((stages - 1, k))
     for i in range(1, stages):
         cum = np.cumsum(free * pull, axis=0)
-        total[i - 1] = cum[-1]
         c = _pick(cum.T, u[:, i - 1, 1])
+        u[:, i - 1, 1] = cum[-1]
         joined[i] = c
         flat_free[c * k + rows] -= 1.0
         pull += chain.rate.take(c, axis=1)  # w(d, c), symmetric
-    # the join times: a running sum of the holding times -ln(u)/total
-    tau = np.zeros((k, stages))
-    held = tau[:, 1:]
-    np.maximum(u[:, :, 0], TINY, out=held)
-    np.log(held, out=held)
-    held /= total.T
-    np.negative(held, out=held)
+    # the join times of stages 1 .. n - 1: a running sum of -ln(u)/total
+    tau = u[:, :, 0]
+    np.maximum(tau, TINY, out=tau)
+    np.log(tau, out=tau)
+    tau /= u[:, :, 1]
+    np.negative(tau, out=tau)
     np.cumsum(tau, axis=1, out=tau)
-    del total
     slot = np.argsort(joined.T, axis=1, kind="stable").astype(np.int32)  # the stage in each slot
     at = slot[:, chain.offset[chain.target]]  # the target is a class of its own
-    X = tau[rows, at]
+    X = tau[rows, at - 1]
     Xi = np.zeros(k)
     path_len = np.zeros(k, dtype=np.int64)
-    live = rows
+    live, now = rows, X  # each live run's stage on the walk and its join time
     while len(live):
         count = np.add.reduceat(slot[live] < at[:, None], chain.offset, axis=1, dtype=float)
         d = _pick(np.cumsum(count * chain.rate[:, joined[at, live]].T, axis=1), u[live, at - 1, 2])
         reached = count[np.arange(len(live)), d].astype(np.intp)
         j = np.minimum((u[live, at - 1, 3] * reached).astype(np.intp), reached - 1)
         up = slot[live, chain.offset[d] + j]
-        Xi[live] = np.maximum(Xi[live], tau[live, at] - tau[live, up])
+        then = np.where(up > 0, tau[live, up - 1], 0.0)  # the source joins at 0
+        Xi[live] = np.maximum(Xi[live], now - then)
         path_len[live] += 1
         keep = up != 0
-        live, at = live[keep], up[keep]
+        live, at, now = live[keep], up[keep], then[keep]
     return X, Xi, path_len
 
 
@@ -283,7 +290,7 @@ def sample_lumped_fpp_batch(g: WeightedGraph, source: int, target: int, runs: in
     """``runs`` FPP realizations on the twin-class lumped chain (``label``
     from :func:`twin_classes`, computed when not given): block j draws
     ``random((k, n - 1, 4))``, four uniforms per stage, with B sized by
-    ``4 * (n - 1)`` uniforms per run."""
+    ``4 * (n - 1)`` uniforms per run, which the kernel uses up."""
     if label is None:
         label = twin_classes(g, source, target)
     chain = _lumped(g, label, source, target)

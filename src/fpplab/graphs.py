@@ -1,7 +1,12 @@
 """Weighted graphs, multigraphs, and exact brute-force cut computations.
 
 Every process in this package runs on a finite connected graph with
-positive edge rates.  Graphs are immutable after construction.
+positive edge rates.  Graphs are immutable after construction.  A graph
+holds its edge ends and rates as two read-only arrays, which the
+samplers and the exact chain read; the built-in families build those
+arrays directly.  Edge tuples are built on first use, only for the
+Python loops that read them (exhaustive min cut, edge-list text,
+triangles, adjacency, the packing and coverage processes).
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,48 +34,50 @@ class CapacityError(RuntimeError):
     """Instance too large for the exact (exhaustive) algorithms."""
 
 
-@dataclass(frozen=True)
 class WeightedGraph:
     """Finite connected simple graph with positive edge rates.
 
-    ``vertices`` keeps first-appearance order from the input; edges are
-    stored as index pairs ``(u, v)`` with ``u < v``.  Validation runs on
-    arrays; the per-vertex adjacency and the pair-to-edge map are built on
-    first use.
+    ``vertices`` keeps first-appearance order from the input.  The graph
+    holds its edges as one read-only ``(m, 2)`` int64 array of index pairs
+    ``(u, v)`` with ``u < v`` and its rates as one read-only ``(m,)`` float
+    array, made from sequences or arrays and validated as arrays.  The
+    ``edges`` and ``weights`` tuples, the per-vertex adjacency and the
+    pair-to-edge map are built on first use, for the Python loops that
+    read them.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
-    weights: tuple[float, ...]
-    _weights: np.ndarray = field(repr=False, compare=False, default=None)
-    _ends: np.ndarray = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        n, m = len(self.vertices), len(self.edges)
-        if len(self.weights) != m:
-            raise GraphValidationError(f"{m} edges but {len(self.weights)} weights")
-        ends = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64,
-                           count=2 * m).reshape(m, 2)
-        weights = np.asarray(self.weights, dtype=float)
+    def __init__(self, vertices, edges, weights):
+        n, m = len(vertices), len(edges)
+        if len(weights) != m:
+            raise GraphValidationError(f"{m} edges but {len(weights)} weights")
+        if isinstance(edges, np.ndarray):
+            ends = edges.astype(np.int64).reshape(m, 2)
+        else:
+            ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64,
+                               count=2 * m).reshape(m, 2)
+        rates = np.array(weights, dtype=float)
+        for array in (ends, rates):
+            array.flags.writeable = False
+        self.__dict__.update(vertices=tuple(vertices), _ends=ends, _weights=rates)
         u, v = ends.T
-        bad = (u == v) | (u < 0) | (u >= v) | (v >= n) | ~((weights > 0) & (weights < math.inf))
+        bad = (u == v) | (u < 0) | (u >= v) | (v >= n) | ~((rates > 0) & (rates < math.inf))
         _, first, pair = np.unique(u * max(n, 1) + v, return_index=True, return_inverse=True)
         duplicate = first[pair] != np.arange(m)
         if (bad | duplicate).any():
             i = int(np.argmax(bad | duplicate))
-            self._reject(i, bool(duplicate[i]))
-        for name, array in (("_weights", weights), ("_ends", ends)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+            self._reject(i, bool(duplicate[i]), weights[i])
         if n > 0 and not self._is_connected():
             raise GraphValidationError("graph is not connected")
 
-    def _reject(self, i: int, duplicate: bool):
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WeightedGraph is immutable; cannot set {name!r}")
+
+    def _reject(self, i: int, duplicate: bool, w):
         """Raise the error of edge ``i``, the first bad edge, checked in
-        the order self-loop at a vertex, index range, duplicate, weight.
-        Every earlier edge is valid, so ``duplicate`` (the pair repeats an
-        earlier one) is exact for an edge in range."""
-        (u, v), w = self.edges[i], self.weights[i]
+        the order self-loop at a vertex, index range, duplicate, weight
+        (``w``, as given).  Every earlier edge is valid, so ``duplicate``
+        (the pair repeats an earlier one) is exact for an edge in range."""
+        u, v = self._ends[i].tolist()
         if u == v and 0 <= u < len(self.vertices):
             raise GraphValidationError(f"self-loop at vertex {self.vertices[u]!r}")
         if not (0 <= u < v < len(self.vertices)):
@@ -80,19 +87,32 @@ class WeightedGraph:
         raise GraphValidationError(f"weight {w} on edge {(u, v)} is not positive and finite")
 
     def _is_connected(self) -> bool:
-        """Breadth-first search from vertex 0, one whole frontier per
-        step: the edges with an end in the frontier mark their other ends."""
-        seen = np.zeros(len(self.vertices), dtype=bool)
-        seen[0] = True
-        frontier = seen.copy()
+        """Min-label hooking with pointer jumping (Shiloach & Vishkin,
+        J. Algorithms 3, 1982): each round hooks every tree's root onto the
+        least smaller root across an edge, then points every vertex at its
+        root.  A root that does not hook in one round sees its neighbours
+        hooked onto roots no larger than it, so it hooks or is hooked onto
+        in the next: the trees of a component at least halve every two
+        rounds, O(log n) rounds of O(m + n log n) each.  A root is the least
+        vertex of its tree, so the graph is connected when every root is 0."""
         u, v = self._ends.T
-        while frontier.any() and not seen.all():
-            reached = np.zeros_like(seen)
-            reached[v[frontier[u]]] = True
-            reached[u[frontier[v]]] = True
-            frontier = reached & ~seen
-            seen |= frontier
-        return bool(seen.all())
+        root = np.arange(len(self.vertices))
+        while not np.array_equal(ru := root[u], rv := root[v]):
+            np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+            while not np.array_equal(jumped := root[root], root):
+                root = jumped
+        return not root.any()
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The index pairs ``(u, v)`` as tuples of ints; built on first
+        use, then kept."""
+        return tuple(map(tuple, self._ends.tolist()))
+
+    @cached_property
+    def weights(self) -> tuple[float, ...]:
+        """The edge rates as floats; built on first use, then kept."""
+        return tuple(self._weights.tolist())
 
     @cached_property
     def _adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -115,7 +135,7 @@ class WeightedGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._ends)
 
     def neighbors(self, u: int):
         """Pairs ``(v, edge_index)`` adjacent to vertex index ``u``."""
@@ -125,14 +145,14 @@ class WeightedGraph:
         return self._edge_of.get((u, v))
 
     def min_weight(self) -> float:
-        return min(self.weights)
+        return float(self._weights.min())
 
     def weight_array(self) -> np.ndarray:
-        """The edge rates as one read-only float array, built once."""
+        """The edge rates as one read-only float array, the graph's own."""
         return self._weights
 
     def edge_array(self) -> np.ndarray:
-        """The ``(m, 2)`` edge endpoints as one read-only int array, built once."""
+        """The ``(m, 2)`` edge endpoints as one read-only int64 array, the graph's own."""
         return self._ends
 
     def rate_matrix(self) -> np.ndarray:
@@ -333,56 +353,44 @@ def path_graph(n: int) -> WeightedGraph:
     if n < 2:
         raise ValueError("path needs n >= 2")
     names = tuple(f"v{i}" for i in range(n))
-    edges = tuple((i, i + 1) for i in range(n - 1))
-    return WeightedGraph(names, edges, (1.0,) * (n - 1))
+    i = np.arange(n - 1)
+    return WeightedGraph(names, np.column_stack([i, i + 1]), np.ones(n - 1))
 
 
 def complete_graph(n: int) -> WeightedGraph:
+    """K_n, its edges the pairs i < j in lexicographic order."""
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
     names = tuple(f"v{i}" for i in range(n))
-    edges = tuple(itertools.combinations(range(n), 2))
-    return WeightedGraph(names, edges, (1.0,) * len(edges))
+    return WeightedGraph(names, np.column_stack(np.triu_indices(n, 1)), np.ones(n * (n - 1) // 2))
 
 
 def grid_graph(rows: int, cols: int) -> WeightedGraph:
+    """The rows x cols grid, cells in row-major order; each cell's edge to
+    its right, then its edge down."""
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError("grid needs at least two vertices")
     names = tuple(f"v{r}_{c}" for r in range(rows) for c in range(cols))
-    idx = lambda r, c: r * cols + c
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((idx(r, c), idx(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((idx(r, c), idx(r + 1, c)))
-    edges = tuple(tuple(sorted(e)) for e in edges)
-    return WeightedGraph(names, edges, (1.0,) * len(edges))
+    cell = np.arange(rows * cols)
+    ends = np.column_stack([cell, cell + 1, cell, cell + cols]).reshape(-1, 2, 2)
+    has = np.column_stack([cell % cols < cols - 1, cell < (rows - 1) * cols])
+    return WeightedGraph(names, ends[has], np.ones(int(has.sum())))
 
 
 def bridge_graph(c1: int, c2: int, bridge_rate: float) -> WeightedGraph:
-    """Two unit-weight cliques joined by a single bridge edge of given rate."""
+    """Two unit-weight cliques joined by a single bridge edge of given rate:
+    the first clique's pairs, then the second's, then the bridge from the
+    last vertex of clique 1 to the first of clique 2."""
     if c1 < 1 or c2 < 1:
         raise ValueError("clique sizes must be >= 1")
     if not bridge_rate > 0:
         raise ValueError("bridge rate must be positive")
-    n = c1 + c2
     names = tuple(f"a{i}" for i in range(c1)) + tuple(f"b{i}" for i in range(c2))
-    edges: list[tuple[int, int]] = []
-    weights: list[float] = []
-    for i in range(c1):
-        for j in range(i + 1, c1):
-            edges.append((i, j))
-            weights.append(1.0)
-    for i in range(c2):
-        for j in range(i + 1, c2):
-            edges.append((c1 + i, c1 + j))
-            weights.append(1.0)
-    # bridge connects the last vertex of clique 1 to the first of clique 2
-    edges.append((c1 - 1, c1))
-    weights.append(float(bridge_rate))
-    return WeightedGraph(names, tuple(edges), tuple(weights))
+    ends = np.vstack([np.column_stack(np.triu_indices(c1, 1)),
+                      c1 + np.column_stack(np.triu_indices(c2, 1)), [[c1 - 1, c1]]])
+    weights = np.ones(len(ends))
+    weights[-1] = bridge_rate
+    return WeightedGraph(names, ends, weights)
 
 
 def random_gnp_graph(n: int, p: float, weight_range: tuple[float, float],
@@ -404,8 +412,7 @@ def random_gnp_graph(n: int, p: float, weight_range: tuple[float, float],
             continue
         weights = lo + (hi - lo) * rng.random(int(present.sum()))
         try:
-            return WeightedGraph(names, tuple(map(tuple, pairs[present].tolist())),
-                                 tuple(weights.tolist()))
+            return WeightedGraph(names, pairs[present], weights)
         except GraphValidationError:
             continue
     raise ValueError(f"could not sample a connected G({n},{p}) in 1000 tries")

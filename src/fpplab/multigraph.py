@@ -503,7 +503,7 @@ def _span_table(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
         labels = np.column_stack([labels, label])
     need = labels.max(axis=1)
     labels = labels[need > 0]
-    u, v = np.array(g.edges, dtype=np.intp).T
+    u, v = g.edge_array().T
     return (labels[:, u] != labels[:, v]).T.astype(np.uint8), need[need > 0]
 
 

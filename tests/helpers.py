@@ -6,15 +6,21 @@
 route to its moments, ``max_spanning_tree_packing`` counts trees with
 :class:`fpplab.multigraph.ForestUnion`, and ``validate_rate_monotone``
 samples the growth condition of :class:`fpplab.growth.GrowthConfig`'s rate.
+``traced_peak`` measures the memory a call allocates, and
+``TUPLE_FAMILIES`` builds the graph families edge tuple by edge tuple, the
+oracle of the array-built ones in :mod:`fpplab.graphs`.
 """
 
 from __future__ import annotations
+
+import itertools
+import tracemalloc
 
 import numpy as np
 
 from fpplab import chain
 from fpplab.chain import ChainSpec, ExactSolution, Lemma2Report, lemma2_grid
-from fpplab.graphs import Multigraph
+from fpplab.graphs import GraphValidationError, Multigraph, WeightedGraph
 from fpplab.multigraph import ForestUnion
 
 
@@ -72,3 +78,88 @@ def validate_rate_monotone(rate, rng: np.random.Generator) -> None:
                     f"rate at {(x, y)} dropped from {before} to {after} at {k} cluster neighbours"
                 )
             before = after
+
+
+def traced_peak(f):
+    """f's result, the peak of the memory it allocates and the part of it
+    still held when f returns, in bytes (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        held, peak = tracemalloc.get_traced_memory()
+        return out, peak - base, held - base
+    finally:
+        tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# The built-in graph families on valid arguments, built from Python edge
+# tuples, in the same edge order and from the same draws
+
+def _path(n):
+    names = tuple(f"v{i}" for i in range(n))
+    edges = tuple((i, i + 1) for i in range(n - 1))
+    return WeightedGraph(names, edges, (1.0,) * (n - 1))
+
+
+def _complete(n):
+    names = tuple(f"v{i}" for i in range(n))
+    edges = tuple(itertools.combinations(range(n), 2))
+    return WeightedGraph(names, edges, (1.0,) * len(edges))
+
+
+def _grid(rows, cols):
+    names = tuple(f"v{r}_{c}" for r in range(rows) for c in range(cols))
+    idx = lambda r, c: r * cols + c
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append((idx(r, c), idx(r, c + 1)))
+            if r + 1 < rows:
+                edges.append((idx(r, c), idx(r + 1, c)))
+    edges = tuple(tuple(sorted(e)) for e in edges)
+    return WeightedGraph(names, edges, (1.0,) * len(edges))
+
+
+def _bridge(c1, c2, bridge_rate):
+    names = tuple(f"a{i}" for i in range(c1)) + tuple(f"b{i}" for i in range(c2))
+    edges, weights = [], []
+    for i in range(c1):
+        for j in range(i + 1, c1):
+            edges.append((i, j))
+            weights.append(1.0)
+    for i in range(c2):
+        for j in range(i + 1, c2):
+            edges.append((c1 + i, c1 + j))
+            weights.append(1.0)
+    edges.append((c1 - 1, c1))
+    weights.append(float(bridge_rate))
+    return WeightedGraph(names, tuple(edges), tuple(weights))
+
+
+def _random_gnp(n, p, weight_range, rng):
+    lo, hi = weight_range
+    names = tuple(f"v{i}" for i in range(n))
+    pairs = np.column_stack(np.triu_indices(n, 1))
+    for _ in range(1000):
+        present = rng.random(len(pairs)) < p
+        if present.sum() < n - 1:
+            continue
+        weights = lo + (hi - lo) * rng.random(int(present.sum()))
+        try:
+            return WeightedGraph(names, tuple(map(tuple, pairs[present].tolist())),
+                                 tuple(weights.tolist()))
+        except GraphValidationError:
+            continue
+    raise ValueError(f"could not sample a connected G({n},{p}) in 1000 tries")
+
+
+TUPLE_FAMILIES = {
+    "path": _path,
+    "complete": _complete,
+    "grid": _grid,
+    "bridge": _bridge,
+    "random_gnp": _random_gnp,
+}

@@ -8,9 +8,10 @@ lock-step kernel in ``fpplab.fpp`` and serves as its oracle in
 ``test_fpp.py`` and ``test_stats.py``.
 
 ``_lumped_block`` is the lumped-chain kernel that keeps every stage's
-parent, slot and join time as it goes.  ``test_fpp.py`` holds
-``fpplab.fpp._lumped_block``, which draws only the joining class in its
-stage loop, to it bit for bit.
+parent, slot and join time as it goes, with its own ``_pick`` that holds
+the point below each row's total by ``np.nextafter``.  ``test_fpp.py``
+holds ``fpplab.fpp._lumped_block``, which draws only the joining class in
+its stage loop and works inside its uniform block, to it bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fpplab.fpp import _Lumped, _pick
+from fpplab.fpp import _Lumped
 from fpplab.graphs import WeightedGraph
 from fpplab.stats import TINY
 
@@ -53,6 +54,14 @@ def shortest_path(g: WeightedGraph, xi: np.ndarray, source: int, target: int) ->
             if u not in settled:
                 heapq.heappush(heap, (dist + float(xi[e]), path + (u,)))
     raise RuntimeError("target unreachable; connected graphs cannot get here")
+
+
+def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the first index whose running total ``cum`` exceeds
+    ``u`` times the row total, the point held below the total."""
+    total = cum[:, -1]
+    point = np.minimum(u * total, np.nextafter(total, 0.0))
+    return (cum <= point[:, None]).sum(axis=1)
 
 
 def _lumped_block(chain: _Lumped, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from fpplab.fpp import fpp_chain_spec
 from fpplab.graphs import CapacityError, WeightedGraph, complete_graph, path_graph
 
 import reference_chain
-from helpers import lemma2_bound, max_identity_error, variance_by_first_step
+from helpers import lemma2_bound, max_identity_error, traced_peak, variance_by_first_step
 
 
 def weighted_path(rates):
@@ -286,15 +285,15 @@ def test_exact_solver_memory_stays_near_its_output():
     # K17, 65 536 states: the solve and the Lemma 1 and 2 bounds allocate at
     # most 1.3x the solution's own arrays, so no temporary spans the chain
     spec = fpp_chain_spec(complete_graph(17), 0, 16)
-    tracemalloc.start()
-    try:
+
+    def solve_and_bound():
         sol = solve_hitting(spec)
         lemma1_bound(sol)
         for delta in (0.05, 0.5):
             lemma2_bound(sol, delta, 0.1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return sol
+
+    sol, peak, _ = traced_peak(solve_and_bound)
     arrays = sum(v.nbytes for v in vars(sol).values() if isinstance(v, np.ndarray))
     assert sol.src.dtype == sol.dst.dtype == np.int32
     assert peak <= 1.3 * arrays

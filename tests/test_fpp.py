@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fpplab.fpp import (
     _lumped,
@@ -25,6 +25,7 @@ from fpplab.fpp import (
 from fpplab import fpp
 from fpplab.chain import lemma1_bound, lemma2_grid, solve_hitting
 from fpplab.graphs import (
+    EXACT_CAP,
     CapacityError,
     WeightedGraph,
     bridge_graph,
@@ -36,6 +37,7 @@ from fpplab.graphs import (
 )
 from fpplab.stats import BLOCK_CELLS, SampleStats, block_runs
 import reference_fpp
+from helpers import traced_peak
 from reference_fpp import shortest_path
 
 
@@ -239,13 +241,43 @@ def test_lumped_batches_are_prefix_stable():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.sampled_from([0.0, 0.0, 5e-324, 1e-300, 0.1, 1.0, 3.0, 1e300]),
                          min_size=1, max_size=6).filter(any), min_size=1, max_size=5),
-       st.sampled_from([0.0, 0.5, float(np.nextafter(1.0, 0.0))]))
+       st.sampled_from([0.0, 0.5, 0.9, float(np.nextafter(1.0, 0.0))]))
+@example([[5e-324, 0.0, 0.0], [1.0, 0.0]], 0.9)  # 0.9 * 5e-324 rounds up to 5e-324
+@example([[2.2250738585072014e-308, 0.0]], float(np.nextafter(1.0, 0.0)))  # 2**-1022
 def test_pick_never_draws_an_index_of_rate_zero(rows, u):
-    # u * total rounds up to the total only on subnormal totals (5e-324)
+    # u * total rounds up to the total only on totals below about 2**-1021;
+    # every pick is the one the point held below the total by nextafter gives
     width = max(map(len, rows))
     rates = np.array([r + [0.0] * (width - len(r)) for r in rows])
-    picked = _pick(np.cumsum(rates, axis=1), np.full(len(rows), u))
+    cum, point = np.cumsum(rates, axis=1), np.full(len(rows), u)
+    picked = _pick(cum, point)
     assert np.all(rates[np.arange(len(rows)), picked] > 0)
+    assert np.array_equal(picked, reference_fpp._pick(cum, point))
+
+
+@pytest.mark.parametrize("g", [complete_graph(64), grid_graph(4, 4)], ids=["K64", "grid4x4"])
+def test_fpp_calls_leave_the_edge_tuples_unbuilt(g):
+    # every FPP path reads the graph's arrays; only Python loops build tuples
+    t = g.n - 1
+    label = twin_classes(g, 0, t)
+    sample_fpp_batch(g, 0, t, 50, 1, label)
+    sample_dijkstra_batch(g, 0, t, 50, 1)
+    sample_lumped_fpp_batch(g, 0, t, 50, 1, label)
+    sample_coupling_batch(g, 0, t, 50, 1, 0.1, 0.5)
+    if g.n <= EXACT_CAP:
+        prop4_check(solve_hitting(fpp_chain_spec(g, 0, t, label)), g)
+    assert "edges" not in vars(g) and "weights" not in vars(g)
+
+
+def test_lumped_sampler_works_inside_its_uniform_block():
+    # K256 at 300 runs draws one (300, 255, 4) block of 2.45 MB; the stage
+    # totals and join times are formed inside it, so the peak stays within
+    # 1.6 times it, where two arrays of their own would reach 1.7
+    g = complete_graph(256)
+    block = 300 * (g.n - 1) * 4 * 8
+    batch, peak, _ = traced_peak(lambda: sample_lumped_fpp_batch(g, 0, 1, 300, 4))
+    assert len(batch.X) == 300
+    assert peak <= 1.6 * block
 
 
 def test_lumped_block_at_extreme_uniforms():
@@ -301,7 +333,8 @@ def test_lumped_block_equals_the_reference_kernel(g, k, seed, columns):
     for q, value in enumerate(columns):
         if value is not None:
             u[..., q] = value
-    for got, want in zip(_lumped_block(chain, u), reference_fpp._lumped_block(chain, u)):
+    # the kernel uses up its block, so it gets a copy
+    for got, want in zip(_lumped_block(chain, u.copy()), reference_fpp._lumped_block(chain, u)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 

@@ -1,11 +1,13 @@
 import itertools
 import math
+import timeit
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fpplab.graphs import (
+    FAMILIES,
     CapacityError,
     GraphParseError,
     GraphValidationError,
@@ -20,6 +22,8 @@ from fpplab.graphs import (
     random_gnp_graph,
     twin_classes,
 )
+
+from helpers import TUPLE_FAMILIES, traced_peak
 
 
 def test_parse_basic():
@@ -67,6 +71,66 @@ def test_fifteen_sig_digits_accepted():
 def test_disconnected_rejected():
     with pytest.raises(GraphValidationError):
         parse_edge_list("a b 1\nc d 1")
+
+
+def _types(x):
+    """The types of ``x`` and, for a tuple, of everything in it."""
+    return [type(x)] + ([t for y in x for t in _types(y)] if isinstance(x, tuple) else [])
+
+
+def _assert_same_graph(got, want):
+    for name in ("vertices", "edges", "weights"):
+        assert getattr(got, name) == getattr(want, name), name
+        assert _types(getattr(got, name)) == _types(getattr(want, name)), name
+
+
+@pytest.mark.parametrize("name, args", [
+    ("path", (2,)), ("path", (9,)), ("complete", (2,)), ("complete", (13,)),
+    ("grid", (1, 5)), ("grid", (4, 1)), ("grid", (3, 5)), ("grid", (4, 4)),
+    ("bridge", (1, 1, 0.5)), ("bridge", (3, 3, 0.1)), ("bridge", (2, 5, 3))])
+def test_array_built_families_equal_the_tuple_built_ones(name, args):
+    _assert_same_graph(FAMILIES[name](*args), TUPLE_FAMILIES[name](*args))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_array_built_random_gnp_equals_the_tuple_built_one(seed):
+    for n, p in ((6, 0.5), (12, 0.3), (20, 0.15)):
+        got = random_gnp_graph(n, p, (0.5, 2.0), np.random.default_rng(seed))
+        want = TUPLE_FAMILIES["random_gnp"](n, p, (0.5, 2.0), np.random.default_rng(seed))
+        _assert_same_graph(got, want)
+
+
+def test_complete_graph_holds_its_arrays_alone():
+    # K256's (m, 2) int64 ends and (m,) rates take 0.78 MB; its 32 640 edge
+    # tuples and a weight tuple would take another 2.3 MB
+    g, _, held = traced_peak(lambda: complete_graph(256))
+    assert "edges" not in vars(g) and "weights" not in vars(g)
+    assert held <= 1.0e6
+
+
+def test_connectivity_of_a_long_path_costs_near_linear_time():
+    # a frontier walk, one scan of the edges per level, would scan them 1999
+    # times on this path; hooking with pointer jumping takes O(log n) rounds
+    g = path_graph(2000)
+    assert g._is_connected()
+    assert min(timeit.repeat(g._is_connected, number=1, repeat=5)) < 0.01
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_two_long_path_components_are_not_connected(seed):
+    # two paths of 1000 vertices under a random relabelling, so that the
+    # hooks run against the index order; one more edge joins them
+    relabel = np.random.default_rng(seed).permutation(2000)
+    pairs = [(i, i + 1) for i in range(2000 - 1) if i != 999]
+    edges = sorted(tuple(sorted(relabel[[a, b]].tolist())) for a, b in pairs)
+    names = tuple(f"v{i}" for i in range(2000))
+    with pytest.raises(GraphValidationError, match="graph is not connected"):
+        _loop_validation(names, edges, (1.0,) * len(edges))
+    with pytest.raises(GraphValidationError, match="graph is not connected"):
+        WeightedGraph(names, edges, (1.0,) * len(edges))
+    joined = edges + [tuple(sorted(relabel[[999, 1000]].tolist()))]
+    _loop_validation(names, joined, (1.0,) * len(joined))
+    assert WeightedGraph(names, joined, (1.0,) * len(joined)).m == 2000 - 1
 
 
 def test_edge_index_and_neighbors():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -24,7 +23,7 @@ from fpplab.multigraph import (
     sample_stopping_times,
     stopping_times,
 )
-from helpers import max_spanning_tree_packing
+from helpers import max_spanning_tree_packing, traced_peak
 from reference_packing import forest_union_rank_by_partition, spanning_tree_packing_by_partition
 
 C4 = parse_edge_list("a b 1\nb c 1\nc d 1\na d 1")
@@ -365,17 +364,6 @@ def test_forward_pass_takes_only_the_ks_a_row_leaves_undecided(monkeypatch):
 TEMPORARY_BYTES = 4 * ROW_CELLS * 8
 
 
-def _traced_peak(f):
-    """f's result and the peak of the memory it allocates, in bytes."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = f()
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("n, ks, kind", [(9, [1, 2], "span"), (8, [4], "tria")])
 def test_past_the_table_cap_samples_by_the_forward_pass_alone(monkeypatch, n, ks, kind):
     g = complete_graph(n)
@@ -396,7 +384,7 @@ def test_past_the_table_cap_samples_by_the_forward_pass_alone(monkeypatch, n, ks
         return real(traj, late_ks, **kwargs)
 
     monkeypatch.setattr(multigraph, "stopping_times", spy)
-    got, peak = _traced_peak(lambda: sample_stopping_times(g, ks, runs, seed, kinds=(kind,)))
+    got, peak, _ = traced_peak(lambda: sample_stopping_times(g, ks, runs, seed, kinds=(kind,)))
     assert calls == [ks] * runs
     for k in ks:
         assert np.array_equal(got[kind][k], want[kind][k])
@@ -412,7 +400,7 @@ def test_block_kernels_stay_within_the_cell_budget(n, ks, kind):
     assert table is not None
     u = np.random.default_rng(0).random((ROW_CELLS // (2 * CHUNK), 2, CHUNK))  # one block
     _, edges = multigraph._arrivals(u, *multigraph._arrival_law(g))
-    first, peak = _traced_peak(lambda: multigraph.BLOCK_FIRST[kind](table, edges, ks))
+    first, peak, _ = traced_peak(lambda: multigraph.BLOCK_FIRST[kind](table, edges, ks))
     assert first.shape == (len(ks), len(edges))
     assert peak <= TEMPORARY_BYTES
 
