@@ -61,8 +61,14 @@ class WeightedGraph:
         self.__dict__.update(vertices=tuple(vertices), _ends=ends, _weights=rates)
         u, v = ends.T
         bad = (u == v) | (u < 0) | (u >= v) | (v >= n) | ~((rates > 0) & (rates < math.inf))
-        _, first, pair = np.unique(u * max(n, 1) + v, return_index=True, return_inverse=True)
-        duplicate = first[pair] != np.arange(m)
+        # a stable sort keeps equal pairs in input order, so each but the
+        # first of a run of equal keys repeats an earlier pair
+        key = u * max(n, 1) + v
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        duplicate = np.zeros(m, bool)
+        duplicate[order[1:][key[1:] == key[:-1]]] = True
+        del key, order  # before the connectivity check makes its own temporaries
         if (bad | duplicate).any():
             i = int(np.argmax(bad | duplicate))
             self._reject(i, bool(duplicate[i]), weights[i])

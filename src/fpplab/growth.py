@@ -19,13 +19,13 @@ Both samplers draw in blocks (:func:`fpplab.stats.blocks`), a row per run:
 row reads rows of the same length from its own stream
 (:class:`fpplab.stats.RowStream`).
 
-Growth runs go through a lock-step kernel (:func:`_lockstep`):
+Every growth run starts in a lock-step kernel (:func:`_lockstep`):
 ``LOCKSTEP_RUNS`` runs advance together, an event each per step, on a
-lattice window around the target, where a run's frontier rates and their
+lattice window around the origin, where a run's frontier rates and their
 cumulative sum sit in the loop's frontier order.  So every time is the
-float the per-run loop (:func:`growth_hitting_time`) returns.  That loop
-reruns each run the kernel leaves, and runs every run of a target too far
-out for a window.
+float the per-run loop (:func:`growth_hitting_time`) returns.  A run that
+picks a border cell or uses up its row goes on in that loop from the
+kernel's state; nothing is rerun.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, product
 from typing import Callable
 
 import numpy as np
@@ -53,13 +53,12 @@ GROWTH_ROW = 64
 COVERAGE_ROW = 32
 # The lock-step growth kernel (_lockstep) runs LOCKSTEP_RUNS runs at a time
 # on a lattice window WINDOW_MARGIN sites past the target's largest
-# |coordinate|, and hands the rest of a batch to the per-run loop once more
-# than MAX_LEFT_SHARE of the runs it ended had left the window.  At margin
-# 3, 4.3 % of growth_cross's runs left it; a margin of 4 left 1.5 % but
-# took as long, with a third more cells per run.
+# |coordinate|, capped where the state of LOCKSTEP_RUNS runs would pass
+# ROW_CELLS cells (R = 10); the per-run loop goes on with each run that
+# leaves it.  At margin 3, 4.3 % of growth_cross's runs left it; a margin
+# of 4 left 1.5 % but took as long, with a third more cells per run.
 WINDOW_MARGIN = 3
 LOCKSTEP_RUNS = 64
-MAX_LEFT_SHARE = 0.25
 
 
 def _site_hash(x, y):
@@ -150,34 +149,24 @@ def _events(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def growth_hitting_time(cfg: GrowthConfig, rng, row: list | None = None) -> float:
+def growth_hitting_time(cfg: GrowthConfig, rng, row: list | None = None,
+                        start: tuple | None = None) -> float:
     """Event-driven simulation on Z^2; returns the time at which the
     cluster first meets the target set.  The events come from ``row`` (a
     block row from :func:`_events`, as lists) when given, then ``random((2,
     GROWTH_ROW))`` at a time from ``rng``, a generator or a
     :class:`fpplab.stats.RowStream`.
 
+    ``start`` is the state of a run that :func:`_lockstep` hands over:
+    (cluster, frontier, counts, rates, t, the row's next event, the last
+    pick), the pick not yet applied.  A fresh run applies the origin to an
+    empty cluster.  Each step applies the pick, then draws the next one.
+
     The frontier is kept sorted with each site's rate and cluster neighbour
     count alongside, so an arrival re-rates only the new site's neighbours."""
-    cluster = {(0, 0)}
-    frontier = sorted(_NBRS)  # the origin's neighbours, one cluster neighbour each
-    counts = [1] * len(frontier)
-    rates = [_checked_rate(cfg, v, 1) for v in frontier]
-    t = 0.0
+    cluster, frontier, counts, rates, t, e, chosen = start or (set(), [], [], [], 0.0, 0, (0, 0))
     holds, picks = row or ((), ())
-    e = 0  # the next event of the row
     while True:
-        if e == len(holds):
-            holds, picks = _events(rng.random((2, GROWTH_ROW))).tolist()
-            e = 0
-        partial = list(accumulate(rates))
-        total = partial[-1]  # the sequential sum, as the kernel's cumsum reads it
-        t += holds[e] / total
-        pick = picks[e] * total
-        e += 1
-        i = min(bisect_right(partial, pick), len(frontier) - 1)
-        chosen = frontier.pop(i)
-        del rates[i], counts[i]
         cluster.add(chosen)
         if chosen in cfg.target:
             return t
@@ -194,6 +183,17 @@ def growth_hitting_time(cfg: GrowthConfig, rng, row: list | None = None) -> floa
                 frontier.insert(j, v)
                 counts.insert(j, 1)
                 rates.insert(j, _checked_rate(cfg, v, 1))
+        if e == len(holds):
+            holds, picks = _events(rng.random((2, GROWTH_ROW))).tolist()
+            e = 0
+        partial = list(accumulate(rates))
+        total = partial[-1]  # the sequential sum, as the kernel's cumsum reads it
+        t += holds[e] / total
+        pick = picks[e] * total
+        e += 1
+        i = min(bisect_right(partial, pick), len(frontier) - 1)
+        chosen = frontier.pop(i)
+        del rates[i], counts[i]
 
 
 @dataclass
@@ -203,26 +203,27 @@ class _Window:
     ``rates[k, c]`` is the rate of cell c with k cluster neighbours; a site
     adds ``_JOINED`` to its own count on joining the cluster, which points
     it at the zero rows.  A run ends in the kernel when it picks a cell of
-    ``target`` or of ``border``."""
+    ``target`` or of ``border``; ``sites`` are the cells' lattice sites."""
 
     width: int
     rates: np.ndarray
     target: np.ndarray
     border: np.ndarray
+    sites: list[Site]
 
 
 _JOINED = 5
 
 
-def _window(cfg: GrowthConfig) -> _Window | None:
-    """The window for ``cfg``, R = ``WINDOW_MARGIN`` past the target's
-    largest |coordinate|, or None when the state of ``LOCKSTEP_RUNS`` runs
-    would pass ``ROW_CELLS`` cells.  Raises when a window rate escapes the
-    stated bounds."""
-    R = max(max(abs(x), abs(y)) for x, y in cfg.target) + WINDOW_MARGIN
+def _window(cfg: GrowthConfig) -> _Window:
+    """The window for ``cfg``: R = ``WINDOW_MARGIN`` past the target's
+    largest |coordinate|, capped at the largest R whose state for
+    ``LOCKSTEP_RUNS`` runs fits in ``ROW_CELLS`` cells.  A target site past
+    the border is not marked: a run reaches it only through the border.
+    Raises when a window rate escapes the stated bounds."""
+    reach = max(max(abs(x), abs(y)) for x, y in cfg.target)
+    R = min(reach + WINDOW_MARGIN, (math.isqrt(ROW_CELLS // LOCKSTEP_RUNS) - 1) // 2)
     w = 2 * R + 1
-    if LOCKSTEP_RUNS * w * w > ROW_CELLS:
-        return None
     side = np.arange(-R, R + 1, dtype=object)  # Python ints: exact at any coordinate
     rates = np.zeros((2 * _JOINED, w * w))
     live = rates[1:_JOINED]  # a frontier site has 1-4 cluster neighbours
@@ -231,10 +232,10 @@ def _window(cfg: GrowthConfig) -> _Window | None:
     if bad.size:
         raise _escapes(cfg, bad[0])
     target = np.zeros(w * w, bool)
-    target[[(vx + R) * w + vy + R for vx, vy in cfg.target]] = True
+    target[[(vx + R) * w + vy + R for vx, vy in cfg.target if max(abs(vx), abs(vy)) <= R]] = True
     border = np.ones((w, w), bool)
     border[1:-1, 1:-1] = False
-    return _Window(w, rates, target, border.ravel())
+    return _Window(w, rates, target, border.ravel(), list(product(range(-R, R + 1), repeat=2)))
 
 
 def _event_rows(seed, runs: int):
@@ -252,12 +253,12 @@ def _lockstep(win: _Window, chunks, samples: np.ndarray):
     """Run the batch of ``chunks`` (:func:`_event_rows`) on ``win`` in
     ``LOCKSTEP_RUNS`` slots that advance together, one event each per step;
     a slot whose run ends takes the next run in stream order.  Writes each
-    hitting time into ``samples`` and yields (block generator, run, its row
-    in the block, its events as lists) for each run that uses up its row
-    or picks a border cell.  Each step is the loop's: the cumulative sum of
-    a run's cell rates, zero off the frontier, holds its partial sums in
-    frontier order, so the pick is the count of partial sums <= pick,
-    capped at the last frontier cell."""
+    hitting time into ``samples`` and yields (run, its row stream, its
+    events as lists, its state) for each run that uses up its row or picks
+    a border cell, for :func:`growth_hitting_time` to go on from.  Each
+    step is the loop's: the cumulative sum of a run's cell rates, zero off
+    the frontier, holds its partial sums in frontier order, so the pick is
+    the count of partial sums <= pick, capped at the last frontier cell."""
     cells = win.width ** 2
     origin = cells // 2
     steps = np.array([win.width, -win.width, 1, -1])
@@ -295,8 +296,20 @@ def _lockstep(win: _Window, chunks, samples: np.ndarray):
         count[s] = 0
         return loaded
 
+    def handed_over(j: int):
+        """Slot j's run as the loop goes on with it: the cluster is the
+        cells that joined, and the frontier the other counted cells but
+        the last pick, in window order."""
+        rng, start = source[j]
+        on = np.flatnonzero(count[j])
+        joined = count[j, on] >= _JOINED
+        front = on[~joined & (on != site[j])]
+        state = ({win.sites[c] for c in on[joined].tolist()},
+                 [win.sites[c] for c in front.tolist()], count[j, front].tolist(),
+                 rate[j, front].tolist(), float(t[j]), int(event[j]), win.sites[site[j]])
+        return int(run[j]), RowStream(rng, int(run[j]) - start), events[j].tolist(), state
+
     m = load(np.arange(n))
-    ended = left = 0  # runs that ended, and those left to the loop
     while m:
         flat_rate, flat_count = rate[:m].reshape(-1), count[:m].reshape(-1)
         at = offset[:m] + site[:m]
@@ -322,18 +335,8 @@ def _lockstep(win: _Window, chunks, samples: np.ndarray):
         done = np.flatnonzero(hit | win.border[pos] | (event[:m] == GROWTH_ROW))
         if not len(done):
             continue
-        ended += len(done)
-        leaving = done[~hit[done]]
-        left += len(leaving)
-        outgrown = ended >= n and left > MAX_LEFT_SHARE * ended
-        if outgrown:  # the runs outgrow the window: the loop takes every run left
-            leaving = np.flatnonzero(~hit)
-        for j in leaving.tolist():
-            rng, start = source[j]
-            yield rng, int(run[j]), int(run[j]) - start, events[j].tolist()
-        if outgrown:
-            yield from _each_run(chunks if head is None else chain([head], chunks))
-            return
+        for j in done[~hit[done]].tolist():
+            yield handed_over(j)
         loaded = load(done)
         if loaded < len(done):  # the batch is used up: pack the live slots
             keep = np.ones(m, bool)
@@ -345,25 +348,14 @@ def _lockstep(win: _Window, chunks, samples: np.ndarray):
             source[:m] = [source[j] for j in live.tolist()]
 
 
-def _each_run(chunks):
-    """(block generator, run, its row in the block, its events as lists)
-    for each run of ``chunks`` (:func:`_event_rows`)."""
-    for rng, start, lo, rows in chunks:
-        for r, row in enumerate(rows.tolist()):
-            yield rng, lo + r, lo + r - start, row
-
-
 def growth_samples(cfg: GrowthConfig, runs: int, seed) -> np.ndarray:
     """``runs`` hitting times; block j draws ``random((k, 2, GROWTH_ROW))``.
-    With a window (:func:`_window`) the runs go through :func:`_lockstep`,
-    and a run it leaves is rerun from its row by
-    :func:`growth_hitting_time`, the same float; without one, every run is."""
+    Every run starts in :func:`_lockstep` on the window of :func:`_window`,
+    and a run it hands over goes on in :func:`growth_hitting_time` from
+    where it stopped: the float that loop returns from the run's row."""
     samples = np.empty(runs)
-    chunks = _event_rows(seed, runs)
-    win = _window(cfg)
-    left = _each_run(chunks) if win is None else _lockstep(win, chunks, samples)
-    for rng, i, r, row in left:
-        samples[i] = growth_hitting_time(cfg, RowStream(rng, r), row)
+    for i, stream, row, start in _lockstep(_window(cfg), _event_rows(seed, runs), samples):
+        samples[i] = growth_hitting_time(cfg, stream, row, start)
     return samples
 
 

@@ -482,7 +482,7 @@ def _block_table(g: WeightedGraph, kind: str, targets: list[int]):
     their cells, counted before anything is enumerated, pass
     ``TABLE_CELLS``."""
     if kind == "span":
-        cells = (_bell(g.n, TABLE_CELLS) - 1) * g.m
+        cells = (_bell(g.n, TABLE_CELLS // g.m + 1) - 1) * g.m  # past the cap iff Bell(n)'s is
     else:
         t = len(g.triangles)
         cells = sum(math.comb(t + k - 1, k) * min(3 * k, g.m) for k in targets)

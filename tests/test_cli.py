@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from fpplab.graphs import (CapacityError, GraphParseError, GraphValidationError,
                            complete_graph)
 from fpplab.growth import GrowthConfig
 from fpplab.multigraph import Prop2Report
-from fpplab.stats import F_K_eval, wilson_band
+from fpplab.stats import F_K_eval, SampleStats, wilson_band
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.json"))
@@ -557,6 +559,38 @@ def test_dual_agreement_zero_standard_error_is_inconclusive(tmp_path):
     check = json.loads((out / "report.json").read_text())["checks"]["dual_agreement"]
     assert check["status"] == "inconclusive"
     assert check["result"]["z_mean"] is None and check["result"]["z_var"] is None
+
+
+def _status_of(tmp_path, check, **cfg):
+    out = tmp_path / "out"
+    code = run_scenario(write_cfg(tmp_path, dict(BASE, checks=[check], **cfg)), out_dir=out)
+    return json.loads((out / "report.json").read_text())["checks"][check]["status"], code
+
+
+@pytest.mark.parametrize("past, status, code", [(1e-6, "FAIL", 1), (-1e-6, "pass", 0)])
+def test_lemma1_fails_just_past_kappa(tmp_path, monkeypatch, past, status, code):
+    # Lemma 1 is a theorem, so only a synthetic solution reaches its FAIL
+    # path: the triangle's, with var T / E T moved to kappa (1 + past)
+    sol = solve_hitting(fpp_chain_spec(complete_graph(3), 0, 2))
+    sol = dataclasses.replace(sol, var_T=sol.kappa * (1.0 + past) * sol.E_T)
+    monkeypatch.setattr(cli._Context, "solution", lambda self: sol)
+    assert _status_of(tmp_path, "lemma1") == (status, code)
+
+
+@pytest.mark.parametrize("moment", ["mean", "var"])
+@pytest.mark.parametrize("z, status, code", [(4.001, "FAIL", 1), (3.999, "pass", 0)])
+def test_dual_agreement_fails_just_past_four_sigma(tmp_path, monkeypatch, moment, z, status,
+                                                   code):
+    # the exact moments sit z standard errors from the sampled ones, in
+    # the mean or in the variance
+    x = np.random.default_rng(5).exponential(1.0, 1000)
+    stats = SampleStats.from_samples(x)
+    dmean, dvar = (z * stats.mean_se, 0.0) if moment == "mean" else (0.0, z * stats.variance_se)
+    sol = SimpleNamespace(E_T=stats.mean - dmean, var_T=stats.variance - dvar)
+    monkeypatch.setattr(cli._Context, "solution", lambda self: sol)
+    monkeypatch.setattr(cli._Context, "fpp_batch",
+                        lambda self, runs: SimpleNamespace(X=x, rows=lambda: iter(())))
+    assert _status_of(tmp_path, "dual_agreement", runs=1000) == (status, code)
 
 
 @pytest.mark.parametrize("allowed, status, code", [(0.9, "inconclusive", 0), (0.8, "FAIL", 1)])

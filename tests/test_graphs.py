@@ -108,6 +108,13 @@ def test_complete_graph_holds_its_arrays_alone():
     assert held <= 1.0e6
 
 
+def test_building_complete_graph_256_peaks_below_four_times_its_arrays():
+    # K256 holds 0.80 MB and its caller's pairs and rates take 0.78 MB; the
+    # duplicate check's temporaries must not stack on the connectivity check's
+    g, peak, _ = traced_peak(lambda: complete_graph(256))
+    assert peak <= 3.0e6
+
+
 def test_connectivity_of_a_long_path_costs_near_linear_time():
     # a frontier walk, one scan of the edges per level, would scan them 1999
     # times on this path; hooking with pointer jumping takes O(log n) rounds

@@ -28,7 +28,7 @@ from fpplab.growth import (
     site_weighted_rate,
     _variance_inequality_report,
 )
-from fpplab.stats import RowStream, SampleStats
+from fpplab.stats import ROW_CELLS, RowStream, SampleStats, blocks
 
 
 _BUILTIN_PARAMS = {
@@ -275,10 +275,14 @@ _SITE_WEIGHTED = {"c_lo": 0.5, "c_hi": 2.0}
 
 
 def _per_run_samples(cfg: GrowthConfig, runs: int, seed) -> np.ndarray:
-    """``growth_samples`` with no window, so every run takes the per-run loop."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(growth, "_window", lambda cfg: None)
-        return growth_samples(cfg, runs, seed)
+    """The per-run loop alone, one run at a time, on each run's block row
+    and row stream: the kernel's oracle."""
+    out = np.empty(runs)
+    for rng, part in blocks(seed, runs, 2 * growth.GROWTH_ROW, ROW_CELLS):
+        rows = growth._events(rng.random((part.stop - part.start, 2, growth.GROWTH_ROW)))
+        for r, row in enumerate(rows.tolist()):
+            out[part.start + r] = growth_hitting_time(cfg, RowStream(rng, r), row)
+    return out
 
 
 def _assert_bitwise_equal(a: np.ndarray, b: np.ndarray) -> None:
@@ -298,31 +302,46 @@ _RATE_PARAMS = {
        target=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4))
                        .filter(lambda v: v != (0, 0)), min_size=1, max_size=5),
        slots=st.sampled_from([1, 3, growth.LOCKSTEP_RUNS]),
+       radius=st.sampled_from([None, 1, 2]),
        seed=st.integers(0, 2**32 - 1))
-def test_lockstep_kernel_equals_the_per_run_loop(data, kind, target, slots, seed):
+def test_lockstep_kernel_equals_the_per_run_loop(data, kind, target, slots, radius, seed):
     # 260 runs span two blocks, so slots refill across a block boundary and
-    # are packed once the batch runs out; point targets send most runs out
-    # of the window, so the kernel hands the batch to the loop
+    # are packed once the batch runs out; point targets send many runs out
+    # of the window.  A window of radius 1 or 2 leaves target sites past its
+    # border unmarked and hands most runs to the loop, a radius 1 window
+    # every run after its first pick
     cfg = GrowthConfig.builtin(target, kind, **data.draw(_RATE_PARAMS[kind]))
-    assert growth._window(cfg) is not None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(growth, "LOCKSTEP_RUNS", slots)
+        if radius is not None:
+            reach = max(max(abs(x), abs(y)) for x, y in cfg.target)
+            mp.setattr(growth, "WINDOW_MARGIN", radius - reach)
+            assert growth._window(cfg).width == 2 * radius + 1
         _assert_bitwise_equal(growth_samples(cfg, 260, seed), _per_run_samples(cfg, 260, seed))
 
 
-def test_a_target_past_the_cell_budget_builds_no_window():
-    near = GrowthConfig.builtin([[7, 0]], "constant", c=1.0)
-    far = GrowthConfig.builtin([[8, 0]], "constant", c=1.0)
-    assert growth._window(near).width == 21
-    assert growth._window(far) is None
+def test_the_window_is_capped_at_radius_10():
+    # 64 runs on a 21 x 21 window fill 28 224 of ROW_CELLS = 32 768 cells;
+    # a target past the cap starts in the kernel too, and its runs go on in
+    # the loop from the border
+    for d, width in ((1, 9), (7, 21), (8, 21), (30, 21)):
+        assert growth._window(GrowthConfig.builtin([[d, 0]], "constant", c=1.0)).width == width
+    for d, runs in ((9, 100), (12, 40)):
+        cfg = GrowthConfig.builtin([[d, 0], [-d, 0], [0, d], [0, -d]], "site_weighted",
+                                   **_SITE_WEIGHTED)
+        _assert_bitwise_equal(growth_samples(cfg, runs, 26), _per_run_samples(cfg, runs, 26))
 
 
 @pytest.mark.parametrize("row", [1, 2])
 def test_lockstep_kernel_equals_the_loop_when_rows_run_out(monkeypatch, row):
+    # every run leaves the kernel with its row used up, on a far target's
+    # capped window too
     monkeypatch.setattr(growth, "GROWTH_ROW", row)
+    far = [[12, 0], [-12, 0], [0, 12], [0, -12]]
     for kind, params in _BUILTIN_PARAMS.items():
-        cfg = GrowthConfig.builtin([[1, 0], [0, 2]], kind, **params)
-        _assert_bitwise_equal(growth_samples(cfg, 300, 21), _per_run_samples(cfg, 300, 21))
+        for target, runs in (([[1, 0], [0, 2]], 300), (far, 10)):
+            cfg = GrowthConfig.builtin(target, kind, **params)
+            _assert_bitwise_equal(growth_samples(cfg, runs, 21), _per_run_samples(cfg, runs, 21))
 
 
 def test_lockstep_kernel_caps_a_pick_at_the_total_as_the_loop_does():
@@ -335,9 +354,9 @@ def test_lockstep_kernel_caps_a_pick_at_the_total_as_the_loop_does():
     growth._events(rows)
     samples = np.full(10, np.nan)
     rng = np.random.default_rng(9)
-    for gen, i, r, row in growth._lockstep(growth._window(cfg), iter([(rng, 0, 0, rows)]),
-                                           samples):
-        samples[i] = growth_hitting_time(cfg, RowStream(gen, r), row)
+    for i, stream, row, start in growth._lockstep(growth._window(cfg), iter([(rng, 0, 0, rows)]),
+                                                  samples):
+        samples[i] = growth_hitting_time(cfg, stream, row, start)
     for i, row in enumerate(rows):
         assert samples[i] == growth_hitting_time(cfg, RowStream(rng, i), row.tolist())
         if i % 2 == 0:
@@ -386,19 +405,23 @@ def test_a_custom_rate_runs_through_the_kernel(monkeypatch):
 
 def test_few_growth_cross_runs_leave_the_kernel(monkeypatch):
     # the bench's and the shipped scenario's config: the kernel must stay
-    # the path that almost every run takes
+    # the path that almost every run takes, and the loop must go on from
+    # the kernel's state, never rerun a run from its start
     scenario = Path(__file__).resolve().parent.parent / "scenarios" / "growth_cross.json"
     cfg = cli._growth_config(json.loads(scenario.read_text()))
-    loop_runs = [0]
+    starts = []
     loop = growth.growth_hitting_time
 
-    def counting(*args):
-        loop_runs[0] += 1
-        return loop(*args)
+    def counting(cfg, rng, row, start):
+        cluster, frontier, counts, rates, t, e, chosen = start  # before the loop grows it
+        assert (0, 0) in cluster and t > 0 and e > 0
+        assert chosen not in cluster and chosen not in frontier
+        starts.append(start)
+        return loop(cfg, rng, row, start)
 
     monkeypatch.setattr(growth, "growth_hitting_time", counting)
     growth_samples(cfg, 4000, 29)
-    assert 0 < loop_runs[0] < 0.05 * 4000
+    assert 0 < len(starts) < 0.05 * 4000
 
 
 def test_rates_past_the_stated_bounds_raise_on_both_paths():
@@ -410,6 +433,11 @@ def test_rates_past_the_stated_bounds_raise_on_both_paths():
     for samples in (growth_samples, _per_run_samples):
         with pytest.raises(ValueError, match=bounds):
             samples(cfg, 300, 23)
+    # a far target has a window too, capped at radius 10, so its escaping
+    # rates raise before any run
+    far = dataclasses.replace(cfg, target=frozenset({(30, 0)}))
+    with pytest.raises(ValueError, match=bounds):
+        growth._window(far)
     # a bound that only a cluster neighbour count of 4 escapes: the window
     # raises up front, the loop where a run rates such a site
     cfg = dataclasses.replace(GrowthConfig.builtin(_CROSS, "neighbor_count", base=0.7),

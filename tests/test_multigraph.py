@@ -417,6 +417,25 @@ def test_table_sizes_are_counted_before_enumerating(monkeypatch):
     assert [multigraph._bell(n, 10**9) for n in range(1, 8)] == [1, 2, 5, 15, 52, 203, 877]
 
 
+def test_a_zero_table_cap_sends_every_k4_spanning_tree_run_to_the_forward_pass(monkeypatch):
+    # K4's 14 partitions with two parts or more, over 6 edges, are 84
+    # cells: past a cap of 83 or 0, within one of 84
+    g = complete_graph(4)
+    for cap, fits in ((84, True), (83, False), (0, False)):
+        monkeypatch.setattr(multigraph, "TABLE_CELLS", cap)
+        assert (multigraph._block_table(g, "span", [1]) is not None) == fits
+    calls = []
+    real = multigraph.stopping_times
+
+    def spy(traj, late_ks, **kwargs):
+        calls.append(late_ks)
+        return real(traj, late_ks, **kwargs)
+
+    monkeypatch.setattr(multigraph, "stopping_times", spy)
+    sample_stopping_times(g, [1, 2], 50, seed=7, kinds=("span",))
+    assert calls == [[1, 2]] * 50
+
+
 def test_stopping_times_unattainable_raises():
     for g in (parse_edge_list("a b 1"), path_graph(4), C4):  # no triangle can ever appear
         traj = MultigraphTrajectory(g, np.random.default_rng(0))
