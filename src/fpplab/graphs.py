@@ -65,7 +65,7 @@ class WeightedGraph:
         # first of a run of equal keys repeats an earlier pair
         key = u * max(n, 1) + v
         order = np.argsort(key, kind="stable")
-        key = key[order]
+        key.sort()  # key[order], without a second copy
         duplicate = np.zeros(m, bool)
         duplicate[order[1:][key[1:] == key[:-1]]] = True
         del key, order  # before the connectivity check makes its own temporaries
@@ -100,11 +100,15 @@ class WeightedGraph:
         hooked onto roots no larger than it, so it hooks or is hooked onto
         in the next: the trees of a component at least halve every two
         rounds, O(log n) rounds of O(m + n log n) each.  A root is the least
-        vertex of its tree, so the graph is connected when every root is 0."""
+        vertex of its tree, so the graph is connected when every root is 0.
+        Roots are int32 and the lesser root overwrites its gather, so a
+        round holds three m-long int32 arrays."""
         u, v = self._ends.T
-        root = np.arange(len(self.vertices))
+        root = np.arange(len(self.vertices), dtype=np.int32)
         while not np.array_equal(ru := root[u], rv := root[v]):
-            np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+            high = np.maximum(ru, rv)
+            np.minimum.at(root, high, np.minimum(ru, rv, out=ru))
+            del high
             while not np.array_equal(jumped := root[root], root):
                 root = jumped
         return not root.any()

@@ -4,9 +4,9 @@ The growth process is Richardson's lattice growth on Z^2: a connected
 cluster grows from the origin, and a frontier site (x, y) with k cluster
 neighbours fires at rate ``rate(x, y, k)``, bounded between c_lo and c_hi
 and nondecreasing in k.  The rate sees the cluster only through k, so
-after each arrival only the new site's neighbours are re-rated.  The
-frontier of a finite cluster is finite, so a run follows the process on
-the whole lattice until the cluster meets the target set.
+after each arrival only the new site's neighbours are re-rated.  A run
+follows the process on the whole lattice until the cluster meets the
+target set.
 
 The coverage process draws IID uniform vertices of a graph until every
 vertex is in the closed neighborhood of the drawn set.
@@ -19,21 +19,19 @@ Both samplers draw in blocks (:func:`fpplab.stats.blocks`), a row per run:
 row reads rows of the same length from its own stream
 (:class:`fpplab.stats.RowStream`).
 
-Every growth run starts in a lock-step kernel (:func:`_lockstep`):
+Every growth run goes through one lock-step kernel (:func:`_lockstep`):
 ``LOCKSTEP_RUNS`` runs advance together, an event each per step, on a
-lattice window around the origin, where a run's frontier rates and their
-cumulative sum sit in the loop's frontier order.  So every time is the
-float the per-run loop (:func:`growth_hitting_time`) returns.  A run that
-picks a border cell or uses up its row goes on in that loop from the
-kernel's state; nothing is rerun.
+lattice window around the origin.  Each run keeps its frontier sorted in
+(x, y) order and picks the site whose partial rate sum first passes the
+pick, so its time does not depend on the window: a run that picks a
+border cell is rerun from its row on a window twice as wide, and returns
+the float of the process on the whole lattice.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, product
 from typing import Callable
 
 import numpy as np
@@ -45,7 +43,6 @@ from .stats import (BAND_SIGMAS, MIN_RUNS, ROW_CELLS, RowStream, SampleStats, ba
 
 Site = tuple[int, int]
 
-_NBRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 # Draws per row and per extension.  In 3 000 runs, growth_cross took a
 # median of 12 events and 99 % of runs at most 44; coverage took at most 20
 # draws on path(5) and 34 on grid 3x4.
@@ -53,11 +50,12 @@ GROWTH_ROW = 64
 COVERAGE_ROW = 32
 # The lock-step growth kernel (_lockstep) runs LOCKSTEP_RUNS runs at a time
 # on a lattice window WINDOW_MARGIN sites past the target's largest
-# |coordinate|, capped where the state of LOCKSTEP_RUNS runs would pass
-# ROW_CELLS cells (R = 10); the per-run loop goes on with each run that
-# leaves it.  At margin 3, 4.3 % of growth_cross's runs left it; a margin
-# of 4 left 1.5 % but took as long, with a third more cells per run.
-WINDOW_MARGIN = 3
+# |coordinate|, and reruns a run that picks a border cell on a window twice
+# as wide.  A window cell costs a per-run reset only.  Per 1 000 growth_cross
+# runs, margin 3 reran 37 runs, margin 6 reran 3 and margin 10 none; at
+# cross d = 30, 24, 8 and 1 of 40.  Margins 8-12 ran fastest at d = 3-15,
+# and 10-12 at d = 30, where a rerun redoes a run on four times the cells.
+WINDOW_MARGIN = 10
 LOCKSTEP_RUNS = 64
 
 
@@ -110,9 +108,9 @@ RATE_BUILTINS = {
 class GrowthConfig:
     """Growth towards ``target`` where a frontier site (x, y) with k
     cluster neighbours fires at ``rate(x, y, k)``, in [c_lo, c_hi] and
-    nondecreasing in k.  The per-run loop calls ``rate`` on Python ints;
-    the lock-step window calls it once on arrays (x and y as arrays of
-    Python ints, k as the integer column 1-4), so it must broadcast."""
+    nondecreasing in k.  Each lattice window calls ``rate`` once on arrays
+    (x and y as arrays of Python ints, k as the integer column 1-4), so it
+    must broadcast over them."""
 
     target: frozenset[Site]
     rate: Callable = field(repr=False)
@@ -130,17 +128,6 @@ class GrowthConfig:
         return cls(target=target, rate=rate, c_lo=c_lo, c_hi=c_hi)
 
 
-def _escapes(cfg: GrowthConfig, r) -> ValueError:
-    return ValueError(f"rate {r} escapes the stated bounds [{cfg.c_lo}, {cfg.c_hi}]")
-
-
-def _checked_rate(cfg: GrowthConfig, v: Site, k: int) -> float:
-    r = cfg.rate(*v, k)
-    if not (cfg.c_lo - 1e-12 <= r <= cfg.c_hi + 1e-12):
-        raise _escapes(cfg, r)
-    return r
-
-
 def _events(u: np.ndarray) -> np.ndarray:
     """Uniforms of shape (..., 2, GROWTH_ROW) as events, in place: the
     first half becomes Exp(1) holding times -ln(u); the second half stays
@@ -149,80 +136,29 @@ def _events(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def growth_hitting_time(cfg: GrowthConfig, rng, row: list | None = None,
-                        start: tuple | None = None) -> float:
-    """Event-driven simulation on Z^2; returns the time at which the
-    cluster first meets the target set.  The events come from ``row`` (a
-    block row from :func:`_events`, as lists) when given, then ``random((2,
-    GROWTH_ROW))`` at a time from ``rng``, a generator or a
-    :class:`fpplab.stats.RowStream`.
-
-    ``start`` is the state of a run that :func:`_lockstep` hands over:
-    (cluster, frontier, counts, rates, t, the row's next event, the last
-    pick), the pick not yet applied.  A fresh run applies the origin to an
-    empty cluster.  Each step applies the pick, then draws the next one.
-
-    The frontier is kept sorted with each site's rate and cluster neighbour
-    count alongside, so an arrival re-rates only the new site's neighbours."""
-    cluster, frontier, counts, rates, t, e, chosen = start or (set(), [], [], [], 0.0, 0, (0, 0))
-    holds, picks = row or ((), ())
-    while True:
-        cluster.add(chosen)
-        if chosen in cfg.target:
-            return t
-        x, y = chosen
-        for dx, dy in _NBRS:
-            v = (x + dx, y + dy)
-            if v in cluster:
-                continue
-            j = bisect_left(frontier, v)
-            if j < len(frontier) and frontier[j] == v:
-                counts[j] += 1
-                rates[j] = _checked_rate(cfg, v, counts[j])
-            else:
-                frontier.insert(j, v)
-                counts.insert(j, 1)
-                rates.insert(j, _checked_rate(cfg, v, 1))
-        if e == len(holds):
-            holds, picks = _events(rng.random((2, GROWTH_ROW))).tolist()
-            e = 0
-        partial = list(accumulate(rates))
-        total = partial[-1]  # the sequential sum, as the kernel's cumsum reads it
-        t += holds[e] / total
-        pick = picks[e] * total
-        e += 1
-        i = min(bisect_right(partial, pick), len(frontier) - 1)
-        chosen = frontier.pop(i)
-        del rates[i], counts[i]
-
-
 @dataclass
 class _Window:
     """The lattice window [-R, R]^2 of the lock-step kernel, its cells
     numbered row-major with x first, which is the frontier's sorted order.
     ``rates[k, c]`` is the rate of cell c with k cluster neighbours; a site
     adds ``_JOINED`` to its own count on joining the cluster, which points
-    it at the zero rows.  A run ends in the kernel when it picks a cell of
-    ``target`` or of ``border``; ``sites`` are the cells' lattice sites."""
+    it at the zero rows.  ``stop[c]`` is ``_HIT`` on a target cell, where a
+    run ends, and ``_OUT`` on another border cell, where a run leaves the
+    window and is rerun on a wider one."""
 
-    width: int
+    radius: int
     rates: np.ndarray
-    target: np.ndarray
-    border: np.ndarray
-    sites: list[Site]
+    stop: np.ndarray
 
 
 _JOINED = 5
+_OUT, _HIT = 1, 2
 
 
-def _window(cfg: GrowthConfig) -> _Window:
-    """The window for ``cfg``: R = ``WINDOW_MARGIN`` past the target's
-    largest |coordinate|, capped at the largest R whose state for
-    ``LOCKSTEP_RUNS`` runs fits in ``ROW_CELLS`` cells.  A target site past
-    the border is not marked: a run reaches it only through the border.
-    Raises when a window rate escapes the stated bounds."""
-    reach = max(max(abs(x), abs(y)) for x, y in cfg.target)
-    R = min(reach + WINDOW_MARGIN, (math.isqrt(ROW_CELLS // LOCKSTEP_RUNS) - 1) // 2)
+def _window(cfg: GrowthConfig, R: int) -> _Window:
+    """The window of radius ``R`` for ``cfg``, R at least the target's
+    largest |coordinate|.  Raises when a window rate escapes the stated
+    bounds."""
     w = 2 * R + 1
     side = np.arange(-R, R + 1, dtype=object)  # Python ints: exact at any coordinate
     rates = np.zeros((2 * _JOINED, w * w))
@@ -230,12 +166,12 @@ def _window(cfg: GrowthConfig) -> _Window:
     live[:] = cfg.rate(np.repeat(side, w), np.tile(side, w), np.arange(1, _JOINED)[:, None])
     bad = live[~((live >= cfg.c_lo - 1e-12) & (live <= cfg.c_hi + 1e-12))]
     if bad.size:
-        raise _escapes(cfg, bad[0])
-    target = np.zeros(w * w, bool)
-    target[[(vx + R) * w + vy + R for vx, vy in cfg.target if max(abs(vx), abs(vy)) <= R]] = True
-    border = np.ones((w, w), bool)
-    border[1:-1, 1:-1] = False
-    return _Window(w, rates, target, border.ravel(), list(product(range(-R, R + 1), repeat=2)))
+        raise ValueError(f"rate {bad[0]} escapes the stated bounds [{cfg.c_lo}, {cfg.c_hi}]")
+    stop = np.full((w, w), _OUT, np.int8)
+    stop[1:-1, 1:-1] = 0
+    stop = stop.ravel()
+    stop[[(x + R) * w + y + R for x, y in cfg.target]] = _HIT
+    return _Window(R, rates, stop)
 
 
 def _event_rows(seed, runs: int):
@@ -249,113 +185,142 @@ def _event_rows(seed, runs: int):
             yield rng, part.start, lo, _events(rng.random((k, 2, GROWTH_ROW)))
 
 
-def _lockstep(win: _Window, chunks, samples: np.ndarray):
-    """Run the batch of ``chunks`` (:func:`_event_rows`) on ``win`` in
-    ``LOCKSTEP_RUNS`` slots that advance together, one event each per step;
-    a slot whose run ends takes the next run in stream order.  Writes each
-    hitting time into ``samples`` and yields (run, its row stream, its
-    events as lists, its state) for each run that uses up its row or picks
-    a border cell, for :func:`growth_hitting_time` to go on from.  Each
-    step is the loop's: the cumulative sum of a run's cell rates, zero off
-    the frontier, holds its partial sums in frontier order, so the pick is
-    the count of partial sums <= pick, capped at the last frontier cell."""
-    cells = win.width ** 2
-    origin = cells // 2
-    steps = np.array([win.width, -win.width, 1, -1])
-    n = LOCKSTEP_RUNS
-    offset = np.arange(n) * cells  # each slot's first cell in the flat state
+def _lockstep(win: _Window, chunks, runs: int, samples: np.ndarray) -> list:
+    """Run the ``runs`` runs of ``chunks`` (as :func:`_event_rows` yields
+    them) on ``win`` in at most ``LOCKSTEP_RUNS`` slots that advance
+    together, one event each per step; a slot whose run ends takes the next
+    run in chunk order.  Writes each hitting time into ``samples``, and
+    returns a one-row chunk for each run that picked a border cell, to be
+    rerun from its row on a wider window.  A run that uses up its row reads
+    the next from its :class:`fpplab.stats.RowStream`.
+
+    A slot keeps its frontier's cells in window order in ``front``, then
+    pad cells, whose rate stays 0.  Each step writes the pad over the last
+    pick's column and the pick's new neighbours after the frontier, and
+    sorts that span.  The cumulative sum of the span's rates holds the
+    frontier's partial sums, as the pads add 0.0, so the pick is the count
+    of partial sums <= pick, capped at the last frontier cell."""
+    w = 2 * win.radius + 1
+    cells = w * w
+    n = min(LOCKSTEP_RUNS, runs)
+    slots = np.arange(n)
+    home = slots.copy()  # each slot's row of rate and count, kept when slots are packed
+    offset = home * (cells + 1)  # its first cell in the flat state
+    pad = offset + cells  # its pad cell; front holds flat cells
+    # the last pick joins (_JOINED zeroes its rate), and its neighbours gain one
+    steps = np.array([0, w, -w, 1, -1])
+    gain = np.array([_JOINED, 1, 1, 1, 1], np.uint8)
+    spare = np.arange(1, 5)
     run = np.zeros(n, np.intp)
-    event = np.zeros(n, np.intp)  # the run's next event
     t = np.zeros(n)
-    site = np.zeros(n, np.intp)  # its last pick, which joins the cluster
-    rate = np.zeros((n, cells))
-    count = np.zeros((n, cells), np.uint8)
+    # a slot's run: its next event, its last pick (which joins the cluster),
+    # the pick's column in front and the frontier's last column, the pick's
+    # counted; a run starts from the origin, in a column of pads
+    state = np.zeros((n, 4), np.intp)
+    event, site, column, last = state.T
+    start_state = (0, cells // 2, 0, 0)
+    rate = np.zeros((n, cells + 1))
+    count = np.zeros((n, cells + 1), np.uint8)
+    flat_rate, flat_count = rate.reshape(-1), count.reshape(-1)
+    front = np.repeat(pad[:, None], 8, axis=1)
     events = np.empty((n, 2, GROWTH_ROW))
-    source = [None] * n  # (block generator, the block's first run)
+    first = np.empty((n, 2, GROWTH_ROW))  # the run's own row, for a rerun
+    begin = np.zeros(n, np.intp)  # the first run of the run's block
+    block = {}  # a block's first run: its generator
+    stream = [None] * n  # (run, its RowStream) once the run has used up its row
+    rerun = []
     head = next(chunks, None)  # the chunk being loaded, from its first unloaded row
 
-    def load(slots: np.ndarray) -> int:
-        """Start the next runs in ``slots``; returns how many there were."""
+    def load(free: np.ndarray) -> int:
+        """Start the next runs in slots ``free``; returns how many there were."""
         nonlocal head
         loaded = 0
-        while loaded < len(slots) and head is not None:
+        while loaded < len(free) and head is not None:
             rng, start, lo, rows = head
-            s = slots[loaded:loaded + len(rows)]
+            block[start] = rng
+            s = free[loaded:loaded + len(rows)]
             rows, rest = rows[:len(s)], rows[len(s):]
             head = (rng, start, lo + len(s), rest) if len(rest) else next(chunks, None)
             run[s] = np.arange(lo, lo + len(s))
-            events[s] = rows
-            for j in s.tolist():
-                source[j] = (rng, start)
+            begin[s] = start
+            events[s] = first[s] = rows
             loaded += len(s)
-        s = slots[:loaded]
-        event[s] = 0
+        s = free[:loaded]
+        state[s] = start_state
         t[s] = 0.0
-        site[s] = origin
-        rate[s] = 0.0
-        count[s] = 0
+        rate[home[s]] = 0.0
+        count[home[s]] = 0
+        front[s] = pad[s, None]
         return loaded
 
-    def handed_over(j: int):
-        """Slot j's run as the loop goes on with it: the cluster is the
-        cells that joined, and the frontier the other counted cells but
-        the last pick, in window order."""
-        rng, start = source[j]
-        on = np.flatnonzero(count[j])
-        joined = count[j, on] >= _JOINED
-        front = on[~joined & (on != site[j])]
-        state = ({win.sites[c] for c in on[joined].tolist()},
-                 [win.sites[c] for c in front.tolist()], count[j, front].tolist(),
-                 rate[j, front].tolist(), float(t[j]), int(event[j]), win.sites[site[j]])
-        return int(run[j]), RowStream(rng, int(run[j]) - start), events[j].tolist(), state
-
-    m = load(np.arange(n))
+    m = load(slots)
     while m:
-        flat_rate, flat_count = rate[:m].reshape(-1), count[:m].reshape(-1)
-        at = offset[:m] + site[:m]
-        flat_rate[at] = 0.0
-        flat_count[at] += _JOINED
-        nbrs = site[:m, None] + steps
-        at = nbrs + offset[:m, None]
-        flat_count[at] += 1
-        flat_rate[at] = win.rates[flat_count[at], nbrs]
-        partial = np.cumsum(rate[:m], axis=1)
+        slot = slots[:m]
+        near = site[:m, None] + steps
+        at = near + offset[:m, None]
+        k = flat_count[at] + gain
+        flat_count[at] = k
+        flat_rate[at] = win.rates[k, near]
+        new = k[:, 1:] == 1
+        span = int(last[:m].max()) + 5
+        if span > front.shape[1]:
+            front = np.concatenate([front, np.repeat(pad[:, None], front.shape[1], axis=1)],
+                                   axis=1)
+        front[slot, column[:m]] = pad[:m]
+        front[slot[:, None], last[:m, None] + spare] = np.where(new, at[:, 1:], pad[:m, None])
+        last[:m] += new.sum(axis=1) - 1
+        cell = front[:m, :span]
+        cell.sort(axis=1)
+        partial = np.cumsum(flat_rate[cell], axis=1)
         total = partial[:, -1]
-        slot = np.arange(m)
         t[:m] += events[slot, 0, event[:m]] / total
         pick = events[slot, 1, event[:m]] * total
         event[:m] += 1
-        pos = np.count_nonzero(partial <= pick[:, None], axis=1)
-        capped = pos == cells
-        if capped.any():
-            pos[capped] = np.count_nonzero(partial[capped] < total[capped, None], axis=1)
-        site[:m] = pos
-        hit = win.target[pos]
-        samples[run[:m][hit]] = t[:m][hit]
-        done = np.flatnonzero(hit | win.border[pos] | (event[:m] == GROWTH_ROW))
-        if not len(done):
+        below = partial <= pick[:, None]
+        column[:m] = below.argmin(axis=1)  # the first partial sum past the pick
+        if below[:, -1].any():  # a pick at the total takes the last frontier cell
+            column[:m][below[:, -1]] = last[:m][below[:, -1]]
+        site[:m] = cell[slot, column[:m]] - offset[:m]
+        stop = win.stop[site[:m]]
+        if event[:m].max() == GROWTH_ROW:
+            for j in np.flatnonzero((event[:m] == GROWTH_ROW) & (stop == 0)).tolist():
+                r = int(run[j])
+                if stream[j] is None or stream[j][0] != r:
+                    stream[j] = r, RowStream(block[begin[j]], r - begin[j])
+                events[j] = _events(stream[j][1].random((2, GROWTH_ROW)))
+                event[j] = 0
+        if not stop.any():
             continue
-        for j in done[~hit[done]].tolist():
-            yield handed_over(j)
+        hit = stop == _HIT
+        samples[run[:m][hit]] = t[:m][hit]
+        for j in np.flatnonzero(stop == _OUT).tolist():
+            rerun.append((block[begin[j]], int(begin[j]), int(run[j]), first[j][None].copy()))
+        done = np.flatnonzero(stop)
         loaded = load(done)
         if loaded < len(done):  # the batch is used up: pack the live slots
             keep = np.ones(m, bool)
             keep[done[loaded:]] = False
             live = np.flatnonzero(keep)
             m = len(live)
-            for a in (run, event, t, site, rate, count, events):
+            for a in (run, t, state, front, events, first, begin, home, offset, pad):
                 a[:m] = a[live]
-            source[:m] = [source[j] for j in live.tolist()]
+            stream[:m] = [stream[j] for j in live.tolist()]
+    return rerun
 
 
 def growth_samples(cfg: GrowthConfig, runs: int, seed) -> np.ndarray:
     """``runs`` hitting times; block j draws ``random((k, 2, GROWTH_ROW))``.
-    Every run starts in :func:`_lockstep` on the window of :func:`_window`,
-    and a run it hands over goes on in :func:`growth_hitting_time` from
-    where it stopped: the float that loop returns from the run's row."""
+    Every run goes through :func:`_lockstep`, first on a window
+    ``WINDOW_MARGIN`` sites past the target's largest |coordinate|; the
+    runs that pick a border cell are rerun on a window twice as wide, until
+    none is left.  The frontier's order does not depend on the window, so
+    each time is the float of the process on the whole lattice."""
     samples = np.empty(runs)
-    for i, stream, row, start in _lockstep(_window(cfg), _event_rows(seed, runs), samples):
-        samples[i] = growth_hitting_time(cfg, stream, row, start)
+    R = max(max(abs(x), abs(y)) for x, y in cfg.target) + WINDOW_MARGIN
+    chunks = _event_rows(seed, runs)
+    while runs:
+        rerun = _lockstep(_window(cfg, R), chunks, runs, samples)
+        chunks, runs, R = iter(rerun), len(rerun), 2 * R
     return samples
 
 

@@ -6,7 +6,8 @@
 route to its moments, ``max_spanning_tree_packing`` counts trees with
 :class:`fpplab.multigraph.ForestUnion`, and ``validate_rate_monotone``
 samples the growth condition of :class:`fpplab.growth.GrowthConfig`'s rate.
-``traced_peak`` measures the memory a call allocates, and
+``Replay`` hands a run's block row to a reference simulator, then its own
+stream.  ``traced_peak`` measures the memory a call allocates, and
 ``TUPLE_FAMILIES`` builds the graph families edge tuple by edge tuple, the
 oracle of the array-built ones in :mod:`fpplab.graphs`.
 """
@@ -78,6 +79,22 @@ def validate_rate_monotone(rate, rng: np.random.Generator) -> None:
                     f"rate at {(x, y)} dropped from {before} to {after} at {k} cluster neighbours"
                 )
             before = after
+
+
+class Replay:
+    """A generator stand-in that hands out one recorded row first, then
+    reads on from ``rest``: a row sampler's run i reads its block row, then
+    its :class:`fpplab.stats.RowStream`."""
+
+    def __init__(self, row, rest):
+        self.row, self.rest = row, rest
+
+    def random(self, shape):
+        row, self.row = self.row, None
+        if row is not None:
+            assert row.shape == tuple(np.atleast_1d(shape))
+            return row.copy()
+        return self.rest.random(shape)
 
 
 def traced_peak(f):

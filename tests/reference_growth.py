@@ -1,18 +1,19 @@
 """Reference growth simulator: rebuild the frontier after every arrival.
 
-This is the straightforward event loop for Richardson growth on Z^2 that
-``fpplab.growth.growth_hitting_time`` replaces with an incrementally kept
-frontier.  Each step it recomputes the sorted frontier from the whole
-cluster, re-rates every frontier site and picks the next site by a linear
-scan of the partial rate sums, counting each frontier site's cluster
-neighbours afresh, so it relies on none of the loop's incremental counts
-and serves as the oracle in ``test_growth.py``: on the same generator both
-must return the same float.  It reads the same uniforms,
-``random((2, GROWTH_ROW))`` at a time: ``GROWTH_ROW`` holding times
--ln(u) / (total rate), then as many picks u * (total rate).
+This is the straightforward event loop for Richardson growth on Z^2, and
+the oracle of ``fpplab.growth``'s lock-step kernel in ``test_growth.py``.
+Each step it recomputes the sorted frontier from the whole cluster,
+re-rates every frontier site, counting its cluster neighbours afresh, and
+picks the next site by a linear scan of the partial rate sums, so it
+relies on none of the kernel's windows, counts, pads or reruns: on a run's
+block row and then its row stream (``helpers.Replay``) both must return
+the same float.  It reads ``random((2, GROWTH_ROW))`` at a time:
+``GROWTH_ROW`` holding times -ln(u) / (total rate), then as many picks
+u * (total rate).  Its cost grows as the square of the cluster, so the
+tests give it few far runs.
 
-That comparison cannot catch a wrong rate semantics, since both loops read
-the rates the same way.  First passage percolation on Z^2 is the
+That comparison cannot catch a wrong rate semantics, since both read the
+rates the same way.  First passage percolation on Z^2 is the
 independent law, sampled by a lazily drawn Dijkstra with no event loop:
 when a site's rate depends on the site alone (``constant``,
 ``site_weighted``), Richardson growth is site FPP

@@ -20,7 +20,7 @@ from fpplab.graphs import (CapacityError, GraphParseError, GraphValidationError,
                            complete_graph)
 from fpplab.growth import GrowthConfig
 from fpplab.multigraph import Prop2Report
-from fpplab.stats import F_K_eval, SampleStats, wilson_band
+from fpplab.stats import BAND_SIGMAS, F_K_eval, SampleStats, wilson_band
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.json"))
@@ -591,6 +591,19 @@ def test_dual_agreement_fails_just_past_four_sigma(tmp_path, monkeypatch, moment
     monkeypatch.setattr(cli._Context, "fpp_batch",
                         lambda self, runs: SimpleNamespace(X=x, rows=lambda: iter(())))
     assert _status_of(tmp_path, "dual_agreement", runs=1000) == (status, code)
+
+
+@pytest.mark.parametrize("past, status, code", [(1e-6, "FAIL", 1), (-1e-6, "inconclusive", 0)])
+def test_coupling_lower_fails_just_past_var_x(tmp_path, monkeypatch, past, status, code):
+    # a coupled batch whose increments d put (1/4) mean d^2, less its band
+    # of BAND_SIGMAS (1/4) se, at var X (1 + past): past 0 it FAILs
+    sol = solve_hitting(fpp_chain_spec(complete_graph(3), 0, 2))
+    z = np.random.default_rng(32).exponential(1.0, 1000)
+    sq = SampleStats.from_samples(z ** 2)
+    d = z * math.sqrt(4.0 * sol.var_T * (1.0 + past) / (sq.mean - BAND_SIGMAS * sq.mean_se))
+    batch = SimpleNamespace(X=np.zeros(1000), X_prime=d, increment_bound=d)
+    monkeypatch.setattr(cli, "sample_coupling_batch", lambda *args: batch)
+    assert _status_of(tmp_path, "coupling_lower", runs=1000) == (status, code)
 
 
 @pytest.mark.parametrize("allowed, status, code", [(0.9, "inconclusive", 0), (0.8, "FAIL", 1)])

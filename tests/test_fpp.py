@@ -550,6 +550,16 @@ def test_submultiplicativity_band_stays_open_far_in_the_tail():
     assert rep["band"] > 0 and rep["holds"] and rep["inconclusive"]
 
 
+@pytest.mark.parametrize("tail_sum, holds", [(125, False), (124, True)])
+def test_submultiplicativity_fails_just_past_its_band(tail_sum, holds):
+    # 1000 runs with P(X > 1) = 0.3: the bound on P(X > 2) is 0.09 with a
+    # Wilson band of 0.036, so 125 runs above 2 put the tail sum just past
+    # the band, and 124 just inside it
+    x = np.array([3.0] * tail_sum + [1.5] * (300 - tail_sum) + [0.5] * 700)
+    rep = submultiplicativity_probe(x, 1.0, 1.0)
+    assert (rep["holds"], rep["inconclusive"]) == (holds, holds)
+
+
 def test_submultiplicativity_probe_reporting():
     rng = np.random.default_rng(1)
     samples = rng.exponential(1.0, size=20_000)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_growth
-from helpers import RateMonotonicityError, validate_rate_monotone
+from helpers import RateMonotonicityError, Replay, validate_rate_monotone
 from fpplab import cli, growth
 from fpplab.chain import ChainSpec, solve_discrete, solve_hitting
 from fpplab.graphs import grid_graph, path_graph
@@ -20,7 +20,6 @@ from fpplab.growth import (
     coverage_samples,
     coverage_simulate,
     constant_rate,
-    growth_hitting_time,
     growth_samples,
     neighbor_count_rate,
     prop1_check,
@@ -28,9 +27,11 @@ from fpplab.growth import (
     site_weighted_rate,
     _variance_inequality_report,
 )
-from fpplab.stats import ROW_CELLS, RowStream, SampleStats, blocks
+from fpplab.stats import BAND_SIGMAS, RowStream, SampleStats, blocks
 
 
+_CROSS = [[3, 0], [-3, 0], [0, 3], [0, -3]]
+_SITE_WEIGHTED = {"c_lo": 0.5, "c_hi": 2.0}
 _BUILTIN_PARAMS = {
     "constant": {"c": 1.3},
     "site_weighted": {"c_lo": 0.5, "c_hi": 2.0},
@@ -78,12 +79,10 @@ def test_growth_config_validation():
 
 
 def test_growth_first_jump_law():
-    # target adjacent to the origin, constant rate c: the frontier has 4
-    # sites, so the chance the first jump hits the target is 1/4 and the
-    # jump time is Exp(4c)
+    # the origin's four neighbours as the target, constant rate c: the
+    # first jump hits it, after an Exp(4c) time
     cfg = GrowthConfig.builtin([[1, 0], [-1, 0], [0, 1], [0, -1]], "constant", c=2.0)
-    rng = np.random.default_rng(3)
-    ts = np.array([growth_hitting_time(cfg, rng) for _ in range(4000)])
+    ts = growth_samples(cfg, 4000, 3)
     assert abs(ts.mean() - 1.0 / 8.0) < 4.0 * ts.std(ddof=1) / math.sqrt(len(ts))
 
 
@@ -120,8 +119,7 @@ def test_growth_hitting_time_matches_exact_ring_chain(rate, exact_mean):
     assert sol.E_T == pytest.approx(exact_mean, abs=1e-5)
     ring = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if abs(x) + abs(y) == 2]
     cfg = GrowthConfig(target=frozenset(ring), rate=fn, c_lo=c_lo, c_hi=c_hi)
-    rng = np.random.default_rng(11)
-    stats = SampleStats.from_samples([growth_hitting_time(cfg, rng) for _ in range(20_000)])
+    stats = SampleStats.from_samples(growth_samples(cfg, 20_000, 11))
     assert abs(stats.mean - sol.E_T) <= 4.0 * stats.mean_se
     assert abs(stats.variance - sol.var_T) <= 4.0 * stats.variance_se
 
@@ -134,26 +132,7 @@ def test_growth_hitting_time_matches_exact_ring_chain(rate, exact_mean):
        seed=st.integers(0, 2**32 - 1))
 def test_growth_hitting_time_matches_rebuild_every_step_reference(kind, target, seed):
     cfg = GrowthConfig.builtin(target, kind, **_BUILTIN_PARAMS[kind])
-    fast = growth_hitting_time(cfg, np.random.default_rng(seed))
-    assert fast == reference_growth.growth_hitting_time(cfg, np.random.default_rng(seed))
-
-
-def test_growth_hitting_time_rates_only_the_new_sites_neighbours():
-    # each site is rated once as it joins the frontier and once more per
-    # cluster neighbour it gains after that, at its count so far
-    fn, c_lo, c_hi = constant_rate(1.0)
-    seen = {}
-
-    def counting(x, y, k):
-        seen.setdefault((x, y), []).append(k)
-        return fn(x, y, k)
-
-    cfg = GrowthConfig(target=frozenset({(20, 0), (-20, 0), (0, 20), (0, -20)}),
-                       rate=counting, c_lo=c_lo, c_hi=c_hi)
-    growth_hitting_time(cfg, np.random.default_rng(5))
-    assert len(seen) > 100
-    for ks in seen.values():
-        assert ks == list(range(1, len(ks) + 1)) and len(ks) <= 4
+    _assert_bitwise_equal(growth_samples(cfg, 2, seed), _per_run_samples(cfg, 2, seed))
 
 
 @pytest.mark.parametrize("kind", sorted(_BUILTIN_PARAMS))
@@ -181,6 +160,40 @@ def test_prop1_check_passes():
     assert rep.holds
     with pytest.raises(ValueError):
         prop1_check(cfg, 10, seed=0)
+
+
+def _variance_past_the_band(x: np.ndarray, q: float, past: float) -> np.ndarray:
+    """x shifted so that its variance is (1 + past) times the top of the
+    band of the bound q E T: q mean + BAND_SIGMAS (variance_se + q mean_se),
+    the jackknife band plus the bound's mean-driven wiggle."""
+    stats = SampleStats.from_samples(x)
+    mean = (stats.variance / (1.0 + past) - BAND_SIGMAS * stats.variance_se) / q \
+        - BAND_SIGMAS * stats.mean_se
+    return x + (mean - stats.mean)
+
+
+@pytest.mark.parametrize("past, holds, inconclusive", [(1e-6, False, False), (-1e-6, True, True)])
+def test_prop1_fails_just_past_e_t_over_c_lo(monkeypatch, past, holds, inconclusive):
+    # Proposition 1 is a theorem, so only a synthetic sample reaches its
+    # FAIL path: var T just past, or just inside, the band's top over E T / c_lo
+    cfg = GrowthConfig.builtin(_CROSS, "site_weighted", **_SITE_WEIGHTED)
+    x = _variance_past_the_band(4.0 * np.random.default_rng(30).exponential(1.0, 2000),
+                                1.0 / cfg.c_lo, past)
+    assert x.min() > 0
+    monkeypatch.setattr(growth, "growth_samples", lambda cfg, runs, seed: x)
+    rep = prop1_check(cfg, 2000, 0)
+    assert (rep.holds, rep.inconclusive) == (holds, inconclusive)
+
+
+@pytest.mark.parametrize("past, holds, inconclusive", [(1e-6, False, False), (-1e-6, True, True)])
+def test_prop3_fails_just_past_n_e_t(monkeypatch, past, holds, inconclusive):
+    cfg = CoverageConfig.from_graph(path_graph(5))
+    x = _variance_past_the_band(10.0 * np.random.default_rng(31).exponential(1.0, 2000),
+                                cfg.n, past)
+    assert x.min() > 0
+    monkeypatch.setattr(growth, "coverage_samples", lambda cfg, runs, seed: x)
+    rep = prop3_check(cfg, 2000, 0)
+    assert (rep.holds, rep.inconclusive) == (holds, inconclusive)
 
 
 def test_variance_inequality_report_verdicts():
@@ -268,20 +281,20 @@ def test_prop3_check_passes():
 
 
 # ---------------------------------------------------------------------------
-# The lock-step kernel against the per-run loop
-
-_CROSS = [[3, 0], [-3, 0], [0, 3], [0, -3]]
-_SITE_WEIGHTED = {"c_lo": 0.5, "c_hi": 2.0}
+# The lock-step kernel against the rebuild-every-step reference
 
 
-def _per_run_samples(cfg: GrowthConfig, runs: int, seed) -> np.ndarray:
-    """The per-run loop alone, one run at a time, on each run's block row
-    and row stream: the kernel's oracle."""
-    out = np.empty(runs)
-    for rng, part in blocks(seed, runs, 2 * growth.GROWTH_ROW, ROW_CELLS):
-        rows = growth._events(rng.random((part.stop - part.start, 2, growth.GROWTH_ROW)))
-        for r, row in enumerate(rows.tolist()):
-            out[part.start + r] = growth_hitting_time(cfg, RowStream(rng, r), row)
+def _per_run_samples(cfg: GrowthConfig, runs: int, seed, which=None) -> np.ndarray:
+    """The reference loop, one run at a time, on each run's raw block row
+    and then its row stream: the kernel's oracle.  ``which`` names the runs
+    to replay; the others read NaN."""
+    out = np.full(runs, np.nan)
+    for rng, part in blocks(seed, runs, 2 * growth.GROWTH_ROW, growth.ROW_CELLS):
+        rows = rng.random((part.stop - part.start, 2, growth.GROWTH_ROW))
+        for r, row in enumerate(rows):
+            if which is None or part.start + r in which:
+                out[part.start + r] = reference_growth.growth_hitting_time(
+                    cfg, Replay(row, RowStream(rng, r)))
     return out
 
 
@@ -299,47 +312,56 @@ _RATE_PARAMS = {
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(sorted(_RATE_PARAMS)),
-       target=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+       target=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3))
                        .filter(lambda v: v != (0, 0)), min_size=1, max_size=5),
        slots=st.sampled_from([1, 3, growth.LOCKSTEP_RUNS]),
-       radius=st.sampled_from([None, 1, 2]),
+       margin=st.sampled_from([None, 0, 1]),
        seed=st.integers(0, 2**32 - 1))
-def test_lockstep_kernel_equals_the_per_run_loop(data, kind, target, slots, radius, seed):
-    # 260 runs span two blocks, so slots refill across a block boundary and
-    # are packed once the batch runs out; point targets send many runs out
-    # of the window.  A window of radius 1 or 2 leaves target sites past its
-    # border unmarked and hands most runs to the loop, a radius 1 window
-    # every run after its first pick
+def test_lockstep_kernel_equals_the_per_run_loop(data, kind, target, slots, margin, seed):
+    # blocks of 8 runs, so 20 runs span three and slots refill across a
+    # block boundary and are packed once the batch runs out; at a margin of
+    # 0 or 1 most runs pick a border cell and are rerun, some twice
     cfg = GrowthConfig.builtin(target, kind, **data.draw(_RATE_PARAMS[kind]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(growth, "LOCKSTEP_RUNS", slots)
-        if radius is not None:
-            reach = max(max(abs(x), abs(y)) for x, y in cfg.target)
-            mp.setattr(growth, "WINDOW_MARGIN", radius - reach)
-            assert growth._window(cfg).width == 2 * radius + 1
-        _assert_bitwise_equal(growth_samples(cfg, 260, seed), _per_run_samples(cfg, 260, seed))
+        mp.setattr(growth, "ROW_CELLS", 8 * 2 * growth.GROWTH_ROW)
+        if margin is not None:
+            mp.setattr(growth, "WINDOW_MARGIN", margin)
+        _assert_bitwise_equal(growth_samples(cfg, 20, seed), _per_run_samples(cfg, 20, seed))
 
 
-def test_the_window_is_capped_at_radius_10():
-    # 64 runs on a 21 x 21 window fill 28 224 of ROW_CELLS = 32 768 cells;
-    # a target past the cap starts in the kernel too, and its runs go on in
-    # the loop from the border
-    for d, width in ((1, 9), (7, 21), (8, 21), (30, 21)):
-        assert growth._window(GrowthConfig.builtin([[d, 0]], "constant", c=1.0)).width == width
-    for d, runs in ((9, 100), (12, 40)):
-        cfg = GrowthConfig.builtin([[d, 0], [-d, 0], [0, d], [0, -d]], "site_weighted",
-                                   **_SITE_WEIGHTED)
-        _assert_bitwise_equal(growth_samples(cfg, runs, 26), _per_run_samples(cfg, runs, 26))
+def test_the_window_reaches_the_target():
+    # R = the target's reach + WINDOW_MARGIN: every target site is marked,
+    # and only the outermost ring is border
+    for target in ([[1, 0]], [[7, -2], [0, 3]], [[-30, 30]]):
+        cfg = GrowthConfig.builtin(target, "constant", c=1.0)
+        reach = max(max(abs(x), abs(y)) for x, y in target)
+        R = reach + growth.WINDOW_MARGIN
+        win = growth._window(cfg, R)
+        stop = win.stop.reshape(2 * R + 1, 2 * R + 1)
+        assert win.radius == R and win.rates.shape[1] == (2 * R + 1) ** 2
+        assert {(x - R, y - R) for x, y in zip(*np.nonzero(stop == growth._HIT))} == cfg.target
+        inner = stop[1:-1, 1:-1]
+        assert not (inner == growth._OUT).any()
+        ring = np.concatenate([stop[0], stop[-1], stop[1:-1, 0], stop[1:-1, -1]])
+        assert (ring != 0).all()
+
+
+@pytest.mark.parametrize("target, runs", [([[12, 0], [-12, 0], [0, 12], [0, -12]], 10),
+                                          ([[15, -4]], 10)])
+def test_far_targets_equal_the_reference(target, runs):
+    # a run reads several rows on from its stream before it hits, on a
+    # window of radius 22 or 25
+    cfg = GrowthConfig.builtin(target, "site_weighted", **_SITE_WEIGHTED)
+    _assert_bitwise_equal(growth_samples(cfg, runs, 26), _per_run_samples(cfg, runs, 26))
 
 
 @pytest.mark.parametrize("row", [1, 2])
 def test_lockstep_kernel_equals_the_loop_when_rows_run_out(monkeypatch, row):
-    # every run leaves the kernel with its row used up, on a far target's
-    # capped window too
+    # every run reads on from its stream, after its first event or two
     monkeypatch.setattr(growth, "GROWTH_ROW", row)
-    far = [[12, 0], [-12, 0], [0, 12], [0, -12]]
     for kind, params in _BUILTIN_PARAMS.items():
-        for target, runs in (([[1, 0], [0, 2]], 300), (far, 10)):
+        for target, runs in (([[1, 0], [0, 2]], 300), ([[5, 0], [-5, 0], [0, 5], [0, -5]], 10)):
             cfg = GrowthConfig.builtin(target, kind, **params)
             _assert_bitwise_equal(growth_samples(cfg, runs, 21), _per_run_samples(cfg, runs, 21))
 
@@ -347,20 +369,19 @@ def test_lockstep_kernel_equals_the_loop_when_rows_run_out(monkeypatch, row):
 def test_lockstep_kernel_caps_a_pick_at_the_total_as_the_loop_does():
     # a pick u = 1 is u * total = total, past every partial sum, so both
     # paths take the last frontier site in (x, y) order: (1, 0), (2, 0),
-    # then the target (3, 0)
-    cfg = GrowthConfig.builtin(_CROSS, "constant", c=1.0)
+    # then the target (3, 0); the first site would reach (-2, 0) sooner
+    cfg = GrowthConfig.builtin([[3, 0], [-2, 0]], "constant", c=1.0)
     rows = np.random.default_rng(8).random((10, 2, growth.GROWTH_ROW))
     rows[::2, 1] = 1.0
-    growth._events(rows)
     samples = np.full(10, np.nan)
     rng = np.random.default_rng(9)
-    for i, stream, row, start in growth._lockstep(growth._window(cfg), iter([(rng, 0, 0, rows)]),
-                                                  samples):
-        samples[i] = growth_hitting_time(cfg, stream, row, start)
+    R = 3 + growth.WINDOW_MARGIN
+    assert growth._lockstep(growth._window(cfg, R), iter([(rng, 0, 0, growth._events(rows.copy()))]),
+                            10, samples) == []
     for i, row in enumerate(rows):
-        assert samples[i] == growth_hitting_time(cfg, RowStream(rng, i), row.tolist())
+        assert samples[i] == reference_growth.growth_hitting_time(cfg, Replay(row, RowStream(rng, i)))
         if i % 2 == 0:
-            holds = row[0].tolist()
+            holds = growth._events(row.copy())[0].tolist()
             assert samples[i] == holds[0] / 4.0 + holds[1] / 6.0 + holds[2] / 8.0
 
 
@@ -368,7 +389,7 @@ def test_grid_site_hash_equals_the_scalar_hash():
     rng = np.random.default_rng(10)
     xy = np.concatenate([rng.integers(-2**20, 2**20 + 1, (2000, 2)),
                          [[-2**20, -2**20], [-2**20, 2**20], [2**20, -1], [-1, -1], [0, 0]]])
-    want = [growth._site_hash(x, y) for x, y in xy.tolist()]  # Python ints, as the loop has
+    want = [growth._site_hash(x, y) for x, y in xy.tolist()]  # Python ints, as the reference has
     assert growth._site_hash(xy[:, 0], xy[:, 1]).tolist() == want  # int64
     x, y = xy.astype(object).T  # Python ints, as the window builds them
     assert np.array_equal(growth._site_hash(x, y).astype(float), want)
@@ -376,75 +397,74 @@ def test_grid_site_hash_equals_the_scalar_hash():
     assert rate(x, y, 1).tolist() == [rate(vx, vy, 1) for vx, vy in xy.tolist()]
 
 
-def test_a_custom_rate_runs_through_the_kernel(monkeypatch):
+def test_a_custom_rate_runs_through_the_kernel():
     # a rate that no builtin has, varying with the site and the count:
     # it must broadcast over the window's arrays, and the kernel's times
-    # must be the loop's, bit for bit
+    # must be the reference's, bit for bit, near and far
     def rate(x, y, k):
         return 0.5 + 0.25 * (x % 3) + 0.125 * k
 
-    cfg = GrowthConfig(target=frozenset(map(tuple, _CROSS)), rate=rate, c_lo=0.625, c_hi=1.5)
     validate_rate_monotone(rate, np.random.default_rng(22))
-    kernel_runs, loop_runs = [0], [0]
-    kernel, loop = growth._lockstep, growth.growth_hitting_time
-
-    def counting_kernel(win, chunks, samples):
-        kernel_runs[0] += 1
-        yield from kernel(win, chunks, samples)
-
-    def counting_loop(*args):
-        loop_runs[0] += 1
-        return loop(*args)
-
-    monkeypatch.setattr(growth, "_lockstep", counting_kernel)
-    monkeypatch.setattr(growth, "growth_hitting_time", counting_loop)
-    got = growth_samples(cfg, 300, 22)
-    assert kernel_runs[0] == 1 and 0 < loop_runs[0] < 0.25 * 300
-    _assert_bitwise_equal(got, _per_run_samples(cfg, 300, 22))
+    for target, runs in ((_CROSS, 300), ([[8, 0], [-8, 0], [0, 8], [0, -8]], 10)):
+        cfg = GrowthConfig(target=frozenset(map(tuple, target)), rate=rate, c_lo=0.625, c_hi=1.5)
+        _assert_bitwise_equal(growth_samples(cfg, runs, 22), _per_run_samples(cfg, runs, 22))
 
 
-def test_few_growth_cross_runs_leave_the_kernel(monkeypatch):
-    # the bench's and the shipped scenario's config: the kernel must stay
-    # the path that almost every run takes, and the loop must go on from
-    # the kernel's state, never rerun a run from its start
+def test_few_growth_cross_runs_are_rerun(monkeypatch):
+    # the bench's and the shipped scenario's config: almost every run must
+    # end on the first window, and a rerun run must give the reference's
+    # float, as must the first block's runs
     scenario = Path(__file__).resolve().parent.parent / "scenarios" / "growth_cross.json"
     cfg = cli._growth_config(json.loads(scenario.read_text()))
-    starts = []
-    loop = growth.growth_hitting_time
+    reruns = []
+    kernel = growth._lockstep
 
-    def counting(cfg, rng, row, start):
-        cluster, frontier, counts, rates, t, e, chosen = start  # before the loop grows it
-        assert (0, 0) in cluster and t > 0 and e > 0
-        assert chosen not in cluster and chosen not in frontier
-        starts.append(start)
-        return loop(cfg, rng, row, start)
+    def counting(win, chunks, runs, samples):
+        rerun = kernel(win, chunks, runs, samples)
+        reruns.extend(run for _, _, run, _ in rerun)
+        return rerun
 
-    monkeypatch.setattr(growth, "growth_hitting_time", counting)
-    growth_samples(cfg, 4000, 29)
-    assert 0 < len(starts) < 0.05 * 4000
+    monkeypatch.setattr(growth, "_lockstep", counting)
+    got = growth_samples(cfg, 4000, 29)
+    assert len(reruns) < 0.05 * 4000
+    which = set(reruns) | set(range(64))
+    want = _per_run_samples(cfg, 4000, 29, which)
+    for i in sorted(which):
+        assert got[i] == want[i]
 
 
-def test_rates_past_the_stated_bounds_raise_on_both_paths():
+def test_rates_past_the_stated_bounds_raise():
     cfg = dataclasses.replace(GrowthConfig.builtin(_CROSS, "site_weighted", **_SITE_WEIGHTED),
                               c_hi=1.0)
     bounds = r"escapes the stated bounds \[0.5, 1.0\]"
     with pytest.raises(ValueError, match=bounds):
-        growth._window(cfg)
-    for samples in (growth_samples, _per_run_samples):
-        with pytest.raises(ValueError, match=bounds):
-            samples(cfg, 300, 23)
-    # a far target has a window too, capped at radius 10, so its escaping
-    # rates raise before any run
+        growth._window(cfg, 3)
+    with pytest.raises(ValueError, match=bounds):
+        growth_samples(cfg, 300, 23)
+    # a far target's window holds the whole target, so its escaping rates
+    # raise before any run
     far = dataclasses.replace(cfg, target=frozenset({(30, 0)}))
     with pytest.raises(ValueError, match=bounds):
-        growth._window(far)
-    # a bound that only a cluster neighbour count of 4 escapes: the window
-    # raises up front, the loop where a run rates such a site
+        growth_samples(far, 300, 23)
+    # a bound that only a cluster neighbour count of 4 escapes
     cfg = dataclasses.replace(GrowthConfig.builtin(_CROSS, "neighbor_count", base=0.7),
                               c_hi=3 * 0.7)
-    for samples in (growth_samples, _per_run_samples):
-        with pytest.raises(ValueError, match=r"rate 2.8 escapes the stated bounds"):
-            samples(cfg, 300, 24)
+    with pytest.raises(ValueError, match=r"rate 2.8 escapes the stated bounds"):
+        growth_samples(cfg, 300, 24)
+
+
+def test_a_rerun_window_checks_its_rates(monkeypatch):
+    # a rate that keeps its bounds on the first window, |x| <= 4, and
+    # escapes them past it: a run rerun on the wider window raises there,
+    # never samples past the bounds
+    def rate(x, y, k):
+        return 1.0 + (abs(x) > 4)
+
+    cfg = GrowthConfig(target=frozenset(map(tuple, _CROSS)), rate=rate, c_lo=1.0, c_hi=1.0)
+    monkeypatch.setattr(growth, "WINDOW_MARGIN", 1)
+    growth._window(cfg, 4)
+    with pytest.raises(ValueError, match=r"rate 2.0 escapes the stated bounds \[1.0, 1.0\]"):
+        growth_samples(cfg, 300, 27)
 
 
 def _neumaier_sum(values, start=0):
@@ -465,8 +485,6 @@ def test_growth_samples_do_not_depend_on_how_sum_adds_floats(monkeypatch, kind):
     # site_weighted's rates at (0.5, 2.0) lie on a grid of 2**-33, where
     # every sum of a few is exact; the other two round
     cfg = GrowthConfig.builtin(_CROSS, kind, **_BUILTIN_PARAMS[kind])
-    paths = (growth_samples, _per_run_samples)
-    want = [samples(cfg, 1000, 25) for samples in paths]
+    want = growth_samples(cfg, 1000, 25)
     monkeypatch.setattr(growth, "sum", _neumaier_sum, raising=False)
-    for samples, w in zip(paths, want):
-        _assert_bitwise_equal(samples(cfg, 1000, 25), w)
+    _assert_bitwise_equal(growth_samples(cfg, 1000, 25), want)

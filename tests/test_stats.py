@@ -45,6 +45,7 @@ from fpplab.stats import (
     wilson_band,
 )
 import reference_growth
+from helpers import Replay
 from reference_fpp import shortest_path
 
 
@@ -423,21 +424,6 @@ def test_every_sampler_keeps_the_block_stream_contract(name, row, monkeypatch):
     for a, b, full in zip(short, same, longer):
         assert len(a) == B + 3
         assert np.array_equal(a, b) and np.array_equal(full[:B + 3], a)
-
-
-class Replay:
-    """A generator stand-in that hands out one recorded row first, then
-    reads on from ``rest``."""
-
-    def __init__(self, row, rest):
-        self.row, self.rest = row, rest
-
-    def random(self, shape):
-        row, self.row = self.row, None
-        if row is not None:
-            assert row.shape == tuple(np.atleast_1d(shape))
-            return row.copy()
-        return self.rest.random(shape)
 
 
 @pytest.mark.parametrize("name", ["sample_stopping_times", "prop1_check", "prop3_check"])
