@@ -15,12 +15,11 @@ of the block (:func:`fpplab.stats.blocks`), by a min-max formula:
   u_e(Q) counts the triangles of Q on e.
 
 The formulas run on tables of partitions and multisets built once per
-batch and capped at ``TABLE_CELLS``.  The per-run forward pass of
-:func:`stopping_times` is the fallback and the tests' oracle: it serves a
-kind past the cap, and a run whose row leaves some k undecided, drawing
-``CHUNK`` more arrivals at a time from the run's own stream.  The pass
-keeps its packing state from one arrival to the next and never rebuilds
-the multigraph:
+batch; a run whose row leaves its largest k undecided reads ``CHUNK``
+more arrivals at a time from its own stream and goes through them again.
+The per-run forward pass of :func:`stopping_times`, the tests' oracle,
+serves a kind whose tables pass ``TABLE_CELLS``, keeping its packing
+state from one arrival to the next:
 
 * spanning trees: a :class:`ForestUnion` of count + 1 edge-disjoint
   forests takes one matroid-union augmentation per arrival; when its rank
@@ -70,19 +69,27 @@ def _arrivals(u: np.ndarray, total: float, cdf: np.ndarray):
     """Superposition sampling from uniforms ``u`` of shape (..., 2, CHUNK):
     the first half becomes Exp(W) inter-arrival gaps -ln(u)/W summed into
     arrival times, in place; the second half picks each arrival's edge
-    through ``cdf``.  Returns (times, edge ids)."""
+    through ``cdf``.  Returns (times, edge ids in the smallest integers)."""
     times = exponential_in_place(u[..., 0, :], total)
     np.cumsum(times, axis=-1, out=times)
-    return times, cdf.searchsorted(u[..., 1, :], side="right")
+    edges = cdf.searchsorted(u[..., 1, :], side="right")
+    return times, edges.astype(np.min_scalar_type(len(cdf)))
+
+
+def _next_arrivals(rngs, law, last: np.ndarray):
+    """The next ``CHUNK`` arrivals of each run, from ``random((2, CHUNK))`` of
+    its generator or RowStream in ``rngs``, timed on from its ``last`` one."""
+    times, edges = _arrivals(np.array([rng.random((2, CHUNK)) for rng in rngs]), *law)
+    times += last[:, None]
+    return times, edges
 
 
 class MultigraphTrajectory:
     """The Poisson arrival stream of a base graph's edge copies, drawn on
     demand: ``times`` (strictly increasing) and ``edge_ids`` (the base
-    edge of each arrival) are lists that :meth:`extend` grows in place.
-    They start as ``times`` and ``edge_ids`` when given (a block row), and
-    every extension reads ``random((2, CHUNK))`` from ``rng``, a generator
-    or a :class:`fpplab.stats.RowStream`."""
+    edge of each arrival) are lists that :meth:`extend` grows in place by
+    :func:`_next_arrivals` from ``rng``.  They start as ``times`` and
+    ``edge_ids`` when given (a block row)."""
 
     def __init__(self, g: WeightedGraph, rng, times: list[float] | None = None,
                  edge_ids: list[int] | None = None, law=None):
@@ -90,15 +97,13 @@ class MultigraphTrajectory:
         self.times: list[float] = [] if times is None else times
         self.edge_ids: list[int] = [] if edge_ids is None else edge_ids
         self._rng = rng
-        self._total, self._cdf = _arrival_law(g) if law is None else law
+        self._law = _arrival_law(g) if law is None else law
 
     def extend(self) -> None:
-        """Append the next ``CHUNK`` arrivals, their times summed onto the
-        last arrival time."""
-        times, edges = _arrivals(self._rng.random((2, CHUNK)), self._total, self._cdf)
-        times += self.times[-1] if self.times else 0.0
-        self.times += times.tolist()
-        self.edge_ids += edges.tolist()
+        """Append the next ``CHUNK`` arrivals."""
+        times, edges = _next_arrivals([self._rng], self._law, np.array(self.times[-1:] or [0.0]))
+        self.times += times[0].tolist()
+        self.edge_ids += edges[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -381,18 +386,15 @@ KIND_PREDICATES = {
 }
 
 
-def stopping_times(traj: MultigraphTrajectory, ks: list[int],
-                   kinds: tuple[str, ...] = ("span", "tria"),
-                   uncertified: Counter | None = None) -> dict[str, dict[int, float]]:
+def stopping_times(traj: MultigraphTrajectory, ks: list[int], kind: str,
+                   uncertified: Counter | None = None) -> dict[int, float]:
     """First times one run's multigraph packs k edge-disjoint spanning
-    trees / triangles, by one forward pass over the arrivals per kind: an
-    arrival raises the packing number by at most one, so after each the
-    predicate is asked for one more.  The pass extends the trajectory
-    whenever it runs out of arrivals.  :func:`sample_stopping_times` reads
-    most runs off their block by the min-max formulas instead; this pass
-    serves the rest, and the tests check the formulas against it.
+    trees or triangles (``kind``), by one forward pass over the arrivals,
+    extending the trajectory whenever it runs out: an arrival raises the
+    packing number by at most one, so after each the predicate is asked
+    for one more.  It serves a kind past the table cap, and the tests.
 
-    Each kind keeps its packing state across the arrivals: a
+    The pass keeps its packing state across the arrivals: a
     :class:`ForestUnion` of count + 1 forests, or the
     :class:`LiveTriangles`.  The predicate is asked only after an arrival
     that can raise the packing number: a copy the union packed, or one on
@@ -404,32 +406,30 @@ def stopping_times(traj: MultigraphTrajectory, ks: list[int],
     A base graph is connected, so every target is reached except
     triangles on a triangle-free base, which raises ValueError up front."""
     g = traj.graph
-    targets = _targets(g, ks, kinds)
+    targets = _targets(g, ks, (kind,))
     times, edge_ids = traj.times, traj.edge_ids
-    results: dict[str, dict[int, float]] = {}
-    for kind in kinds:
-        pred = KIND_PREDICATES[kind]
-        packing = ForestUnion(g) if kind == "span" else LiveTriangles(g)
-        results[kind] = {}
-        count = i = 0  # the first i arrivals pack exactly count
-        for k in targets:
-            while count < k:
-                if i == len(edge_ids):
-                    traj.extend()
-                i += 1
-                if not packing.add(edge_ids[i - 1]):
-                    continue
-                packs = pred(packing, count + 1)
-                if packs:
-                    count += 1
-                    if kind == "span":
-                        packing.grow()  # the next probe asks for one more tree
-                elif packs is None and uncertified is not None:
-                    for later in targets:
-                        if later > count:
-                            uncertified[kind, later] += 1
-            results[kind][k] = times[i - 1]
-    return results
+    pred = KIND_PREDICATES[kind]
+    packing = ForestUnion(g) if kind == "span" else LiveTriangles(g)
+    result: dict[int, float] = {}
+    count = i = 0  # the first i arrivals pack exactly count
+    for k in targets:
+        while count < k:
+            if i == len(edge_ids):
+                traj.extend()
+            i += 1
+            if not packing.add(edge_ids[i - 1]):
+                continue
+            packs = pred(packing, count + 1)
+            if packs:
+                count += 1
+                if kind == "span":
+                    packing.grow()  # the next probe asks for one more tree
+            elif packs is None and uncertified is not None:
+                for later in targets:
+                    if later > count:
+                        uncertified[kind, later] += 1
+        result[k] = times[i - 1]
+    return result
 
 
 def _targets(g: WeightedGraph, ks: list[int], kinds: tuple[str, ...]) -> list[int]:
@@ -722,41 +722,40 @@ def sample_stopping_times(g: WeightedGraph, ks: list[int], runs: int, seed,
     """Monte Carlo stopping times.  Block j draws ``random((B, 2, CHUNK))``,
     the first ``CHUNK`` arrivals of its B runs, turned into arrival times
     and edges for the whole block at once.  A kind whose tables fit
-    (:func:`_block_table`) reads every run's stopping arrivals off the
-    block by its min-max formula; a run whose row leaves some k undecided,
-    and every run of a kind past the table cap, takes the forward pass of
-    :func:`stopping_times` from its row on through its
-    :class:`fpplab.stats.RowStream`, counting undecided triangle probes
-    into ``uncertified`` for those k only.  Where the branch and bound
-    decides, both paths give the same times, bit for bit."""
+    (:func:`_block_table`) reads every run's stopping arrivals off its row
+    by its min-max formula; a run whose row leaves its largest k undecided
+    reads on from its :class:`fpplab.stats.RowStream` and goes through it
+    again.  A kind past the cap runs the forward pass of
+    :func:`stopping_times` on every run, from its row on through the same
+    stream, counting undecided triangle probes into ``uncertified``."""
     targets = _targets(g, ks, kinds)
     tables = {kind: _block_table(g, kind, targets) for kind in kinds}
+    past = [kind for kind in kinds if tables[kind] is None]
     out = {kind: {k: np.empty(runs) for k in ks} for kind in kinds}
     law = _arrival_law(g)
-    edge_id = np.min_scalar_type(g.m)
     for rng, part in blocks(seed, runs, 2 * CHUNK, ROW_CELLS):
-        times, edges = _arrivals(rng.random((part.stop - part.start, 2, CHUNK)), *law)
-        edges = edges.astype(edge_id)  # the kernels' temporaries follow its width
-        late: dict[int, dict[str, list[int]]] = {}  # row -> kind -> its undecided ks
-        for kind in kinds:
-            if tables[kind] is None:  # nothing decided
-                first = np.full((len(targets), len(edges)), CHUNK)
-            else:
+        row_times, row_edges = _arrivals(rng.random((part.stop - part.start, 2, CHUNK)), *law)
+        for kind in [kind for kind in kinds if kind not in past]:
+            rows, times, edges, streams = np.arange(len(row_edges)), row_times, row_edges, {}
+            while True:
                 first = BLOCK_FIRST[kind](tables[kind], edges, targets)
-            decided = first < CHUNK
-            for j, k in enumerate(targets):
-                rows = np.flatnonzero(decided[j])
-                out[kind][k][part.start + rows] = times[rows, first[j, rows]]
-            for r in np.flatnonzero(~decided[-1]).tolist():
-                late.setdefault(r, {})[kind] = [k for j, k in enumerate(targets)
-                                               if not decided[j, r]]
-        for r, pending in late.items():
-            traj = MultigraphTrajectory(g, RowStream(rng, r), times[r].tolist(),
-                                        edges[r].tolist(), law)
-            for kind, late_ks in pending.items():
-                st = stopping_times(traj, late_ks, kinds=(kind,), uncertified=uncertified)
-                for k in late_ks:
-                    out[kind][k][part.start + r] = st[kind][k]
+                decided = first < edges.shape[1]
+                for j, k in enumerate(targets):
+                    done = np.flatnonzero(decided[j])
+                    out[kind][k][part.start + rows[done]] = times[done, first[j, done]]
+                late = np.flatnonzero(~decided[-1])
+                if not len(late):
+                    break
+                rows, times, edges = rows[late], times[late], edges[late]
+                streams = {r: streams.get(r) or RowStream(rng, r) for r in rows.tolist()}
+                more, new = _next_arrivals(streams.values(), law, times[:, -1])
+                times, edges = np.hstack([times, more]), np.hstack([edges, new])
+        for r in range(len(row_edges)) if past else ():
+            traj = MultigraphTrajectory(g, RowStream(rng, r), row_times[r].tolist(),
+                                        row_edges[r].tolist(), law)
+            for kind in past:
+                for k, t in stopping_times(traj, targets, kind, uncertified).items():
+                    out[kind][k][part.start + r] = t
     return out
 
 

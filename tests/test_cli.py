@@ -577,6 +577,36 @@ def test_lemma1_fails_just_past_kappa(tmp_path, monkeypatch, past, status, code)
     assert _status_of(tmp_path, "lemma1") == (status, code)
 
 
+@pytest.mark.parametrize("past, status, code", [(1e-6, "FAIL", 1), (-1e-6, "pass", 0)])
+def test_prop4_fails_just_past_e_x_over_w_min(tmp_path, monkeypatch, past, status, code):
+    # the triangle's solution with var X moved to (1 + past) E X / w_min
+    g = complete_graph(3)
+    sol = solve_hitting(fpp_chain_spec(g, 0, 2))
+    sol = dataclasses.replace(sol, var_T=(1.0 + past) * sol.E_T / g.min_weight())
+    monkeypatch.setattr(cli._Context, "solution", lambda self: sol)
+    assert _status_of(tmp_path, "prop4") == (status, code)
+
+
+@pytest.mark.parametrize("past, status, code", [(1e-6, "FAIL", 1), (-1e-6, "pass", 0)])
+def test_lemma2_fails_just_past_its_right_side(tmp_path, monkeypatch, past, status, code):
+    # on the unit triangle from 0 to 2, E T = 3/4 and the jumps lower h by
+    # 1/4, 3/4 ({0}) and 1/2 ({0, 1}), all above 2 delta E T = 0.15; each
+    # transient state's outflow of them is 1 >= epsilon, so both are bad,
+    # the bad occupation is all of E T and the right side is 2 delta + eps + 1
+    delta, eps = 0.1, 0.1
+    sol = solve_hitting(fpp_chain_spec(complete_graph(3), 0, 2))
+    assert sol.E_T == pytest.approx(0.75)
+    rhs = 2.0 * delta + eps + 1.0
+    sol = dataclasses.replace(sol, var_T=rhs * (1.0 + past) * sol.E_T ** 2)
+    monkeypatch.setattr(cli._Context, "solution", lambda self: sol)
+    out = tmp_path / "out"
+    check = {"name": "lemma2", "deltas": [delta], "epsilons": [eps]}
+    code_got = run_scenario(write_cfg(tmp_path, dict(BASE, checks=[check])), out_dir=out)
+    got = json.loads((out / "report.json").read_text())["checks"]["lemma2"]
+    assert got["result"]["grid"][0]["occupation_bad"] == pytest.approx(sol.E_T)
+    assert (got["status"], code_got) == (status, code)
+
+
 @pytest.mark.parametrize("moment", ["mean", "var"])
 @pytest.mark.parametrize("z, status, code", [(4.001, "FAIL", 1), (3.999, "pass", 0)])
 def test_dual_agreement_fails_just_past_four_sigma(tmp_path, monkeypatch, moment, z, status,

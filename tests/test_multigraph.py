@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fpplab import multigraph
-from fpplab.graphs import Multigraph, complete_graph, parse_edge_list, path_graph, random_gnp_graph
+from fpplab.graphs import (Multigraph, bridge_graph, complete_graph, grid_graph, parse_edge_list,
+                           path_graph, random_gnp_graph)
 from fpplab.stats import ROW_CELLS, RowStream, blocks
 from fpplab.multigraph import (
     CHUNK,
@@ -157,7 +158,7 @@ def test_stopping_times_single_edge_is_exponential():
     ts = np.empty(3000)
     for i in range(3000):
         traj = MultigraphTrajectory(g, np.random.default_rng(i))
-        ts[i] = stopping_times(traj, [1], kinds=("span",))["span"][1]
+        ts[i] = stopping_times(traj, [1], "span")[1]
     assert abs(ts.mean() - 1.0) < 4.0 / math.sqrt(3000)
     assert abs(ts.var(ddof=1) - 1.0) < 0.15
 
@@ -165,12 +166,12 @@ def test_stopping_times_single_edge_is_exponential():
 def test_stopping_times_monotone_in_k_and_kind():
     g = complete_graph(4)
     traj = MultigraphTrajectory(g, np.random.default_rng(0))
-    st_ = stopping_times(traj, [1, 2, 3], kinds=("span", "tria"))
-    assert st_["span"][1] <= st_["span"][2] <= st_["span"][3]
-    assert st_["tria"][1] <= st_["tria"][2]
+    span, tria = (stopping_times(traj, [1, 2, 3], kind) for kind in ("span", "tria"))
+    assert span[1] <= span[2] <= span[3]
+    assert tria[1] <= tria[2]
     # a spanning tree needs n-1 = 3 edges, a triangle needs 3: both at least
     # the third arrival time
-    assert st_["span"][1] >= traj.times[2] - 1e-12
+    assert span[1] >= traj.times[2] - 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,7 +185,7 @@ def test_scan_stops_at_the_first_prefix_that_packs_k(seed, kind):
     # chunks of one or two arrivals make the scan extend the stream often
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multigraph, "CHUNK", int(rng.choice([1, 2, CHUNK])))
-        got = stopping_times(traj, ks, kinds=(kind,))[kind]
+        got = stopping_times(traj, ks, kind)
 
     def packs(j):  # packing number of the first j + 1 arrivals, from scratch
         mult = np.bincount(traj.edge_ids[:j + 1], minlength=g.m)
@@ -277,10 +278,9 @@ def forward_samples(g, ks, runs, seed, kinds, uncertified=None):
         u = rng.random((part.stop - part.start, 2, multigraph.CHUNK))
         for r, (t, e) in enumerate(zip(*multigraph._arrivals(u, *law))):
             traj = MultigraphTrajectory(g, RowStream(rng, r), t.tolist(), e.tolist(), law)
-            st_ = stopping_times(traj, ks, kinds=kinds, uncertified=uncertified)
             for kind in kinds:
-                for k in ks:
-                    out[kind][k][part.start + r] = st_[kind][k]
+                for k, time in stopping_times(traj, ks, kind, uncertified).items():
+                    out[kind][k][part.start + r] = time
     return out
 
 
@@ -293,8 +293,8 @@ def test_block_formulas_equal_the_forward_pass(seed, kind, ks, chunk):
     g = random_gnp_graph(int(rng.integers(3, 8)), 0.7, (0.1, 5.0), rng)
     assume(kind == "span" or g.triangles)
     ks = sorted(ks)
-    # rows of one or two arrivals leave most runs to the forward pass, which
-    # reads on one or two arrivals at a time; a few runs reach every branch
+    # rows of one or two arrivals leave most runs late, to read on one or
+    # two arrivals a round; a few runs reach every branch
     runs = 150 if chunk == CHUNK else 30
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multigraph, "CHUNK", chunk)
@@ -338,10 +338,10 @@ def test_table_decided_runs_leave_no_uncertified_probe(monkeypatch):
         assert np.array_equal(got["tria"][k], exact["tria"][k])
 
 
-def test_forward_pass_takes_only_the_ks_a_row_leaves_undecided(monkeypatch):
-    # rows of 8 arrivals on K5 decide T(1) and often T(2), never T(3) (nine
-    # edges); a starved branch and bound may delay what the forward pass
-    # reads, but a time the row decides keeps its exact value
+def test_late_rows_read_on_into_the_block_formula_not_the_forward_pass(monkeypatch):
+    # rows of 8 arrivals on K5 never decide T(3) (nine edges), so every run
+    # reads on from its stream; the block formula decides it there, and a
+    # starved branch and bound, which only the forward pass asks, never bites
     g, ks, runs, seed = complete_graph(5), [1, 2, 3], 300, 8
     monkeypatch.setattr(multigraph, "CHUNK", 8)
     exact = forward_samples(g, ks, runs, seed, ("tria",))["tria"]
@@ -349,14 +349,43 @@ def test_forward_pass_takes_only_the_ks_a_row_leaves_undecided(monkeypatch):
         multigraph._arrivals(rng.random((part.stop - part.start, 2, 8)),
                              *multigraph._arrival_law(g))[0][:, -1]
         for rng, part in blocks(seed, runs, 16, ROW_CELLS)])
-    monkeypatch.setattr(multigraph, "BNB_BUDGET", 1)
-    got = sample_stopping_times(g, ks, runs, seed, kinds=("tria",))["tria"]
     assert not np.any(exact[3] <= row_end)
-    for k in (1, 2):
-        in_row = exact[k] <= row_end
-        assert in_row.any()
-        assert np.array_equal(got[k][in_row], exact[k][in_row])
-    assert np.any(got[2] > exact[2])  # the starved pass did bite
+    monkeypatch.setattr(multigraph, "BNB_BUDGET", 1)
+    calls = []
+    monkeypatch.setattr(multigraph, "stopping_times", lambda *args: calls.append(args))
+    uncertified = Counter()
+    got = sample_stopping_times(g, ks, runs, seed, kinds=("tria",), uncertified=uncertified)
+    assert calls == [] and uncertified == Counter()
+    for k in ks:
+        assert np.array_equal(got["tria"][k], exact[k])
+
+
+def _rounds(monkeypatch) -> list[int]:
+    """Spy on the late runs' extensions: the runs each round reads on."""
+    sizes = []
+    real = multigraph._next_arrivals
+
+    def spy(rngs, law, last):
+        sizes.append(len(rngs))
+        return real(rngs, law, last)
+
+    monkeypatch.setattr(multigraph, "_next_arrivals", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("g, ks, chunk, runs", [
+    (complete_graph(4), [20, 30], 16, 30),
+    (bridge_graph(3, 3, 0.1), [6], CHUNK, 20),  # six copies of a bridge of rate 0.1
+    (grid_graph(2, 3), [9], 16, 30),
+], ids=["K4", "bridge", "grid2x3"])
+def test_every_run_reads_on_over_several_rounds(monkeypatch, g, ks, chunk, runs):
+    monkeypatch.setattr(multigraph, "CHUNK", chunk)
+    want = forward_samples(g, ks, runs, 3, ("span",))["span"]
+    rounds = _rounds(monkeypatch)
+    got = sample_stopping_times(g, ks, runs, 3, kinds=("span",))["span"]
+    assert rounds[:2] == [runs, runs]  # every run, twice at least
+    for k in ks:
+        assert np.array_equal(got[k], want[k])
 
 
 # A few block temporaries live at once, each within ROW_CELLS cells of at
@@ -379,9 +408,9 @@ def test_past_the_table_cap_samples_by_the_forward_pass_alone(monkeypatch, n, ks
     calls = []
     real = multigraph.stopping_times
 
-    def spy(traj, late_ks, **kwargs):
-        calls.append(late_ks)
-        return real(traj, late_ks, **kwargs)
+    def spy(traj, ks, kind, uncertified=None):
+        calls.append(ks)
+        return real(traj, ks, kind, uncertified)
 
     monkeypatch.setattr(multigraph, "stopping_times", spy)
     got, peak, _ = traced_peak(lambda: sample_stopping_times(g, ks, runs, seed, kinds=(kind,)))
@@ -389,6 +418,17 @@ def test_past_the_table_cap_samples_by_the_forward_pass_alone(monkeypatch, n, ks
     for k in ks:
         assert np.array_equal(got[kind][k], want[kind][k])
     assert peak <= TEMPORARY_BYTES
+
+
+def test_late_rows_stay_within_a_few_megabytes(monkeypatch):
+    # K4's 100 trees need 300 arrivals or more, so all 256 runs read on,
+    # to rows of about 320: their times, a copy of them while they grow, and
+    # the span kernel's integer arrays of their shape stay within 4 MB
+    rounds = _rounds(monkeypatch)
+    _, peak, _ = traced_peak(lambda: sample_stopping_times(complete_graph(4), [100], 256, 5,
+                                                           kinds=("span",)))
+    assert rounds[0] == 256
+    assert peak <= 4 * TEMPORARY_BYTES
 
 
 @pytest.mark.parametrize("n, ks, kind", [(7, [1, 2, 3], "span"), (6, [1, 2, 3, 4], "tria")])
@@ -427,9 +467,9 @@ def test_a_zero_table_cap_sends_every_k4_spanning_tree_run_to_the_forward_pass(m
     calls = []
     real = multigraph.stopping_times
 
-    def spy(traj, late_ks, **kwargs):
-        calls.append(late_ks)
-        return real(traj, late_ks, **kwargs)
+    def spy(traj, ks, kind, uncertified=None):
+        calls.append(ks)
+        return real(traj, ks, kind, uncertified)
 
     monkeypatch.setattr(multigraph, "stopping_times", spy)
     sample_stopping_times(g, [1, 2], 50, seed=7, kinds=("span",))
@@ -440,10 +480,10 @@ def test_stopping_times_unattainable_raises():
     for g in (parse_edge_list("a b 1"), path_graph(4), C4):  # no triangle can ever appear
         traj = MultigraphTrajectory(g, np.random.default_rng(0))
         with pytest.raises(ValueError, match="triangle"):
-            stopping_times(traj, [1], kinds=("span", "tria"))
+            stopping_times(traj, [1], "tria")
         assert traj.times == []  # raised up front, before any draw
     with pytest.raises(ValueError):
-        stopping_times(traj, [0, 1], kinds=("span",))
+        stopping_times(traj, [0, 1], "span")
 
 
 def test_a_k_values():

@@ -439,8 +439,7 @@ def test_row_sampler_run_i_reads_its_block_row_then_its_own_stream(name, monkeyp
     if name == "sample_stopping_times":
         got = sample_stopping_times(K4, [2], B + 3, seed, kinds=("span",))["span"][2]
         shape = (2, row)
-        replay = lambda rng: stopping_times(MultigraphTrajectory(K4, rng), [2],
-                                            kinds=("span",))["span"][2]
+        replay = lambda rng: stopping_times(MultigraphTrajectory(K4, rng), [2], "span")[2]
     elif name == "prop1_check":
         got = growth_samples(RING2, B + 3, seed)
         shape = (2, row)
