@@ -15,18 +15,18 @@ to, bit for bit.  With the classes of :func:`fpplab.graphs.twin_classes`
 K17 has 32 states instead of 65 536 vertex subsets.
 
 Runs are sampled one of two ways.  The general sampler draws every
-traversal time and runs a lock-step Dijkstra over a block of runs.  When
-the twin classes of :func:`fpplab.graphs.twin_classes` number at most half
-the vertices (the complete graphs, cliques joined by bridges), a run is
-read off the reached-set chain lumped onto per-class counts instead, one
-joining vertex per stage.  Its stage loop draws only the joining class;
-the parents that give Xi are resolved afterwards on the walk back from
-the target, only for the stages on it.  It works inside its block of
+traversal time and runs a lock-step Dijkstra over a block of runs, on
+the graph's CSR padded to the largest degree.  When the twin classes of
+:func:`fpplab.graphs.twin_classes` number at most half the vertices (the
+complete graphs, cliques joined by bridges), a run is read off the
+reached-set chain lumped onto per-class counts instead, one joining
+vertex per stage.  Its stage loop draws only the joining class; the
+parents that give Xi are resolved afterwards on the walk back from the
+target, only for the stages on it.  It works inside its block of
 uniforms, which it uses up: each stage's total rate goes into the spent
 class column, and the join times are formed in the holding-time column.
 The Dijkstra stays the general sampler and the lumped one's oracle in
-law.  Every FPP path reads the graph's edge and rate arrays; none builds
-an edge tuple.
+law.  Every FPP path reads the graph's arrays; none builds an edge tuple.
 
 Monte Carlo runs follow the block rule of :func:`fpplab.stats.blocks`,
 with the ``BLOCK_CELLS`` = 2**20 budget and B sized by c uniforms per run:
@@ -63,16 +63,7 @@ def sample_traversal(g: WeightedGraph, rng: np.random.Generator, runs: int) -> n
 
 # ---------------------------------------------------------------------------
 # Lock-step Dijkstra over a block of runs (cross-checked in the tests against
-# a one-run-at-a-time pure-Python Dijkstra)
-
-def _edge_table(g: WeightedGraph) -> np.ndarray:
-    """The ``(n, n)`` edge ids; pairs with no edge between them (the
-    diagonal too) hold the pad id m."""
-    table = np.full((g.n, g.n), g.m, dtype=np.intp)
-    u, v = g.edge_array().T
-    table[u, v] = table[v, u] = np.arange(g.m)
-    return table
-
+# a pure-Python Dijkstra, and bit for bit against the dense-table kernel)
 
 def _along_path(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """``times`` (k, m) read along each run's path edges, the pad id as 0."""
@@ -80,33 +71,41 @@ def _along_path(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.where(pad, 0.0, np.take_along_axis(times, np.where(pad, 0, edges), axis=1))
 
 
-def _lockstep_dijkstra(table: np.ndarray, xi: np.ndarray, source: int,
+def _lockstep_dijkstra(g: WeightedGraph, xi: np.ndarray, source: int,
                        target: int) -> tuple[np.ndarray, np.ndarray]:
     """Dijkstra from ``source`` on every row of the ``(k, m)`` block ``xi``
     at once.
 
     Each step settles, in every live run, the unsettled vertex of least key
-    and relaxes its neighbours, read off its row of ``table``; a run leaves
-    the working arrays once ``target`` settles.  The predecessors are then
-    walked back with every run in step.  Returns X (k,) and the path edges
-    (k, L), target first, each row padded by the pad id once its run
-    reaches ``source``.  Exact ties (probability zero under continuous
-    times) go to the lowest vertex index.
+    and relaxes its row of the graph's CSR (:attr:`WeightedGraph.csr`),
+    padded to the largest degree Δ with the vertex itself: a pad is settled,
+    so it never relaxes, and a step relaxes Δ columns.  Each vertex keeps
+    the edge it was reached by; a run leaves the working arrays once
+    ``target`` settles.  Then every run walks back in step, along each edge
+    to its other end.  Returns X (k,) and the path edges (k, L), target
+    first, each row padded by the pad id m once its run reaches ``source``.
+    Exact ties (probability zero under continuous times) go to the lowest
+    vertex index.
     """
     if source == target:
         raise ValueError("source and target must differ")
-    k, n = len(xi), len(table)
+    k, n, m = len(xi), g.n, g.m
+    start, nbr, eid = g.csr
+    degree = np.diff(start)
+    filled = np.arange(degree.max()) < degree[:, None]
+    head = np.repeat(np.arange(n), filled.shape[1]).reshape(filled.shape)
+    head[filled] = nbr
+    edge = np.zeros(filled.shape, dtype=np.intp)  # a pad reads edge 0, never kept
+    edge[filled] = eid
     X = np.empty(k)
-    pred_out = np.empty((k, n), dtype=np.intp)
+    via_out = np.empty((k, n), dtype=np.intp)
     live = np.arange(k)
     key = np.full((k, n), np.inf)
     key[:, source] = 0.0
     unsettled = np.ones((k, n), dtype=bool)
-    pred = np.full((k, n), source, dtype=np.intp)  # source is its own predecessor
-    m = xi.shape[1]
-    adjacent = table != m
-    column = np.where(adjacent, table, 0)  # any valid column where no edge is
+    via = np.full((k, n), m, dtype=np.intp)  # the edge each vertex is reached by
     flat = xi.ravel()
+    first = np.arange(k) * n  # the first flat cell of each row of key
     while len(live):
         v = key.argmin(axis=1)
         rows = np.arange(len(live))
@@ -114,29 +113,31 @@ def _lockstep_dijkstra(table: np.ndarray, xi: np.ndarray, source: int,
         done = v == target
         if done.any():
             X[live[done]] = d[done]
-            pred_out[live[done]] = pred[done]
+            via_out[live[done]] = via[done]
             keep = ~done
             live, v, d = live[keep], v[keep], d[keep]
-            key, unsettled, pred = key[keep], unsettled[keep], pred[keep]
+            key, unsettled, via = key[keep], unsettled[keep], via[keep]
             rows = rows[:len(live)]
         key[rows, v] = np.inf
         unsettled[rows, v] = False
-        cand = flat[live[:, None] * m + column[v]]
+        at = head[v] + first[:len(live), None]  # the neighbours' flat cells
+        e = edge[v]
+        cand = flat.take(e + (live * m)[:, None])
         cand += d[:, None]
-        better = cand < key
-        better &= unsettled
-        better &= adjacent[v]
-        np.copyto(key, cand, where=better)
-        np.copyto(pred, v[:, None], where=better)
-    # at source a run steps to itself, and the diagonal of table is the pad id
+        better = cand < key.take(at)
+        better &= unsettled.take(at)
+        at = at[better]
+        key.put(at, cand[better])
+        via.put(at, e[better])
+    # u + v steps an edge's one end to the other; the pad id steps source to itself
+    other = np.append(g.edge_array().sum(axis=1), 2 * source)
     rows = np.arange(k)
     cur = np.full(k, target, dtype=np.intp)
-    edges = []
+    path = []
     while np.any(cur != source):
-        p = pred_out[rows, cur]
-        edges.append(table[p, cur])
-        cur = p
-    return X, np.column_stack(edges)
+        path.append(e := via_out[rows, cur])
+        cur = other[e] - cur
+    return X, np.column_stack(path)
 
 
 @dataclass
@@ -168,12 +169,11 @@ def sample_dijkstra_batch(g: WeightedGraph, source: int, target: int, runs: int,
                           seed) -> FppBatch:
     """``runs`` FPP realizations, one lock-step Dijkstra per block: block j
     draws ``random((k, m))``, the traversal times of its k runs."""
-    table = _edge_table(g)
     batch = FppBatch(X=np.empty(runs), Xi=np.empty(runs),
                      path_len=np.empty(runs, dtype=np.int64))
     for rng, part in blocks(seed, runs, g.m):
         xi = sample_traversal(g, rng, part.stop - part.start)
-        batch.X[part], edges = _lockstep_dijkstra(table, xi, source, target)
+        batch.X[part], edges = _lockstep_dijkstra(g, xi, source, target)
         batch.Xi[part] = _along_path(xi, edges).max(axis=1)
         batch.path_len[part] = (edges != g.m).sum(axis=1)
         del xi  # let the next block reuse this one's memory
@@ -396,9 +396,8 @@ def coupled_resample(g: WeightedGraph, u: np.ndarray, a: float, b: float,
     xi = traversal_from_uniform(u[:, 0], w)
     inside = (a <= xi) & (xi <= b)
     xi_prime = np.where(inside, conditioned_exponential(w, a, b, u[:, 1]), xi)
-    table = _edge_table(g)
-    X, edges = _lockstep_dijkstra(table, xi, source, target)
-    X_prime, _ = _lockstep_dijkstra(table, xi_prime, source, target)
+    X, edges = _lockstep_dijkstra(g, xi, source, target)
+    X_prime, _ = _lockstep_dijkstra(g, xi_prime, source, target)
     increment = _along_path(np.where(inside, xi_prime - xi, 0.0), edges).sum(axis=1)
     return xi, xi_prime, CouplingBatch(X=X, X_prime=X_prime, increment_bound=increment)
 

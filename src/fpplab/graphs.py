@@ -4,9 +4,9 @@ Every process in this package runs on a finite connected graph with
 positive edge rates.  Graphs are immutable after construction.  A graph
 holds its edge ends and rates as two read-only arrays, which the
 samplers and the exact chain read; the built-in families build those
-arrays directly.  Edge tuples are built on first use, only for the
-Python loops that read them (exhaustive min cut, edge-list text,
-triangles, adjacency, the packing and coverage processes).
+arrays directly, and the adjacency is one CSR made from them.  Edge
+tuples are built on first use, only for the Python loops that read them:
+the exhaustive min cut, edge-list text, the packing and coverage processes.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ class WeightedGraph:
     holds its edges as one read-only ``(m, 2)`` int64 array of index pairs
     ``(u, v)`` with ``u < v`` and its rates as one read-only ``(m,)`` float
     array, made from sequences or arrays and validated as arrays.  The
-    ``edges`` and ``weights`` tuples, the per-vertex adjacency and the
-    pair-to-edge map are built on first use, for the Python loops that
-    read them.
+    adjacency (:attr:`csr`) and the ``edges`` and ``weights`` tuples are
+    built on first use.
     """
 
     def __init__(self, vertices, edges, weights):
@@ -125,19 +124,19 @@ class WeightedGraph:
         return tuple(self._weights.tolist())
 
     @cached_property
-    def _adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        adj = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(self.edges):
-            adj[u].append((v, i))
-            adj[v].append((u, i))
-        return tuple(tuple(a) for a in adj)
-
-    @cached_property
-    def _edge_of(self) -> dict[tuple[int, int], int]:
-        edge_of = {}
-        for i, (u, v) in enumerate(self.edges):
-            edge_of[(u, v)] = edge_of[(v, u)] = i
-        return edge_of
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The adjacency as three read-only int64 arrays ``(start, nbr,
+        eid)``: vertex u's neighbours are ``nbr[start[u]:start[u + 1]]`` in
+        increasing order, and ``eid`` holds their edge ids.  Built from the
+        edge array on first use, then kept."""
+        tail, head = np.concatenate([self._ends, self._ends[:, ::-1]]).T
+        order = np.lexsort((head, tail))
+        start = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tail, minlength=self.n), out=start[1:])
+        csr = start, head[order], order % self.m
+        for array in csr:
+            array.flags.writeable = False
+        return csr
 
     @property
     def n(self) -> int:
@@ -148,11 +147,15 @@ class WeightedGraph:
         return len(self._ends)
 
     def neighbors(self, u: int):
-        """Pairs ``(v, edge_index)`` adjacent to vertex index ``u``."""
-        return self._adj[u]
+        """Pairs ``(v, edge_index)`` adjacent to vertex index ``u``, v increasing."""
+        start, nbr, eid = self.csr
+        row = slice(start[u], start[u + 1])
+        return tuple(zip(nbr[row].tolist(), eid[row].tolist()))
 
     def edge_index(self, u: int, v: int) -> int | None:
-        return self._edge_of.get((u, v))
+        start, nbr, eid = self.csr
+        i = start[u] + np.searchsorted(nbr[start[u]:start[u + 1]], v)
+        return int(eid[i]) if i < start[u + 1] and nbr[i] == v else None
 
     def min_weight(self) -> float:
         return float(self._weights.min())
@@ -177,18 +180,15 @@ class WeightedGraph:
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         """Edge-id triples ``(uv, vw, uw)`` of the triangles u < v < w, in
         lexicographic order; built on first use, then kept."""
-        edge_of = self._edge_of
+        start, nbr, eid = (a.tolist() for a in self.csr)
         out = []
         for u in range(self.n):
-            for v in range(u + 1, self.n):
-                euv = edge_of.get((u, v))
-                if euv is None:
-                    continue
-                for w in range(v + 1, self.n):
-                    evw = edge_of.get((v, w))
-                    euw = edge_of.get((u, w))
-                    if evw is not None and euw is not None:
-                        out.append((euv, evw, euw))
+            above = {v: e for v, e in zip(nbr[start[u]:start[u + 1]], eid[start[u]:start[u + 1]])
+                     if v > u}
+            for v, euv in above.items():
+                for j in range(start[v], start[v + 1]):
+                    if nbr[j] > v and nbr[j] in above:
+                        out.append((euv, eid[j], above[nbr[j]]))
         return tuple(out)
 
     @cached_property

@@ -3,12 +3,16 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 # Tier-1 draws the same examples on every run.  HYPOTHESIS_PROFILE=explore
-# opts back into random search, for a deeper hunt.
+# opts back into random search, for a deeper hunt; HYPOTHESIS_PROFILE=mutants,
+# which tests/mutants.py sets, draws tier-1's examples but does not shrink a
+# failing one: a mutant needs only to fail, not the least failing example.
 settings.register_profile("tier1", derandomize=True)
 settings.register_profile("explore", derandomize=False)
+settings.register_profile("mutants", derandomize=True,
+                          phases=[phase for phase in Phase if phase is not Phase.shrink])
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 from fpplab.chain import solve_hitting

@@ -11,10 +11,18 @@ shows up here as a survivor.
 
 copies ``src/``, ``tests/``, ``scenarios/`` and ``pyproject.toml`` to a
 temporary directory, applies each row in turn, and runs the row's test.
-Only when that test passes does it run all of tier-1.  It prints each
+Only when that test passes does it run all of tier-1.  Hypothesis runs
+under the ``mutants`` profile of ``tests/conftest.py``: tier-1's examples,
+without shrinking, since a mutant needs only to fail.  It prints each
 mutant's fate and time, and exits 1 if a mutant that the table does not
 mark equivalent survives.  ``tests/test_mutants.py`` checks, inside
-tier-1, that every row still applies and names a test that exists.
+tier-1, that every row still applies and names a test that exists, and
+runs one row end to end.
+
+A row's fault must leave every loop finite on every input: the runner
+sets no time or memory limit.  Pads that point at vertex 0 in the
+Dijkstra, for one, end some runs on a cycle of reached-by edges, which
+the walk back never leaves.
 """
 
 from __future__ import annotations
@@ -122,11 +130,25 @@ MUTANTS = [
            "late = np.flatnonzero(~decided[-1])",
            "late = np.flatnonzero(~decided[0])",
            "tests/test_multigraph.py::test_every_run_reads_on_over_several_rounds"),
+    # the graph's CSR and the lock-step Dijkstra that reads it
+    Mutant("csr_rows_in_edge_order", "src/fpplab/graphs.py",
+           "order = np.lexsort((head, tail))",
+           'order = np.argsort(tail, kind="stable")',
+           "tests/test_graphs.py::test_adjacency_is_built_on_first_use"),
+    Mutant("dijkstra_walk_ends_with_the_first_run_home", "src/fpplab/fpp.py",
+           "while np.any(cur != source):",
+           "while np.all(cur != source):",
+           "tests/test_fpp.py::test_lockstep_kernel_equals_the_dense_table_kernel"),
+    Mutant("dijkstra_times_of_the_row_in_that_place", "src/fpplab/fpp.py",
+           "cand = flat.take(e + (live * m)[:, None])",
+           "cand = flat.take(e + (rows * m)[:, None])",
+           "tests/test_fpp.py::test_lockstep_kernel_equals_the_dense_table_kernel"),
 ]
 
 
 def _pytest(work: Path, *args: str) -> int:
-    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1",
+               HYPOTHESIS_PROFILE="mutants")
     return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                            *args], cwd=work, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode

@@ -7,6 +7,13 @@ function of the traversal times.  It shares no code with the numpy
 lock-step kernel in ``fpplab.fpp`` and serves as its oracle in
 ``test_fpp.py`` and ``test_stats.py``.
 
+``_lockstep_dijkstra`` is the lock-step kernel that read each settled
+vertex's neighbours off a dense ``(n, n)`` edge table (``_edge_table``)
+and relaxed all n columns a step, keeping predecessor vertices.
+``test_fpp.py`` holds ``fpplab.fpp._lockstep_dijkstra``, which reads the
+graph's CSR and keeps the edge each vertex was reached by, to it bit for
+bit, through ``dijkstra_batch``.
+
 ``_lumped_block`` is the lumped-chain kernel that keeps every stage's
 parent, slot and join time as it goes, with its own ``_pick`` that holds
 the point below each row's total by ``np.nextafter``.  ``test_fpp.py``
@@ -21,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fpplab.fpp import _Lumped
+from fpplab.fpp import FppBatch, _along_path, _Lumped, sample_traversal
 from fpplab.graphs import WeightedGraph
-from fpplab.stats import TINY
+from fpplab.stats import TINY, blocks
 
 
 @dataclass(frozen=True)
@@ -114,3 +121,85 @@ def _lumped_block(chain: _Lumped, u: np.ndarray) -> tuple[np.ndarray, np.ndarray
         path_len += cur != 0
         cur = up
     return X, Xi, path_len
+
+
+def _edge_table(g: WeightedGraph) -> np.ndarray:
+    """The ``(n, n)`` edge ids; pairs with no edge between them (the
+    diagonal too) hold the pad id m."""
+    table = np.full((g.n, g.n), g.m, dtype=np.intp)
+    u, v = g.edge_array().T
+    table[u, v] = table[v, u] = np.arange(g.m)
+    return table
+
+
+def _lockstep_dijkstra(table: np.ndarray, xi: np.ndarray, source: int,
+                       target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dijkstra from ``source`` on every row of the ``(k, m)`` block ``xi``
+    at once.
+
+    Each step settles, in every live run, the unsettled vertex of least key
+    and relaxes its neighbours, read off its row of ``table``; a run leaves
+    the working arrays once ``target`` settles.  The predecessors are then
+    walked back with every run in step.  Returns X (k,) and the path edges
+    (k, L), target first, each row padded by the pad id once its run
+    reaches ``source``.  Exact ties go to the lowest vertex index.
+    """
+    if source == target:
+        raise ValueError("source and target must differ")
+    k, n = len(xi), len(table)
+    X = np.empty(k)
+    pred_out = np.empty((k, n), dtype=np.intp)
+    live = np.arange(k)
+    key = np.full((k, n), np.inf)
+    key[:, source] = 0.0
+    unsettled = np.ones((k, n), dtype=bool)
+    pred = np.full((k, n), source, dtype=np.intp)  # source is its own predecessor
+    m = xi.shape[1]
+    adjacent = table != m
+    column = np.where(adjacent, table, 0)  # any valid column where no edge is
+    flat = xi.ravel()
+    while len(live):
+        v = key.argmin(axis=1)
+        rows = np.arange(len(live))
+        d = key[rows, v]
+        done = v == target
+        if done.any():
+            X[live[done]] = d[done]
+            pred_out[live[done]] = pred[done]
+            keep = ~done
+            live, v, d = live[keep], v[keep], d[keep]
+            key, unsettled, pred = key[keep], unsettled[keep], pred[keep]
+            rows = rows[:len(live)]
+        key[rows, v] = np.inf
+        unsettled[rows, v] = False
+        cand = flat[live[:, None] * m + column[v]]
+        cand += d[:, None]
+        better = cand < key
+        better &= unsettled
+        better &= adjacent[v]
+        np.copyto(key, cand, where=better)
+        np.copyto(pred, v[:, None], where=better)
+    # at source a run steps to itself, and the diagonal of table is the pad id
+    rows = np.arange(k)
+    cur = np.full(k, target, dtype=np.intp)
+    edges = []
+    while np.any(cur != source):
+        p = pred_out[rows, cur]
+        edges.append(table[p, cur])
+        cur = p
+    return X, np.column_stack(edges)
+
+
+def dijkstra_batch(g: WeightedGraph, source: int, target: int, runs: int, seed) -> FppBatch:
+    """``fpplab.fpp.sample_dijkstra_batch`` on the dense-table kernel: the
+    same blocks, the same traversal times, and X, Xi and the path length
+    read off the same path edges."""
+    table = _edge_table(g)
+    batch = FppBatch(X=np.empty(runs), Xi=np.empty(runs),
+                     path_len=np.empty(runs, dtype=np.int64))
+    for rng, part in blocks(seed, runs, g.m):
+        xi = sample_traversal(g, rng, part.stop - part.start)
+        batch.X[part], edges = _lockstep_dijkstra(table, xi, source, target)
+        batch.Xi[part] = _along_path(xi, edges).max(axis=1)
+        batch.path_len[part] = (edges != g.m).sum(axis=1)
+    return batch

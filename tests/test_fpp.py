@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fpplab.fpp import (
     _lumped,
@@ -187,6 +187,71 @@ def test_lockstep_kernel_matches_shortest_path(n, p, seed, runs, data):
         assert batch.path_len[i] == len(ref.path_edges)
 
 
+@st.composite
+def dijkstra_cases(draw):
+    """A connected graph: random_gnp (n 2-29, p 0.1-1), a grid up to
+    16 x 16, a path of 2-200 vertices or two cliques joined by a bridge;
+    and endpoints s != t."""
+    family = draw(st.sampled_from(["random_gnp", "grid", "path", "bridge"]))
+    if family == "random_gnp":
+        n, p = draw(st.integers(2, 29)), draw(st.floats(0.1, 1.0))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        try:
+            g = random_gnp_graph(n, p, (0.5, 2.0), rng)
+        except ValueError:  # too sparse to come up connected
+            assume(False)
+    elif family == "grid":
+        g = grid_graph(draw(st.integers(1, 16)), draw(st.integers(2, 16)))
+    elif family == "path":
+        g = path_graph(draw(st.integers(2, 200)))
+    else:
+        c1, c2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        g = bridge_graph(c1, c2, draw(st.floats(0.01, 10.0)))
+    s = draw(st.integers(0, g.n - 1))
+    t = draw(st.integers(0, g.n - 2))
+    return g, s, t + (t >= s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dijkstra_cases(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_lockstep_kernel_equals_the_dense_table_kernel(case, runs, seed):
+    # the CSR kernel relaxes the same keys by the same strict < as the dense
+    # (n, n) table kernel it replaced, so every run settles the same vertices
+    # in the same order and walks back the same edges
+    g, s, t = case
+    got = sample_dijkstra_batch(g, s, t, runs, seed)
+    want = reference_fpp.dijkstra_batch(g, s, t, runs, seed)
+    for name in ("X", "Xi", "path_len"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_coupling_equals_the_dense_table_kernel():
+    g, s, t = bridge_graph(4, 3, 0.1), 1, 5
+    u = np.random.default_rng(7).random((500, 2, g.m))
+    xi, xi_prime, got = coupled_resample(g, u, 0.2, 1.0, s, t)
+    table = reference_fpp._edge_table(g)
+    X, edges = reference_fpp._lockstep_dijkstra(table, xi, s, t)
+    X_prime, _ = reference_fpp._lockstep_dijkstra(table, xi_prime, s, t)
+    assert np.array_equal(got.X, X) and np.array_equal(got.X_prime, X_prime)
+    # xi' equals xi off [a, b], so xi' - xi is the redraws' increment
+    assert np.array_equal(got.increment_bound, fpp._along_path(xi_prime - xi, edges).sum(axis=1))
+    assert np.any(got.X_prime != got.X)
+
+
+def test_dijkstra_block_holds_no_n_by_n_array():
+    # a 16-run block on grid 32 x 32 (n = 1024, m = 1984) draws 254 KB of
+    # uniforms and keeps 131 KB of keys, and peaks below 2.9 times the two
+    # (the graph's CSR built inside); the dense (n, n) edge table with its
+    # copies peaked at 49 times
+    sample_dijkstra_batch(grid_graph(2, 2), 0, 3, 1, 0)  # numpy.random imports on first use
+    g = grid_graph(32, 32)
+    block = 16 * g.m * 8 + 16 * g.n * 8
+    batch, peak, _ = traced_peak(lambda: sample_dijkstra_batch(g, 0, g.n - 1, 16, 1))
+    assert len(batch.X) == 16 and np.all(batch.path_len >= 62)
+    assert peak <= 4 * block
+
+
 # ---------------------------------------------------------------------------
 # The twin-class lumped sampler, against the lock-step Dijkstra
 
@@ -255,7 +320,9 @@ def test_pick_never_draws_an_index_of_rate_zero(rows, u):
     assert np.array_equal(picked, reference_fpp._pick(cum, point))
 
 
-@pytest.mark.parametrize("g", [complete_graph(64), grid_graph(4, 4)], ids=["K64", "grid4x4"])
+@pytest.mark.parametrize("g", [complete_graph(64), grid_graph(4, 4), grid_graph(16, 16),
+                               path_graph(200)],
+                         ids=["K64", "grid4x4", "grid16x16", "path200"])
 def test_fpp_calls_leave_the_edge_tuples_unbuilt(g):
     # every FPP path reads the graph's arrays; only Python loops build tuples
     t = g.n - 1

@@ -263,11 +263,21 @@ def test_one_weight_per_edge():
 
 
 def test_adjacency_is_built_on_first_use():
+    # one cache, the CSR, made from the edge array; edge_index, neighbors
+    # and triangles read it and leave the edge tuples unbuilt
     g = complete_graph(6)
-    assert "_adj" not in vars(g) and "_edge_of" not in vars(g)
+    assert "csr" not in vars(g)
+    assert g.edge_index(4, 2) == 10 and g.edge_index(2, 2) is None
+    assert "csr" in vars(g) and g.csr is g.csr
+    assert [v for v, _ in g.neighbors(3)] == [0, 1, 2, 4, 5] and len(g.triangles) == 20
+    assert "edges" not in vars(g) and "weights" not in vars(g)
+    start, nbr, eid = g.csr
+    assert not any(a.flags.writeable for a in g.csr)
+    assert start.tolist() == list(range(0, 31, 5))
     assert g.edges == tuple((i, j) for i in range(6) for j in range(i + 1, 6))
-    assert g.edge_index(4, 2) == g.edges.index((2, 4))
-    assert "_edge_of" in vars(g) and "_adj" not in vars(g)
+    assert all(g.edges[e] == tuple(sorted((u, v)))
+               for u in range(6) for v, e in zip(nbr[start[u]:start[u + 1]].tolist(),
+                                                 eid[start[u]:start[u + 1]].tolist()))
 
 
 def _brute_twin_classes(g, s, t):

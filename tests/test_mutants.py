@@ -1,8 +1,11 @@
 """Every row of the mutation table (``tests/mutants.py``) still applies: its
 old text occurs exactly once in its file, and the test named to kill it
-exists.  Running the mutants is left to ``python3 tests/mutants.py``."""
+exists.  One row runs end to end through the runner; running them all is
+left to ``python3 tests/mutants.py``."""
 
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -24,3 +27,14 @@ def test_each_mutant_applies_once_and_names_its_killer(mutant):
     path, _, name = mutant.test.partition("::")
     name = name.split("[")[0]
     assert re.search(rf"^def {re.escape(name)}\(", (ROOT / path).read_text(), re.MULTILINE)
+
+
+def test_the_runner_sees_one_mutant_killed():
+    # the lemma1 bound judged against 2 kappa fails its negative control
+    out = subprocess.run([sys.executable, str(ROOT / "tests" / "mutants.py"),
+                          "--only", "lemma1_two_kappa"],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "lemma1_two_kappa" in out.stdout
+    assert "killed by tests/test_cli.py::test_lemma1_fails_just_past_kappa" in out.stdout
+    assert "1 mutants, 0 unmarked survivors" in out.stdout
