@@ -55,7 +55,7 @@ from .graphs import (
     parse_edge_list,
     twin_classes,
 )
-from .growth import CoverageConfig, GrowthConfig, prop1_check, prop3_check
+from .growth import GrowthConfig, prop1_check, prop3_check
 from .multigraph import a_k_eval, prop2_check, sample_stopping_times
 from .stats import (
     BAND_SIGMAS,
@@ -100,7 +100,9 @@ CHECKS: dict[str, dict] = {}
 def _register(name, processes, anchor, statement, min_runs=3, parse=lambda params: {}):
     """``parse`` turns the check's config entry into the parameters ``fn``
     receives, raising ConfigError; every entry is parsed before any check
-    runs, and the parameters gain the check's run count, ``runs``."""
+    runs, and the parameters gain the check's run count, ``runs``.
+    ``fn(ctx, params)`` returns (result, passed), the result as its report
+    objects are: the runner makes it JSON-ready (:func:`_clean`)."""
     def wrap(fn):
         CHECKS[name] = {"fn": fn, "parse": parse, "processes": processes, "anchor": anchor,
                         "statement": statement, "min_runs": min_runs}
@@ -190,7 +192,7 @@ def _stable_hash(name: str) -> int:
 @_register("lemma1", ("fpp",), "Lemma 1", "var T / E T <= kappa (max h-decrement)")
 def _check_lemma1(ctx, params):
     rep = lemma1_bound(ctx.solution())
-    return _clean(rep), rep.holds
+    return rep, rep.holds
 
 
 def _lemma2_params(params):
@@ -211,7 +213,7 @@ def _check_lemma2(ctx, params):
 @_register("prop4", ("fpp",), "Proposition 4", "var X <= E X / w_min")
 def _check_prop4(ctx, params):
     rep = prop4_check(ctx.solution(), ctx.graph())
-    return _clean(rep), rep.holds
+    return rep, rep.holds
 
 
 @_register("continuization", ("fpp", "bounds"), "continuization identity",
@@ -307,8 +309,7 @@ def _check_theorem1_lower(ctx, params):
     batch = ctx.fpp_batch(params["runs"])
     points = theorem1_lower_check(batch.Xi, sol.E_T, sol.var_T, params["deltas"])
     ok = all(p.holds for p in points)
-    return {"points": [_clean(p) for p in points],
-            "inconclusive": any(p.inconclusive for p in points)}, ok
+    return {"points": points, "inconclusive": any(p.inconclusive for p in points)}, ok
 
 
 def default_trend_family():
@@ -340,7 +341,7 @@ def _check_theorem1_trend(ctx, params):
     ctx.write("trend_members.csv", "member,param,sd_over_mean,ci,l0_xi,n_runs",
               (f"{m.name},{m.param!r},{m.sd_over_mean!r},{m.ratio_se!r},{m.l0_xi!r},{m.n_runs}"
                for m in rep.members))
-    return _clean(rep), rep.spearman > params["min_spearman"]
+    return rep, rep.spearman > params["min_spearman"]
 
 
 def _prop2_params(params):
@@ -384,9 +385,9 @@ def _check_prop2(ctx, params):
             rep = prop2_check(samples[kind][k], k, kind=kind, gamma=gamma,
                               uncertified=uncertified[kind, k])
             ok = ok and rep.holds and (rep.mean_bound_holds in (None, True))
-            reports.append(_clean(rep))
+            reports.append(rep)
     return {"gamma": gamma, "reports": reports,
-            "inconclusive": any(r["inconclusive"] for r in reports)}, ok
+            "inconclusive": any(rep.inconclusive for rep in reports)}, ok
 
 
 @_register("prop1", ("growth",), "Proposition 1",
@@ -394,15 +395,14 @@ def _check_prop2(ctx, params):
 def _check_prop1(ctx, params):
     cfg = _growth_config(ctx.cfg)
     rep = prop1_check(cfg, params["runs"], ctx.check_seed("prop1"))
-    return _clean(rep), rep.holds
+    return rep, rep.holds
 
 
 @_register("prop3", ("coverage",), "Proposition 3",
            "coverage draw count: var T <= n E T", min_runs=MIN_RUNS)
 def _check_prop3(ctx, params):
-    cov = CoverageConfig.from_graph(ctx.graph())
-    rep = prop3_check(cov, params["runs"], ctx.check_seed("prop3"))
-    return _clean(rep), rep.holds
+    rep = prop3_check(ctx.graph(), params["runs"], ctx.check_seed("prop3"))
+    return rep, rep.holds
 
 
 @_register("a_k", ("multigraph", "bounds"), "Lemma 5 corollary",
@@ -715,6 +715,7 @@ def run_scenario(config_path, seed=None, out_dir=None, threads=1) -> int:
     try:
         for name, params in checks:
             result, passed = CHECKS[name]["fn"](ctx, params)
+            result = _clean(result)
             if not passed:
                 status = "FAIL"
                 any_fail = True
@@ -722,7 +723,7 @@ def run_scenario(config_path, seed=None, out_dir=None, threads=1) -> int:
                 status = "inconclusive"
             else:
                 status = "pass"
-            report["checks"][name] = {"status": status, "result": _clean(result)}
+            report["checks"][name] = {"status": status, "result": result}
             rows.append((name, CHECKS[name]["anchor"], status))
         ctx.write("report.json", json.dumps(report, sort_keys=True, indent=2))
     except ConfigError as exc:

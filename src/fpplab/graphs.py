@@ -2,11 +2,9 @@
 
 Every process in this package runs on a finite connected graph with
 positive edge rates.  Graphs are immutable after construction.  A graph
-holds its edge ends and rates as two read-only arrays, which the
-samplers and the exact chain read; the built-in families build those
-arrays directly, and the adjacency is one CSR made from them.  Edge
-tuples are built on first use, only for the Python loops that read them:
-the exhaustive min cut, edge-list text, the packing and coverage processes.
+is its edge ends and rates, two read-only arrays that every sampler,
+the exact chain and the exhaustive min cut read; the built-in families
+build those arrays directly, and the adjacency is one CSR made from them.
 """
 
 from __future__ import annotations
@@ -41,8 +39,7 @@ class WeightedGraph:
     holds its edges as one read-only ``(m, 2)`` int64 array of index pairs
     ``(u, v)`` with ``u < v`` and its rates as one read-only ``(m,)`` float
     array, made from sequences or arrays and validated as arrays.  The
-    adjacency (:attr:`csr`) and the ``edges`` and ``weights`` tuples are
-    built on first use.
+    adjacency (:attr:`csr`) and the triangle tables are built on first use.
     """
 
     def __init__(self, vertices, edges, weights):
@@ -111,17 +108,6 @@ class WeightedGraph:
             while not np.array_equal(jumped := root[root], root):
                 root = jumped
         return not root.any()
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The index pairs ``(u, v)`` as tuples of ints; built on first
-        use, then kept."""
-        return tuple(map(tuple, self._ends.tolist()))
-
-    @cached_property
-    def weights(self) -> tuple[float, ...]:
-        """The edge rates as floats; built on first use, then kept."""
-        return tuple(self._weights.tolist())
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,10 +188,9 @@ class WeightedGraph:
         return tuple(tuple(js) for js in out)
 
     def to_edge_list(self) -> str:
-        lines = []
-        for (u, v), w in zip(self.edges, self.weights):
-            lines.append(f"{self.vertices[u]} {self.vertices[v]} {w!r}")
-        return "\n".join(lines) + "\n"
+        names = self.vertices
+        return "\n".join(f"{names[u]} {names[v]} {w!r}"
+                         for (u, v), w in zip(self._ends.tolist(), self._weights.tolist())) + "\n"
 
 
 @dataclass(frozen=True)
@@ -288,8 +273,10 @@ def parse_edge_list(text: str) -> WeightedGraph:
 def min_cut_weight(g: WeightedGraph) -> tuple[float, int]:
     """Exhaustive minimum cut: min over proper nonempty S of w(S, S^c).
 
-    Returns ``(gamma, witness_bitmask)``.  Enumerates subsets containing
-    vertex 0, which covers every bipartition once.
+    Returns ``(gamma, witness_bitmask)``, the witness the first minimal
+    mask.  Enumerates subsets containing vertex 0, which covers every
+    bipartition once, a chunk of masks at a time; a chunk's cuts add the
+    crossing rates one edge at a time, in edge order.
     """
     n = g.n
     if n > EXACT_CAP:
@@ -298,20 +285,21 @@ def min_cut_weight(g: WeightedGraph) -> tuple[float, int]:
         )
     if n < 2:
         raise GraphValidationError("min cut needs at least two vertices")
-    best = float("inf")
+    best = math.inf
     witness = 1
-    full = (1 << n) - 1
-    for half in range(1 << (n - 1)):
-        mask = (half << 1) | 1  # vertex 0 always inside
-        if mask == full:
-            continue
-        cut = 0.0
-        for (u, v), w in zip(g.edges, g.weights):
-            if ((mask >> u) & 1) != ((mask >> v) & 1):
-                cut += w
-        if cut < best:
-            best = cut
-            witness = mask
+    edges = list(zip(g.edge_array().tolist(), g.weight_array().tolist()))
+    halves = (1 << (n - 1)) - 1  # the last half makes the full mask, no cut
+    chunk = 1 << 14
+    for lo in range(0, halves, chunk):
+        mask = np.arange(lo, min(halves, lo + chunk)) << 1 | 1  # vertex 0 always inside
+        inside = ((mask >> np.arange(n)[:, None]) & 1).astype(bool)
+        cut = np.zeros(len(mask))
+        with np.errstate(over="ignore"):  # a cut past the largest double is inf, as in a float sum
+            for (u, v), w in edges:
+                cut += w * (inside[u] != inside[v])
+        i = int(cut.argmin())
+        if cut[i] < best:
+            best, witness = float(cut[i]), int(mask[i])
     return best, witness
 
 

@@ -9,7 +9,9 @@ follows the process on the whole lattice until the cluster meets the
 target set.
 
 The coverage process draws IID uniform vertices of a graph until every
-vertex is in the closed neighborhood of the drawn set.
+vertex is in the closed neighborhood of the drawn set.  Its count is read
+off each block at once by a min-max formula over the graph's CSR
+(:func:`coverage_samples`).
 
 Both samplers draw in blocks (:func:`fpplab.stats.blocks`), a row per run:
 ``GROWTH_ROW`` events of two uniforms each (the Exp(1) holding time
@@ -358,33 +360,6 @@ def prop1_check(cfg: GrowthConfig, runs: int, seed) -> InequalityReport:
 # ---------------------------------------------------------------------------
 # Coverage
 
-@dataclass(frozen=True)
-class CoverageConfig:
-    """Coverage runs on an arbitrary simple graph, connectivity not
-    required (the edgeless case is the plain coupon collector)."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one vertex")
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n and u != v):
-                raise ValueError(f"bad edge {(u, v)}")
-
-    @classmethod
-    def from_graph(cls, g: WeightedGraph) -> "CoverageConfig":
-        return cls(n=g.n, edges=tuple(g.edges))
-
-    def closed_neighborhoods(self) -> list[int]:
-        masks = [1 << v for v in range(self.n)]
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return masks
-
-
 def _vertices(u: np.ndarray, n: int) -> np.ndarray:
     """Uniforms as vertices ⌊u·n⌋; the clamp to n - 1 catches a product
     u·n that rounds up to n."""
@@ -393,47 +368,53 @@ def _vertices(u: np.ndarray, n: int) -> np.ndarray:
     return u.astype(np.intp)
 
 
-def coverage_simulate(cfg: CoverageConfig, rng, row: list | None = None,
-                      nbhd: list[int] | None = None) -> int:
-    """Number of IID uniform vertex draws until every vertex lies in the
-    closed neighborhood of the drawn set.  The draws come from ``row`` (a
-    block row from :func:`_vertices`, as a list) when given, then ``random(
-    COVERAGE_ROW)`` at a time from ``rng``, a generator or a
-    :class:`fpplab.stats.RowStream`; ``nbhd`` is
-    ``cfg.closed_neighborhoods()``, built here when not given."""
-    nbhd = nbhd or cfg.closed_neighborhoods()
-    full = (1 << cfg.n) - 1
-    covered = t = 0
-    draws = row or ()
-    while True:
-        for v in draws:
-            covered |= nbhd[v]
-            t += 1
-            if covered == full:
-                return t
-        draws = _vertices(rng.random(COVERAGE_ROW), cfg.n).tolist()
+def _closed_csr(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(first entry of each row, entries): row v of the CSR lists v's
+    closed neighbourhood N[v], v itself first, so no row is empty."""
+    start, nbr, _ = g.csr
+    return start[:-1] + np.arange(g.n), np.insert(nbr, start[:-1], np.arange(g.n))
 
 
-def coverage_samples(cfg: CoverageConfig, runs: int, seed) -> np.ndarray:
+def coverage_samples(g: WeightedGraph, runs: int, seed) -> np.ndarray:
     """``runs`` coverage draw counts; block j draws ``random((k,
-    COVERAGE_ROW))``."""
+    COVERAGE_ROW))``, vertices ⌊u·n⌋.  With F_u the index of u's first draw
+    in a run's row (the row's length when u is not drawn), the count is T =
+    1 + max_v min over N[v] of F_u, the draw that covers the last vertex.
+    A run whose row leaves a vertex uncovered reads ``COVERAGE_ROW`` more
+    draws from its :class:`fpplab.stats.RowStream` and goes through again."""
     samples = np.empty(runs)
-    nbhd = cfg.closed_neighborhoods()
+    start, closed = _closed_csr(g)
     for rng, part in blocks(seed, runs, COVERAGE_ROW, ROW_CELLS):
-        rows = _vertices(rng.random((part.stop - part.start, COVERAGE_ROW)), cfg.n)
-        for r, row in enumerate(rows):
-            samples[part.start + r] = coverage_simulate(cfg, RowStream(rng, r), row.tolist(),
-                                                        nbhd)
+        rows = np.arange(part.stop - part.start)
+        draws = _vertices(rng.random((len(rows), COVERAGE_ROW)), g.n)
+        streams = {}
+        while True:
+            k, width = draws.shape
+            first = np.full((k, g.n), width)
+            np.minimum.at(first, (np.arange(k)[:, None], draws), np.arange(width))
+            t = np.minimum.reduceat(first[:, closed], start, axis=1).max(axis=1)
+            done = t < width
+            samples[part.start + rows[done]] = t[done] + 1
+            late = np.flatnonzero(~done)
+            if not len(late):
+                break
+            rows, draws = rows[late], draws[late]
+            streams = {r: streams.get(r) or RowStream(rng, r) for r in rows.tolist()}
+            more = [_vertices(stream.random(COVERAGE_ROW), g.n) for stream in streams.values()]
+            draws = np.hstack([draws, np.array(more)])
     return samples
 
 
-def coverage_chain_spec(cfg: CoverageConfig) -> ChainSpec:
+def coverage_chain_spec(g: WeightedGraph) -> ChainSpec:
     """Chain on the set of drawn vertices, read as jump probabilities: each
     step adds a uniform vertex (self-loop when already drawn); absorbed
     once the closed neighborhood of the drawn set covers everything."""
-    nbhd = cfg.closed_neighborhoods()
-    full = (1 << cfg.n) - 1
-    n = cfg.n
+    n = g.n
+    nbhd = [1 << v for v in range(n)]
+    for u, v in g.edge_array().tolist():
+        nbhd[u] |= 1 << v
+        nbhd[v] |= 1 << u
+    full = (1 << n) - 1
 
     def covered(mask: int) -> int:
         c = 0
@@ -452,7 +433,6 @@ def coverage_chain_spec(cfg: CoverageConfig) -> ChainSpec:
     )
 
 
-def prop3_check(cfg: CoverageConfig, runs: int, seed) -> InequalityReport:
+def prop3_check(g: WeightedGraph, runs: int, seed) -> InequalityReport:
     """Monte Carlo check of var T <= n * E T for the coverage process."""
-    return _variance_inequality_report(coverage_samples(cfg, runs, seed), lambda m: cfg.n * m)
-
+    return _variance_inequality_report(coverage_samples(g, runs, seed), lambda m: g.n * m)

@@ -157,7 +157,7 @@ class ForestUnion:
 
     def __init__(self, g: WeightedGraph, forests: int = 1):
         self.n = g.n
-        self._edges = g.edges
+        self._edges = g.edge_array().tolist()
         self.forests = [_Forest(g.n) for _ in range(forests)]
         self.edge_of: list[int] = []    # per copy, in arrival order: its base edge
         self.where: list[int] = []      # per copy: its forest, or -1

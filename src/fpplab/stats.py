@@ -21,10 +21,10 @@ BAND_SIGMAS = 3.0  # verdict band half-width, in jackknife standard errors
 
 BLOCK_RUNS = 1024      # runs per block, at most
 BLOCK_CELLS = 1 << 20  # uniforms per block of a numpy-kernel (FPP) sampler
-# Uniforms per block of a sampler whose runs are Python loops over their
-# rows (Propositions 1-3).  Such a block stays alive while its runs read
-# it, so it is kept small: at 2**15 (256 KB) the packing-growth workload's
-# peak resident set is no higher than with one generator per run.
+# Uniforms per block of a row sampler (Propositions 1-3), whose runs read
+# on from streams of their own.  It fixes B, and so every run's row: it
+# stays 2**15 (256 KB), chosen while these runs were Python loops over
+# their rows, when a larger block raised packing-growth's peak resident set.
 ROW_CELLS = 1 << 15
 TINY = np.nextafter(0.0, 1.0)  # the smallest positive double
 

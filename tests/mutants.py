@@ -19,16 +19,20 @@ mark equivalent survives.  ``tests/test_mutants.py`` checks, inside
 tier-1, that every row still applies and names a test that exists, and
 runs one row end to end.
 
-A row's fault must leave every loop finite on every input: the runner
-sets no time or memory limit.  Pads that point at vertex 0 in the
-Dijkstra, for one, end some runs on a cycle of reached-by edges, which
-the walk back never leaves.
+A fault may leave a loop that never ends: pads that point at vertex 0 in
+the Dijkstra, for one, end some runs on a cycle of reached-by edges, which
+the walk back never leaves.  So each pytest run is stopped after
+``TIME_LIMIT`` seconds and gets ``MEMORY_LIMIT`` bytes of address space,
+and a mutant whose run hits either limit counts as killed, with the limit
+printed.  Both sit far above what tier-1 needs unmutated: about 40 s and
+under 0.5 GB of address space for all of it.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -38,6 +42,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIME_LIMIT = 300        # seconds per pytest run
+MEMORY_LIMIT = 2 << 30  # bytes of address space per pytest run
 
 
 class Mutant(NamedTuple):
@@ -80,8 +86,8 @@ MUTANTS = [
            "lambda m: 2 * m / cfg.c_lo",
            "tests/test_growth.py::test_prop1_fails_just_past_e_t_over_c_lo"),
     Mutant("prop3_bound_doubled", "src/fpplab/growth.py",
-           "lambda m: cfg.n * m",
-           "lambda m: 2 * cfg.n * m",
+           "lambda m: g.n * m",
+           "lambda m: 2 * g.n * m",
            "tests/test_growth.py::test_prop3_fails_just_past_n_e_t"),
     # Proposition 1's lock-step growth kernel
     Mutant("growth_pick_cap_dropped", "src/fpplab/growth.py",
@@ -104,6 +110,19 @@ MUTANTS = [
            "stop = np.full((w, w), _OUT, np.int8)",
            "stop = np.full((w, w), 0, np.int8)",
            "tests/test_growth.py::test_the_window_reaches_the_target"),
+    # Proposition 3's coverage kernel
+    Mutant("coverage_open_neighbourhood", "src/fpplab/growth.py",
+           "return start[:-1] + np.arange(g.n), np.insert(nbr, start[:-1], np.arange(g.n))",
+           "return start[:-1], nbr",
+           "tests/test_growth.py::test_coverage_kernel_equals_the_per_run_loop"),
+    Mutant("coverage_count_one_short", "src/fpplab/growth.py",
+           "samples[part.start + rows[done]] = t[done] + 1",
+           "samples[part.start + rows[done]] = t[done]",
+           "tests/test_growth.py::test_coverage_kernel_equals_the_per_run_loop"),
+    Mutant("coverage_late_stream_one_row_off", "src/fpplab/growth.py",
+           "streams.get(r) or RowStream(rng, r)",
+           "streams.get(r) or RowStream(rng, r + 1)",
+           "tests/test_growth.py::test_coverage_kernel_equals_the_per_run_loop"),
     # Proposition 2's block formulas and the late runs' extensions
     Mutant("span_goal_capped_at_the_row", "src/fpplab/multigraph.py",
            "need), c + 1)",
@@ -130,11 +149,24 @@ MUTANTS = [
            "late = np.flatnonzero(~decided[-1])",
            "late = np.flatnonzero(~decided[0])",
            "tests/test_multigraph.py::test_every_run_reads_on_over_several_rounds"),
+    # the exhaustive min cut over chunks of masks
+    Mutant("min_cut_ties_go_to_the_last_chunk", "src/fpplab/graphs.py",
+           "if cut[i] < best:",
+           "if cut[i] <= best:",
+           "tests/test_graphs.py::test_min_cut_equals_the_mask_loop"),
     # the graph's CSR and the lock-step Dijkstra that reads it
     Mutant("csr_rows_in_edge_order", "src/fpplab/graphs.py",
            "order = np.lexsort((head, tail))",
            'order = np.argsort(tail, kind="stable")',
            "tests/test_graphs.py::test_adjacency_is_built_on_first_use"),
+    Mutant("dijkstra_pads_at_vertex_zero", "src/fpplab/fpp.py",
+           "head = np.repeat(np.arange(n), filled.shape[1])",
+           "head = np.repeat(np.zeros(n, np.intp), filled.shape[1])",
+           "tests/test_fpp.py::test_lockstep_kernel_equals_the_dense_table_kernel"),
+    Mutant("dijkstra_walk_to_the_edge_sum", "src/fpplab/fpp.py",
+           "cur = other[e] - cur",
+           "cur = other[e]",
+           "tests/test_fpp.py::test_lockstep_kernel_equals_the_dense_table_kernel"),
     Mutant("dijkstra_walk_ends_with_the_first_run_home", "src/fpplab/fpp.py",
            "while np.any(cur != source):",
            "while np.all(cur != source):",
@@ -146,25 +178,54 @@ MUTANTS = [
 ]
 
 
-def _pytest(work: Path, *args: str) -> int:
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def _pytest(work: Path, *args: str) -> int | str:
+    """pytest's exit code, or the limit its run hit: 'time' past
+    ``TIME_LIMIT``; 'memory' when it failed on a MemoryError or, as a run
+    out of address space may die with no report, after a resident peak
+    of half of ``MEMORY_LIMIT``."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1",
                HYPOTHESIS_PROFILE="mutants")
-    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                           *args], cwd=work, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    with tempfile.TemporaryFile() as log:
+        child = subprocess.Popen([sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                                  "no:cacheprovider", *args], cwd=work, env=env, stdout=log,
+                                 stderr=subprocess.STDOUT, preexec_fn=_limit_memory)
+        deadline = time.monotonic() + TIME_LIMIT
+        while not (waited := os.wait4(child.pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                child.kill()
+                os.wait4(child.pid, 0)
+                child.returncode = -9
+                return "time"
+            time.sleep(0.05)
+        _, status, usage = waited
+        child.returncode = code = os.waitstatus_to_exitcode(status)
+        log.seek(0)
+        if code and (b"MemoryError" in log.read() or usage.ru_maxrss * 1024 > MEMORY_LIMIT // 2):
+            return "memory"
+        return code
 
 
 def _fate(work: Path, mutant: Mutant) -> str:
-    """'killed by <node>', 'killed by tier-1' or 'survived'.  Exit code 1
-    is a failed test and 2 a collection error, so both kill; any other
-    code means the row names no runnable test."""
+    """'killed by <node>', 'killed by tier-1', 'killed by the <time or
+    memory> limit under <node or tier-1>' or 'survived'.  Exit code 1 is a
+    failed test and 2 a collection error, so both kill; any other code
+    means the row names no runnable test."""
     if mutant.test is not None:
         code = _pytest(work, mutant.test)
+        if isinstance(code, str):
+            return f"killed by the {code} limit under {mutant.test}"
         if code not in (0, 1, 2):
             raise SystemExit(f"{mutant.name}: pytest exited {code} on {mutant.test}")
         if code:
             return f"killed by {mutant.test}"
-    return "killed by tier-1" if _pytest(work, "--continue-on-collection-errors") else "survived"
+    code = _pytest(work, "--continue-on-collection-errors")
+    if isinstance(code, str):
+        return f"killed by the {code} limit under tier-1"
+    return "killed by tier-1" if code else "survived"
 
 
 def main(argv=None) -> int:

@@ -38,6 +38,8 @@ def fpp_spec(g, source: int, target: int):
     """The reached-vertex-set chain of FPP on ``g``: from S, vertex y joins
     at w(S, y), the rates of the edges from S into y summed over the
     members of S in increasing order; successors in increasing y."""
+    weights = g.weight_array().tolist()
+
     def transitions(mask: int):
         rates: dict[int, float] = {}
         for s in range(g.n):
@@ -45,7 +47,7 @@ def fpp_spec(g, source: int, target: int):
                 continue
             for y, e in g.neighbors(s):
                 if not (mask >> y) & 1:
-                    rates[y] = rates.get(y, 0.0) + g.weights[e]
+                    rates[y] = rates.get(y, 0.0) + weights[e]
         return [(mask | (1 << y), w) for y, w in sorted(rates.items())]
 
     return SimpleNamespace(initial=1 << source, transitions=transitions,

@@ -20,6 +20,13 @@ when a site's rate depends on the site alone (``constant``,
 (``site_fpp_hitting_time``); at ``neighbor_count``'s rate, base times the
 cluster neighbours, it is bond FPP with Exp(base) bonds
 (``bond_fpp_hitting_time``).
+
+The coverage loop (``coverage_draws``) is the oracle of
+``fpplab.growth.coverage_samples``, which reads a whole block's counts off
+the graph's CSR by a min-max formula: it ORs in each draw's closed
+neighbourhood, a bitmask, until all vertices are covered.
+``coverage_samples`` runs it on each run's block row and then its row
+stream, as the kernel must read them.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ from itertools import accumulate
 import numpy as np
 
 from fpplab import growth
+from fpplab.stats import RowStream, blocks
+from helpers import Replay
 
 _NBRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -112,3 +121,41 @@ def bond_fpp_hitting_time(target, base: float, rng) -> float:
             v = (x + dx, y + dy)
             if v not in done:
                 heapq.heappush(heap, (t + rng.exponential(1.0 / base), v))
+
+
+def closed_neighborhoods(n: int, edges) -> list[int]:
+    """Each vertex's closed neighbourhood as a bitmask; the pairs ``edges``
+    need not connect the n vertices (with none, coverage is the coupon
+    collector)."""
+    masks = [1 << v for v in range(n)]
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def coverage_draws(n: int, edges, rng) -> int:
+    """Number of IID uniform vertex draws until every vertex lies in the
+    closed neighborhood of the drawn set, ``random(COVERAGE_ROW)`` read at
+    a time from ``rng`` as the vertices min(⌊u·n⌋, n - 1)."""
+    nbhd = closed_neighborhoods(n, edges)
+    full = (1 << n) - 1
+    covered = t = 0
+    while True:
+        for u in rng.random(growth.COVERAGE_ROW).tolist():
+            covered |= nbhd[min(int(u * n), n - 1)]
+            t += 1
+            if covered == full:
+                return t
+
+
+def coverage_samples(g, runs: int, seed) -> np.ndarray:
+    """``runs`` counts of ``coverage_draws`` on ``g``, run i on row i % B of
+    block i // B, then on its row stream."""
+    out = np.empty(runs)
+    edges = g.edge_array().tolist()
+    for rng, part in blocks(seed, runs, growth.COVERAGE_ROW, growth.ROW_CELLS):
+        rows = rng.random((part.stop - part.start, growth.COVERAGE_ROW))
+        for r, row in enumerate(rows):
+            out[part.start + r] = coverage_draws(g.n, edges, Replay(row, RowStream(rng, r)))
+    return out

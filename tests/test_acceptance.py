@@ -28,7 +28,7 @@ from fpplab.graphs import (
     min_cut_weight,
     path_graph,
 )
-from fpplab.growth import CoverageConfig, coverage_chain_spec, coverage_simulate
+from fpplab.growth import coverage_chain_spec, coverage_samples
 from fpplab.multigraph import a_k_eval, prop2_check, sample_stopping_times
 from fpplab.stats import (
     F_K_eval,
@@ -164,14 +164,12 @@ def test_criterion_7_growth_and_coverage(tmp_path):
         ok &= statuses <= {"pass", "inconclusive"}
         details.append(f"{name}: {sorted(statuses)}")
     # exact continuized coverage chain on P3 vs MC
-    cfg = CoverageConfig.from_graph(path_graph(3))
-    spec = coverage_chain_spec(cfg)
+    g = path_graph(3)
+    spec = coverage_chain_spec(g)
     d_mean, _ = solve_discrete(spec)
     c_mean = solve_hitting(spec).E_T
     ok &= abs(c_mean - d_mean) <= 1e-10
-    rng = np.random.default_rng(303)
-    draws = np.array([coverage_simulate(cfg, rng) for _ in range(50_000)],
-                     dtype=float)
+    draws = coverage_samples(g, 50_000, 303)
     z = abs(draws.mean() - c_mean) / (draws.std(ddof=1) / math.sqrt(len(draws)))
     ok &= z <= 4.0
     details.append(f"P3 coverage exact {c_mean:.3f} vs MC |z| {z:.2f}")

@@ -751,7 +751,7 @@ def test_scenario_in_fresh_interpreter_loads_no_scipy(tmp_path, scenario):
 def _scaled_verdicts(tmp_path, graph, scale, name):
     """The exact and pathwise verdicts of a run on ``graph`` with every
     rate multiplied by ``scale``, read through ``fpplab run``."""
-    scaled = type(graph)(graph.vertices, graph.edges, tuple(w * scale for w in graph.weights))
+    scaled = type(graph)(graph.vertices, graph.edge_array(), graph.weight_array() * scale)
     cfg = {"schema_version": 1, "process": "fpp", "runs": 200, "seed": 3,
            "graph": {"edge_list": scaled.to_edge_list()},
            "checks": ["lemma1", "lemma2", "prop4", "coupling_lower"]}

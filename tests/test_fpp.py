@@ -324,7 +324,8 @@ def test_pick_never_draws_an_index_of_rate_zero(rows, u):
                                path_graph(200)],
                          ids=["K64", "grid4x4", "grid16x16", "path200"])
 def test_fpp_calls_leave_the_edge_tuples_unbuilt(g):
-    # every FPP path reads the graph's arrays; only Python loops build tuples
+    # every FPP path reads the graph's arrays and its CSR; the triangle
+    # tuples, which only the packing reads, stay unbuilt
     t = g.n - 1
     label = twin_classes(g, 0, t)
     sample_fpp_batch(g, 0, t, 50, 1, label)
@@ -333,7 +334,7 @@ def test_fpp_calls_leave_the_edge_tuples_unbuilt(g):
     sample_coupling_batch(g, 0, t, 50, 1, 0.1, 0.5)
     if g.n <= EXACT_CAP:
         prop4_check(solve_hitting(fpp_chain_spec(g, 0, t, label)), g)
-    assert "edges" not in vars(g) and "weights" not in vars(g)
+    assert set(vars(g)) <= {"vertices", "_ends", "_weights", "csr"}
 
 
 def test_lumped_sampler_works_inside_its_uniform_block():

@@ -23,14 +23,15 @@ from fpplab.graphs import (
     twin_classes,
 )
 
+import reference_packing
 from helpers import TUPLE_FAMILIES, traced_peak
 
 
 def test_parse_basic():
     g = parse_edge_list("a b 2.0\nb c 0.5\n")
     assert g.vertices == ("a", "b", "c")
-    assert g.edges == ((0, 1), (1, 2))
-    assert g.weights == (2.0, 0.5)
+    assert g.edge_array().tolist() == [[0, 1], [1, 2]]
+    assert g.weight_array().tolist() == [2.0, 0.5]
     assert g.n == 3 and g.m == 2
 
 
@@ -65,7 +66,7 @@ def test_parse_rejects(bad):
 
 def test_fifteen_sig_digits_accepted():
     g = parse_edge_list("a b 1.23456789012345")
-    assert g.weights[0] == 1.23456789012345
+    assert g.weight_array()[0] == 1.23456789012345
 
 
 def test_disconnected_rejected():
@@ -79,9 +80,10 @@ def _types(x):
 
 
 def _assert_same_graph(got, want):
-    for name in ("vertices", "edges", "weights"):
-        assert getattr(got, name) == getattr(want, name), name
-        assert _types(getattr(got, name)) == _types(getattr(want, name)), name
+    assert got.vertices == want.vertices
+    assert _types(got.vertices) == _types(want.vertices)
+    for a, b in ((got.edge_array(), want.edge_array()), (got.weight_array(), want.weight_array())):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("name, args", [
@@ -104,7 +106,7 @@ def test_complete_graph_holds_its_arrays_alone():
     # K256's (m, 2) int64 ends and (m,) rates take 0.78 MB; its 32 640 edge
     # tuples and a weight tuple would take another 2.3 MB
     g, _, held = traced_peak(lambda: complete_graph(256))
-    assert "edges" not in vars(g) and "weights" not in vars(g)
+    assert set(vars(g)) == {"vertices", "_ends", "_weights"}
     assert held <= 1.0e6
 
 
@@ -153,7 +155,7 @@ def test_weight_array_is_built_once_and_read_only():
     g = bridge_graph(3, 3, 0.1)
     w = g.weight_array()
     assert w is g.weight_array()
-    assert np.array_equal(w, g.weights)
+    assert w.tolist() == [1.0] * 6 + [0.1]
     with pytest.raises(ValueError):
         w[0] = 5.0
 
@@ -264,18 +266,18 @@ def test_one_weight_per_edge():
 
 def test_adjacency_is_built_on_first_use():
     # one cache, the CSR, made from the edge array; edge_index, neighbors
-    # and triangles read it and leave the edge tuples unbuilt
+    # and triangles read it
     g = complete_graph(6)
     assert "csr" not in vars(g)
     assert g.edge_index(4, 2) == 10 and g.edge_index(2, 2) is None
     assert "csr" in vars(g) and g.csr is g.csr
     assert [v for v, _ in g.neighbors(3)] == [0, 1, 2, 4, 5] and len(g.triangles) == 20
-    assert "edges" not in vars(g) and "weights" not in vars(g)
     start, nbr, eid = g.csr
     assert not any(a.flags.writeable for a in g.csr)
     assert start.tolist() == list(range(0, 31, 5))
-    assert g.edges == tuple((i, j) for i in range(6) for j in range(i + 1, 6))
-    assert all(g.edges[e] == tuple(sorted((u, v)))
+    edges = g.edge_array().tolist()
+    assert edges == [[i, j] for i in range(6) for j in range(i + 1, 6)]
+    assert all(edges[e] == sorted((u, v))
                for u in range(6) for v, e in zip(nbr[start[u]:start[u + 1]].tolist(),
                                                  eid[start[u]:start[u + 1]].tolist()))
 
@@ -284,7 +286,7 @@ def _brute_twin_classes(g, s, t):
     """Label per vertex from the definition: a pair by pair comparison of
     rate rows outside the pair, merged by union-find."""
     rates = np.zeros((g.n, g.n))
-    for (u, v), w in zip(g.edges, g.weights):
+    for (u, v), w in zip(g.edge_array().tolist(), g.weight_array().tolist()):
         rates[u, v] = rates[v, u] = w
     root = list(range(g.n))
 
@@ -326,7 +328,7 @@ def test_twin_classes_match_the_pairwise_definition(g, data):
 def named_edges(g):
     return {
         frozenset((g.vertices[u], g.vertices[v])): w
-        for (u, v), w in zip(g.edges, g.weights)
+        for (u, v), w in zip(g.edge_array().tolist(), g.weight_array().tolist())
     }
 
 
@@ -343,8 +345,8 @@ def test_edge_list_round_trip(g):
     # parse -> serialize -> parse is a fixpoint: identical storage too
     g3 = parse_edge_list(g2.to_edge_list())
     assert g3.vertices == g2.vertices
-    assert g3.edges == g2.edges
-    assert g3.weights == g2.weights
+    assert np.array_equal(g3.edge_array(), g2.edge_array())
+    assert g3.weight_array().tobytes() == g2.weight_array().tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -355,14 +357,30 @@ def test_min_cut_matches_networkx(g):
     gamma, witness = min_cut_weight(g)
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
-    for (u, v), w in zip(g.edges, g.weights):
+    edges = list(zip(g.edge_array().tolist(), g.weight_array().tolist()))
+    for (u, v), w in edges:
         G.add_edge(u, v, weight=w)
     expected, _ = nx.stoer_wagner(G)
     assert math.isclose(gamma, expected, rel_tol=1e-9)
     # the witness mask really achieves the reported cut value
-    cut = sum(w for (u, v), w in zip(g.edges, g.weights)
+    cut = sum(w for (u, v), w in edges
               if ((witness >> u) & 1) != ((witness >> v) & 1))
     assert math.isclose(cut, gamma, rel_tol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(weight=st.one_of(st.sampled_from([0.1, 0.2, 1.0, 2.0]),
+                                         _POSITIVE_DOUBLES)))
+@example(complete_graph(6))
+@example(grid_graph(4, 4))
+@example(random_gnp_graph(16, 0.3, (0.1, 3.0), np.random.default_rng(5)))
+def test_min_cut_equals_the_mask_loop(g):
+    # the same float, summed in the same edge order, and the same first
+    # least mask, on weights that tie and weights that do not; the
+    # 16-vertex examples span two chunks of masks
+    got = min_cut_weight(g)
+    assert got == reference_packing.min_cut_by_masks(g)
+    assert type(got[0]) is float and type(got[1]) is int
 
 
 def test_min_cut_capacity():
@@ -377,17 +395,18 @@ def test_family_shapes():
     assert g.n == 12 and g.m == 3 * 3 + 2 * 4
     b = bridge_graph(3, 3, 0.1)
     assert b.n == 6 and b.m == 3 + 3 + 1
-    assert b.weights[-1] == 0.1
-    assert b.edges[-1] == (2, 3)
+    assert b.weight_array()[-1] == 0.1
+    assert b.edge_array()[-1].tolist() == [2, 3]
 
 
 def test_random_gnp_connected_and_seeded():
     rng = np.random.default_rng(0)
     g = random_gnp_graph(8, 0.4, (0.5, 2.0), rng)
     assert g.n == 8
-    assert all(0.5 <= w <= 2.0 for w in g.weights)
+    assert all(0.5 <= w <= 2.0 for w in g.weight_array().tolist())
     g2 = random_gnp_graph(8, 0.4, (0.5, 2.0), np.random.default_rng(0))
-    assert g2.edges == g.edges and g2.weights == g.weights
+    assert np.array_equal(g2.edge_array(), g.edge_array())
+    assert np.array_equal(g2.weight_array(), g.weight_array())
 
 
 class _NoDraws:

@@ -11,14 +11,12 @@ import reference_growth
 from helpers import RateMonotonicityError, Replay, validate_rate_monotone
 from fpplab import cli, growth
 from fpplab.chain import ChainSpec, solve_discrete, solve_hitting
-from fpplab.graphs import grid_graph, path_graph
+from fpplab.graphs import WeightedGraph, grid_graph, path_graph, random_gnp_graph
 from fpplab.growth import (
     RATE_BUILTINS,
-    CoverageConfig,
     GrowthConfig,
     coverage_chain_spec,
     coverage_samples,
-    coverage_simulate,
     constant_rate,
     growth_samples,
     neighbor_count_rate,
@@ -187,12 +185,12 @@ def test_prop1_fails_just_past_e_t_over_c_lo(monkeypatch, past, holds, inconclus
 
 @pytest.mark.parametrize("past, holds, inconclusive", [(1e-6, False, False), (-1e-6, True, True)])
 def test_prop3_fails_just_past_n_e_t(monkeypatch, past, holds, inconclusive):
-    cfg = CoverageConfig.from_graph(path_graph(5))
+    g = path_graph(5)
     x = _variance_past_the_band(10.0 * np.random.default_rng(31).exponential(1.0, 2000),
-                                cfg.n, past)
+                                g.n, past)
     assert x.min() > 0
-    monkeypatch.setattr(growth, "coverage_samples", lambda cfg, runs, seed: x)
-    rep = prop3_check(cfg, 2000, 0)
+    monkeypatch.setattr(growth, "coverage_samples", lambda g, runs, seed: x)
+    rep = prop3_check(g, 2000, 0)
     assert (rep.holds, rep.inconclusive) == (holds, inconclusive)
 
 
@@ -210,54 +208,34 @@ def test_variance_inequality_report_verdicts():
     assert rep.holds and not rep.inconclusive
 
 
-def test_coverage_config_allows_disconnected():
-    cfg = CoverageConfig(n=3, edges=())
-    assert cfg.closed_neighborhoods() == [1, 2, 4]
-    with pytest.raises(ValueError):
-        CoverageConfig(n=2, edges=((0, 2),))
-
-
 def test_coverage_path3_exact():
     # P3: drawing the middle vertex covers everything; ends cover two
-    cfg = CoverageConfig.from_graph(path_graph(3))
-    mean, var = solve_discrete(coverage_chain_spec(cfg))
+    g = path_graph(3)
+    mean, var = solve_discrete(coverage_chain_spec(g))
     assert abs(mean - 2.0) < 1e-12
     assert abs(var - 1.0) < 1e-12
-    rng = np.random.default_rng(7)
-    draws = np.array([coverage_simulate(cfg, rng) for _ in range(20000)])
+    draws = coverage_samples(g, 20000, 7)
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - mean) < 4.0 * se
 
 
 def test_coverage_edgeless_is_coupon_collector():
-    cfg = CoverageConfig(n=3)
-    mean, _ = solve_discrete(coverage_chain_spec(cfg))
-    assert abs(mean - 3.0 * (1 + 1 / 2 + 1 / 3)) < 1e-12
-
-
-def test_coverage_samples_build_the_neighbourhoods_once(monkeypatch):
-    cfg = CoverageConfig.from_graph(path_graph(5))
-    before = coverage_samples(cfg, 600, 4)
-    built = []
-    closed = CoverageConfig.closed_neighborhoods
-
-    def counting(self):
-        built.append(self)
-        return closed(self)
-
-    monkeypatch.setattr(CoverageConfig, "closed_neighborhoods", counting)
-    assert np.array_equal(coverage_samples(cfg, 600, 4), before)
-    assert built == [cfg]
+    # with no edges a draw covers only itself: E T = n H_n
+    rng = np.random.default_rng(7)
+    for n in (1, 3, 6):
+        draws = np.array([reference_growth.coverage_draws(n, (), rng) for _ in range(20000)])
+        se = draws.std(ddof=1) / math.sqrt(len(draws))
+        assert abs(draws.mean() - n * sum(1 / i for i in range(1, n + 1))) <= 4.0 * se
 
 
 def test_coverage_single_vertex():
-    cfg = CoverageConfig(n=1)
-    assert coverage_simulate(cfg, np.random.default_rng(0)) == 1
+    g = WeightedGraph(("a",), (), ())
+    assert (coverage_samples(g, 50, 0) == 1.0).all()
+    assert (reference_growth.coverage_samples(g, 50, 0) == 1.0).all()
 
 
 def test_continuized_coverage_mean_matches_discrete():
-    cfg = CoverageConfig.from_graph(path_graph(4))
-    spec = coverage_chain_spec(cfg)
+    spec = coverage_chain_spec(path_graph(4))
     d_mean, _ = solve_discrete(spec)
     c = solve_hitting(spec)
     # jump rates equal the move probabilities, so the mean holding time in a
@@ -267,17 +245,42 @@ def test_continuized_coverage_mean_matches_discrete():
 
 @pytest.mark.parametrize("g", [path_graph(5), grid_graph(3, 4)], ids=["path5", "grid3x4"])
 def test_coverage_samples_match_the_exact_chain(g):
-    cfg = CoverageConfig.from_graph(g)
-    mean, var = solve_discrete(coverage_chain_spec(cfg))
-    stats = SampleStats.from_samples(coverage_samples(cfg, 20_000, seed=14))
+    mean, var = solve_discrete(coverage_chain_spec(g))
+    stats = SampleStats.from_samples(coverage_samples(g, 20_000, seed=14))
     assert abs(stats.mean - mean) <= 4.0 * stats.mean_se
     assert abs(stats.variance - var) <= 4.0 * stats.variance_se
 
 
 def test_prop3_check_passes():
-    cfg = CoverageConfig.from_graph(path_graph(5))
-    rep = prop3_check(cfg, 3000, seed=8)
+    rep = prop3_check(path_graph(5), 3000, seed=8)
     assert rep.holds
+
+
+@st.composite
+def _coverage_graphs(draw):
+    """A connected graph: one vertex, a path, a grid or a random_gnp."""
+    kind = draw(st.sampled_from(["one", "path", "grid", "gnp"]))
+    if kind == "one":
+        return WeightedGraph(("a",), (), ())
+    if kind == "path":
+        return path_graph(draw(st.integers(2, 40)))
+    if kind == "grid":
+        return grid_graph(draw(st.integers(1, 5)), draw(st.integers(2, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_gnp_graph(draw(st.integers(2, 14)), draw(st.floats(0.2, 1.0)), (1.0, 1.0), rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=_coverage_graphs(), row=st.sampled_from([1, 3, 32]), seed=st.integers(0, 2**32 - 1))
+def test_coverage_kernel_equals_the_per_run_loop(g, row, seed):
+    # blocks of 8 runs, so 20 runs span three; with rows of 1 or 3 draws
+    # every run on more than three vertices reads on from its stream, some
+    # over many rounds
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "COVERAGE_ROW", row)
+        mp.setattr(growth, "ROW_CELLS", 8 * row)
+        _assert_bitwise_equal(coverage_samples(g, 20, seed),
+                              reference_growth.coverage_samples(g, 20, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Every row of the mutation table (``tests/mutants.py``) still applies: its
 old text occurs exactly once in its file, and the test named to kill it
-exists.  One row runs end to end through the runner; running them all is
-left to ``python3 tests/mutants.py``."""
+exists.  One row runs end to end through the runner, and a run past each
+of the runner's limits reads as that limit; running them all is left to
+``python3 tests/mutants.py``."""
 
 import re
 import subprocess
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+import mutants
 from mutants import MUTANTS, ROOT
 
 
@@ -38,3 +40,17 @@ def test_the_runner_sees_one_mutant_killed():
     assert "lemma1_two_kappa" in out.stdout
     assert "killed by tests/test_cli.py::test_lemma1_fails_just_past_kappa" in out.stdout
     assert "1 mutants, 0 unmarked survivors" in out.stdout
+
+
+def test_a_run_past_a_limit_reads_as_that_limit(tmp_path, monkeypatch):
+    # a test that sleeps on past the time limit, one that asks for the
+    # whole address space, and one that passes, each in its own run
+    (tmp_path / "test_limits.py").write_text(
+        "import time\n\n"
+        "def test_sleeps():\n    time.sleep(30)\n\n"
+        f"def test_allocates():\n    bytearray({mutants.MEMORY_LIMIT})\n\n"
+        "def test_passes():\n    pass\n")
+    assert mutants._pytest(tmp_path, "test_limits.py::test_passes") == 0
+    assert mutants._pytest(tmp_path, "test_limits.py::test_allocates") == "memory"
+    monkeypatch.setattr(mutants, "TIME_LIMIT", 2)
+    assert mutants._pytest(tmp_path, "test_limits.py::test_sleeps") == "time"

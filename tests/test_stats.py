@@ -18,10 +18,8 @@ from fpplab.fpp import (
 from fpplab.graphs import complete_graph, path_graph
 from fpplab import growth, multigraph
 from fpplab.growth import (
-    CoverageConfig,
     GrowthConfig,
     coverage_samples,
-    coverage_simulate,
     growth_samples,
     prop1_check,
     prop3_check,
@@ -382,7 +380,7 @@ def test_spawn_seeds_gives_run_i_its_own_stream():
 K4, K5 = complete_graph(4), complete_graph(5)
 RING2 = GrowthConfig.builtin([[2, 0], [-2, 0], [0, 2], [0, -2], [1, 1], [-1, 1], [1, -1], [-1, -1]],
                              "site_weighted", c_lo=0.5, c_hi=2.0)
-PATH5 = CoverageConfig.from_graph(path_graph(5))
+PATH5 = path_graph(5)
 SAMPLERS = {
     "sample_dijkstra_batch": (
         lambda runs, seed: list(vars(sample_dijkstra_batch(K5, 0, 4, runs, seed)).values()),
@@ -447,7 +445,7 @@ def test_row_sampler_run_i_reads_its_block_row_then_its_own_stream(name, monkeyp
     else:
         got = coverage_samples(PATH5, B + 3, seed)
         shape = (row,)
-        replay = lambda rng: coverage_simulate(PATH5, rng)
+        replay = lambda rng: reference_growth.coverage_draws(5, PATH5.edge_array().tolist(), rng)
     children = np.random.SeedSequence(seed).spawn(2)
     rows = [np.random.default_rng(child).random((B, *shape)) for child in children]
     for i in range(B + 3):
