@@ -29,7 +29,8 @@ comes up.  The full FPP chain of K20 (2^19 states) solves in about a
 second; the CLI solves every graph on its twin-class counts, K17 in 32
 states, which on a twin-free graph, such as a grid, are the vertex
 subsets.  The variance and unit-drift identities double as free
-exactness tests of the solver.
+exactness tests of the solver.  The Lemma 1 and 2 and continuization
+checks return plain dicts, keyed as ``report.json`` keys them.
 """
 
 from __future__ import annotations
@@ -321,79 +322,59 @@ def solve_discrete(spec: ChainSpec) -> tuple[float, float]:
     return float(mean[0]), float(var[0])
 
 
-@dataclass
-class Lemma1Report:
-    kappa: float
-    var_over_mean: float
-    monotone: bool
-    holds: bool
-
-
-def lemma1_bound(sol: ExactSolution) -> Lemma1Report:
-    """var T / E T <= kappa, valid whenever h is monotone along transitions."""
+def lemma1_bound(sol: ExactSolution) -> dict:
+    """var T / E T <= kappa, valid whenever h is monotone along transitions:
+    ``kappa`` (the largest h-decrement), ``var_over_mean``, ``monotone``
+    (:meth:`ExactSolution.monotone_h`) and ``holds``."""
     mono = sol.monotone_h()
     ratio = sol.var_T / sol.E_T
-    holds = mono and ratio <= sol.kappa * (1.0 + REL_TOL)
-    return Lemma1Report(kappa=sol.kappa, var_over_mean=ratio, monotone=mono, holds=holds)
+    return {"kappa": sol.kappa, "var_over_mean": ratio, "monotone": mono,
+            "holds": mono and ratio <= sol.kappa * (1.0 + REL_TOL)}
 
 
-@dataclass
-class Lemma2Report:
-    delta: float
-    epsilon: float
-    q_delta: np.ndarray  # per state of the solution
-    occupation_bad: float
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def lemma2_grid(sol: ExactSolution, deltas, epsilons) -> list[Lemma2Report]:
-    """var T/(E T)^2 <= 2*delta + epsilon + (bad occupation time)/(E T) at
-    every (delta, epsilon) of the grid, delta-major, where a state is bad
-    when its large-decrement outflow q_delta(S) (decrements above
-    2*delta*E T) is at least epsilon.  Everything on the right is evaluated
-    exactly from the occupation measure; q_delta is built once per delta
-    and shared by that delta's reports.
+def large_decrement_outflow(sol: ExactSolution, delta: float) -> np.ndarray:
+    """q_delta per state of the solution: the rate-weighted sum of its
+    decrements above 2*delta*E T.
 
     The threshold takes E T as h(initial), the same float the decrements
     are formed from, times 1 + ``REL_TOL``: a decrement is at most h(S) <=
     h(initial), equal when S adds only vertices that open no route, and
     rounding must not lift such a jump above the delta = 0.5 threshold.
-    That moves the bound by 2*delta*REL_TOL, inside ``ABS_TOL``."""
+    That moves Lemma 2's bound by 2*delta*REL_TOL, inside ``ABS_TOL``."""
+    large = sol.decrement > 2.0 * delta * sol.h[0] * (1.0 + REL_TOL)
+    return np.bincount(sol.src[large], sol.rate[large] * sol.decrement[large],
+                       minlength=len(sol.states))
+
+
+def lemma2_grid(sol: ExactSolution, deltas, epsilons) -> list[dict]:
+    """var T/(E T)^2 <= 2*delta + epsilon + (bad occupation time)/(E T) at
+    every (delta, epsilon) of the grid, delta-major, where a state is bad
+    when its :func:`large_decrement_outflow` q_delta(S) is at least
+    epsilon.  Everything on the right is evaluated exactly from the
+    occupation measure; q_delta is built once per delta.  Each cell is
+    ``delta``, ``epsilon``, ``lhs``, ``rhs``, ``occupation_bad`` (the
+    expected time in bad states) and ``holds``."""
     if not (all(d > 0 for d in deltas) and all(e > 0 for e in epsilons)):
         raise ValueError("delta and epsilon must be positive")
     lhs = sol.var_T / sol.E_T**2
-    reports = []
+    cells = []
     for delta in deltas:
-        large = sol.decrement > 2.0 * delta * sol.h[0] * (1.0 + REL_TOL)
-        q_delta = np.bincount(sol.src[large], sol.rate[large] * sol.decrement[large],
-                              minlength=len(sol.states))
+        q_delta = large_decrement_outflow(sol, delta)
         for epsilon in epsilons:
             occupation_bad = float(sol.expected_time_in[q_delta >= epsilon].sum())
             rhs = 2.0 * delta + epsilon + occupation_bad / sol.E_T
-            reports.append(Lemma2Report(delta=delta, epsilon=epsilon, q_delta=q_delta,
-                                        occupation_bad=occupation_bad, lhs=lhs, rhs=rhs,
-                                        holds=lhs <= rhs + ABS_TOL))
-    return reports
+            cells.append({"delta": delta, "epsilon": epsilon, "lhs": lhs, "rhs": rhs,
+                          "occupation_bad": occupation_bad, "holds": lhs <= rhs + ABS_TOL})
+    return cells
 
 
-@dataclass
-class ContinuizationReport:
-    mean_disc: float
-    var_disc: float
-    mean_cont: float
-    var_cont: float
-    mean_error: float
-    var_error: float
-    holds: bool
-
-
-def continuization_check(specs: list[ChainSpec]) -> list[ContinuizationReport]:
+def continuization_check(specs: list[ChainSpec]) -> list[dict]:
     """Check E T_cont = E T_disc and var T_cont = var T_disc + E T_disc to
     1e-10 for every spec by solving both readings of it exactly; one report
-    per spec.  Requires the probabilities out of every non-target state to
-    sum to 1 (no self-loops).
+    per spec: ``mean_disc``, ``var_disc``, ``mean_cont``, ``var_cont``,
+    ``mean_error``, ``var_error`` and ``holds``.  Requires the
+    probabilities out of every non-target state to sum to 1 (no
+    self-loops).
 
     The specs are solved as one chain read through their ``transitions``:
     state S of spec i becomes ``S << t | (i + 1)``, where t bits hold every
@@ -438,9 +419,9 @@ def continuization_check(specs: list[ChainSpec]) -> list[ContinuizationReport]:
         mean_disc, var_disc = float(means_disc[i]), float(vars_disc[i])
         mean_err = abs(mean_cont - mean_disc)
         var_err = abs(var_cont - (var_disc + mean_disc))
-        reports.append(ContinuizationReport(
-            mean_disc=mean_disc, var_disc=var_disc, mean_cont=mean_cont, var_cont=var_cont,
-            mean_error=mean_err, var_error=var_err,
-            holds=mean_err <= 1e-10 and var_err <= 1e-10,
-        ))
+        reports.append({
+            "mean_disc": mean_disc, "var_disc": var_disc, "mean_cont": mean_cont,
+            "var_cont": var_cont, "mean_error": mean_err, "var_error": var_err,
+            "holds": mean_err <= 1e-10 and var_err <= 1e-10,
+        })
     return reports

@@ -6,7 +6,8 @@ per-run CSVs, and prints a summary table.  Everything downstream of
 (config, seed) is deterministic: Monte Carlo run i of a check reads row
 i % B of the block seeded by child i // B of the check's seed
 (:func:`fpplab.stats.blocks`).  The checks on (X, Xi) share one FPP
-sample per scenario, drawn from ``check_seed("fpp")``.
+sample per scenario, drawn from ``check_seed("fpp")``.  A check's result
+is the plain dict its library function returns, or one built from them.
 
 Exit codes: 0 all hard assertions pass, 1 assertion failure,
 2 usage/config error, 3 capacity error.
@@ -15,7 +16,6 @@ Exit codes: 0 all hard assertions pass, 1 assertion failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import numbers
@@ -101,8 +101,9 @@ def _register(name, processes, anchor, statement, min_runs=3, parse=lambda param
     """``parse`` turns the check's config entry into the parameters ``fn``
     receives, raising ConfigError; every entry is parsed before any check
     runs, and the parameters gain the check's run count, ``runs``.
-    ``fn(ctx, params)`` returns (result, passed), the result as its report
-    objects are: the runner makes it JSON-ready (:func:`_clean`)."""
+    ``fn(ctx, params)`` returns (result, passed), the result the dict that
+    ``report.json`` holds, which the runner makes JSON-ready
+    (:func:`_clean`: numpy scalars, infinities)."""
     def wrap(fn):
         CHECKS[name] = {"fn": fn, "parse": parse, "processes": processes, "anchor": anchor,
                         "statement": statement, "min_runs": min_runs}
@@ -192,7 +193,7 @@ def _stable_hash(name: str) -> int:
 @_register("lemma1", ("fpp",), "Lemma 1", "var T / E T <= kappa (max h-decrement)")
 def _check_lemma1(ctx, params):
     rep = lemma1_bound(ctx.solution())
-    return rep, rep.holds
+    return rep, rep["holds"]
 
 
 def _lemma2_params(params):
@@ -204,16 +205,14 @@ def _lemma2_params(params):
 @_register("lemma2", ("fpp",), "Lemma 2",
            "var T/(E T)^2 <= 2d + e + occupation of {q_d >= e}/E T", parse=_lemma2_params)
 def _check_lemma2(ctx, params):
-    reps = lemma2_grid(ctx.solution(), params["deltas"], params["epsilons"])
-    grid = [{"delta": rep.delta, "epsilon": rep.epsilon, "lhs": rep.lhs, "rhs": rep.rhs,
-             "occupation_bad": rep.occupation_bad, "holds": rep.holds} for rep in reps]
-    return {"grid": grid}, all(rep.holds for rep in reps)
+    grid = lemma2_grid(ctx.solution(), params["deltas"], params["epsilons"])
+    return {"grid": grid}, all(cell["holds"] for cell in grid)
 
 
 @_register("prop4", ("fpp",), "Proposition 4", "var X <= E X / w_min")
 def _check_prop4(ctx, params):
     rep = prop4_check(ctx.solution(), ctx.graph())
-    return rep, rep.holds
+    return rep, rep["holds"]
 
 
 @_register("continuization", ("fpp", "bounds"), "continuization identity",
@@ -225,10 +224,10 @@ def _check_continuization(ctx, params):
     count = params["count"]
     rng = np.random.default_rng(ctx.check_seed("continuization"))
     reps = continuization_check(_random_discrete_chains(rng, count, params["bits"]))
-    worst_mean = max(rep.mean_error for rep in reps)
-    worst_var = max(rep.var_error for rep in reps)
+    worst_mean = max(rep["mean_error"] for rep in reps)
+    worst_var = max(rep["var_error"] for rep in reps)
     return ({"chains": count, "worst_mean_error": worst_mean, "worst_var_error": worst_var},
-            all(rep.holds for rep in reps))
+            all(rep["holds"] for rep in reps))
 
 
 @_register("dual_agreement", ("fpp",), "subset-chain formulation",
@@ -308,8 +307,8 @@ def _check_theorem1_lower(ctx, params):
     sol = ctx.solution()
     batch = ctx.fpp_batch(params["runs"])
     points = theorem1_lower_check(batch.Xi, sol.E_T, sol.var_T, params["deltas"])
-    ok = all(p.holds for p in points)
-    return {"points": points, "inconclusive": any(p.inconclusive for p in points)}, ok
+    ok = all(p["holds"] for p in points)
+    return {"points": points, "inconclusive": any(p["inconclusive"] for p in points)}, ok
 
 
 def default_trend_family():
@@ -339,9 +338,9 @@ def _check_theorem1_trend(ctx, params):
     members = default_trend_family()
     rep = theorem1_trend_experiment(members, params["runs"], ctx.check_seed("theorem1_trend"))
     ctx.write("trend_members.csv", "member,param,sd_over_mean,ci,l0_xi,n_runs",
-              (f"{m.name},{m.param!r},{m.sd_over_mean!r},{m.ratio_se!r},{m.l0_xi!r},{m.n_runs}"
-               for m in rep.members))
-    return rep, rep.spearman > params["min_spearman"]
+              (f"{m['name']},{m['param']!r},{m['sd_over_mean']!r},{m['ratio_se']!r},"
+               f"{m['l0_xi']!r},{m['n_runs']}" for m in rep["members"]))
+    return rep, rep["spearman"] > params["min_spearman"]
 
 
 def _prop2_params(params):
@@ -384,10 +383,10 @@ def _check_prop2(ctx, params):
         for k in ks:
             rep = prop2_check(samples[kind][k], k, kind=kind, gamma=gamma,
                               uncertified=uncertified[kind, k])
-            ok = ok and rep.holds and (rep.mean_bound_holds in (None, True))
+            ok = ok and rep["holds"] and rep["mean_bound_holds"] in (None, True)
             reports.append(rep)
     return {"gamma": gamma, "reports": reports,
-            "inconclusive": any(rep.inconclusive for rep in reports)}, ok
+            "inconclusive": any(rep["inconclusive"] for rep in reports)}, ok
 
 
 @_register("prop1", ("growth",), "Proposition 1",
@@ -395,14 +394,14 @@ def _check_prop2(ctx, params):
 def _check_prop1(ctx, params):
     cfg = _growth_config(ctx.cfg)
     rep = prop1_check(cfg, params["runs"], ctx.check_seed("prop1"))
-    return rep, rep.holds
+    return rep, rep["holds"]
 
 
 @_register("prop3", ("coverage",), "Proposition 3",
            "coverage draw count: var T <= n E T", min_runs=MIN_RUNS)
 def _check_prop3(ctx, params):
     rep = prop3_check(ctx.graph(), params["runs"], ctx.check_seed("prop3"))
-    return rep, rep.holds
+    return rep, rep["holds"]
 
 
 @_register("a_k", ("multigraph", "bounds"), "Lemma 5 corollary",
@@ -410,11 +409,17 @@ def _check_prop3(ctx, params):
            parse=lambda params: {"kmax": _integer(params.get("kmax", 100), "a_k kmax", 1)})
 def _check_a_k(ctx, params):
     kmax = params["kmax"]
-    envelope = math.e / (math.e - 1.0)
     values = [a_k_eval(k) for k in range(1, kmax + 1)]
-    ok = abs(values[0] - 1.0) <= 1e-6 and all(
-        a <= envelope * k ** (-1.0 / 3.0) + 1e-12 for k, a in enumerate(values, 1))
+    ok = _a_k_holds(values)
     return {"kmax": kmax, "a_1": values[0], "a_kmax": values[-1], "holds_envelope": ok}, ok
+
+
+def _a_k_holds(values) -> bool:
+    """a(1) = 1 and a(k) <= (e/(e-1)) k^(-1/3) for every k, where a(k)
+    is ``values[k - 1]``."""
+    envelope = math.e / (math.e - 1.0)
+    return abs(values[0] - 1.0) <= 1e-6 and all(
+        a <= envelope * k ** (-1.0 / 3.0) + 1e-12 for k, a in enumerate(values, 1))
 
 
 @_register("psi_minus", ("fpp", "bounds"), "explicit lower modulus",
@@ -423,16 +428,11 @@ def _check_a_k(ctx, params):
                "deltas": _modulus_deltas(params, "psi_minus",
                                          [round(0.05 * i, 2) for i in range(1, 21)])})
 def _check_psi_minus(ctx, params):
-    rows = []
-    ok = True
-    for d in params["deltas"]:
-        p = psi_minus_eval(d)
-        rows.append({"delta": p.delta, "K": p.K, "log_value": p.log_value,
-                     "value": p.value})
-        ok = ok and math.isfinite(p.log_value)
-    ref = psi_minus_eval(1.0)
-    ok = ok and abs(ref.value - 0.013176156917368244) <= 1e-5 * 0.0132
-    return {"grid": rows, "value_at_1": ref.value}, ok
+    rows = [psi_minus_eval(d) for d in params["deltas"]]
+    ref = psi_minus_eval(1.0)["value"]
+    ok = (all(math.isfinite(p["log_value"]) for p in rows)
+          and abs(ref - 0.013176156917368244) <= 1e-5 * 0.0132)
+    return {"grid": rows, "value_at_1": ref}, ok
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +575,7 @@ def _random_discrete_chains(rng, count, bits) -> list[ChainSpec]:
 
 
 def _clean(obj):
-    """JSON-ready deep conversion: dataclasses, numpy scalars/arrays, int keys."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _clean(dataclasses.asdict(obj))
+    """JSON-ready deep conversion: numpy scalars/arrays, int keys."""
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -32,6 +32,8 @@ Monte Carlo runs follow the block rule of :func:`fpplab.stats.blocks`,
 with the ``BLOCK_CELLS`` = 2**20 budget and B sized by c uniforms per run:
 the m traversal times for the Dijkstra, 2m for the coupling, 4 per
 stage (4(n - 1)) on the lumped chain.  No FPP run outlives its row.
+Proposition 4 and the submultiplicativity probe return plain dicts, the
+entries ``report.json`` holds.
 """
 
 from __future__ import annotations
@@ -81,9 +83,10 @@ def _lockstep_dijkstra(g: WeightedGraph, xi: np.ndarray, source: int,
     padded to the largest degree Δ with the vertex itself: a pad is settled,
     so it never relaxes, and a step relaxes Δ columns.  Each vertex keeps
     the edge it was reached by; a run leaves the working arrays once
-    ``target`` settles.  Then every run walks back in step, along each edge
-    to its other end.  Returns X (k,) and the path edges (k, L), target
-    first, each row padded by the pad id m once its run reaches ``source``.
+    ``target`` settles.  Then every run walks back in step
+    (:func:`_walk_back`), along each edge to its other end.  Returns X (k,)
+    and the path edges (k, L), target first, each row padded by the pad id
+    m once its run reaches ``source``.
     Exact ties (probability zero under continuous times) go to the lowest
     vertex index.
     """
@@ -130,14 +133,27 @@ def _lockstep_dijkstra(g: WeightedGraph, xi: np.ndarray, source: int,
         key.put(at, cand[better])
         via.put(at, e[better])
     # u + v steps an edge's one end to the other; the pad id steps source to itself
-    other = np.append(g.edge_array().sum(axis=1), 2 * source)
+    return X, _walk_back(via_out, np.append(g.edge_array().sum(axis=1), 2 * source),
+                         source, target)
+
+
+def _walk_back(via: np.ndarray, other: np.ndarray, source: int, target: int) -> np.ndarray:
+    """The path edges (k, L) of every run from ``via`` (k, n), the edge
+    each vertex was reached by, walked back in step from ``target``:
+    ``other[e] - v`` is the end of edge e other than v.  A path has at most
+    n - 1 edges, so a run still away from ``source`` after n - 1 steps
+    walks a cycle of ``via``, and that raises RuntimeError."""
+    k, n = via.shape
     rows = np.arange(k)
     cur = np.full(k, target, dtype=np.intp)
     path = []
-    while np.any(cur != source):
-        path.append(e := via_out[rows, cur])
+    while np.any(away := cur != source):
+        if len(path) == n - 1:
+            raise RuntimeError(f"{int(away.sum())} of {k} runs walk back {n - 1} edges"
+                               " without reaching the source")
+        path.append(e := via[rows, cur])
         cur = other[e] - cur
-    return X, np.column_stack(path)
+    return np.column_stack(path)
 
 
 @dataclass
@@ -347,21 +363,13 @@ def fpp_chain_spec(g: WeightedGraph, source: int, target: int,
                      is_target=lambda mask: bool(mask & target_bit), expand=expand)
 
 
-@dataclass
-class Prop4Report:
-    var_T: float
-    E_T: float
-    w_min: float
-    bound: float
-    holds: bool
-
-
-def prop4_check(sol: ExactSolution, g: WeightedGraph) -> Prop4Report:
-    """var X <= E X / w_min, with w_min the smallest edge rate."""
+def prop4_check(sol: ExactSolution, g: WeightedGraph) -> dict:
+    """var X <= E X / w_min, with w_min the smallest edge rate: ``var_T``,
+    ``E_T``, ``w_min``, ``bound`` (E X / w_min) and ``holds``."""
     w_min = g.min_weight()
     bound = sol.E_T / w_min
-    return Prop4Report(var_T=sol.var_T, E_T=sol.E_T, w_min=w_min, bound=bound,
-                       holds=sol.var_T <= bound * (1.0 + REL_TOL))
+    return {"var_T": sol.var_T, "E_T": sol.E_T, "w_min": w_min, "bound": bound,
+            "holds": sol.var_T <= bound * (1.0 + REL_TOL)}
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ lattice window around the origin.  Each run keeps its frontier sorted in
 (x, y) order and picks the site whose partial rate sum first passes the
 pick, so its time does not depend on the window: a run that picks a
 border cell is rerun from its row on a window twice as wide, and returns
-the float of the process on the whole lattice.
+the float of the process on the whole lattice.  Propositions 1 and 3 are
+judged into plain dicts, the entries ``report.json`` holds.
 """
 
 from __future__ import annotations
@@ -326,18 +327,10 @@ def growth_samples(cfg: GrowthConfig, runs: int, seed) -> np.ndarray:
     return samples
 
 
-@dataclass
-class InequalityReport:
-    runs: int
-    mean: float
-    variance: float
-    bound: float
-    band: float
-    holds: bool
-    inconclusive: bool
-
-
-def _variance_inequality_report(samples: np.ndarray, bound_fn) -> InequalityReport:
+def _variance_inequality_report(samples: np.ndarray, bound_fn) -> dict:
+    """The sampled claim var T <= ``bound_fn``(E T): ``runs``, ``mean``,
+    ``variance``, ``bound``, ``band`` (the half-width it is judged on by
+    :func:`fpplab.stats.band_verdict`), ``holds`` and ``inconclusive``."""
     if len(samples) < MIN_RUNS:
         raise ValueError(f"a variance inequality needs at least {MIN_RUNS} runs")
     stats = SampleStats.from_samples(samples)
@@ -345,14 +338,11 @@ def _variance_inequality_report(samples: np.ndarray, bound_fn) -> InequalityRepo
     # jackknife band on the variance estimate plus the bound's mean-driven wiggle
     band = BAND_SIGMAS * (stats.variance_se + abs(bound_fn(stats.mean + stats.mean_se) - bound))
     holds, inconclusive = band_verdict(stats.variance, bound, band)
-    return InequalityReport(
-        runs=len(samples), mean=stats.mean,
-        variance=stats.variance, bound=bound, band=band,
-        holds=holds, inconclusive=inconclusive,
-    )
+    return {"runs": len(samples), "mean": stats.mean, "variance": stats.variance,
+            "bound": bound, "band": band, "holds": holds, "inconclusive": inconclusive}
 
 
-def prop1_check(cfg: GrowthConfig, runs: int, seed) -> InequalityReport:
+def prop1_check(cfg: GrowthConfig, runs: int, seed) -> dict:
     """Monte Carlo check of var T <= E T / c_lo for the growth process."""
     return _variance_inequality_report(growth_samples(cfg, runs, seed), lambda m: m / cfg.c_lo)
 
@@ -433,6 +423,6 @@ def coverage_chain_spec(g: WeightedGraph) -> ChainSpec:
     )
 
 
-def prop3_check(g: WeightedGraph, runs: int, seed) -> InequalityReport:
+def prop3_check(g: WeightedGraph, runs: int, seed) -> dict:
     """Monte Carlo check of var T <= n * E T for the coverage process."""
     return _variance_inequality_report(coverage_samples(g, runs, seed), lambda m: g.n * m)

@@ -30,7 +30,8 @@ state from one arrival to the next:
 
 A triangle probe that runs out of branch-and-bound budget is counted and
 makes the Proposition 2 check inconclusive; the block formulas are exact
-and never leave one.
+and never leave one.  :func:`prop2_check` returns a plain dict, one of
+the ``reports`` of the check's entry in ``report.json``.
 """
 
 from __future__ import annotations
@@ -697,24 +698,6 @@ SPAN_BOUND = lambda k: k ** -0.5
 TRIA_BOUND = lambda k: math.sqrt(math.e / (math.e - 1.0)) * k ** (-1.0 / 6.0)
 
 
-@dataclass
-class Prop2Report:
-    kind: str
-    k: int
-    runs: int
-    mean: float
-    sd: float
-    ratio: float
-    ratio_se: float
-    bound: float
-    holds: bool
-    inconclusive: bool
-    mean_lower_bound: float | None = None   # k / gamma, spanning trees only
-    mean_se: float | None = None
-    mean_bound_holds: bool | None = None
-    uncertified: int = 0  # triangle probes the branch-and-bound budget left undecided
-
-
 def sample_stopping_times(g: WeightedGraph, ks: list[int], runs: int, seed,
                           kinds: tuple[str, ...] = ("span", "tria"),
                           uncertified: Counter | None = None
@@ -760,29 +743,34 @@ def sample_stopping_times(g: WeightedGraph, ks: list[int], runs: int, seed,
 
 
 def prop2_check(samples, k: int, kind: str = "span",
-                gamma: float | None = None, uncertified: int = 0) -> Prop2Report:
+                gamma: float | None = None, uncertified: int = 0) -> dict:
     """Judge sampled stopping times: sd(T)/E T against the
     process-independent bound and, for spanning trees given the min-cut
     weight ``gamma``, E T >= k/gamma, each with a jackknife band.  With
     ``uncertified`` undecided packing probes behind the sample, some times
     may be late, so the check neither passes nor fails: it is
-    inconclusive."""
+    inconclusive.
+
+    The report holds ``kind``, ``k``, ``runs``, ``mean``, ``sd``,
+    ``ratio`` (sd/mean), ``ratio_se``, ``bound`` (the ratio's), ``holds``,
+    ``inconclusive`` and ``uncertified``, the triangle probes the branch
+    and bound's budget left undecided.  ``mean_lower_bound`` (k/gamma),
+    ``mean_se`` and ``mean_bound_holds`` are None but for spanning trees
+    given ``gamma``."""
     if len(samples) < MIN_RUNS:
         raise ValueError(f"prop2_check needs at least {MIN_RUNS} runs")
     stats = SampleStats.from_samples(samples)
     bound = SPAN_BOUND(k) if kind == "span" else TRIA_BOUND(k)
     holds, inconclusive = band_verdict(stats.ratio, bound, BAND_SIGMAS * stats.ratio_se)
-    rep = Prop2Report(kind=kind, k=k, runs=len(samples), mean=stats.mean,
-                      sd=stats.sd, ratio=stats.ratio, ratio_se=stats.ratio_se,
-                      bound=bound, holds=holds, inconclusive=inconclusive)
+    rep = {"kind": kind, "k": k, "runs": len(samples), "mean": stats.mean, "sd": stats.sd,
+           "ratio": stats.ratio, "ratio_se": stats.ratio_se, "bound": bound, "holds": holds,
+           "inconclusive": inconclusive, "mean_lower_bound": None, "mean_se": None,
+           "mean_bound_holds": None, "uncertified": 0}
     if kind == "span" and gamma is not None:
         mean_holds, mean_inconclusive = band_verdict(
             k / gamma, stats.mean, BAND_SIGMAS * stats.mean_se)
-        rep.mean_lower_bound = k / gamma
-        rep.mean_se = stats.mean_se
-        rep.mean_bound_holds = mean_holds
-        rep.inconclusive = inconclusive or mean_inconclusive
+        rep.update(mean_lower_bound=k / gamma, mean_se=stats.mean_se,
+                   mean_bound_holds=mean_holds, inconclusive=inconclusive or mean_inconclusive)
     if uncertified:
-        rep.uncertified = uncertified
-        rep.holds = rep.inconclusive = True
+        rep.update(uncertified=uncertified, holds=True, inconclusive=True)
     return rep

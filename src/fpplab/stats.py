@@ -5,7 +5,8 @@ Moment estimates carry leave-one-out jackknife standard errors (ratio
 statistics like sd/mean have no closed-form CI).  The scale-free smallness
 measure is the fixed point of the empirical tail, and the explicit lower
 modulus is evaluated entirely in log space because it underflows doubles
-well before the interesting range.
+well before the interesting range.  The Theorem 1 checks and the modulus
+return plain dicts, keyed as ``report.json`` keys them.
 """
 
 from __future__ import annotations
@@ -175,13 +176,7 @@ def _jack_se(loo_values: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # The scale-free smallness measure: inf{d : P(|V| > d) <= d}
 
-@dataclass
-class L0Estimate:
-    value: float
-    n: int
-
-
-def l0_norm_estimate(samples) -> L0Estimate:
+def l0_norm_estimate(samples) -> float:
     """Smallest threshold d with (empirical fraction of |v| > d) <= d.
 
     The empirical tail is a right-continuous nonincreasing step function,
@@ -202,22 +197,15 @@ def l0_norm_estimate(samples) -> L0Estimate:
     rights = np.concatenate([u, [math.inf]])
     tails = np.concatenate([ge_counts / n, [0.0]])  # tail on each piece
     i = int(np.argmax(tails < rights))
-    return L0Estimate(value=float(max(lefts[i], tails[i])), n=n)
+    return float(max(lefts[i], tails[i]))
 
 
 # ---------------------------------------------------------------------------
 # Shortfall moment of a uniform sum (Irwin-Hall second shortfall moment)
 
-@dataclass
-class FKValue:
-    K: int
-    s: float
-    value: float      # 0.0 when below double-precision range
-    log_value: float
-
-
-def F_K_eval(K: int, s: float) -> FKValue:
-    """E (max(0, s - sum of K iid Uniform(0,1)))^2, exact for every s >= 0.
+def F_K_eval(K: int, s: float) -> dict:
+    """E (max(0, s - sum of K iid Uniform(0,1)))^2, exact for every s >= 0,
+    as ``value`` (0.0 when below double-precision range) and ``log_value``.
 
     On s <= 1 (all that psi_- and the Theorem 1 lower bound use) it is the
     closed form 2 s^(K+2) / (K+2)!, evaluated in log space.  Above 1 it is
@@ -232,26 +220,17 @@ def F_K_eval(K: int, s: float) -> FKValue:
     if not 0.0 <= s < math.inf:
         raise ValueError("s must be finite and >= 0")
     if s == 0.0:
-        return FKValue(K, s, 0.0, LOG_NEG_INF)
+        return {"value": 0.0, "log_value": LOG_NEG_INF}
     if s <= 1.0:
         log_val = math.log(2.0) + (K + 2) * math.log(s) - math.lgamma(K + 3)
-        return FKValue(K, s, math.exp(log_val), log_val)
+        return {"value": math.exp(log_val), "log_value": log_val}
     from fractions import Fraction
 
     p, q = Fraction(s).as_integer_ratio()
     total = sum((-1) ** j * math.comb(K, j) * (p - j * q) ** (K + 2)
                 for j in range(min(p // q, K) + 1))
     num, den = 2 * total, math.factorial(K + 2) * q ** (K + 2)
-    return FKValue(K, s, num / den, math.log(num) - math.log(den))
-
-
-@dataclass
-class PsiMinusValue:
-    delta: float
-    K: int
-    s: float
-    log_value: float
-    value: float  # 0.0 when below double-precision range
+    return {"value": num / den, "log_value": math.log(num) - math.log(den)}
 
 
 def modulus_terms(delta: float) -> tuple[int, float, float]:
@@ -265,7 +244,7 @@ def modulus_terms(delta: float) -> tuple[int, float, float]:
         K = math.ceil(3.0 / delta**2)
         s = delta**2 / (3.0 - delta**2)
         log_coef = (math.log(0.25) + 2.0 * math.log(3.0 / delta - delta)
-                    + F_K_eval(K, s).log_value)
+                    + F_K_eval(K, s)["log_value"])
     except (OverflowError, ZeroDivisionError):
         log_coef = math.nan
     if not math.isfinite(log_coef):
@@ -273,36 +252,24 @@ def modulus_terms(delta: float) -> tuple[int, float, float]:
     return K, s, log_coef
 
 
-def psi_minus_eval(delta: float) -> PsiMinusValue:
+def psi_minus_eval(delta: float) -> dict:
     """Explicit lower modulus: sqrt of
     (1/4)(3/d - d)^2 * F_K(d^2/(3-d^2)) * d/3 with K = ceil(3/d^2),
-    evaluated in log space (astronomically small for small d); a delta
-    :func:`modulus_terms` rejects raises ValueError."""
-    K, s, log_coef = modulus_terms(delta)
-    log_sq = log_coef + math.log(delta / 3.0)
-    log_value = 0.5 * log_sq
+    evaluated in log space (astronomically small for small d), as
+    ``delta``, ``K``, ``log_value`` and ``value`` (0.0 when below
+    double-precision range); a delta :func:`modulus_terms` rejects raises
+    ValueError."""
+    K, _, log_coef = modulus_terms(delta)
+    log_value = 0.5 * (log_coef + math.log(delta / 3.0))
     value = math.exp(log_value) if log_value > -700 else 0.0
-    return PsiMinusValue(delta=delta, K=K, s=s, log_value=log_value, value=value)
+    return {"delta": delta, "K": K, "log_value": log_value, "value": value}
 
 
 # ---------------------------------------------------------------------------
 # Two-sided verification helpers
 
-@dataclass
-class LowerBoundPoint:
-    delta: float
-    K: int
-    tail: float          # empirical P(Xi / E X >= delta)
-    slack: float         # tail minus (delta/3 + 1/(delta K)), clamped at 0
-    log_rhs: float       # log of the variance-ratio lower bound
-    lhs: float           # var X / (E X)^2
-    holds: bool
-    tail_band: float     # half-width of the BAND_SIGMAS Wilson score interval of the tail
-    inconclusive: bool
-
-
 def theorem1_lower_check(xi_samples, mean_x: float, var_x: float,
-                         deltas) -> list[LowerBoundPoint]:
+                         deltas) -> list[dict]:
     """Per grid delta, check
     var X/(E X)^2 >= (1/4)(3/d - d)^2 F_K(d^2/(3-d^2)) (P(Xi/EX >= d) - d/3 - 1/(dK))^+
     with K = ceil(3/d^2).  The right side grows with the tail, so the
@@ -312,7 +279,13 @@ def theorem1_lower_check(xi_samples, mean_x: float, var_x: float,
     empirical tail of 0 or 1.  That largest tail is
     found in log space, since F_K underflows; a clamped-to-zero slack
     makes the bound at the empirical tail zero.  A delta
-    :func:`modulus_terms` rejects raises ValueError."""
+    :func:`modulus_terms` rejects raises ValueError.
+
+    One point per delta: ``delta``, ``K``, ``tail`` (the empirical P(Xi/E X
+    >= delta)), ``tail_band`` (the Wilson half-width), ``slack`` (tail
+    minus (delta/3 + 1/(delta K)), clamped at 0), ``log_rhs`` (the log of
+    the lower bound), ``lhs`` (var X/(E X)^2), ``holds`` and
+    ``inconclusive``."""
     xi = np.asarray(xi_samples, dtype=float)
     lhs = var_x / mean_x**2
     log_lhs = math.log(lhs) if lhs > 0 else LOG_NEG_INF
@@ -327,25 +300,10 @@ def theorem1_lower_check(xi_samples, mean_x: float, var_x: float,
         holds, inconclusive = band_verdict(centre, max_tail, band)
         slack = max(tail - floor, 0.0)
         log_rhs = log_coef + math.log(slack) if slack > 0.0 else LOG_NEG_INF
-        out.append(LowerBoundPoint(delta, K, tail, slack, log_rhs, lhs,
-                                   holds, band, inconclusive))
+        out.append({"delta": delta, "K": K, "tail": tail, "slack": slack, "log_rhs": log_rhs,
+                    "lhs": lhs, "holds": holds, "tail_band": band,
+                    "inconclusive": inconclusive})
     return out
-
-
-@dataclass
-class TrendMember:
-    name: str
-    param: float
-    sd_over_mean: float
-    ratio_se: float
-    l0_xi: float
-    n_runs: int
-
-
-@dataclass
-class TrendReport:
-    members: list[TrendMember]
-    spearman: float
 
 
 def _average_ranks(x) -> np.ndarray:
@@ -360,10 +318,13 @@ def _spearman(a, b) -> float:
     return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
-def theorem1_trend_experiment(members, runs: int, seed) -> TrendReport:
+def theorem1_trend_experiment(members, runs: int, seed) -> dict:
     """Per family member, estimate sd(X)/E X and the smallness measure of
     Xi/E X, then report both sequences and their Spearman rank
-    correlation.  ``members`` holds (name, param, graph, source, target)."""
+    correlation.  ``members`` holds (name, param, graph, source, target);
+    the report holds ``members``, one row each of ``name``, ``param``,
+    ``sd_over_mean``, its jackknife ``ratio_se``, ``l0_xi`` and
+    ``n_runs``, and ``spearman``."""
     from .fpp import sample_fpp_batch
 
     if len(members) < 5:
@@ -373,9 +334,8 @@ def theorem1_trend_experiment(members, runs: int, seed) -> TrendReport:
             members, spawn_seeds(seed, len(members))):
         batch = sample_fpp_batch(g, source, target, runs, member_seed)
         stats = SampleStats.from_samples(batch.X)
-        l0 = l0_norm_estimate(batch.Xi / stats.mean)
-        rows.append(TrendMember(name=name, param=float(param),
-                                sd_over_mean=stats.ratio, ratio_se=stats.ratio_se,
-                                l0_xi=l0.value, n_runs=runs))
-    rho = _spearman([r.sd_over_mean for r in rows], [r.l0_xi for r in rows])
-    return TrendReport(members=rows, spearman=rho)
+        rows.append({"name": name, "param": float(param), "sd_over_mean": stats.ratio,
+                     "ratio_se": stats.ratio_se, "l0_xi": l0_norm_estimate(batch.Xi / stats.mean),
+                     "n_runs": runs})
+    rho = _spearman([r["sd_over_mean"] for r in rows], [r["l0_xi"] for r in rows])
+    return {"members": rows, "spearman": rho}

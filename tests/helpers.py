@@ -20,12 +20,12 @@ import tracemalloc
 import numpy as np
 
 from fpplab import chain
-from fpplab.chain import ChainSpec, ExactSolution, Lemma2Report, lemma2_grid
+from fpplab.chain import ChainSpec, ExactSolution, lemma2_grid
 from fpplab.graphs import GraphValidationError, Multigraph, WeightedGraph
 from fpplab.multigraph import ForestUnion
 
 
-def lemma2_bound(sol: ExactSolution, delta: float, epsilon: float) -> Lemma2Report:
+def lemma2_bound(sol: ExactSolution, delta: float, epsilon: float) -> dict:
     """Lemma 2 at one (delta, epsilon); see ``lemma2_grid``."""
     return lemma2_grid(sol, [delta], [epsilon])[0]
 

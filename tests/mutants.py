@@ -19,9 +19,10 @@ mark equivalent survives.  ``tests/test_mutants.py`` checks, inside
 tier-1, that every row still applies and names a test that exists, and
 runs one row end to end.
 
-A fault may leave a loop that never ends: pads that point at vertex 0 in
-the Dijkstra, for one, end some runs on a cycle of reached-by edges, which
-the walk back never leaves.  So each pytest run is stopped after
+A fault may leave a loop that never ends, or one that grows until memory
+runs out.  (The Dijkstra's walk back, which once circled on a cycle of
+reached-by edges when pads pointed at vertex 0, now raises after n - 1
+steps.)  So each pytest run is stopped after
 ``TIME_LIMIT`` seconds and gets ``MEMORY_LIMIT`` bytes of address space,
 and a mutant whose run hits either limit counts as killed, with the limit
 printed.  Both sit far above what tier-1 needs unmutated: about 40 s and
@@ -89,6 +90,14 @@ MUTANTS = [
            "lambda m: g.n * m",
            "lambda m: 2 * g.n * m",
            "tests/test_growth.py::test_prop3_fails_just_past_n_e_t"),
+    Mutant("prop2_mean_bound_halved", "src/fpplab/multigraph.py",
+           "k / gamma, stats.mean,",
+           "0.5 * k / gamma, stats.mean,",
+           "tests/test_cli.py::test_prop2_mean_bound_fails_just_past_k_over_gamma"),
+    Mutant("a_k_envelope_doubled", "src/fpplab/cli.py",
+           "envelope = math.e / (math.e - 1.0)",
+           "envelope = 2 * math.e / (math.e - 1.0)",
+           "tests/test_cli.py::test_a_k_fails_just_past_its_envelope"),
     # Proposition 1's lock-step growth kernel
     Mutant("growth_pick_cap_dropped", "src/fpplab/growth.py",
            "if below[:, -1].any():",
@@ -168,8 +177,8 @@ MUTANTS = [
            "cur = other[e]",
            "tests/test_fpp.py::test_lockstep_kernel_equals_the_dense_table_kernel"),
     Mutant("dijkstra_walk_ends_with_the_first_run_home", "src/fpplab/fpp.py",
-           "while np.any(cur != source):",
-           "while np.all(cur != source):",
+           "while np.any(away := cur != source):",
+           "while np.all(away := cur != source):",
            "tests/test_fpp.py::test_lockstep_kernel_equals_the_dense_table_kernel"),
     Mutant("dijkstra_times_of_the_row_in_that_place", "src/fpplab/fpp.py",
            "cand = flat.take(e + (live * m)[:, None])",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fpplab.chain import lemma1_bound, solve_hitting
+from fpplab.chain import large_decrement_outflow, lemma1_bound, solve_hitting
 from fpplab.cli import _random_discrete_chains
 from fpplab.fpp import fpp_chain_spec
 from fpplab.graphs import bridge_graph, complete_graph, random_gnp_graph
@@ -35,16 +35,17 @@ def _assert_agrees(spec, ref_spec=None):
     assert _close(sol.var_T, ref.var_T)
     assert _close(sol.kappa, ref.kappa)
     assert sol.monotone_h() == ref.monotone_h()
-    assert lemma1_bound(sol).holds == reference_chain.lemma1_holds(ref, 1e-9)
+    assert lemma1_bound(sol)["holds"] == reference_chain.lemma1_holds(ref, 1e-9)
     for d in GRID:
+        q_delta = large_decrement_outflow(sol, d)
         for e in GRID:
             rep = lemma2_bound(sol, d, e)
             bad = reference_chain.lemma2_bad_states(ref, d, e)
-            assert {states[i] for i in (rep.q_delta >= e).nonzero()[0]} == bad
+            assert {states[i] for i in (q_delta >= e).nonzero()[0]} == bad
             occupation_bad = sum(ref.expected_time_in[s] for s in bad)
-            assert _close(rep.occupation_bad, occupation_bad)
+            assert _close(rep["occupation_bad"], occupation_bad)
             rhs = 2.0 * d + e + occupation_bad / ref.E_T
-            assert rep.holds == (ref.var_T / ref.E_T**2 <= rhs + 1e-9)
+            assert rep["holds"] == (ref.var_T / ref.E_T**2 <= rhs + 1e-9)
 
 
 def _assert_fpp_agrees(g, s, t):

@@ -19,7 +19,6 @@ from fpplab.fpp import fpp_chain_spec
 from fpplab.graphs import (CapacityError, GraphParseError, GraphValidationError, bridge_graph,
                            complete_graph)
 from fpplab.growth import GrowthConfig
-from fpplab.multigraph import Prop2Report
 from fpplab.stats import BAND_SIGMAS, F_K_eval, SampleStats, wilson_band
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -509,8 +508,10 @@ def test_mutated_scenario_runs_to_an_exit_code(data, tmp_path, capsys, three_run
 
 def test_prop2_inconclusive_report_shows_in_status(tmp_path, monkeypatch):
     def straddling(samples, k, kind="span", gamma=None, uncertified=0):
-        return Prop2Report(kind=kind, k=k, runs=len(samples), mean=1.0, sd=1.05, ratio=1.05,
-                           ratio_se=0.02, bound=1.0, holds=True, inconclusive=True)
+        return {"kind": kind, "k": k, "runs": len(samples), "mean": 1.0, "sd": 1.05,
+                "ratio": 1.05, "ratio_se": 0.02, "bound": 1.0, "holds": True,
+                "inconclusive": True, "mean_lower_bound": None, "mean_se": None,
+                "mean_bound_holds": None, "uncertified": 0}
 
     monkeypatch.setattr(cli, "prop2_check", straddling)
     cfg = {
@@ -636,13 +637,58 @@ def test_coupling_lower_fails_just_past_var_x(tmp_path, monkeypatch, past, statu
     assert _status_of(tmp_path, "coupling_lower", runs=1000) == (status, code)
 
 
+@pytest.mark.parametrize("past, status, code", [(1e-6, "FAIL", 1), (-1e-6, "inconclusive", 0)])
+def test_prop2_mean_bound_fails_just_past_k_over_gamma(tmp_path, monkeypatch, past, status,
+                                                       code):
+    # spanning-tree times on the unit triangle (gamma = 2, so k/gamma = 1/2
+    # at k = 1) whose mean plus its band of BAND_SIGMAS jackknife standard
+    # errors is (1 - past) k/gamma: past 0 it FAILs.  Their sd/mean, about
+    # 0.12, passes the ratio bound of 1 outright.
+    z = 1.0 + 0.5 * np.random.default_rng(33).random(1000)
+    stats = SampleStats.from_samples(z)
+    x = z * (0.5 * (1.0 - past) / (stats.mean + BAND_SIGMAS * stats.mean_se))
+    monkeypatch.setattr(cli, "sample_stopping_times", lambda *args, **kwargs: {"span": {1: x}})
+    cfg = {"schema_version": 1, "process": "multigraph", "seed": 2, "runs": 1000,
+           "graph": {"family": "complete", "args": {"n": 3}},
+           "checks": [{"name": "prop2", "ks": [1], "kinds": ["span"]}]}
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=out) == code
+    check = json.loads((out / "report.json").read_text())["checks"]["prop2"]
+    (rep,) = check["result"]["reports"]
+    assert check["status"] == status
+    assert rep["mean_lower_bound"] == 0.5 and rep["mean"] < 0.5
+    assert rep["holds"] and rep["ratio"] < 0.2
+    assert rep["mean_bound_holds"] is (status != "FAIL")
+
+
+@pytest.mark.parametrize("past, status, code", [(1e-6, "FAIL", 1), (-1e-6, "pass", 0)])
+def test_a_k_fails_just_past_its_envelope(tmp_path, monkeypatch, past, status, code):
+    # a(k) obeys its envelope as a theorem, so only synthetic values FAIL
+    # it: a(1) = 1 and (1 + past) (e/(e - 1)) k^(-1/3) at every k >= 2
+    envelope = math.e / (math.e - 1.0)
+    a = lambda k: 1.0 if k == 1 else (1.0 + past) * envelope * k ** (-1.0 / 3.0)
+    assert cli._a_k_holds([a(k) for k in range(1, 101)]) is (status == "pass")
+    monkeypatch.setattr(cli, "a_k_eval", a)
+    cfg = {"schema_version": 1, "process": "bounds", "checks": [{"name": "a_k", "kmax": 100}]}
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=out) == code
+    check = json.loads((out / "report.json").read_text())["checks"]["a_k"]
+    assert check["status"] == status
+    assert check["result"]["holds_envelope"] is (status == "pass")
+
+
+def test_a_k_fails_when_a_1_is_not_one():
+    assert cli._a_k_holds([1.0 + 5e-7])
+    assert not cli._a_k_holds([1.0 + 2e-6])
+
+
 @pytest.mark.parametrize("allowed, status, code", [(0.9, "inconclusive", 0), (0.8, "FAIL", 1)])
 def test_theorem1_lower_band_sets_the_status(tmp_path, monkeypatch, allowed, status, code):
     # an empirical tail of 0.9 from 1000 runs has a 3-sigma band of 0.028; the
     # variance ratio lets the bound allow a tail of ``allowed`` at delta = 1
     real = cli.theorem1_lower_check
     xi = np.array([2.0] * 900 + [0.0] * 100)
-    coef = F_K_eval(3, 0.5).value  # (1/4)(3/d - d)^2 F_K(d^2/(3 - d^2)) at d = 1, K = 3
+    coef = F_K_eval(3, 0.5)["value"]  # (1/4)(3/d - d)^2 F_K(d^2/(3 - d^2)) at d = 1, K = 3
     var_x = coef * (allowed - 2.0 / 3.0)
     monkeypatch.setattr(cli, "theorem1_lower_check",
                         lambda _xi, _mean, _var, deltas: real(xi, 1.0, var_x, deltas))

@@ -155,7 +155,7 @@ def test_prop1_check_passes():
     cfg = GrowthConfig.builtin([[2, 0], [-2, 0], [0, 2], [0, -2]],
                                "site_weighted", c_lo=0.5, c_hi=2.0)
     rep = prop1_check(cfg, 2000, seed=6)
-    assert rep.holds
+    assert rep["holds"]
     with pytest.raises(ValueError):
         prop1_check(cfg, 10, seed=0)
 
@@ -180,7 +180,7 @@ def test_prop1_fails_just_past_e_t_over_c_lo(monkeypatch, past, holds, inconclus
     assert x.min() > 0
     monkeypatch.setattr(growth, "growth_samples", lambda cfg, runs, seed: x)
     rep = prop1_check(cfg, 2000, 0)
-    assert (rep.holds, rep.inconclusive) == (holds, inconclusive)
+    assert (rep["holds"], rep["inconclusive"]) == (holds, inconclusive)
 
 
 @pytest.mark.parametrize("past, holds, inconclusive", [(1e-6, False, False), (-1e-6, True, True)])
@@ -191,7 +191,7 @@ def test_prop3_fails_just_past_n_e_t(monkeypatch, past, holds, inconclusive):
     assert x.min() > 0
     monkeypatch.setattr(growth, "coverage_samples", lambda g, runs, seed: x)
     rep = prop3_check(g, 2000, 0)
-    assert (rep.holds, rep.inconclusive) == (holds, inconclusive)
+    assert (rep["holds"], rep["inconclusive"]) == (holds, inconclusive)
 
 
 def test_variance_inequality_report_verdicts():
@@ -199,13 +199,13 @@ def test_variance_inequality_report_verdicts():
     var = float(np.var(samples, ddof=1))
     # a bound equal to the sample variance sits inside the band
     rep = _variance_inequality_report(samples, lambda m: var)
-    assert rep.holds and rep.inconclusive
+    assert rep["holds"] and rep["inconclusive"]
     # a bound far below the whole band fails outright
     rep = _variance_inequality_report(samples, lambda m: var / 10.0)
-    assert not rep.holds and not rep.inconclusive
+    assert not rep["holds"] and not rep["inconclusive"]
     # a bound far above the whole band passes outright
     rep = _variance_inequality_report(samples, lambda m: 10.0 * var)
-    assert rep.holds and not rep.inconclusive
+    assert rep["holds"] and not rep["inconclusive"]
 
 
 def test_coverage_path3_exact():
@@ -253,7 +253,7 @@ def test_coverage_samples_match_the_exact_chain(g):
 
 def test_prop3_check_passes():
     rep = prop3_check(path_graph(5), 3000, seed=8)
-    assert rep.holds
+    assert rep["holds"]
 
 
 @st.composite

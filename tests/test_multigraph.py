@@ -532,10 +532,10 @@ def test_prop2_check_smoke():
     g = complete_graph(4)
     samples = sample_stopping_times(g, [1], 1500, seed=8, kinds=("span",))["span"][1]
     rep = prop2_check(samples, 1, kind="span", gamma=3.0)
-    assert rep.holds
-    assert rep.mean_bound_holds
-    assert rep.bound == 1.0
-    assert rep.runs == 1500
+    assert rep["holds"]
+    assert rep["mean_bound_holds"]
+    assert rep["bound"] == 1.0
+    assert rep["runs"] == 1500
     with pytest.raises(ValueError):
         prop2_check(samples[:999], 1)
 
@@ -543,18 +543,18 @@ def test_prop2_check_smoke():
 def test_prop2_check_with_uncertified_probes_is_inconclusive():
     rng = np.random.default_rng(5)
     samples = 10.0 + rng.exponential(1.0, 1000)  # sd/mean ~ 0.09: a clear pass
-    assert prop2_check(samples, 1, kind="tria").inconclusive is False
+    assert prop2_check(samples, 1, kind="tria")["inconclusive"] is False
     rep = prop2_check(samples, 1, kind="tria", uncertified=2)
-    assert rep.uncertified == 2 and rep.holds and rep.inconclusive
+    assert rep["uncertified"] == 2 and rep["holds"] and rep["inconclusive"]
     failing = rng.exponential(1.0, 1000) ** 3  # sd/mean far above the bound
-    assert not prop2_check(failing, 1, kind="tria").holds
+    assert not prop2_check(failing, 1, kind="tria")["holds"]
     rep = prop2_check(failing, 1, kind="tria", uncertified=1)
-    assert rep.holds and rep.inconclusive
+    assert rep["holds"] and rep["inconclusive"]
 
 
 def test_prop2_check_straddling_band_is_inconclusive():
     # sd/mean of Exp(1) is 1, the k=1 spanning-tree bound: the band straddles it
     rng = np.random.default_rng(2024)
     rep = prop2_check(rng.exponential(1.0, 2000), 1, kind="span")
-    assert abs(rep.ratio - 1.0) < 3.0 * rep.ratio_se
-    assert rep.holds and rep.inconclusive
+    assert abs(rep["ratio"] - 1.0) < 3.0 * rep["ratio_se"]
+    assert rep["holds"] and rep["inconclusive"]

@@ -102,13 +102,13 @@ def test_sample_stats_needs_three():
 
 
 def test_l0_norm_hand_cases():
-    assert l0_norm_estimate([0.0, 0.0, 0.0]).value == 0.0
+    assert l0_norm_estimate([0.0, 0.0, 0.0]) == 0.0
     # all mass at 1: tail is 1 until delta reaches 1
-    assert l0_norm_estimate([1.0, 1.0]).value == 1.0
+    assert l0_norm_estimate([1.0, 1.0]) == 1.0
     # half the mass above 0.9: fixed point at the tail level 0.5
-    assert l0_norm_estimate([0.0, 0.0, 0.9, 0.9]).value == 0.5
+    assert l0_norm_estimate([0.0, 0.0, 0.9, 0.9]) == 0.5
     # tail at 0.4- is 0.5 > 0.4-, but at 0.4 it drops to 0.25 <= 0.4
-    assert l0_norm_estimate([0.1, 0.2, 0.4, 0.6]).value == 0.4
+    assert l0_norm_estimate([0.1, 0.2, 0.4, 0.6]) == 0.4
     with pytest.raises(ValueError):
         l0_norm_estimate([])
 
@@ -123,7 +123,7 @@ def test_l0_norm_is_the_least_threshold_its_tail_does_not_exceed(values):
     n = len(v)
     candidates = np.concatenate([[0.0], v, np.arange(n + 1) / n])
     want = min(d for d in candidates if np.count_nonzero(v > d) / n <= d)
-    assert l0_norm_estimate(values).value == want
+    assert l0_norm_estimate(values) == want
 
 
 def _l0_by_np_unique(samples):
@@ -148,7 +148,7 @@ def _l0_by_np_unique(samples):
     list(np.random.default_rng(5).integers(0, 6, 200) / 5.0),
 ])
 def test_l0_norm_equals_the_np_unique_form(samples):
-    assert l0_norm_estimate(samples).value == _l0_by_np_unique(samples)
+    assert l0_norm_estimate(samples) == _l0_by_np_unique(samples)
 
 
 def test_wilson_band_is_the_theorem1_lower_interval():
@@ -160,7 +160,7 @@ def test_l0_norm_uniform_limit():
     rng = np.random.default_rng(1)
     v = rng.random(200_000)
     # P(U > d) = 1 - d equals d at d = 1/2
-    assert abs(l0_norm_estimate(v).value - 0.5) < 0.01
+    assert abs(l0_norm_estimate(v) - 0.5) < 0.01
 
 
 @settings(max_examples=50, deadline=None)
@@ -168,7 +168,7 @@ def test_l0_norm_uniform_limit():
                 min_size=1, max_size=60))
 def test_l0_norm_is_a_fixed_point(samples):
     v = np.abs(np.asarray(samples))
-    d = l0_norm_estimate(samples).value
+    d = l0_norm_estimate(samples)
     n = len(v)
     assert np.mean(v > d) <= d + 1e-12
     # minimality: slightly below d the defining inequality fails (or d = 0)
@@ -178,11 +178,11 @@ def test_l0_norm_is_a_fixed_point(samples):
 
 
 def test_F_K_closed_form_branches():
-    assert F_K_eval(1, 1.0).value == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert F_K_eval(3, 0.5).value == pytest.approx(1.0 / 1920.0, rel=1e-12)
-    assert F_K_eval(1, 0.0).value == 0.0
+    assert F_K_eval(1, 1.0)["value"] == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert F_K_eval(3, 0.5)["value"] == pytest.approx(1.0 / 1920.0, rel=1e-12)
+    assert F_K_eval(1, 0.0)["value"] == 0.0
     # s >= K: the shortfall never clips, so F_K = (s - K/2)^2 + K/12
-    assert F_K_eval(2, 3.0).value == pytest.approx((3.0 - 1.0) ** 2 + 2.0 / 12.0)
+    assert F_K_eval(2, 3.0)["value"] == pytest.approx((3.0 - 1.0) ** 2 + 2.0 / 12.0)
     with pytest.raises(ValueError):
         F_K_eval(0, 1.0)
     for s in (-0.1, math.inf, math.nan):
@@ -193,8 +193,8 @@ def test_F_K_closed_form_branches():
 def test_F_K_branches_match_alternating_sum():
     for K, s in [(1, 1.0), (3, 0.5), (2, 3.0), (4, 4.0)]:
         fk, exact = F_K_eval(K, s), exact_F_K(K, s)
-        assert fk.value == pytest.approx(exact, rel=1e-12)
-        assert fk.log_value == pytest.approx(math.log(exact), rel=1e-12)
+        assert fk["value"] == pytest.approx(exact, rel=1e-12)
+        assert fk["log_value"] == pytest.approx(math.log(exact), rel=1e-12)
 
 
 def test_F_K_mc_branch_against_exact():
@@ -203,27 +203,27 @@ def test_F_K_mc_branch_against_exact():
     rng = np.random.default_rng(125)
     for K, s in [(3, 1.5), (5, 2.0), (4, 2.5)]:
         fk, exact = F_K_eval(K, s), exact_F_K(K, s)
-        assert fk.value == pytest.approx(exact, rel=1e-12)
-        assert fk.log_value == pytest.approx(math.log(exact), rel=1e-12)
+        assert fk["value"] == pytest.approx(exact, rel=1e-12)
+        assert fk["log_value"] == pytest.approx(math.log(exact), rel=1e-12)
         draws = np.maximum(s - rng.random((200_000, K)).sum(axis=1), 0.0) ** 2
         stderr = math.sqrt(draws.var(ddof=1) / len(draws))
-        assert abs(fk.value - draws.mean()) <= 3.0 * stderr
+        assert abs(fk["value"] - draws.mean()) <= 3.0 * stderr
 
 
 def test_F_K_large_K_above_one_is_finite():
     # 10^6 x K uniform draws would need 8.9 GiB here; the exact sum needs none
     fk = F_K_eval(1200, 3.5)
-    assert math.isfinite(fk.log_value) and fk.value == 0.0  # below double range
+    assert math.isfinite(fk["log_value"]) and fk["value"] == 0.0  # below double range
     # the j = 0 term 2 * 3.5^1202 / 1202! dominates: the j = 1 term is 3e-173 of it
     lead = math.log(2.0) + 1202 * math.log(3.5) - math.lgamma(1203)
-    assert fk.log_value == pytest.approx(lead, rel=1e-12)
+    assert fk["log_value"] == pytest.approx(lead, rel=1e-12)
 
 
 def test_psi_minus_reference_value():
     # delta = 1: K = 3, s = 1/2, closed form composes to 1/sqrt(5760)
     p = psi_minus_eval(1.0)
-    assert p.K == 3
-    assert p.value == pytest.approx(1.0 / math.sqrt(5760.0), rel=1e-12)
+    assert p["K"] == 3
+    assert p["value"] == pytest.approx(1.0 / math.sqrt(5760.0), rel=1e-12)
 
 
 def test_psi_minus_against_mpmath():
@@ -238,13 +238,13 @@ def test_psi_minus_against_mpmath():
         fk = 2 * s ** (K + 2) / mp.factorial(K + 2)
         val = mp.sqrt(mp.mpf(1) / 4 * (3 / d - d) ** 2 * fk * d / 3)
         got = psi_minus_eval(delta)
-        assert got.log_value == pytest.approx(float(mp.log(val)), rel=1e-12)
+        assert got["log_value"] == pytest.approx(float(mp.log(val)), rel=1e-12)
 
 
 def test_psi_minus_finite_log_deep_into_the_tail():
     p = psi_minus_eval(0.05)  # K = 1200; the value underflows doubles
-    assert math.isfinite(p.log_value)
-    assert p.value == 0.0
+    assert math.isfinite(p["log_value"])
+    assert p["value"] == 0.0
     with pytest.raises(ValueError):
         psi_minus_eval(0.0)
     with pytest.raises(ValueError):
@@ -263,9 +263,9 @@ def test_tiny_deltas_are_evaluated_in_log_space_or_rejected():
         except ValueError:
             bad = mid
     assert 1e-153 < ok < 1e-152
-    assert math.isfinite(psi_minus_eval(ok).log_value)
+    assert math.isfinite(psi_minus_eval(ok)["log_value"])
     (point,) = theorem1_lower_check(np.ones(10), 1.0, 0.5, [ok])
-    assert point.holds and math.isfinite(point.log_rhs)
+    assert point["holds"] and math.isfinite(point["log_rhs"])
     # below it, and far below it (K overflows, d^2 underflows to 0)
     for delta in (bad, 1e-160, 1e-200, 5e-324):
         with pytest.raises(ValueError, match="log space"):
@@ -277,7 +277,7 @@ def test_tiny_deltas_are_evaluated_in_log_space_or_rejected():
 def test_theorem1_lower_trivial_when_tail_small():
     # no Xi mass above delta * mean: the clamped slack makes the bound trivial
     pts = theorem1_lower_check(np.zeros(100), 1.0, 0.5, [0.5])
-    assert pts[0].holds and pts[0].slack == 0.0
+    assert pts[0]["holds"] and pts[0]["slack"] == 0.0
 
 
 def test_theorem1_lower_on_single_edge():
@@ -285,8 +285,8 @@ def test_theorem1_lower_on_single_edge():
     rng = np.random.default_rng(3)
     xi = rng.exponential(1.0, 50_000)
     pts = theorem1_lower_check(xi, 1.0, 1.0, [0.25, 0.5, 1.0])
-    assert all(p.holds for p in pts)
-    assert any(p.slack > 0 for p in pts)  # the bound bites somewhere
+    assert all(p["holds"] for p in pts)
+    assert any(p["slack"] > 0 for p in pts)  # the bound bites somewhere
 
 
 def wilson(tail, n, z=3.0):
@@ -300,7 +300,7 @@ def test_theorem1_lower_band_straddling_and_failing():
     # at delta = 1 (K = 3) the bound reads lhs >= F_3(1/2) (tail - 2/3)^+; a
     # tail of 0.9 from 1000 runs has a 3-sigma Wilson half-width of 0.0286
     xi = np.array([2.0] * 900 + [0.0] * 100)
-    coef = F_K_eval(3, 0.5).value
+    coef = F_K_eval(3, 0.5)["value"]
     _, band = wilson(0.9, 1000)
     assert band == pytest.approx(0.02856, abs=1e-5)
     cases = {1.0: (True, False),            # allows a tail of 5/3: a clear pass
@@ -308,31 +308,31 @@ def test_theorem1_lower_band_straddling_and_failing():
              0.8: (False, False)}           # the whole band lies past it: FAIL
     for allowed, verdict in cases.items():
         (p,) = theorem1_lower_check(xi, 1.0, coef * (allowed - 2.0 / 3.0), [1.0])
-        assert p.tail == 0.9 and p.tail_band == pytest.approx(band)
-        assert (p.holds, p.inconclusive) == verdict
+        assert p["tail"] == 0.9 and p["tail_band"] == pytest.approx(band)
+        assert (p["holds"], p["inconclusive"]) == verdict
 
 
 def test_theorem1_lower_band_stays_open_at_a_tail_of_one():
     # every Xi above delta * mean: the Wald band sqrt(tail (1 - tail) / n)
     # would be 0, while the Wilson interval [0.9911, 1] keeps a width
     xi = np.full(1000, 2.0)
-    coef = F_K_eval(3, 0.5).value
+    coef = F_K_eval(3, 0.5)["value"]
     centre, band = wilson(1.0, 1000)
     assert band > 0.004 and centre + band == pytest.approx(1.0)
     for allowed, verdict in {1.05: (True, False),    # the whole interval is allowed
                              0.995: (True, True),    # inside the interval: straddles
                              0.99: (False, False)}.items():  # below it: FAIL
         (p,) = theorem1_lower_check(xi, 1.0, coef * (allowed - 2.0 / 3.0), [1.0])
-        assert p.tail == 1.0 and p.tail_band == pytest.approx(band)
-        assert (p.holds, p.inconclusive) == verdict
+        assert p["tail"] == 1.0 and p["tail_band"] == pytest.approx(band)
+        assert (p["holds"], p["inconclusive"]) == verdict
 
 
 def test_theorem1_lower_takes_its_largest_tail_in_log_space():
     # F_K(d^2/(3 - d^2)) at d = 0.1 underflows a double; every tail is allowed
-    assert F_K_eval(300, 0.1**2 / (3.0 - 0.1**2)).value == 0.0
+    assert F_K_eval(300, 0.1**2 / (3.0 - 0.1**2))["value"] == 0.0
     (p,) = theorem1_lower_check(np.full(1000, 2.0), 1.0, 1e-300, [0.1])
-    assert p.tail == 1.0 and p.holds and not p.inconclusive
-    assert p.log_rhs < math.log(1e-300)
+    assert p["tail"] == 1.0 and p["holds"] and not p["inconclusive"]
+    assert p["log_rhs"] < math.log(1e-300)
 
 
 def test_trend_experiment_requires_five_members():
