@@ -103,7 +103,7 @@ def _register(name, processes, anchor, statement, min_runs=3, parse=lambda param
     runs, and the parameters gain the check's run count, ``runs``.
     ``fn(ctx, params)`` returns (result, passed), the result the dict that
     ``report.json`` holds, which the runner makes JSON-ready
-    (:func:`_clean`: numpy scalars, infinities)."""
+    (:func:`_clean`: string keys, infinities)."""
     def wrap(fn):
         CHECKS[name] = {"fn": fn, "parse": parse, "processes": processes, "anchor": anchor,
                         "statement": statement, "min_runs": min_runs}
@@ -575,24 +575,14 @@ def _random_discrete_chains(rng, count, bits) -> list[ChainSpec]:
 
 
 def _clean(obj):
-    """JSON-ready deep conversion: numpy scalars/arrays, int keys."""
+    """JSON-ready deep copy of a result: string keys, and ``repr`` of a
+    non-finite float ("inf", "nan"), which JSON has no number for."""
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.size > 64:
-            return {"n": int(obj.size), "mean": float(obj.mean()), "min": float(obj.min()),
-                    "max": float(obj.max())}
-        return [_clean(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
-    if isinstance(obj, frozenset):
-        return sorted(obj)
     return obj
 
 

@@ -1,4 +1,4 @@
-"""Weighted graphs, multigraphs, and exact brute-force cut computations.
+"""Weighted graphs and exact brute-force cut computations.
 
 Every process in this package runs on a finite connected graph with
 positive edge rates.  Graphs are immutable after construction.  A graph
@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -132,17 +131,6 @@ class WeightedGraph:
     def m(self) -> int:
         return len(self._ends)
 
-    def neighbors(self, u: int):
-        """Pairs ``(v, edge_index)`` adjacent to vertex index ``u``, v increasing."""
-        start, nbr, eid = self.csr
-        row = slice(start[u], start[u + 1])
-        return tuple(zip(nbr[row].tolist(), eid[row].tolist()))
-
-    def edge_index(self, u: int, v: int) -> int | None:
-        start, nbr, eid = self.csr
-        i = start[u] + np.searchsorted(nbr[start[u]:start[u + 1]], v)
-        return int(eid[i]) if i < start[u + 1] and nbr[i] == v else None
-
     def min_weight(self) -> float:
         return float(self._weights.min())
 
@@ -187,34 +175,6 @@ class WeightedGraph:
                 out[e].append(j)
         return tuple(tuple(js) for js in out)
 
-    def to_edge_list(self) -> str:
-        names = self.vertices
-        return "\n".join(f"{names[u]} {names[v]} {w!r}"
-                         for (u, v), w in zip(self._ends.tolist(), self._weights.tolist())) + "\n"
-
-
-@dataclass(frozen=True)
-class Multigraph:
-    """A base graph plus a nonnegative multiplicity per edge."""
-
-    base: WeightedGraph
-    multiplicity: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.multiplicity) != self.base.m:
-            raise ValueError("multiplicity length must match base edge count")
-        if self.multiplicity and min(self.multiplicity) < 0:
-            raise ValueError("multiplicities must be nonnegative")
-
-    @property
-    def total_edges(self) -> int:
-        return sum(self.multiplicity)
-
-    def add_copy(self, edge_idx: int) -> "Multigraph":
-        mult = list(self.multiplicity)
-        mult[edge_idx] += 1
-        return Multigraph(self.base, tuple(mult))
-
 
 _SIGDIGITS = re.compile(r"[0-9]")
 
@@ -230,9 +190,8 @@ def parse_edge_list(text: str) -> WeightedGraph:
 
     Vertex ids are assigned in first-appearance order.  Weights with more
     than 17 significant digits are rejected: 17 tell any two doubles
-    apart, so ``repr``, which :meth:`WeightedGraph.to_edge_list` writes,
-    never needs more, and every written edge list parses back to the same
-    weights.
+    apart, so ``repr`` of a weight never needs more, and an edge list
+    written with ``repr`` weights parses back to the same weights.
     """
     vertex_ids: dict[str, int] = {}
     edges: list[tuple[int, int]] = []

@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .chain import ChainSpec
-from .graphs import WeightedGraph
+from .graphs import CapacityError, WeightedGraph
 from .stats import (BAND_SIGMAS, MIN_RUNS, ROW_CELLS, RowStream, SampleStats, band_verdict,
                     blocks, exponential_in_place)
 
@@ -60,6 +60,10 @@ COVERAGE_ROW = 32
 # and 10-12 at d = 30, where a rerun redoes a run on four times the cells.
 WINDOW_MARGIN = 10
 LOCKSTEP_RUNS = 64
+# Cells of a window, at most: 2**17 admits d = 30's second rerun window (R =
+# 160, 103 041 cells).  At the cap (R = 180, 130 321 cells) one batch of
+# the kernel on 64 slots peaks at about 87 MB traced (tracemalloc).
+WINDOW_CELLS = 1 << 17
 
 
 def _site_hash(x, y):
@@ -160,9 +164,13 @@ _OUT, _HIT = 1, 2
 
 def _window(cfg: GrowthConfig, R: int) -> _Window:
     """The window of radius ``R`` for ``cfg``, R at least the target's
-    largest |coordinate|.  Raises when a window rate escapes the stated
-    bounds."""
+    largest |coordinate|.  Raises CapacityError, before anything is
+    allocated, for a window of more than ``WINDOW_CELLS`` cells, and
+    ValueError when a window rate escapes the stated bounds."""
     w = 2 * R + 1
+    if w * w > WINDOW_CELLS:
+        raise CapacityError(f"a growth window of radius {R} holds {w * w} cells, "
+                            f"past the cap of {WINDOW_CELLS}")
     side = np.arange(-R, R + 1, dtype=object)  # Python ints: exact at any coordinate
     rates = np.zeros((2 * _JOINED, w * w))
     live = rates[1:_JOINED]  # a frontier site has 1-4 cluster neighbours
@@ -371,27 +379,34 @@ def coverage_samples(g: WeightedGraph, runs: int, seed) -> np.ndarray:
     in a run's row (the row's length when u is not drawn), the count is T =
     1 + max_v min over N[v] of F_u, the draw that covers the last vertex.
     A run whose row leaves a vertex uncovered reads ``COVERAGE_ROW`` more
-    draws from its :class:`fpplab.stats.RowStream` and goes through again."""
+    draws from its :class:`fpplab.stats.RowStream` and goes through again.
+    A block's rows go through in chunks whose (rows, n + 2m) table of
+    first draws over the closed neighbourhoods fits ``ROW_CELLS``; a row's
+    stream is the row's index in its block, so the chunks change no count."""
     samples = np.empty(runs)
     start, closed = _closed_csr(g)
+    step = max(1, ROW_CELLS // len(closed))
     for rng, part in blocks(seed, runs, COVERAGE_ROW, ROW_CELLS):
-        rows = np.arange(part.stop - part.start)
-        draws = _vertices(rng.random((len(rows), COVERAGE_ROW)), g.n)
-        streams = {}
-        while True:
-            k, width = draws.shape
-            first = np.full((k, g.n), width)
-            np.minimum.at(first, (np.arange(k)[:, None], draws), np.arange(width))
-            t = np.minimum.reduceat(first[:, closed], start, axis=1).max(axis=1)
-            done = t < width
-            samples[part.start + rows[done]] = t[done] + 1
-            late = np.flatnonzero(~done)
-            if not len(late):
-                break
-            rows, draws = rows[late], draws[late]
-            streams = {r: streams.get(r) or RowStream(rng, r) for r in rows.tolist()}
-            more = [_vertices(stream.random(COVERAGE_ROW), g.n) for stream in streams.values()]
-            draws = np.hstack([draws, np.array(more)])
+        block = _vertices(rng.random((part.stop - part.start, COVERAGE_ROW)), g.n)
+        for r0 in range(0, len(block), step):
+            draws = block[r0:r0 + step]
+            rows = np.arange(r0, r0 + len(draws))
+            streams = {}
+            while True:
+                k, width = draws.shape
+                first = np.full((k, g.n), width)
+                np.minimum.at(first, (np.arange(k)[:, None], draws), np.arange(width))
+                t = np.minimum.reduceat(first[:, closed], start, axis=1).max(axis=1)
+                done = t < width
+                samples[part.start + rows[done]] = t[done] + 1
+                late = np.flatnonzero(~done)
+                if not len(late):
+                    break
+                rows, draws = rows[late], draws[late]
+                streams = {r: streams.get(r) or RowStream(rng, r) for r in rows.tolist()}
+                more = [_vertices(stream.random(COVERAGE_ROW), g.n)
+                        for stream in streams.values()]
+                draws = np.hstack([draws, np.array(more)])
     return samples
 
 

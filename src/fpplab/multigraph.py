@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Multigraph, WeightedGraph
+from .graphs import WeightedGraph
 from .stats import (BAND_SIGMAS, MIN_RUNS, ROW_CELLS, RowStream, SampleStats, band_verdict,
                     blocks, exponential_in_place)
 
@@ -144,10 +144,11 @@ class _Forest:
 
 
 class ForestUnion:
-    """Edge copies of a base graph packed into edge-disjoint forests: an
-    independent set of the union of ``len(forests)`` graphic matroids,
-    kept maximal as copies arrive by one BFS augmentation in the exchange
-    graph per copy (Roskind & Tarjan 1985; Gabow & Westermann 1992).
+    """Edge copies of a base graph, added one at a time, packed into
+    edge-disjoint forests: an independent set of the union of
+    ``len(forests)`` graphic matroids, kept maximal as copies arrive by one
+    BFS augmentation in the exchange graph per copy (Roskind & Tarjan 1985;
+    Gabow & Westermann 1992).  It starts empty, with one forest.
 
     The packed set only grows, so a copy that fails to augment stays
     spanned by it, and ``rank`` is the union's rank on the copies added so
@@ -156,23 +157,15 @@ class ForestUnion:
     packed once per forest is left out without a search.
     """
 
-    def __init__(self, g: WeightedGraph, forests: int = 1):
+    def __init__(self, g: WeightedGraph):
         self.n = g.n
         self._edges = g.edge_array().tolist()
-        self.forests = [_Forest(g.n) for _ in range(forests)]
+        self.forests = [_Forest(g.n)]
         self.edge_of: list[int] = []    # per copy, in arrival order: its base edge
         self.where: list[int] = []      # per copy: its forest, or -1
         self.unpacked: list[int] = []   # the copies left out
         self.packed = [0] * g.m         # per base edge: its packed copies
         self.rank = 0
-
-    @classmethod
-    def of(cls, m: Multigraph, forests: int = 1) -> "ForestUnion":
-        union = cls(m.base, forests)
-        for e, count in enumerate(m.multiplicity):
-            for _ in range(count):
-                union.add(e)
-        return union
 
     def add(self, e: int) -> bool:
         """Add one copy of base edge ``e``; True iff it raised the rank."""
@@ -224,10 +217,9 @@ class ForestUnion:
         return False
 
 
-def has_spanning_tree_packing(m: Multigraph | ForestUnion, k: int) -> bool:
-    """True iff the copies contain k edge-disjoint spanning trees.  A
-    ForestUnion must hold k forests; a Multigraph is fed to a fresh one."""
-    union = m if isinstance(m, ForestUnion) else ForestUnion.of(m, k)
+def has_spanning_tree_packing(union: ForestUnion, k: int) -> bool:
+    """True iff the union's copies contain k edge-disjoint spanning trees;
+    the union must hold k forests."""
     return union.rank >= k * (union.n - 1)
 
 
@@ -250,17 +242,16 @@ class PackingCount:
 class LiveTriangles:
     """Copies per base edge, and the live triangles: the base triangles
     (:attr:`WeightedGraph.triangles`) with copies on all three edges, as
-    edge-id triples in base order, kept as copies arrive.  ``leaving[i]``
-    lists the edges of live triangle i that lie on no later one, and
-    ``live_copies`` counts the copies on the edges of live triangles."""
+    edge-id triples in base order, kept as copies arrive one at a time
+    from none.  ``leaving[i]`` lists the edges of live triangle i that lie
+    on no later one, and ``live_copies`` counts the copies on the edges of
+    live triangles."""
 
-    def __init__(self, g: WeightedGraph, multiplicity=None):
+    def __init__(self, g: WeightedGraph):
         self.base = g
-        self.multiplicity = list(multiplicity) if multiplicity is not None else [0] * g.m
-        mult = self.multiplicity
-        self._live = [j for j, (a, b, c) in enumerate(g.triangles)
-                      if mult[a] and mult[b] and mult[c]]
-        self.triangles = [g.triangles[j] for j in self._live]
+        self.multiplicity = [0] * g.m
+        self._live: list[int] = []
+        self.triangles: list[tuple[int, int, int]] = []
         self._index_last_edges()
 
     def _index_last_edges(self):
@@ -293,20 +284,21 @@ class LiveTriangles:
         return closes
 
 
-def max_triangle_packing(m: Multigraph | LiveTriangles,
-                         stop_at: int | None = None) -> PackingCount:
-    """Maximum number of edge-disjoint triangles; the N_e copies of each
-    edge count as disjoint edges.
+def max_triangle_packing(live: LiveTriangles, stop_at: int) -> PackingCount:
+    """The number of edge-disjoint triangles in ``live``'s copies, or
+    ``stop_at`` packed ones once the search finds them; the N_e copies of
+    each edge count as disjoint edges.  A ``stop_at`` past
+    ``live.live_copies // 3`` is never reached, so the search runs to the
+    maximum.
 
     Branch and bound over the live triangles in base order, with a greedy
     lower bound and, at triangle i, the relaxation bound "copies on the
     edges of triangles i.. over 3", kept as a running sum that drops each
     edge after its last triangle.  If the search visits more than
-    ``BNB_BUDGET`` nodes (read once per call), returns an uncertified
-    (lower, upper) range whose upper end is the root's relaxation bound;
-    with ``stop_at`` the search exits once the lower bound reaches it.
+    ``BNB_BUDGET`` nodes (read once per call) before reaching ``stop_at``,
+    returns an uncertified (lower, upper) range whose upper end is the
+    root's relaxation bound.
     """
-    live = m if isinstance(m, LiveTriangles) else LiveTriangles(m.base, m.multiplicity)
     triples = live.triangles
     if not triples:
         return PackingCount(0, 0)
@@ -316,7 +308,7 @@ def max_triangle_packing(m: Multigraph | LiveTriangles,
     root = live.live_copies
 
     best = _greedy_triangles(triples, mult)
-    if stop_at is not None and best >= stop_at:
+    if best >= stop_at:
         return PackingCount(best, best)
     nodes = 0
     budget_hit = False
@@ -331,7 +323,7 @@ def max_triangle_packing(m: Multigraph | LiveTriangles,
         if i == len(triples):
             best = max(best, count)
             return
-        if count + rest // 3 <= best or (stop_at is not None and best >= stop_at):
+        if count + rest // 3 <= best or best >= stop_at:
             return
         e1, e2, e3 = triples[i]
         gone = leaving[i]  # edges of triangle i only, each losing every take
@@ -348,11 +340,11 @@ def max_triangle_packing(m: Multigraph | LiveTriangles,
             mult[e1] += take
             mult[e2] += take
             mult[e3] += take
-            if budget_hit or (stop_at is not None and best >= stop_at):
+            if budget_hit or best >= stop_at:
                 return
 
     dfs(0, 0, root)
-    if budget_hit and (stop_at is None or best < stop_at):
+    if budget_hit and best < stop_at:
         return PackingCount(best, root // 3)
     return PackingCount(best, best)
 
@@ -369,10 +361,10 @@ def _greedy_triangles(triples, mult) -> int:
     return count
 
 
-def has_triangle_packing(m: Multigraph | LiveTriangles, k: int) -> bool | None:
-    """True iff the copies pack k edge-disjoint triangles; None when the
-    branch-and-bound budget runs out before that is decided."""
-    pc = max_triangle_packing(m, stop_at=k)
+def has_triangle_packing(live: LiveTriangles, k: int) -> bool | None:
+    """True iff the live copies pack k edge-disjoint triangles; None when
+    the branch-and-bound budget runs out before that is decided."""
+    pc = max_triangle_packing(live, stop_at=k)
     if pc.lower >= k:
         return True
     return None if pc.upper >= k else False

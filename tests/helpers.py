@@ -3,9 +3,15 @@
 ``lemma2_bound`` is one cell of :func:`fpplab.chain.lemma2_grid`,
 ``max_identity_error`` reads the unit-drift identity off an
 :class:`fpplab.chain.ExactSolution`, ``variance_by_first_step`` is a second
-route to its moments, ``max_spanning_tree_packing`` counts trees with
-:class:`fpplab.multigraph.ForestUnion`, and ``validate_rate_monotone``
-samples the growth condition of :class:`fpplab.growth.GrowthConfig`'s rate.
+route to its moments, ``fed`` adds a multiplicity vector's edge copies to a
+:class:`fpplab.multigraph.ForestUnion` or
+:class:`fpplab.multigraph.LiveTriangles` one at a time,
+``max_spanning_tree_packing`` counts trees with such a union, and
+``validate_rate_monotone`` samples the growth condition of
+:class:`fpplab.growth.GrowthConfig`'s rate.  ``adjacency`` and ``edge_ids``
+read a graph's neighbours off its edge array alone, not its CSR, for the
+pure-Python oracles, and ``edge_list_text`` writes a graph as the edge
+list that :func:`fpplab.graphs.parse_edge_list` reads.
 ``Replay`` hands a run's block row to a reference simulator, then its own
 stream.  ``traced_peak`` measures the memory a call allocates, and
 ``TUPLE_FAMILIES`` builds the graph families edge tuple by edge tuple, the
@@ -21,7 +27,7 @@ import numpy as np
 
 from fpplab import chain
 from fpplab.chain import ChainSpec, ExactSolution, lemma2_grid
-from fpplab.graphs import GraphValidationError, Multigraph, WeightedGraph
+from fpplab.graphs import GraphValidationError, WeightedGraph
 from fpplab.multigraph import ForestUnion
 
 
@@ -50,16 +56,51 @@ def variance_by_first_step(spec: ChainSpec) -> tuple[float, float]:
     return float(h[0]), float(m2[0] - h[0] ** 2)
 
 
-def max_spanning_tree_packing(m: Multigraph) -> int:
-    """Maximum number of edge-disjoint spanning trees (0 if the multigraph
-    is disconnected): one union, grown while all its forests span."""
-    n = m.base.n
-    if n <= 1:
+def fed(packing, multiplicity):
+    """``packing``, a fresh ForestUnion or LiveTriangles, after one
+    ``add`` per edge copy, edge by edge in edge order."""
+    for e, count in enumerate(multiplicity):
+        for _ in range(count):
+            packing.add(e)
+    return packing
+
+
+def max_spanning_tree_packing(g: WeightedGraph, multiplicity) -> int:
+    """Maximum number of edge-disjoint spanning trees in the multigraph of
+    ``multiplicity`` copies of g's edges (0 if it is disconnected): one
+    union, grown while all its forests span."""
+    if g.n <= 1:
         return 0
-    union = ForestUnion.of(m)
-    while union.rank == len(union.forests) * (n - 1):
+    union = fed(ForestUnion(g), multiplicity)
+    while union.rank == len(union.forests) * (g.n - 1):
         union.grow()
     return len(union.forests) - 1
+
+
+def adjacency(g: WeightedGraph) -> list[list[tuple[int, int]]]:
+    """Per vertex, its ``(neighbour, edge id)`` pairs in increasing
+    neighbour order, read off the edge array alone."""
+    adj = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edge_array().tolist()):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    return [sorted(row) for row in adj]
+
+
+def edge_ids(g: WeightedGraph) -> dict[tuple[int, int], int]:
+    """The edge id of each ordered vertex pair ``(u, v)`` joined by an
+    edge, both ways round, read off the edge array alone."""
+    ends = g.edge_array().tolist()
+    return {**{(u, v): e for e, (u, v) in enumerate(ends)},
+            **{(v, u): e for e, (u, v) in enumerate(ends)}}
+
+
+def edge_list_text(g: WeightedGraph) -> str:
+    """g as edge-list text, one ``u v w`` line per edge in edge order, the
+    vertex names and ``repr`` of each weight."""
+    names = g.vertices
+    return "".join(f"{names[u]} {names[v]} {w!r}\n"
+                   for (u, v), w in zip(g.edge_array().tolist(), g.weight_array().tolist()))
 
 
 class RateMonotonicityError(ValueError):

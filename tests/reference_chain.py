@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import SimpleNamespace
 
+from helpers import adjacency
+
 
 @dataclass
 class ReferenceSolution:
@@ -37,15 +39,17 @@ class ReferenceSolution:
 def fpp_spec(g, source: int, target: int):
     """The reached-vertex-set chain of FPP on ``g``: from S, vertex y joins
     at w(S, y), the rates of the edges from S into y summed over the
-    members of S in increasing order; successors in increasing y."""
+    members of S in increasing order; successors in increasing y.  The
+    neighbours are read off the edge array, not the CSR."""
     weights = g.weight_array().tolist()
+    adj = adjacency(g)
 
     def transitions(mask: int):
         rates: dict[int, float] = {}
         for s in range(g.n):
             if not (mask >> s) & 1:
                 continue
-            for y, e in g.neighbors(s):
+            for y, e in adj[s]:
                 if not (mask >> y) & 1:
                     rates[y] = rates.get(y, 0.0) + weights[e]
         return [(mask | (1 << y), w) for y, w in sorted(rates.items())]

@@ -31,6 +31,7 @@ import numpy as np
 from fpplab.fpp import FppBatch, _along_path, _Lumped, sample_traversal
 from fpplab.graphs import WeightedGraph
 from fpplab.stats import TINY, blocks
+from helpers import adjacency, edge_ids
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,11 @@ class FppResult:
 
 
 def shortest_path(g: WeightedGraph, xi: np.ndarray, source: int, target: int) -> FppResult:
-    """Dijkstra under edge lengths ``xi``, ties broken lexicographically."""
+    """Dijkstra under edge lengths ``xi``, ties broken lexicographically,
+    on an adjacency read off the edge array, not the CSR."""
     if source == target:
         raise ValueError("source and target must differ")
+    adj, ids = adjacency(g), edge_ids(g)
     settled = set()
     heap = [(0.0, (source,))]
     while heap:
@@ -54,10 +57,10 @@ def shortest_path(g: WeightedGraph, xi: np.ndarray, source: int, target: int) ->
             continue
         settled.add(v)
         if v == target:
-            edges = tuple(g.edge_index(path[i], path[i + 1]) for i in range(len(path) - 1))
+            edges = tuple(ids[path[i], path[i + 1]] for i in range(len(path) - 1))
             return FppResult(X=dist, path=path, path_edges=edges,
                              Xi=max(float(xi[e]) for e in edges))
-        for u, e in g.neighbors(v):
+        for u, e in adj[v]:
             if u not in settled:
                 heapq.heappush(heap, (dist + float(xi[e]), path + (u,)))
     raise RuntimeError("target unreachable; connected graphs cannot get here")

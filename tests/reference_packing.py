@@ -15,21 +15,20 @@ augmentation in ``fpplab.multigraph`` and serves as its oracle in
 
 from __future__ import annotations
 
-from fpplab.graphs import Multigraph
 
-
-def spanning_tree_packing_by_partition(m: Multigraph) -> int:
-    n = m.base.n
-    if n <= 1:
+def spanning_tree_packing_by_partition(g, multiplicity) -> int:
+    """Edge-disjoint spanning trees in ``multiplicity`` copies of g's edges."""
+    if g.n <= 1:
         return 0
-    return min(_crossing(m, labels) // max(labels)
-               for labels in _set_partitions(n) if max(labels) > 0)
+    return min(_crossing(g, multiplicity, labels) // max(labels)
+               for labels in _set_partitions(g.n) if max(labels) > 0)
 
 
-def forest_union_rank_by_partition(m: Multigraph, k: int) -> int:
-    n = m.base.n
-    return min(_crossing(m, labels) + k * (n - 1 - max(labels))
-               for labels in _set_partitions(n))
+def forest_union_rank_by_partition(g, multiplicity, k: int) -> int:
+    """How many of the ``multiplicity`` copies of g's edges fit into k
+    edge-disjoint forests."""
+    return min(_crossing(g, multiplicity, labels) + k * (g.n - 1 - max(labels))
+               for labels in _set_partitions(g.n))
 
 
 def min_cut_by_masks(g) -> tuple[float, int]:
@@ -50,9 +49,9 @@ def min_cut_by_masks(g) -> tuple[float, int]:
     return best, witness
 
 
-def _crossing(m: Multigraph, labels: list[int]) -> int:
+def _crossing(g, multiplicity, labels: list[int]) -> int:
     """Edge copies whose ends lie in different parts."""
-    return sum(count for (u, v), count in zip(m.base.edge_array().tolist(), m.multiplicity)
+    return sum(count for (u, v), count in zip(g.edge_array().tolist(), multiplicity)
                if labels[u] != labels[v])
 
 

@@ -20,6 +20,7 @@ from fpplab.graphs import (CapacityError, GraphParseError, GraphValidationError,
                            complete_graph)
 from fpplab.growth import GrowthConfig
 from fpplab.stats import BAND_SIGMAS, F_K_eval, SampleStats, wilson_band
+from helpers import edge_list_text
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.json"))
@@ -317,6 +318,24 @@ def test_family_over_the_edge_cap_exits_three_before_it_is_built(tmp_path, capsy
     cfg = dict(BASE, graph={"family": "grid", "args": {"rows": 4, "cols": 4}})
     assert run_scenario(write_cfg(tmp_path, cfg)) == 3
     assert "24 edges" in capsys.readouterr().err
+
+
+def test_a_far_growth_target_exits_three_before_its_window_is_built(tmp_path, capsys):
+    # the first window of a target 100 000 sites out would hold 4 * 10**10
+    # cells, terabytes of rates
+    scenario = json.loads((SCENARIO_DIR / "growth_cross.json").read_text())
+    scenario["growth"]["target"] = [[100000, 0]]
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, scenario), out_dir=out) == 3
+    err = capsys.readouterr().err
+    assert "error (capacity)" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_clean_writes_string_keys_and_non_finite_floats_by_repr():
+    result = {1: [math.inf, (2.5, -math.inf)], "a": {3: math.nan}, "b": None, "c": True}
+    assert cli._clean(result) == {"1": ["inf", [2.5, "-inf"]], "a": {"3": "nan"}, "b": None,
+                                  "c": True}
 
 
 def test_assertion_failure_exit_one(tmp_path, capsys):
@@ -799,7 +818,7 @@ def _scaled_verdicts(tmp_path, graph, scale, name):
     rate multiplied by ``scale``, read through ``fpplab run``."""
     scaled = type(graph)(graph.vertices, graph.edge_array(), graph.weight_array() * scale)
     cfg = {"schema_version": 1, "process": "fpp", "runs": 200, "seed": 3,
-           "graph": {"edge_list": scaled.to_edge_list()},
+           "graph": {"edge_list": edge_list_text(scaled)},
            "checks": ["lemma1", "lemma2", "prop4", "coupling_lower"]}
     out = tmp_path / name
     run_scenario(write_cfg(tmp_path, cfg, f"{name}.json"), out_dir=out)

@@ -37,18 +37,19 @@ from fpplab.graphs import (
 )
 from fpplab.stats import BLOCK_CELLS, SampleStats, block_runs
 import reference_fpp
-from helpers import traced_peak
+from helpers import adjacency, edge_ids, traced_peak
 from reference_fpp import shortest_path
 
 
 def all_simple_paths(g, source, target):
     out = []
+    adj = adjacency(g)
 
     def dfs(v, seen, path):
         if v == target:
             out.append(tuple(path))
             return
-        for u, e in g.neighbors(v):
+        for u, e in adj[v]:
             if u not in seen:
                 seen.add(u)
                 path.append(u)
@@ -61,7 +62,8 @@ def all_simple_paths(g, source, target):
 
 
 def path_cost(g, xi, path):
-    return sum(float(xi[g.edge_index(path[i], path[i + 1])]) for i in range(len(path) - 1))
+    ids = edge_ids(g)
+    return sum(float(xi[ids[path[i], path[i + 1]]]) for i in range(len(path) - 1))
 
 
 def test_traversal_from_uniform():

@@ -11,7 +11,6 @@ from fpplab.graphs import (
     CapacityError,
     GraphParseError,
     GraphValidationError,
-    Multigraph,
     WeightedGraph,
     bridge_graph,
     complete_graph,
@@ -24,7 +23,14 @@ from fpplab.graphs import (
 )
 
 import reference_packing
-from helpers import TUPLE_FAMILIES, traced_peak
+from helpers import TUPLE_FAMILIES, adjacency, edge_ids, edge_list_text, traced_peak
+
+
+def csr_rows(g):
+    """Per vertex, its ``(neighbour, edge id)`` pairs as the CSR lists them."""
+    start, nbr, eid = (a.tolist() for a in g.csr)
+    return [list(zip(nbr[start[u]:start[u + 1]], eid[start[u]:start[u + 1]]))
+            for u in range(g.n)]
 
 
 def test_parse_basic():
@@ -143,14 +149,6 @@ def test_two_long_path_components_are_not_connected(seed):
     assert WeightedGraph(names, joined, (1.0,) * len(joined)).m == 2000 - 1
 
 
-def test_edge_index_and_neighbors():
-    g = path_graph(3)
-    assert g.edge_index(0, 1) == 0
-    assert g.edge_index(1, 0) == 0
-    assert g.edge_index(0, 2) is None
-    assert [v for v, _ in g.neighbors(1)] == [0, 2]
-
-
 def test_weight_array_is_built_once_and_read_only():
     g = bridge_graph(3, 3, 0.1)
     w = g.weight_array()
@@ -165,9 +163,10 @@ def test_triangles_match_brute_force_and_are_built_once(seed):
     rng = np.random.default_rng(seed)
     g = random_gnp_graph(int(rng.integers(3, 10)), 0.6, (0.5, 2.0), rng)
     assert "triangles" not in vars(g)  # construction does not enumerate them
-    brute = [(g.edge_index(u, v), g.edge_index(v, w), g.edge_index(u, w))
+    ids = edge_ids(g)
+    brute = [(ids.get((u, v)), ids.get((v, w)), ids.get((u, w)))
              for u, v, w in itertools.combinations(range(g.n), 3)
-             if None not in (g.edge_index(u, v), g.edge_index(v, w), g.edge_index(u, w))]
+             if None not in (ids.get((u, v)), ids.get((v, w)), ids.get((u, w)))]
     assert list(g.triangles) == brute
     assert g.triangles is g.triangles
 
@@ -244,10 +243,10 @@ def test_array_validation_raises_what_the_edge_loop_raised(case):
         assert str(got.value) == str(exc)
     else:
         g = WeightedGraph(vertices, edges, weights)
+        rows = csr_rows(g)
         for (u, v), i in zip(edges, range(len(edges))):
-            assert g.edge_index(u, v) == g.edge_index(v, u) == i
-        assert [len(g.neighbors(u)) for u in range(n)] == [
-            sum(u in e for e in edges) for u in range(n)]
+            assert (v, i) in rows[u] and (u, i) in rows[v]
+        assert [len(row) for row in rows] == [sum(u in e for e in edges) for u in range(n)]
 
 
 def test_self_loop_past_the_names_is_out_of_range():
@@ -265,13 +264,14 @@ def test_one_weight_per_edge():
 
 
 def test_adjacency_is_built_on_first_use():
-    # one cache, the CSR, made from the edge array; edge_index, neighbors
-    # and triangles read it
+    # one cache, the CSR, made from the edge array; triangles read it
     g = complete_graph(6)
     assert "csr" not in vars(g)
-    assert g.edge_index(4, 2) == 10 and g.edge_index(2, 2) is None
+    assert len(g.triangles) == 20
     assert "csr" in vars(g) and g.csr is g.csr
-    assert [v for v, _ in g.neighbors(3)] == [0, 1, 2, 4, 5] and len(g.triangles) == 20
+    rows = csr_rows(g)
+    assert (2, 10) in rows[4] and all(v != 2 for v, _ in rows[2])
+    assert [v for v, _ in rows[3]] == [0, 1, 2, 4, 5] and rows == adjacency(g)
     start, nbr, eid = g.csr
     assert not any(a.flags.writeable for a in g.csr)
     assert start.tolist() == list(range(0, 31, 5))
@@ -339,11 +339,11 @@ def named_edges(g):
 def test_edge_list_round_trip(g):
     # serializing and re-parsing preserves the named weighted graph exactly,
     # whatever the weights: ``repr`` writes at most 17 significant digits
-    g2 = parse_edge_list(g.to_edge_list())
+    g2 = parse_edge_list(edge_list_text(g))
     assert set(g2.vertices) == set(g.vertices)
     assert named_edges(g2) == named_edges(g)
     # parse -> serialize -> parse is a fixpoint: identical storage too
-    g3 = parse_edge_list(g2.to_edge_list())
+    g3 = parse_edge_list(edge_list_text(g2))
     assert g3.vertices == g2.vertices
     assert np.array_equal(g3.edge_array(), g2.edge_array())
     assert g3.weight_array().tobytes() == g2.weight_array().tobytes()
@@ -423,14 +423,3 @@ def test_random_gnp_rejects_p_outside_unit_interval_before_drawing(p):
 def test_random_gnp_with_p_one_is_complete():
     g = random_gnp_graph(5, 1.0, (1.0, 1.0), np.random.default_rng(0))
     assert g.m == 10
-
-
-def test_multigraph_validation():
-    g = path_graph(3)
-    m = Multigraph(g, (2, 0))
-    assert m.total_edges == 2
-    assert m.add_copy(1).multiplicity == (2, 1)
-    with pytest.raises(ValueError):
-        Multigraph(g, (1,))
-    with pytest.raises(ValueError):
-        Multigraph(g, (1, -1))

@@ -5,13 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_growth
-from helpers import RateMonotonicityError, Replay, validate_rate_monotone
+from helpers import RateMonotonicityError, Replay, traced_peak, validate_rate_monotone
 from fpplab import cli, growth
 from fpplab.chain import ChainSpec, solve_discrete, solve_hitting
-from fpplab.graphs import WeightedGraph, grid_graph, path_graph, random_gnp_graph
+from fpplab.graphs import CapacityError, WeightedGraph, grid_graph, path_graph, random_gnp_graph
 from fpplab.growth import (
     RATE_BUILTINS,
     GrowthConfig,
@@ -272,15 +272,25 @@ def _coverage_graphs(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(g=_coverage_graphs(), row=st.sampled_from([1, 3, 32]), seed=st.integers(0, 2**32 - 1))
+@example(g=grid_graph(3, 4), row=32, seed=5)
 def test_coverage_kernel_equals_the_per_run_loop(g, row, seed):
     # blocks of 8 runs, so 20 runs span three; with rows of 1 or 3 draws
     # every run on more than three vertices reads on from its stream, some
-    # over many rounds
+    # over many rounds.  A block's rows go through in chunks whose tables
+    # fit ROW_CELLS: grid 3x4's closed neighbourhoods hold 46 entries, so
+    # its 8-row blocks go through in chunks of 5 and 3 rows
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(growth, "COVERAGE_ROW", row)
         mp.setattr(growth, "ROW_CELLS", 8 * row)
         _assert_bitwise_equal(coverage_samples(g, 20, seed),
                               reference_growth.coverage_samples(g, 20, seed))
+
+
+def test_coverage_memory_does_not_grow_with_the_graph():
+    # one 1 024-row block on grid 20x20 (n + 2m = 1 920): whole-block tables
+    # of first draws would take about 27 MB, chunks within ROW_CELLS under 1
+    _, peak, _ = traced_peak(lambda: coverage_samples(grid_graph(20, 20), 1024, 3))
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +478,17 @@ def test_a_rerun_window_checks_its_rates(monkeypatch):
     growth._window(cfg, 4)
     with pytest.raises(ValueError, match=r"rate 2.0 escapes the stated bounds \[1.0, 1.0\]"):
         growth_samples(cfg, 300, 27)
+
+
+def test_a_rerun_window_past_the_cap_raises(monkeypatch):
+    # with no margin the first window's border runs through the target,
+    # and the cap admits the 7x7 first window but not the 13x13 rerun one
+    cfg = GrowthConfig.builtin([[3, 0]], "constant", c=1.0)
+    monkeypatch.setattr(growth, "WINDOW_MARGIN", 0)
+    monkeypatch.setattr(growth, "WINDOW_CELLS", 100)
+    growth._window(cfg, 3)
+    with pytest.raises(CapacityError, match="radius 6 holds 169 cells, past the cap of 100"):
+        growth_samples(cfg, 300, 31)
 
 
 def _neumaier_sum(values, start=0):

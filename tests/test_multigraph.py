@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fpplab import multigraph
-from fpplab.graphs import (Multigraph, bridge_graph, complete_graph, grid_graph, parse_edge_list,
-                           path_graph, random_gnp_graph)
+from fpplab.graphs import (bridge_graph, complete_graph, grid_graph, parse_edge_list, path_graph,
+                           random_gnp_graph)
 from fpplab.stats import ROW_CELLS, RowStream, blocks
 from fpplab.multigraph import (
     CHUNK,
@@ -24,28 +24,46 @@ from fpplab.multigraph import (
     sample_stopping_times,
     stopping_times,
 )
-from helpers import max_spanning_tree_packing, traced_peak
+from helpers import fed, max_spanning_tree_packing, traced_peak
 from reference_packing import forest_union_rank_by_partition, spanning_tree_packing_by_partition
 
 C4 = parse_edge_list("a b 1\nb c 1\nc d 1\na d 1")
 
 
 def unit_multi(g, count=1):
-    return Multigraph(g, (count,) * g.m)
+    return (count,) * g.m
+
+
+def union_of(g, multiplicity, forests):
+    """A ForestUnion of ``forests`` forests fed ``multiplicity``'s copies."""
+    union = fed(ForestUnion(g), multiplicity)
+    for _ in range(forests - 1):
+        union.grow()
+    return union
+
+
+def max_triangles(g, multiplicity):
+    """The triangle packing count of ``multiplicity``'s copies, by a search
+    that no packing stops early."""
+    live = fed(LiveTriangles(g), multiplicity)
+    return max_triangle_packing(live, live.live_copies // 3 + 1)
 
 
 def test_spanning_tree_packing_anchors():
-    assert max_spanning_tree_packing(unit_multi(C4)) == 1
-    assert max_spanning_tree_packing(unit_multi(complete_graph(4))) == 2
-    assert max_spanning_tree_packing(unit_multi(complete_graph(3), 2)) == 3
-    assert max_spanning_tree_packing(unit_multi(path_graph(4))) == 1
-    assert max_spanning_tree_packing(Multigraph(path_graph(3), (1, 0))) == 0
+    assert max_spanning_tree_packing(C4, unit_multi(C4)) == 1
+    k4 = complete_graph(4)
+    assert max_spanning_tree_packing(k4, unit_multi(k4)) == 2
+    k3 = complete_graph(3)
+    assert max_spanning_tree_packing(k3, unit_multi(k3, 2)) == 3
+    p4 = path_graph(4)
+    assert max_spanning_tree_packing(p4, unit_multi(p4)) == 1
+    assert max_spanning_tree_packing(path_graph(3), (1, 0)) == 0
 
 
 def test_has_spanning_tree_packing_consistent():
-    m = unit_multi(complete_graph(4))
-    assert has_spanning_tree_packing(m, 2)
-    assert not has_spanning_tree_packing(m, 3)
+    g = complete_graph(4)
+    assert has_spanning_tree_packing(union_of(g, unit_multi(g), 2), 2)
+    assert not has_spanning_tree_packing(union_of(g, unit_multi(g), 3), 3)
 
 
 @settings(max_examples=80, deadline=None)
@@ -55,21 +73,21 @@ def test_augmentation_agrees_with_partition_oracle(seed):
     n = int(rng.integers(3, 6))
     g = random_gnp_graph(n, 0.7, (1.0, 1.0), rng)
     mult = tuple(int(rng.integers(0, 4)) for _ in range(g.m))
-    m = Multigraph(g, mult)
-    assert max_spanning_tree_packing(m) == spanning_tree_packing_by_partition(m)
+    assert max_spanning_tree_packing(g, mult) == spanning_tree_packing_by_partition(g, mult)
 
 
 def test_triangle_packing_anchors():
-    pc = max_triangle_packing(unit_multi(complete_graph(4)))
+    k4, k3, k6 = complete_graph(4), complete_graph(3), complete_graph(6)
+    pc = max_triangles(k4, unit_multi(k4))
     assert pc.certified and pc.lower == 1
-    pc = max_triangle_packing(unit_multi(complete_graph(3), 2))
+    pc = max_triangles(k3, unit_multi(k3, 2))
     assert pc.certified and pc.lower == 2
-    pc = max_triangle_packing(unit_multi(complete_graph(6)))
+    pc = max_triangles(k6, unit_multi(k6))
     assert pc.certified and pc.lower == 4
-    pc = max_triangle_packing(unit_multi(C4))  # triangle-free
+    pc = max_triangles(C4, unit_multi(C4))  # triangle-free
     assert pc.certified and pc.lower == 0
-    assert has_triangle_packing(unit_multi(complete_graph(6)), 4)
-    assert not has_triangle_packing(unit_multi(complete_graph(6)), 5)
+    assert has_triangle_packing(fed(LiveTriangles(k6), unit_multi(k6)), 4)
+    assert not has_triangle_packing(fed(LiveTriangles(k6), unit_multi(k6)), 5)
 
 
 @settings(max_examples=50, deadline=None)
@@ -77,20 +95,22 @@ def test_triangle_packing_anchors():
 def test_packing_monotone_under_edge_addition(seed):
     rng = np.random.default_rng(seed)
     g = complete_graph(int(rng.integers(3, 6)))
-    m = Multigraph(g, tuple(int(c) for c in rng.integers(0, 3, size=g.m)))
-    m2 = m.add_copy(int(rng.integers(g.m)))
-    assert max_spanning_tree_packing(m2) >= max_spanning_tree_packing(m)
-    assert max_triangle_packing(m2).lower >= max_triangle_packing(m).lower
+    m = [int(c) for c in rng.integers(0, 3, size=g.m)]
+    m2 = list(m)
+    m2[int(rng.integers(g.m))] += 1
+    assert max_spanning_tree_packing(g, m2) >= max_spanning_tree_packing(g, m)
+    assert max_triangles(g, m2).lower >= max_triangles(g, m).lower
 
 
 def test_triangle_budget_gives_uncertified_range(monkeypatch):
-    m = unit_multi(complete_graph(6), 3)
+    g = complete_graph(6)
+    m = unit_multi(g, 3)
     with monkeypatch.context() as mp:
         mp.setattr(multigraph, "BNB_BUDGET", 5)
-        pc = max_triangle_packing(m)
+        pc = max_triangles(g, m)
     assert not pc.certified
     assert pc.lower <= pc.upper
-    exact = max_triangle_packing(m)
+    exact = max_triangles(g, m)
     assert exact.certified
     assert pc.lower <= exact.lower <= pc.upper
 
@@ -188,9 +208,9 @@ def test_scan_stops_at_the_first_prefix_that_packs_k(seed, kind):
         got = stopping_times(traj, ks, kind)
 
     def packs(j):  # packing number of the first j + 1 arrivals, from scratch
-        mult = np.bincount(traj.edge_ids[:j + 1], minlength=g.m)
-        m = Multigraph(g, tuple(int(c) for c in mult))
-        return max_spanning_tree_packing(m) if kind == "span" else max_triangle_packing(m).lower
+        mult = np.bincount(traj.edge_ids[:j + 1], minlength=g.m).tolist()
+        return (max_spanning_tree_packing(g, mult) if kind == "span"
+                else max_triangles(g, mult).lower)
 
     first = {}  # k -> the first prefix whose packing number reaches k
     for j in range(len(traj.times)):
@@ -214,8 +234,7 @@ def test_forest_union_rank_matches_partition_formula(seed):
     mult = [0] * g.m
 
     def check():
-        m = Multigraph(g, tuple(mult))
-        assert union.rank == forest_union_rank_by_partition(m, len(union.forests))
+        assert union.rank == forest_union_rank_by_partition(g, mult, len(union.forests))
 
     for e in rng.integers(0, g.m, size=int(rng.integers(1, 4 * n))):
         rank = union.rank
@@ -244,8 +263,8 @@ def test_live_triangles_follow_the_arrivals():
             later = {x for t in live.triangles[i + 1:] for x in t}
             assert sorted(gone) == sorted(set(live.triangles[i]) - later)
         assert live.live_copies == sum(mult[x] for x in {x for t in live.triangles for x in t})
-        fresh = Multigraph(g, tuple(mult))
-        assert max_triangle_packing(live) == max_triangle_packing(fresh)
+        everything = live.live_copies // 3 + 1
+        assert max_triangle_packing(live, everything) == max_triangles(g, mult)
 
 
 def test_undecided_triangle_probes_are_counted(monkeypatch):
