@@ -107,7 +107,8 @@ class _Chain:
 @dataclass
 class ExactSolution:
     """Per-state arrays are aligned with ``states``; ``states[0]`` is the
-    initial state.  Target states have zero ``h``, time, ``a`` and ``b``."""
+    initial state.  ``a`` is each state's sum over its transitions of
+    rate * decrement**2.  Target states have zero ``h``, time and ``a``."""
 
     states: np.ndarray
     is_target: np.ndarray
@@ -118,15 +119,10 @@ class ExactSolution:
     var_T: float
     kappa: float
     a: np.ndarray
-    b: np.ndarray
     src: np.ndarray = field(repr=False)
     dst: np.ndarray = field(repr=False)
     rate: np.ndarray = field(repr=False)
     decrement: np.ndarray = field(repr=False)  # h[src] - h[dst] per transition
-
-    @property
-    def initial(self) -> int:
-        return int(self.states[0])
 
     def monotone_h(self) -> bool:
         """h never increases along any enumerated transition, up to
@@ -270,7 +266,7 @@ def _solve(chain: _Chain) -> ExactSolution:
     visit_prob = np.zeros(n)
     visit_prob[chain.roots] = 1.0
     decrement = np.empty(len(src))
-    a, b = np.zeros(n), np.zeros(n)
+    a = np.zeros(n)
     for lo, hi, e0, e1 in chain.layer_slices:  # predecessors first
         if e0 == e1:
             continue
@@ -282,7 +278,6 @@ def _solve(chain: _Chain) -> ExactSolution:
         np.subtract(h[s], h[d], out=dec)
         local = s - lo
         a[lo:hi] = np.bincount(local, r * dec**2, minlength=hi - lo)
-        b[lo:hi] = np.bincount(local, r * dec, minlength=hi - lo)
 
     live = q > 0
     expected_time_in = np.zeros(n)
@@ -291,7 +286,7 @@ def _solve(chain: _Chain) -> ExactSolution:
         states=chain.states, is_target=chain.is_target, h=h, visit_prob=visit_prob,
         expected_time_in=expected_time_in, E_T=float(expected_time_in.sum()),
         var_T=float(np.dot(expected_time_in, a)),
-        kappa=float(decrement.max()) if decrement.size else 0.0, a=a, b=b,
+        kappa=float(decrement.max()) if decrement.size else 0.0, a=a,
         src=src, dst=dst, rate=rate, decrement=decrement,
     )
 

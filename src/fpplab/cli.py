@@ -87,6 +87,16 @@ RANDOM_CANDIDATES = 8
 RANDOM_ROWS = 4096
 
 
+# the keys a config, its graph, its growth and its growth rate may set
+CONFIG_KEYS = {
+    "config": {"schema_version", "process", "graph", "growth", "source", "target", "runs",
+               "seed", "checks", "out"},
+    "graph": {"edge_list", "path", "family", "args"},
+    "growth": {"radius", "target", "rate"},
+    "growth rate": {"kind", "params"},
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -274,11 +284,11 @@ def _check_coupling_lower(ctx, params):
     b = params.get("b", 2.0 * sol.E_T)
     if not 0 < a < b:  # a given bound against the other's default
         raise ConfigError("coupling interval needs 0 < a < b")
-    batch = sample_coupling_batch(ctx.graph(), s, t, params["runs"],
-                                  ctx.check_seed("coupling_lower"), a, b)
-    increment = batch.X_prime - batch.X
+    X, X_prime, increment_bound = sample_coupling_batch(
+        ctx.graph(), s, t, params["runs"], ctx.check_seed("coupling_lower"), a, b)
+    increment = X_prime - X
     # rounding allowance on the scale of the times, so slow rates do not fail it
-    bound_ok = bool(np.all(increment <= batch.increment_bound + chain.REL_TOL * (b - a)))
+    bound_ok = bool(np.all(increment <= increment_bound + chain.REL_TOL * (b - a)))
     stats = SampleStats.from_samples(increment ** 2)
     rhs = 0.25 * stats.mean
     holds, inconclusive = band_verdict(rhs, sol.var_T, BAND_SIGMAS * 0.25 * stats.mean_se)
@@ -366,7 +376,8 @@ def _check_prop2(ctx, params):
     ks, kinds, runs = params["ks"], params["kinds"], params["runs"]
     if "tria" in kinds and not g.triangles:
         raise ConfigError("prop2 kind 'tria' needs a graph with a triangle")
-    gamma, _ = min_cut_weight(g)
+    # only the spanning-tree mean bound reads gamma
+    gamma = min_cut_weight(g) if "span" in kinds else None
     uncertified = Counter()
     samples = sample_stopping_times(g, ks, runs, ctx.check_seed("prop2"), kinds=kinds,
                                     uncertified=uncertified)
@@ -589,6 +600,15 @@ def _clean(obj):
 def _validate_config(cfg):
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    _known_keys(cfg, "config")
+    if "graph" in cfg:
+        graph = _known_keys(_typed(cfg["graph"], dict, "graph"), "graph")
+        if sum(key in graph for key in ("edge_list", "path", "family")) != 1:
+            raise ConfigError("graph entry needs exactly one of: edge_list, path, family")
+        if "args" in graph and "family" not in graph:
+            raise ConfigError("graph args go with a family")
+    growth = _known_keys(_typed(cfg.get("growth", {}), dict, "growth"), "growth")
+    _known_keys(_typed(growth.get("rate", {}), dict, "growth rate"), "growth rate")
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     process = cfg.get("process")
@@ -628,6 +648,13 @@ def _validate_config(cfg):
         values["runs"] = _integer(values.get("runs", runs), f"{name} runs", meta["min_runs"])
         parsed.append((name, values))
     return parsed
+
+
+def _known_keys(entry, what):
+    """``entry`` itself if it sets no key but ``CONFIG_KEYS[what]``."""
+    if unknown := sorted(set(entry) - CONFIG_KEYS[what]):
+        raise ConfigError(f"{what} takes no key {unknown[0]!r}")
+    return entry
 
 
 def _integer(value, what, minimum):

@@ -49,20 +49,6 @@ from .stats import (TINY, band_verdict, blocks, exponential_in_place, python_val
                     wilson_band)
 
 
-def traversal_from_uniform(u, w):
-    """Inverse-transform map: xi = -ln(u)/w turns Uniform[0,1) draws into
-    Exponential(rate w) traversal times.  A draw u == 0 (probability 2**-53)
-    reads as the smallest positive double, so xi stays finite and strictly
-    positive without consuming another draw."""
-    return exponential_in_place(np.array(u, dtype=float), w)
-
-
-def sample_traversal(g: WeightedGraph, rng: np.random.Generator, runs: int) -> np.ndarray:
-    """A ``(runs, m)`` block of traversal times, independent Exp(w_e) per
-    edge, one row per run."""
-    return exponential_in_place(rng.random((runs, g.m)), g.weight_array())
-
-
 # ---------------------------------------------------------------------------
 # Lock-step Dijkstra over a block of runs (cross-checked in the tests against
 # a pure-Python Dijkstra, and bit for bit against the dense-table kernel)
@@ -188,7 +174,8 @@ def sample_dijkstra_batch(g: WeightedGraph, source: int, target: int, runs: int,
     batch = FppBatch(X=np.empty(runs), Xi=np.empty(runs),
                      path_len=np.empty(runs, dtype=np.int64))
     for rng, part in blocks(seed, runs, g.m):
-        xi = sample_traversal(g, rng, part.stop - part.start)
+        xi = exponential_in_place(rng.random((part.stop - part.start, g.m)),
+                                  g.weight_array())
         batch.X[part], edges = _lockstep_dijkstra(g, xi, source, target)
         batch.Xi[part] = _along_path(xi, edges).max(axis=1)
         batch.path_len[part] = (edges != g.m).sum(axis=1)
@@ -375,15 +362,6 @@ def prop4_check(sol: ExactSolution, g: WeightedGraph) -> dict:
 # ---------------------------------------------------------------------------
 # Resampling coupling: redraw the traversal times falling in [a, b]
 
-@dataclass
-class CouplingBatch:
-    X: np.ndarray
-    X_prime: np.ndarray
-    # per run, the right side of the pathwise bound X' - X <= sum over D_ab
-    # of (xi' - xi), D_ab the base path's edges with xi in [a, b]
-    increment_bound: np.ndarray
-
-
 def conditioned_exponential(w, a: float, b: float, u):
     """Inverse-CDF draw of Exponential(w) conditioned to [a, b]; exact, no
     rejection loop.  Elementwise over arrays ``w`` and ``u``."""
@@ -397,31 +375,31 @@ def coupled_resample(g: WeightedGraph, u: np.ndarray, a: float, b: float,
     """Couple a block of traversal times xi with copies xi' that agree off
     [a, b] and redraw the times in [a, b] from the conditioned exponential
     law.  ``u`` is a ``(k, 2, m)`` block of uniforms: ``u[:, 0]`` gives xi,
-    ``u[:, 1]`` the redraws.  Returns xi, xi' and the runs' CouplingBatch."""
+    made in place, so the block is used up, and ``u[:, 1]`` the redraws.
+    Returns the runs' X and X' and the right side of the pathwise bound
+    X' - X <= sum over D_ab of (xi' - xi), D_ab the base path's edges with
+    xi in [a, b]."""
     if not (0 < a < b):
         raise ValueError("need 0 < a < b")
     w = g.weight_array()
-    xi = traversal_from_uniform(u[:, 0], w)
+    xi = exponential_in_place(u[:, 0], w)
     inside = (a <= xi) & (xi <= b)
     xi_prime = np.where(inside, conditioned_exponential(w, a, b, u[:, 1]), xi)
     X, edges = _lockstep_dijkstra(g, xi, source, target)
     X_prime, _ = _lockstep_dijkstra(g, xi_prime, source, target)
-    increment = _along_path(np.where(inside, xi_prime - xi, 0.0), edges).sum(axis=1)
-    return xi, xi_prime, CouplingBatch(X=X, X_prime=X_prime, increment_bound=increment)
+    return X, X_prime, _along_path(np.where(inside, xi_prime - xi, 0.0), edges).sum(axis=1)
 
 
 def sample_coupling_batch(g: WeightedGraph, source: int, target: int, runs: int,
-                          seed, a: float, b: float) -> CouplingBatch:
+                          seed, a: float, b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``runs`` coupled pairs on the block streams of ``seed``: block j draws
-    ``random((k, 2, m))`` for :func:`coupled_resample`."""
-    batch = CouplingBatch(X=np.empty(runs), X_prime=np.empty(runs),
-                          increment_bound=np.empty(runs))
+    ``random((k, 2, m))`` for :func:`coupled_resample`.  Returns the three
+    arrays of :func:`coupled_resample` over all runs."""
+    out = np.empty((3, runs))
     for rng, part in blocks(seed, runs, 2 * g.m):
         u = rng.random((part.stop - part.start, 2, g.m))
-        _, _, block = coupled_resample(g, u, a, b, source, target)
-        batch.X[part], batch.X_prime[part] = block.X, block.X_prime
-        batch.increment_bound[part] = block.increment_bound
-    return batch
+        out[:, part] = coupled_resample(g, u, a, b, source, target)
+    return out[0], out[1], out[2]
 
 
 def submultiplicativity_probe(samples: np.ndarray, y1: float, y2: float) -> dict:

@@ -229,11 +229,9 @@ def parse_edge_list(text: str) -> WeightedGraph:
     return WeightedGraph(tuple(vertex_ids), tuple(edges), tuple(weights))
 
 
-def min_cut_weight(g: WeightedGraph) -> tuple[float, int]:
-    """Exhaustive minimum cut: min over proper nonempty S of w(S, S^c).
-
-    Returns ``(gamma, witness_bitmask)``, the witness the first minimal
-    mask.  Enumerates subsets containing vertex 0, which covers every
+def min_cut_weight(g: WeightedGraph) -> float:
+    """Exhaustive minimum cut: gamma, the min over proper nonempty S of
+    w(S, S^c).  Enumerates subsets containing vertex 0, which covers every
     bipartition once, a chunk of masks at a time; a chunk's cuts add the
     crossing rates one edge at a time, in edge order.
     """
@@ -245,7 +243,6 @@ def min_cut_weight(g: WeightedGraph) -> tuple[float, int]:
     if n < 2:
         raise GraphValidationError("min cut needs at least two vertices")
     best = math.inf
-    witness = 1
     edges = list(zip(g.edge_array().tolist(), g.weight_array().tolist()))
     halves = (1 << (n - 1)) - 1  # the last half makes the full mask, no cut
     chunk = 1 << 14
@@ -256,10 +253,8 @@ def min_cut_weight(g: WeightedGraph) -> tuple[float, int]:
         with np.errstate(over="ignore"):  # a cut past the largest double is inf, as in a float sum
             for (u, v), w in edges:
                 cut += w * (inside[u] != inside[v])
-        i = int(cut.argmin())
-        if cut[i] < best:
-            best, witness = float(cut[i]), int(mask[i])
-    return best, witness
+        best = min(best, float(cut.min()))
+    return best
 
 
 def twin_classes(g: WeightedGraph, source: int, target: int) -> np.ndarray:

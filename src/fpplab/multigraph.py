@@ -234,10 +234,6 @@ class PackingCount:
     lower: int
     upper: int
 
-    @property
-    def certified(self) -> bool:
-        return self.lower == self.upper
-
 
 class LiveTriangles:
     """Copies per base edge, and the live triangles: the base triangles

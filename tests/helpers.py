@@ -38,9 +38,11 @@ def lemma2_bound(sol: ExactSolution, delta: float, epsilon: float) -> dict:
 
 def max_identity_error(sol: ExactSolution) -> float:
     """Worst deviation of the unit-drift identity b(S) = 1 over reachable
-    non-target states."""
+    non-target states, b(S) the sum over S's transitions of rate times
+    h-decrement, added in transition order."""
     live = ~sol.is_target
-    return float(np.abs(sol.b[live] - 1.0).max()) if live.any() else 0.0
+    b = np.bincount(sol.src, sol.rate * sol.decrement, minlength=len(sol.states))
+    return float(np.abs(b[live] - 1.0).max()) if live.any() else 0.0
 
 
 def variance_by_first_step(spec: ChainSpec) -> tuple[float, float]:

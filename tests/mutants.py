@@ -9,8 +9,9 @@ shows up here as a survivor.
 
     python3 tests/mutants.py [--only NAME]
 
-copies ``src/``, ``tests/``, ``scenarios/`` and ``pyproject.toml`` to a
-temporary directory, applies each row in turn, and runs the row's test.
+copies ``src/``, ``tests/``, ``scenarios/``, ``bench/``, ``README.md`` and
+``pyproject.toml``, all that tier-1 reads, to a temporary directory,
+applies each row in turn, and runs the row's test.
 Only when that test passes does it run all of tier-1 but
 ``tests/test_mutants.py``, which checks the table against the tree.
 Hypothesis runs under the ``mutants`` profile of ``tests/conftest.py``:
@@ -123,6 +124,14 @@ MUTANTS = [
            "stop = np.full((w, w), _OUT, np.int8)",
            "stop = np.full((w, w), 0, np.int8)",
            "tests/test_growth.py::test_the_window_reaches_the_target"),
+    Mutant("growth_window_rate_x_y_swapped", "src/fpplab/growth.py",
+           "cfg.rate(np.repeat(side, w), np.tile(side, w), ",
+           "cfg.rate(np.tile(side, w), np.repeat(side, w), ",
+           "tests/test_growth.py::test_lockstep_kernel_equals_the_per_run_loop"),
+    Mutant("growth_window_rate_k_one_high", "src/fpplab/growth.py",
+           "np.arange(1, _JOINED)[:, None])",
+           "np.arange(2, _JOINED + 1)[:, None])",
+           "tests/test_growth.py::test_lockstep_kernel_equals_the_per_run_loop"),
     # Proposition 3's coverage kernel
     Mutant("coverage_open_neighbourhood", "src/fpplab/growth.py",
            "return start[:-1] + np.arange(g.n), np.insert(nbr, start[:-1], np.arange(g.n))",
@@ -194,6 +203,15 @@ MUTANTS = [
            "if later > count:",
            "if later >= count:",
            "tests/test_multigraph.py::test_undecided_triangle_probes_are_counted"),
+    # the exact chain's continuization check and the explicit lower modulus
+    Mutant("continuization_variance_without_e_t", "src/fpplab/chain.py",
+           "var_err = abs(var_cont - (var_disc + mean_disc))",
+           "var_err = abs(var_cont - var_disc)",
+           "tests/test_chain.py::test_continuization_check_random_chains"),
+    Mutant("psi_minus_over_two_not_three", "src/fpplab/stats.py",
+           "log_value = 0.5 * (log_coef + math.log(delta / 3.0))",
+           "log_value = 0.5 * (log_coef + math.log(delta / 2.0))",
+           "tests/test_stats.py::test_psi_minus_reference_value"),
     # Theorem 1's checks
     Mutant("theorem1_lower_slack_doubled", "src/fpplab/stats.py",
            "max_tail = floor + math.exp(",
@@ -203,11 +221,6 @@ MUTANTS = [
            'rep["spearman"] > params["min_spearman"]',
            'rep["spearman"] > params["min_spearman"] - 0.5',
            "tests/test_cli.py::test_assertion_failure_exit_one"),
-    # the exhaustive min cut over chunks of masks
-    Mutant("min_cut_ties_go_to_the_last_chunk", "src/fpplab/graphs.py",
-           "if cut[i] < best:",
-           "if cut[i] <= best:",
-           "tests/test_graphs.py::test_min_cut_equals_the_mask_loop"),
     # the graph's CSR and the lock-step Dijkstra that reads it
     Mutant("csr_rows_in_edge_order", "src/fpplab/graphs.py",
            "order = np.lexsort((head, tail))",
@@ -229,6 +242,24 @@ MUTANTS = [
            "cand = flat.take(e + (live * m)[:, None])",
            "cand = flat.take(e + (rows * m)[:, None])",
            "tests/test_fpp.py::test_lockstep_kernel_equals_the_dense_table_kernel"),
+    # the twin-class lumped kernel: its stage loop, its walk back and _pick
+    Mutant("lumped_free_count_read_run_major", "src/fpplab/fpp.py",
+           "flat_free[c * k + rows] -= 1.0",
+           "flat_free[c + rows] -= 1.0",
+           "tests/test_fpp.py::test_lumped_block_equals_the_reference_kernel"),
+    Mutant("lumped_walk_keeps_the_last_gap", "src/fpplab/fpp.py",
+           "Xi[live] = np.maximum(Xi[live], now - then)",
+           "Xi[live] = now - then",
+           "tests/test_fpp.py::test_lumped_block_equals_the_reference_kernel"),
+    Mutant("pick_guard_dropped", "src/fpplab/fpp.py",
+           "if picked.max() == cum.shape[1]:",
+           "if False:",
+           "tests/test_fpp.py::test_pick_never_draws_an_index_of_rate_zero"),
+    # the one FPP sample that the checks on (X, Xi) share
+    Mutant("fpp_sample_drawn_per_check", "src/fpplab/cli.py",
+           "if self._fpp is None:",
+           "if True:",
+           "tests/test_cli.py::test_fpp_checks_read_one_sample"),
 ]
 
 
@@ -292,10 +323,11 @@ def main(argv=None) -> int:
     unmarked = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         work = Path(tmp)
-        for part in ("src", "tests", "scenarios"):
+        for part in ("src", "tests", "scenarios", "bench"):
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, work)
         for mutant in rows:
             path = work / mutant.path
             text = path.read_text()

@@ -14,6 +14,9 @@ and relaxed all n columns a step, keeping predecessor vertices.
 graph's CSR and keeps the edge each vertex was reached by, to it bit for
 bit, through ``dijkstra_batch``.
 
+``traversal_times`` draws a block of traversal times as the Dijkstra
+sampler does.
+
 ``_lumped_block`` is the lumped-chain kernel that keeps every stage's
 parent, slot and join time as it goes, with its own ``_pick`` that holds
 the point below each row's total by ``np.nextafter``.  ``test_fpp.py``
@@ -28,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fpplab.fpp import FppBatch, _along_path, _Lumped, sample_traversal
+from fpplab.fpp import FppBatch, _along_path, _Lumped
 from fpplab.graphs import WeightedGraph
-from fpplab.stats import TINY, blocks
+from fpplab.stats import TINY, blocks, exponential_in_place
 from helpers import adjacency, edge_ids
 
 
@@ -193,6 +196,13 @@ def _lockstep_dijkstra(table: np.ndarray, xi: np.ndarray, source: int,
     return X, np.column_stack(edges)
 
 
+def traversal_times(g: WeightedGraph, rng: np.random.Generator, runs: int) -> np.ndarray:
+    """A ``(runs, m)`` block of traversal times, independent Exp(w_e) per
+    edge, one row per run: the block ``fpplab.fpp.sample_dijkstra_batch``
+    draws from ``rng``."""
+    return exponential_in_place(rng.random((runs, g.m)), g.weight_array())
+
+
 def dijkstra_batch(g: WeightedGraph, source: int, target: int, runs: int, seed) -> FppBatch:
     """``fpplab.fpp.sample_dijkstra_batch`` on the dense-table kernel: the
     same blocks, the same traversal times, and X, Xi and the path length
@@ -201,7 +211,7 @@ def dijkstra_batch(g: WeightedGraph, source: int, target: int, runs: int, seed) 
     batch = FppBatch(X=np.empty(runs), Xi=np.empty(runs),
                      path_len=np.empty(runs, dtype=np.int64))
     for rng, part in blocks(seed, runs, g.m):
-        xi = sample_traversal(g, rng, part.stop - part.start)
+        xi = traversal_times(g, rng, part.stop - part.start)
         batch.X[part], edges = _lockstep_dijkstra(table, xi, source, target)
         batch.Xi[part] = _along_path(xi, edges).max(axis=1)
         batch.path_len[part] = (edges != g.m).sum(axis=1)

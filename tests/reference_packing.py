@@ -31,22 +31,20 @@ def forest_union_rank_by_partition(g, multiplicity, k: int) -> int:
                for labels in _set_partitions(g.n))
 
 
-def min_cut_by_masks(g) -> tuple[float, int]:
-    """(gamma, witness): the least cut weight over the masks with vertex 0
-    inside, the full mask skipped, each cut summed edge by edge in edge
-    order; the witness is the first mask that reaches gamma."""
+def min_cut_by_masks(g) -> float:
+    """gamma: the least cut weight over the masks with vertex 0 inside,
+    the full mask skipped, each cut summed edge by edge in edge order."""
     n = g.n
     edges = list(zip(g.edge_array().tolist(), g.weight_array().tolist()))
-    best, witness = float("inf"), 1
+    best = float("inf")
     for half in range((1 << (n - 1)) - 1):
         mask = (half << 1) | 1
         cut = 0.0
         for (u, v), w in edges:
             if ((mask >> u) & 1) != ((mask >> v) & 1):
                 cut += w
-        if cut < best:
-            best, witness = cut, mask
-    return best, witness
+        best = min(best, cut)
+    return best
 
 
 def _crossing(g, multiplicity, labels: list[int]) -> int:

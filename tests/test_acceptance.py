@@ -121,7 +121,7 @@ def test_criterion_5_prop2():
     ok = True
     details = []
     g4 = complete_graph(4)
-    gamma4, _ = min_cut_weight(g4)
+    gamma4 = min_cut_weight(g4)
     samples = sample_stopping_times(g4, [2], 10_000, seed=202, kinds=("span",))
     rep = prop2_check(samples["span"][2], 2, kind="span", gamma=gamma4)
     ok &= rep["holds"] and not rep["inconclusive"] and rep["mean_bound_holds"]

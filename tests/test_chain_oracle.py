@@ -26,7 +26,7 @@ def _assert_agrees(spec, ref_spec=None):
     ref = reference_chain.solve_hitting(ref_spec or spec)
     states = sol.states.tolist()
     assert sorted(states) == sorted(ref.h)
-    assert sol.initial == ref.initial
+    assert int(sol.states[0]) == ref.initial
     for i, s in enumerate(states):
         assert _close(sol.h[i], ref.h[s])
         assert _close(sol.visit_prob[i], ref.visit_prob[s])

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from helpers import edge_list_text
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.json"))
+BENCH_RUN = SCENARIO_DIR.parent / "bench" / "run.py"
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -176,6 +178,11 @@ def test_cli_seed_flag_overrides_config(tmp_path):
     # a misspelt parameter would otherwise run at its default
     lambda c: c.update(checks=[{"name": "lemma1", "detlas": [0.1]}]),
     lambda c: c.update(checks=[{"name": "submultiplicativity", "y_1": 0.5}]),
+    # a graph takes exactly one source, and args only with a family
+    lambda c: c.update(graph={"family": "complete", "args": {"n": 3}, "edge_list": "a b 1"}),
+    lambda c: c.update(graph={"edge_list": "a b 1", "path": "g.txt"}),
+    lambda c: c.update(graph={"edge_list": "a b 1", "args": {"n": 3}}),
+    lambda c: c.update(graph={"args": {"n": 3}}),
 ])
 def test_usage_errors_exit_two(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(BASE))
@@ -389,6 +396,64 @@ def test_shipped_scenario_passes_config_validation(path):
         cli._load_graph(cfg, seed)
     if cfg["process"] == "growth":
         cli._growth_config(cfg)
+
+
+def _bench_workloads():
+    """``bench/run.py``'s WORKLOADS, read from the file without running it."""
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS, module.scenario_configs
+
+
+def test_bench_workload_configs_pass_config_validation():
+    workloads, scenario_configs = _bench_workloads()
+    for workload in workloads:
+        for name, cfg in scenario_configs(workload, 1):
+            assert cli._validate_config(cfg), (workload, name)
+            if "graph" in cfg:
+                cli._load_graph(cfg, cfg["seed"])
+            if cfg["process"] == "growth":
+                cli._growth_config(cfg)
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (lambda c: c.update(sead=5), "sead"),
+    (lambda c: c.update(targte="v1"), "targte"),
+    (lambda c: c["graph"].update(edge_lst="a b 1"), "edge_lst"),
+    (lambda c: c.update(process="growth", runs=1000, checks=["prop1"],
+                        growth={"targte": [[1, 0]], "rate": {"kind": "constant"}}), "targte"),
+    (lambda c: c.update(process="growth", runs=1000, checks=["prop1"],
+                        growth={"rate": {"kind": "constant", "parms": {"c": 9}}}), "parms"),
+])
+def test_misspelt_config_key_exits_two_and_names_it(tmp_path, capsys, mutate, key):
+    # each of these ran at the key's default before keys were checked
+    cfg = json.loads(json.dumps(BASE))
+    mutate(cfg)
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=out) == 2
+    assert f"no key {key!r}" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_prop2_triangles_need_no_min_cut_past_its_cap(tmp_path, monkeypatch, capsys):
+    # only the spanning-tree mean bound reads gamma, so K21's triangles run
+    # and report no gamma, while K21's spanning trees exit 3 before sampling
+    cfg = {"schema_version": 1, "process": "multigraph", "runs": 1000, "seed": 3,
+           "graph": {"family": "complete", "args": {"n": 21}},
+           "checks": [{"name": "prop2", "ks": [1, 2], "kinds": ["tria"]}]}
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, cfg), out_dir=out) == 0
+    result = json.loads((out / "report.json").read_text())["checks"]["prop2"]["result"]
+    assert result["gamma"] is None
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the min cut")
+
+    monkeypatch.setattr(cli, "sample_stopping_times", no_sampling)
+    cfg["checks"] = [{"name": "prop2", "ks": [1], "kinds": ["span", "tria"]}]
+    assert run_scenario(write_cfg(tmp_path, cfg)) == 3
+    assert "min_cut_weight enumerates cuts exhaustively" in capsys.readouterr().err
 
 
 def test_growth_report_does_not_depend_on_radius(tmp_path):
@@ -651,8 +716,7 @@ def test_coupling_lower_fails_just_past_var_x(tmp_path, monkeypatch, past, statu
     z = np.random.default_rng(32).exponential(1.0, 1000)
     sq = SampleStats.from_samples(z ** 2)
     d = z * math.sqrt(4.0 * sol.var_T * (1.0 + past) / (sq.mean - BAND_SIGMAS * sq.mean_se))
-    batch = SimpleNamespace(X=np.zeros(1000), X_prime=d, increment_bound=d)
-    monkeypatch.setattr(cli, "sample_coupling_batch", lambda *args: batch)
+    monkeypatch.setattr(cli, "sample_coupling_batch", lambda *args: (np.zeros(1000), d, d))
     assert _status_of(tmp_path, "coupling_lower", runs=1000) == (status, code)
 
 

@@ -18,9 +18,7 @@ from fpplab.fpp import (
     sample_dijkstra_batch,
     sample_fpp_batch,
     sample_lumped_fpp_batch,
-    sample_traversal,
     submultiplicativity_probe,
-    traversal_from_uniform,
 )
 from fpplab import fpp
 from fpplab.chain import lemma1_bound, lemma2_grid, solve_hitting
@@ -35,10 +33,10 @@ from fpplab.graphs import (
     random_gnp_graph,
     twin_classes,
 )
-from fpplab.stats import BLOCK_CELLS, SampleStats, block_runs
+from fpplab.stats import BLOCK_CELLS, SampleStats, block_runs, exponential_in_place
 import reference_fpp
 from helpers import adjacency, edge_ids, traced_peak
-from reference_fpp import shortest_path
+from reference_fpp import shortest_path, traversal_times
 
 
 def all_simple_paths(g, source, target):
@@ -67,13 +65,13 @@ def path_cost(g, xi, path):
 
 
 def test_traversal_from_uniform():
-    assert abs(traversal_from_uniform(math.exp(-2.0), 1.0) - 2.0) < 1e-12
-    assert abs(traversal_from_uniform(math.exp(-6.0), 3.0) - 2.0) < 1e-12
+    xi = exponential_in_place(np.array([math.exp(-2.0), math.exp(-6.0)]), np.array([1.0, 3.0]))
+    assert np.all(np.abs(xi - 2.0) < 1e-12)
 
 
 def test_sample_traversal_positive_and_right_law():
     g = complete_graph(4)
-    xs = sample_traversal(g, np.random.default_rng(0), 4000)
+    xs = traversal_times(g, np.random.default_rng(0), 4000)
     assert xs.shape == (4000, g.m)
     assert np.all(xs > 0)
     # unit-rate edges: mean 1 within MC noise
@@ -84,11 +82,11 @@ def test_block_draws_are_prefix_stable_and_positive():
     # a block of k rows is the first k rows of a longer block from the same
     # generator, so drawing only the rows a batch needs changes no run
     g = complete_graph(5)
-    short = sample_traversal(g, np.random.default_rng(4), 3)
-    full = sample_traversal(g, np.random.default_rng(4), 10)
+    short = traversal_times(g, np.random.default_rng(4), 3)
+    full = traversal_times(g, np.random.default_rng(4), 10)
     assert np.array_equal(short, full[:3])
     # u == 0 reads as the smallest positive double: finite, positive, no redraw
-    xi = traversal_from_uniform(np.array([0.0, 0.5]), 2.0)
+    xi = exponential_in_place(np.array([0.0, 0.5]), 2.0)
     assert np.all(np.isfinite(xi)) and np.all(xi > 0)
     assert xi[0] == -math.log(5e-324) / 2.0
 
@@ -110,7 +108,7 @@ def test_shortest_path_is_optimal(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 7))
     g = random_gnp_graph(n, 0.6, (0.5, 2.0), rng)
-    xi = sample_traversal(g, rng, 1)[0]
+    xi = traversal_times(g, rng, 1)[0]
     res = shortest_path(g, xi, 0, n - 1)
     paths = all_simple_paths(g, 0, n - 1)
     best = min(path_cost(g, xi, p) for p in paths)
@@ -143,7 +141,7 @@ def test_batch_sampler_matches_reference_dijkstra():
         batch = sample_fpp_batch(g, 0, n - 1, 3, seed=trial)
         # three runs fit one block: rows 0..2 of the block drawn from child 0
         block = np.random.SeedSequence(trial).spawn(1)[0]
-        xis = sample_traversal(g, np.random.default_rng(block), 3)
+        xis = traversal_times(g, np.random.default_rng(block), 3)
         for i, xi in enumerate(xis):
             ref = shortest_path(g, xi, 0, n - 1)
             assert abs(batch.X[i] - ref.X) < 1e-9
@@ -182,7 +180,7 @@ def test_lockstep_kernel_matches_shortest_path(n, p, seed, runs, data):
     assert not _lumps(g, s, t)
     batch = sample_fpp_batch(g, s, t, runs, seed)
     block = np.random.SeedSequence(seed).spawn(1)[0]
-    for i, xi in enumerate(sample_traversal(g, np.random.default_rng(block), runs)):
+    for i, xi in enumerate(traversal_times(g, np.random.default_rng(block), runs)):
         ref = shortest_path(g, xi, s, t)
         assert abs(batch.X[i] - ref.X) <= 1e-12 * ref.X
         assert batch.Xi[i] == ref.Xi
@@ -241,17 +239,27 @@ def test_walk_back_stops_on_a_cycle_of_reached_by_edges():
         fpp._walk_back(np.vstack([home, [[3, 2, 2]]]), other, 0, 2)
 
 
+def coupled_times(g, u, a, b):
+    """xi and xi' of :func:`coupled_resample` on the uniform block ``u``,
+    formed outside it from a copy, so ``u`` stays as it is."""
+    w = g.weight_array()
+    xi = exponential_in_place(u[:, 0].copy(), w)
+    inside = (a <= xi) & (xi <= b)
+    return xi, np.where(inside, conditioned_exponential(w, a, b, u[:, 1]), xi)
+
+
 def test_coupling_equals_the_dense_table_kernel():
     g, s, t = bridge_graph(4, 3, 0.1), 1, 5
     u = np.random.default_rng(7).random((500, 2, g.m))
-    xi, xi_prime, got = coupled_resample(g, u, 0.2, 1.0, s, t)
+    xi, xi_prime = coupled_times(g, u, 0.2, 1.0)
+    got_X, got_X_prime, got_increment = coupled_resample(g, u, 0.2, 1.0, s, t)
     table = reference_fpp._edge_table(g)
     X, edges = reference_fpp._lockstep_dijkstra(table, xi, s, t)
     X_prime, _ = reference_fpp._lockstep_dijkstra(table, xi_prime, s, t)
-    assert np.array_equal(got.X, X) and np.array_equal(got.X_prime, X_prime)
+    assert np.array_equal(got_X, X) and np.array_equal(got_X_prime, X_prime)
     # xi' equals xi off [a, b], so xi' - xi is the redraws' increment
-    assert np.array_equal(got.increment_bound, fpp._along_path(xi_prime - xi, edges).sum(axis=1))
-    assert np.any(got.X_prime != got.X)
+    assert np.array_equal(got_increment, fpp._along_path(xi_prime - xi, edges).sum(axis=1))
+    assert np.any(got_X_prime != got_X)
 
 
 def test_dijkstra_block_holds_no_n_by_n_array():
@@ -569,20 +577,22 @@ def test_coupled_resample_pathwise_bound():
     g = complete_graph(4)
     a, b = 0.2, 1.5
     u = np.random.default_rng(2).random((300, 2, g.m))
-    xi, xi_prime, cs = coupled_resample(g, u, a, b, 0, g.n - 1)
-    assert np.array_equal(xi, traversal_from_uniform(u[:, 0], g.weight_array()))
+    xi, xi_prime = coupled_times(g, u, a, b)
+    X, X_prime, increment_bound = coupled_resample(g, u, a, b, 0, g.n - 1)
+    # the kernel makes xi inside its block
+    assert np.array_equal(u[:, 0], xi)
     # agreement off the window, support inside it
     inside = (a <= xi) & (xi <= b)
     assert np.all((a - 1e-12 <= xi_prime[inside]) & (xi_prime[inside] <= b + 1e-12))
     assert np.array_equal(xi_prime[~inside], xi[~inside])
-    assert np.all(cs.X_prime - cs.X <= cs.increment_bound + 1e-9)
+    assert np.all(X_prime - X <= increment_bound + 1e-9)
     # X, X' and the increment over D_ab agree with the oracle, run by run
     for i in range(len(u)):
         base = shortest_path(g, xi[i], 0, g.n - 1)
-        assert cs.X[i] == base.X
-        assert cs.X_prime[i] == shortest_path(g, xi_prime[i], 0, g.n - 1).X
+        assert X[i] == base.X
+        assert X_prime[i] == shortest_path(g, xi_prime[i], 0, g.n - 1).X
         d_ab = [e for e in base.path_edges if inside[i, e]]
-        assert cs.increment_bound[i] == pytest.approx(
+        assert increment_bound[i] == pytest.approx(
             sum(xi_prime[i, e] - xi[i, e] for e in d_ab), abs=1e-12)
 
 
@@ -601,11 +611,11 @@ def test_sample_coupling_batch_block_streams():
     batch = sample_coupling_batch(g, 0, 3, B + 3, 5, 0.2, 1.5)
     for j, child in enumerate(np.random.SeedSequence(5).spawn(2)):
         u = np.random.default_rng(child).random((B, 2, g.m))
-        _, _, cs = coupled_resample(g, u, 0.2, 1.5, 0, 3)
+        block = coupled_resample(g, u, 0.2, 1.5, 0, 3)
         rows = slice(j * B, min(B + 3, (j + 1) * B))
         k = rows.stop - rows.start
-        for name in ("X", "X_prime", "increment_bound"):
-            assert np.array_equal(getattr(batch, name)[rows], getattr(cs, name)[:k])
+        for got, want in zip(batch, block, strict=True):  # X, X' and the increment bound
+            assert np.array_equal(got[rows], want[:k])
 
 
 def test_coupling_block_stays_within_the_block_budget(monkeypatch):
@@ -617,7 +627,7 @@ def test_coupling_block_stays_within_the_block_budget(monkeypatch):
     def record(g, u, a, b, source, target):
         sizes.append(u.size)
         k = len(u)
-        return None, None, fpp.CouplingBatch(np.zeros(k), np.zeros(k), np.zeros(k))
+        return np.zeros(k), np.zeros(k), np.zeros(k)
 
     monkeypatch.setattr(fpp, "coupled_resample", record)
     sample_coupling_batch(g, 0, 1, 600, 5, 0.2, 1.5)

@@ -354,7 +354,7 @@ def test_edge_list_round_trip(g):
 def test_min_cut_matches_networkx(g):
     import networkx as nx
 
-    gamma, witness = min_cut_weight(g)
+    gamma = min_cut_weight(g)
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
     edges = list(zip(g.edge_array().tolist(), g.weight_array().tolist()))
@@ -362,10 +362,6 @@ def test_min_cut_matches_networkx(g):
         G.add_edge(u, v, weight=w)
     expected, _ = nx.stoer_wagner(G)
     assert math.isclose(gamma, expected, rel_tol=1e-9)
-    # the witness mask really achieves the reported cut value
-    cut = sum(w for (u, v), w in edges
-              if ((witness >> u) & 1) != ((witness >> v) & 1))
-    assert math.isclose(cut, gamma, rel_tol=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -375,12 +371,12 @@ def test_min_cut_matches_networkx(g):
 @example(grid_graph(4, 4))
 @example(random_gnp_graph(16, 0.3, (0.1, 3.0), np.random.default_rng(5)))
 def test_min_cut_equals_the_mask_loop(g):
-    # the same float, summed in the same edge order, and the same first
-    # least mask, on weights that tie and weights that do not; the
-    # 16-vertex examples span two chunks of masks
+    # the same float, summed in the same edge order, on weights that tie
+    # and weights that do not; the 16-vertex examples span two chunks of
+    # masks
     got = min_cut_weight(g)
     assert got == reference_packing.min_cut_by_masks(g)
-    assert type(got[0]) is float and type(got[1]) is int
+    assert type(got) is float
 
 
 def test_min_cut_capacity():

@@ -13,7 +13,6 @@ from fpplab.fpp import (
     sample_dijkstra_batch,
     sample_fpp_batch,
     sample_lumped_fpp_batch,
-    sample_traversal,
 )
 from fpplab.graphs import complete_graph, path_graph
 from fpplab import growth, multigraph
@@ -44,7 +43,7 @@ from fpplab.stats import (
 )
 import reference_growth
 from helpers import Replay
-from reference_fpp import shortest_path
+from reference_fpp import shortest_path, traversal_times
 
 
 def jackknife_se(samples, estimator) -> float:
@@ -364,7 +363,7 @@ def test_spawn_seeds_gives_run_i_its_own_stream():
     batch = sample_fpp_batch(g, 0, 4, fpp_runs, seed)
     # FPP run i is row i % B of block i // B, the block drawn from
     # default_rng(SeedSequence(seed).spawn(n_blocks)[i // B])
-    blocks = [sample_traversal(g, np.random.default_rng(c), B)
+    blocks = [traversal_times(g, np.random.default_rng(c), B)
               for c in np.random.SeedSequence(seed).spawn(2)]
     for i in range(fpp_runs):
         ref = shortest_path(g, blocks[i // B][i % B], 0, 4)
@@ -389,7 +388,7 @@ SAMPLERS = {
         lambda runs, seed: list(vars(sample_lumped_fpp_batch(K5, 0, 4, runs, seed)).values()),
         lambda: 4 * (K5.n - 1), stats.BLOCK_CELLS, None),
     "sample_coupling_batch": (
-        lambda runs, seed: list(vars(sample_coupling_batch(K5, 0, 4, runs, seed, 0.2, 1.5)).values()),
+        lambda runs, seed: list(sample_coupling_batch(K5, 0, 4, runs, seed, 0.2, 1.5)),
         lambda: K5.m, stats.BLOCK_CELLS, None),
     "sample_stopping_times": (
         lambda runs, seed: [t for by_k in sample_stopping_times(
